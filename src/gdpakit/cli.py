@@ -48,6 +48,12 @@ def _fail(msg: str):
     sys.exit(1)
 
 
+def _non_negative(ctx, param, value):
+    if value is not None and value < 0:
+        _fail(f"{param.opts[0]} must be >= 0, got {value}")
+    return value
+
+
 def load_json(arg: str):
     """Inline JSON, @path, or '-' for stdin."""
     try:
@@ -147,8 +153,11 @@ def module_from_flags(ctx_flags, module, ideal, h, shift) -> PresentedModule:
     """--module JSON (self-describing) or --ideal/--h building M(a, h)."""
     if module is not None:
         obj = load_json(module)
-        pi = PiSequence.from_json(obj["context"])
-        return PresentedModule.from_json(AlgebraContext(pi), obj)
+        try:
+            pi = PiSequence.from_json(obj["context"])
+            return PresentedModule.from_json(AlgebraContext(pi), obj)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            _fail(f"malformed --module: {type(e).__name__}: {e}")
     if ideal is None or h is None:
         _fail("provide --module JSON or both --ideal and --h")
     ctx = context_from_flags(*ctx_flags)
@@ -243,7 +252,7 @@ def pi_transform(ring, family, values, default_, q0, h, up_to, out):
 @ideal_option
 @h_option
 @shift_option
-@click.option("--horizon", type=int, default=24, show_default=True)
+@click.option("--horizon", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
 def hilbert(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
     """Graded pieces and the rational fit of the Hilbert series."""
@@ -262,7 +271,7 @@ def hilbert(ring, family, values, default_, q0, module, ideal, h, shift, horizon
 @ideal_option
 @h_option
 @shift_option
-@click.option("--horizon", type=int, default=24, show_default=True)
+@click.option("--horizon", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
 def syzygy(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
     """Minimal syzygy generators of the presentation map, degree by degree."""
@@ -285,8 +294,8 @@ def syzygy(ring, family, values, default_, q0, module, ideal, h, shift, horizon,
 @ideal_option
 @h_option
 @shift_option
-@click.option("--max-i", type=int, default=3, show_default=True)
-@click.option("--horizon", type=int, default=16, show_default=True)
+@click.option("--max-i", type=int, default=3, show_default=True, callback=_non_negative)
+@click.option("--horizon", type=int, default=16, show_default=True, callback=_non_negative)
 @out_option
 def tor_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
             max_i, horizon, out):
@@ -310,7 +319,7 @@ def tor_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
 @ideal_option
 @h_option
 @shift_option
-@click.option("--horizon", type=int, default=24, show_default=True)
+@click.option("--horizon", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
 def torsion(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
     """Torsion-submodule detection; exit 2 when inconclusive."""
@@ -336,7 +345,7 @@ def torsion(ring, family, values, default_, q0, module, ideal, h, shift, horizon
 @ideal_option
 @h_option
 @shift_option
-@click.option("--horizon", type=int, default=40, show_default=True)
+@click.option("--horizon", type=int, default=40, show_default=True, callback=_non_negative)
 @out_option
 def special(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
     """Special resolution over a field (certified, r <= 1)."""
@@ -362,7 +371,7 @@ def special(ring, family, values, default_, q0, module, ideal, h, shift, horizon
 @ideal_option
 @h_option
 @shift_option
-@click.option("--horizon", type=int, default=24, show_default=True)
+@click.option("--horizon", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
 def kclass(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
     """The H-invariant: the class of M in K(k) = Z, degree by degree."""
@@ -382,8 +391,8 @@ def kclass(ring, family, values, default_, q0, module, ideal, h, shift, horizon,
 @ideal_option
 @h_option
 @shift_option
-@click.option("--horizon", type=int, default=10, show_default=True)
-@click.option("--max-i", type=int, default=None)
+@click.option("--horizon", type=int, default=10, show_default=True, callback=_non_negative)
+@click.option("--max-i", type=int, default=None, callback=_non_negative)
 @click.option("--demo-p", type=int, default=None,
               help="Run the torsion-class demo for this prime instead.")
 @click.option("--demo-h", type=int, default=None)

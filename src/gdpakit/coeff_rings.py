@@ -36,6 +36,10 @@ class PreconditionError(ValueError):
     """An operation's precondition failed."""
 
 
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
+
+
 def _vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     v = 0
@@ -184,7 +188,36 @@ class Ring:
         return hash(tuple(sorted(self.to_json().items())))
 
 
-class IntegerRing(Ring):
+class NumberRing(Ring):
+    """Base of Z, Q and Z_(p), whose elements are Python ints or Fractions:
+    the ring operations are Python's own, and 0 and 1 are constants."""
+
+    _zero = 0
+    _one = 1
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return not a
+
+
+class IntegerRing(NumberRing):
     kind = "Z"
     is_domain = True
     is_pid = True
@@ -196,15 +229,6 @@ class IntegerRing(Ring):
                 raise ValueError(f"{x} is not an integer")
             return int(x)
         return int(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -261,8 +285,10 @@ class IntegerRing(Ring):
         return {"ring": "Z"}
 
 
-class RationalField(Ring):
+class RationalField(NumberRing):
     kind = "Q"
+    _zero = _FRACTION_ZERO
+    _one = _FRACTION_ONE
     is_field = True
     is_domain = True
     is_pid = True
@@ -270,15 +296,6 @@ class RationalField(Ring):
 
     def canon(self, x):
         return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a):
         return a != 0
@@ -294,17 +311,17 @@ class RationalField(Ring):
     def exact_div(self, b, a):
         if a == 0:
             if b == 0:
-                return Fraction(0)
+                return _FRACTION_ZERO
             raise ValueError("0 does not divide a nonzero element")
         return Fraction(b) / a
 
     def unit_and_canonical(self, a):
         if a == 0:
-            return Fraction(1), Fraction(0)
-        return Fraction(a), Fraction(1)
+            return _FRACTION_ONE, _FRACTION_ZERO
+        return Fraction(a), _FRACTION_ONE
 
     def quo_rem(self, a, b):
-        return Fraction(a) / b, Fraction(0)
+        return Fraction(a) / b, _FRACTION_ZERO
 
     def pivot_key(self, a):
         return 0
@@ -428,10 +445,12 @@ class IntegersModRing(Ring):
         return f"GF({self.n})" if self.is_field else f"Z/{self.n}"
 
 
-class PLocalRing(Ring):
+class PLocalRing(NumberRing):
     """Z_(p): rationals with denominator coprime to p.  A local PID (a DVR)."""
 
     kind = "Zloc"
+    _zero = _FRACTION_ZERO
+    _one = _FRACTION_ONE
     is_domain = True
     is_pid = True
     is_local = True
@@ -455,15 +474,6 @@ class PLocalRing(Ring):
             raise ValueError("valuation of zero")
         return _vp(a.numerator, self.p)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def is_unit(self, a):
         return a != 0 and a.numerator % self.p != 0
 
@@ -482,18 +492,18 @@ class PLocalRing(Ring):
     def exact_div(self, b, a):
         if not self.divides(a, b):
             raise ValueError(f"{a} does not divide {b} in Z_({self.p})")
-        return Fraction(0) if b == 0 else Fraction(b) / a
+        return _FRACTION_ZERO if b == 0 else Fraction(b) / a
 
     def unit_and_canonical(self, a):
         if a == 0:
-            return Fraction(1), Fraction(0)
+            return _FRACTION_ONE, _FRACTION_ZERO
         c = Fraction(self.p) ** self.valuation(a)
         return a / c, c
 
     def quo_rem(self, a, b):
         if self.divides(b, a):
-            return Fraction(a) / b, Fraction(0)
-        return Fraction(0), Fraction(a)
+            return Fraction(a) / b, _FRACTION_ZERO
+        return _FRACTION_ZERO, Fraction(a)
 
     def pivot_key(self, a):
         return self.valuation(a)
@@ -769,8 +779,16 @@ class ExactMatrix:
                 raise ValueError("ragged matrix")
 
     @classmethod
+    def _from_canonical(cls, ring: Ring, entries, rows: int, cols: int) -> "ExactMatrix":
+        """Wrap entries that are already canonical ring elements, as is."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols, m.entries = ring, rows, cols, entries
+        return m
+
+    @classmethod
     def zero(cls, ring: Ring, rows: int, cols: int) -> "ExactMatrix":
-        return cls(ring, [[ring.zero()] * cols for _ in range(rows)], rows, cols)
+        z = ring.zero()
+        return cls._from_canonical(ring, [[z] * cols for _ in range(rows)], rows, cols)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "ExactMatrix":
@@ -1077,9 +1095,9 @@ def smith_normal_form(m: ExactMatrix):
                 U[i][t] = R.mul(ui, U[i][t])
 
     return (
-        ExactMatrix(R, U, nr, nr),
-        ExactMatrix(R, A, nr, nc),
-        ExactMatrix(R, V, nc, nc),
+        ExactMatrix._from_canonical(R, U, nr, nr),
+        ExactMatrix._from_canonical(R, A, nr, nc),
+        ExactMatrix._from_canonical(R, V, nc, nc),
     )
 
 

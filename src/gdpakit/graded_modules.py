@@ -814,45 +814,6 @@ class TorsionReport:
         }
 
 
-def _annihilated_lattice(M: PresentedModule, d: int, margin: int):
-    """Echelon span of {v in F0_d : x^[j] v in im(relations) for 1 <= j <=
-    margin} together with the degree-d relation slice (so the span always
-    contains the relation submodule)."""
-    ctx = M.context
-    R = ctx.ring
-    F0 = M.generators
-    P = M.relations
-    basis = F0.basis(d)
-    dim = len(basis)
-    blocks = []
-    for j in range(1, margin + 1):
-        tb = F0.basis(d + j)
-        row_of = {i: r for r, (i, _) in enumerate(tb)}
-        mult = ExactMatrix.zero(R, len(tb), dim)
-        for c, (i, s) in enumerate(basis):
-            coeff = ctx.C(s + j, j)
-            if not R.is_zero(coeff):
-                mult.entries[row_of[i]][c] = coeff
-        blocks.append((mult, P.slice(d + j)))
-    total_rows = sum(m.rows for m, _ in blocks)
-    total_rel_cols = sum(p.cols for _, p in blocks)
-    big = ExactMatrix.zero(R, total_rows, dim + total_rel_cols)
-    r0 = 0
-    c0 = dim
-    for mult, p in blocks:
-        for r in range(mult.rows):
-            for c in range(dim):
-                big.entries[r0 + r][c] = mult.entries[r][c]
-            for c in range(p.cols):
-                big.entries[r0 + r][c0 + c] = p.entries[r][c]
-        r0 += mult.rows
-        c0 += p.cols
-    vectors = [v[:dim] for v in kernel_basis(big)]
-    pd = P.slice(d)
-    vectors += [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
-    return _make_span(R, dim, vectors), pd, dim
-
-
 def _make_span(R: Ring, dim: int, vectors):
     if R.is_field:
         span = SpanReducer(R, dim)
@@ -885,11 +846,12 @@ def _span_equal(R: Ring, a, b, dim: int) -> bool:
     return all(b.contains(v) for v in va) and all(a.contains(v) for v in vb)
 
 
-def _refine_lattice(M: PresentedModule, d: int, B, j_start: int, j_end: int):
-    """Cut the candidate lattice spanned by B down to the vectors v with
-    x^[j] v in im(relations) for every j in [j_start, j_end], one j at a
-    time (each step is a kernel of a tiny matrix in the lattice coordinates,
-    so large margins stay cheap).  The relation span is preserved."""
+def _refine_lattice(M: PresentedModule, d: int, span, j_start: int, j_end: int):
+    """Cut the lattice span down to the vectors v with x^[j] v in
+    im(relations) for every j in [j_start, j_end], one j at a time (each step
+    is a kernel of a tiny matrix in the lattice coordinates, so large margins
+    stay cheap), and return the cut span.  The relation submodule is a
+    D-submodule, so a span that contains its degree-d slice keeps it."""
     ctx = M.context
     R = ctx.ring
     F0 = M.generators
@@ -897,8 +859,9 @@ def _refine_lattice(M: PresentedModule, d: int, B, j_start: int, j_end: int):
     basis = F0.basis(d)
     dim = len(basis)
     for j in range(j_start, j_end + 1):
+        B = _span_vectors(R, span)
         if not B:
-            return B
+            break
         tb = F0.basis(d + j)
         row_of = {i: r for r, (i, _) in enumerate(tb)}
         rows = max(len(tb), 1)
@@ -924,10 +887,17 @@ def _refine_lattice(M: PresentedModule, d: int, B, j_start: int, j_end: int):
                         w[t] = R.add(w[t], R.mul(coeff, B[col][t]))
             if any(not R.is_zero(x) for x in w):
                 newvecs.append(w)
-        B = _span_vectors(R, _make_span(R, dim, newvecs))
-        if isinstance(R, IntegersModRing):
-            B = [[R.canon(x) for x in v] for v in B]
-    return B
+        span = _make_span(R, dim, newvecs)
+    return span
+
+
+def _margin_lattice(M: PresentedModule, d: int, margin: int):
+    """Span of {v in F0_d : x^[j] v in im(relations) for 1 <= j <= margin},
+    cut one j at a time from all of F0_d."""
+    R = M.context.ring
+    dim = M.generators.rank(d)
+    identity = [[R.one() if t == i else R.zero() for t in range(dim)] for i in range(dim)]
+    return _refine_lattice(M, d, _make_span(R, dim, identity), 1, margin)
 
 
 def torsion_submodule(
@@ -939,10 +909,13 @@ def torsion_submodule(
     submodule for every 1 <= j <= margin.  Because the conditions are finite,
     margin artifacts are possible (e.g. over Z_(p), deep p-power multiples of
     free classes satisfy long windows and only escape at p-power-aligned j);
-    so the annihilated lattice of every candidate degree is refined one j at
-    a time up to a cap that scales with the degree bound:
+    so the search runs on past the margin, up to a cap that scales with the
+    degree bound.  In every degree the lattice starts as all of F0_d and is
+    cut one j at a time, through the windows [1, margin], [margin+1, cap/2]
+    and [cap/2+1, cap]; it always contains the relation span, because the
+    relation submodule is a D-submodule.  After a window:
 
-    - lattice equal to the relation span at any point -> no candidate;
+    - lattice equal to the relation span -> no candidate;
     - unchanged over the top half of the window [cap/2, cap] (stable) ->
       reported torsion, certified when the ring is a field and pi is never
       zero on the scanned range (then x^[j] is a unit multiple of x^[1]^j
@@ -960,32 +933,27 @@ def torsion_submodule(
     stable = []
     shrank = False
     for d in range(M.min_degree(), degree_bound + 1):
-        if not M.generators.basis(d):
+        dim = M.generators.rank(d)
+        if not dim:
             continue
-        span1, pd, dim = _annihilated_lattice(M, d, margin)
+        pd = M.relations.slice(d)
         pspan = _make_span(
             R, dim, [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
         )
-        if _span_equal(R, span1, pspan, dim):
+        window = _margin_lattice(M, d, margin)
+        if _span_equal(R, window, pspan, dim):
             continue
-        B = _span_vectors(R, span1)
-        if isinstance(R, IntegersModRing):
-            B = [[R.canon(x) for x in v] for v in B]
-        half = _refine_lattice(M, d, B, margin + 1, cap // 2)
-        half_span = _make_span(R, dim, half)
-        if _span_equal(R, half_span, pspan, dim):
+        half = _refine_lattice(M, d, window, margin + 1, cap // 2)
+        if _span_equal(R, half, pspan, dim):
             shrank = True
             continue
         final = _refine_lattice(M, d, half, cap // 2 + 1, cap)
-        final_span = _make_span(R, dim, final)
-        if _span_equal(R, final_span, pspan, dim):
+        if _span_equal(R, final, pspan, dim):
             shrank = True
             continue
-        if _span_equal(R, half_span, final_span, dim):
+        if _span_equal(R, half, final, dim):
             # stable annihilated classes beyond the relation submodule
-            basis2 = _span_vectors(R, final_span)
-            if isinstance(R, IntegersModRing):
-                basis2 = [[R.canon(x) for x in v] for v in basis2]
+            basis2 = _span_vectors(R, final)
             cmat = ExactMatrix(
                 R, [[v[i] for v in basis2] for i in range(dim)], dim, len(basis2)
             )

@@ -158,6 +158,48 @@ class TestModuleCommands:
         assert data["h_class_of_D_mod_pD_is_zero"]
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["torsion", "--ring", "Z_(2)", "--ideal", "[2]", "--h", "2", "--horizon", "-3"],
+            ["hilbert", "--ideal", "[2]", "--h", "2", "--horizon", "-1"],
+            ["syzygy", "--ideal", "[2]", "--h", "2", "--horizon", "-1"],
+            ["tor", "--ideal", "[2]", "--h", "2", "--horizon", "-1"],
+            ["tor", "--ideal", "[2]", "--h", "2", "--max-i", "-1"],
+            ["special", "--ring", "GF(2)", "--ideal", "[0]", "--h", "2", "--horizon", "-1"],
+            ["kclass", "--ring", "GF(2)", "--ideal", "[0]", "--h", "2", "--horizon", "-1"],
+            ["l-invariant", "--ideal", "[2]", "--h", "2", "--horizon", "-1"],
+            ["l-invariant", "--ideal", "[2]", "--h", "2", "--max-i", "-2"],
+        ],
+    )
+    def test_negative_horizon_or_max_i_rejected(self, runner, args):
+        # exit 1 with one error line; exit 2 would read as "inconclusive"
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: --") and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "module",
+        ['{"foo": 1}', "[1]", '{"context": {"ring": {"ring": "Z"}}}'],
+    )
+    def test_malformed_module_json_rejected(self, runner, module):
+        res = runner.invoke(main, ["torsion", "--module", module])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: malformed --module: ")
+
+    def test_malformed_module_relations_rejected(self, runner):
+        ctx = AlgebraContext(PiSequence.all_ones(QQ))
+        M = PresentedModule.from_columns(ctx, [0], [{0: ctx.x(1)}], [1])
+        obj = M.to_json()
+        obj["relations"] = "x"
+        res = runner.invoke(main, ["torsion", "--module", json.dumps(obj)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: malformed --module: ")
+
+
 class TestHarnessCommands:
     def test_bound_check_spec(self, runner):
         res = invoke(

@@ -17,6 +17,7 @@ from gdpakit.coeff_rings import (
     ExactMatrix,
     ModuleInvariants,
     PreconditionError,
+    Ring,
     UnsupportedRingError,
     Zloc,
     Zmod,
@@ -98,6 +99,52 @@ def test_plocal_elements():
     with pytest.raises(ValueError):
         r.canon(Fraction(1, 3))
     assert r.unit_and_canonical(Fraction(18, 5)) == (Fraction(2, 5), Fraction(9))
+
+
+@pytest.mark.parametrize(
+    "ring,elts",
+    [
+        (ZZ, [0, 1, -1, 6, -9]),
+        (QQ, [Fraction(0, 5), Fraction(-3, 3), Fraction(1, 2), Fraction(7, 3)]),
+        (Zloc(2), [Fraction(0, 5), Fraction(-3, 3), Fraction(4, 3), Fraction(6, 5)]),
+    ],
+)
+def test_number_ring_fast_paths_match_generic(ring, elts):
+    # zero/one/is_zero/sub of Z, Q, Z_(p) agree with the Ring definitions,
+    # which canonicalize 0 and 1 and subtract through add and neg
+    for fast, generic in ((ring.zero(), Ring.zero(ring)), (ring.one(), Ring.one(ring))):
+        assert fast == generic and type(fast) is type(generic)
+    for a in elts:
+        a = ring.canon(a)
+        assert ring.is_zero(a) == (a == Ring.zero(ring))
+        for b in elts:
+            b = ring.canon(b)
+            fast, generic = ring.sub(a, b), Ring.sub(ring, a, b)
+            assert fast == generic and type(fast) is type(generic)
+
+
+def test_matrix_zero_rows_are_distinct_and_constructor_canonicalizes():
+    for ring in (ZZ, QQ, Zloc(2), GF(3)):
+        m = ExactMatrix.zero(ring, 2, 2)
+        m.entries[0][0] = ring.one()
+        assert ring.is_zero(m.entries[1][0]) and ring.is_zero(m.entries[0][1])
+    with pytest.raises(ValueError):
+        ExactMatrix(Zloc(2), [[Fraction(1, 2)]])
+    assert ExactMatrix(QQ, [[3]]).entries == [[Fraction(3)]]
+    assert type(ExactMatrix(QQ, [[3]]).entries[0][0]) is Fraction
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zloc(2), GF(5)])
+def test_snf_factors_hold_canonical_entries(ring):
+    # U, D, V are built without a second canonicalization pass: every entry
+    # must already be a canonical element of the ring
+    rng = random.Random(7)
+    for _ in range(10):
+        ents = [[ring.from_int(rng.randint(-6, 6)) for _ in range(3)] for _ in range(3)]
+        for f in smith_normal_form(ExactMatrix(ring, ents)):
+            for row in f.entries:
+                for x in row:
+                    assert ring.canon(x) == x and type(ring.canon(x)) is type(x)
 
 
 def test_intpoly_arithmetic():

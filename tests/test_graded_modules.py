@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdpakit.coeff_rings import (
     GF,
@@ -9,8 +11,10 @@ from gdpakit.coeff_rings import (
     ZZ,
     Zloc,
     Zmod,
+    ExactMatrix,
     ModuleInvariants,
     PreconditionError,
+    kernel_basis,
 )
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.graded_modules import (
@@ -32,6 +36,7 @@ from gdpakit.graded_modules import (
     truncate_at_least,
     truncate_at_most,
 )
+from gdpakit.graded_modules import _make_span, _margin_lattice, _span_equal
 from gdpakit.pi_core import PiSequence
 
 
@@ -389,6 +394,72 @@ class TestTorsion:
         rep = torsion_submodule(M, 8)
         assert rep.verdict == "has_torsion"
         assert rep.certificate is not None
+
+
+ORACLE_RINGS = [Zloc(2), Zloc(3), ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6)]
+ORACLE_CONTEXTS = [
+    AlgebraContext(family(R))
+    for R in ORACLE_RINGS
+    for family in (PiSequence.classical, PiSequence.all_ones)
+]
+
+
+def stacked_margin_lattice(M, d, margin):
+    """Reference for _margin_lattice: {v in F0_d : x^[j] v in im(P) for
+    1 <= j <= margin} + P_d, from one kernel of the block matrix whose j-th
+    block row is [X_j | 0 ... P_{d+j} ... 0], X_j multiplication by x^[j]."""
+    ctx = M.context
+    R = ctx.ring
+    F0 = M.generators
+    basis = F0.basis(d)
+    dim = len(basis)
+    slices = [M.relations.slice(d + j) for j in range(1, margin + 1)]
+    ncols = dim + sum(p.cols for p in slices)
+    rows = []
+    c0 = dim
+    for j, pj in enumerate(slices, start=1):
+        row_of = {i: r for r, (i, _) in enumerate(F0.basis(d + j))}
+        block = [[R.zero()] * ncols for _ in row_of]
+        for c, (i, s) in enumerate(basis):
+            block[row_of[i]][c] = ctx.C(s + j, j)
+        for r in range(pj.rows):
+            block[r][c0:c0 + pj.cols] = pj.entries[r]
+        rows += block
+        c0 += pj.cols
+    vectors = [v[:dim] for v in kernel_basis(ExactMatrix(R, rows, len(rows), ncols))]
+    pd = M.relations.slice(d)
+    vectors += [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
+    return _make_span(R, dim, vectors)
+
+
+@st.composite
+def small_modules(draw):
+    ctx = draw(st.sampled_from(ORACLE_CONTEXTS))
+    R = ctx.ring
+    gdegs = sorted(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    cols, rdegs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        rdeg = max(gdegs) + draw(st.integers(0, 3))
+        col = {}
+        for i, g in enumerate(gdegs):
+            c = draw(st.integers(-4, 4))
+            if c:
+                col[i] = ctx.x(rdeg - g, coeff=R.from_int(c))
+        cols.append(col)
+        rdegs.append(rdeg)
+    return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_modules(), st.integers(0, 3), st.integers(1, 5))
+def test_margin_lattice_matches_stacked_kernel(M, offset, margin):
+    # cutting from the identity one j at a time gives the same lattice as
+    # the single stacked kernel it replaced, relation span included
+    d = M.min_degree() + offset
+    R = M.context.ring
+    dim = M.generators.rank(d)
+    new = _margin_lattice(M, d, margin)
+    assert _span_equal(R, new, stacked_margin_lattice(M, d, margin), dim)
 
 
 # ---------------------------------------------------------------------------
