@@ -1,7 +1,8 @@
 """Command-line front end: every computation over JSON inputs.
 
 Exit codes: 0 success, 1 precondition/validation error, 2 inconclusive or
-partial results (results are still emitted)."""
+partial results (results are still emitted), 3 internal verification failed
+(a certificate the package computed did not check out)."""
 
 from __future__ import annotations
 
@@ -196,7 +197,7 @@ def cbinom(ring, family, values, default_, q0, n, m, out):
 @main.command("pi-derive")
 @click.option("--values", required=True,
               help="JSON list a(1), a(2), ... of a GCD-morphic sequence.")
-@click.option("--up-to", type=int, default=None)
+@click.option("--up-to", type=int, default=None, callback=_non_negative)
 @out_option
 def pi_derive(values, up_to, out):
     """Derive pi from a GCD-morphic sequence by Mobius inversion."""
@@ -210,7 +211,7 @@ def pi_derive(values, up_to, out):
 
 @main.command("pi-check")
 @pi_options
-@click.option("--up-to", type=int, default=24, show_default=True)
+@click.option("--up-to", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
 def pi_check(ring, family, values, default_, q0, up_to, out):
     """Admissibility check; exits 1 with the violating pair if it fails."""
@@ -230,7 +231,7 @@ def pi_check(ring, family, values, default_, q0, up_to, out):
 @main.command("pi-transform")
 @pi_options
 @click.option("--h", "h", type=int, required=True)
-@click.option("--up-to", type=int, default=16, show_default=True)
+@click.option("--up-to", type=int, default=16, show_default=True, callback=_non_negative)
 @out_option
 def pi_transform(ring, family, values, default_, q0, h, up_to, out):
     """The h-transform pi^[h], with a value preview."""
@@ -391,7 +392,8 @@ def kclass(ring, family, values, default_, q0, module, ideal, h, shift, horizon,
 @ideal_option
 @h_option
 @shift_option
-@click.option("--horizon", type=int, default=10, show_default=True, callback=_non_negative)
+@click.option("--horizon", type=int, default=None, callback=_non_negative,
+              help="Degree horizon.  [default: 10; the demo picks its own]")
 @click.option("--max-i", type=int, default=None, callback=_non_negative)
 @click.option("--demo-p", type=int, default=None,
               help="Run the torsion-class demo for this prime instead.")
@@ -404,13 +406,13 @@ def l_invariant_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
 
     if demo_p is not None:
         report = ktors_demo(demo_p, demo_h if demo_h is not None else demo_p,
-                            horizon=horizon if horizon != 10 else None)
+                            horizon=horizon)
         text = report.pop("text")
         emit(report, out, text.splitlines())
         return
     M = module_from_flags((ring, family, values, default_, q0),
                           module, ideal, h, shift)
-    L = l_invariant(M, horizon, max_i=max_i)
+    L = l_invariant(M, 10 if horizon is None else horizon, max_i=max_i)
     data = L.to_json()
     emit(data, out, [f"L0: {data['l0']}", f"L: {data['l']}", f"fit: {data['fit']}"])
     if not L.complete:
@@ -421,7 +423,7 @@ def l_invariant_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
 @click.option("--spec", default=None,
               help='IdealSpec JSON {"chain": [[...], ...], "d": n} over Z classical.')
 @click.option("--seed", type=int, default=None, help="Random batch seed.")
-@click.option("--count", type=int, default=10, show_default=True)
+@click.option("--count", type=int, default=10, show_default=True, callback=_non_negative)
 @click.option("--max-d", type=int, default=4, show_default=True)
 @out_option
 def bound_check(spec, seed, count, max_d, out):
@@ -459,7 +461,7 @@ def bound_check(spec, seed, count, max_d, out):
 @click.option("--ring", default="Z", show_default=True)
 @click.option("--ideal", required=True, help="JSON list of ideal generators.")
 @click.option("--h", "h", type=int, default=1, show_default=True)
-@click.option("--limit", type=int, default=256, show_default=True)
+@click.option("--limit", type=int, default=256, show_default=True, callback=_non_negative)
 @out_option
 def a2_check(ring, ideal, h, limit, out):
     """Condition (A2): bounded ideal torsion; exit 2 when inconclusive."""
@@ -525,6 +527,9 @@ def run():
     except (PreconditionError, NotAGdpaError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
+    except AssertionError as e:
+        click.echo(f"error: internal verification failed: {e}", err=True)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ to Z and reducing.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -365,14 +366,26 @@ class IntegersModRing(Ring):
     def canon(self, x):
         return int(x) % self.n
 
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
     def add(self, a, b):
         return (a + b) % self.n
+
+    def sub(self, a, b):
+        return (a - b) % self.n
 
     def neg(self, a):
         return (-a) % self.n
 
     def mul(self, a, b):
         return (a * b) % self.n
+
+    def is_zero(self, a):
+        return not a
 
     def is_unit(self, a):
         return math.gcd(a % self.n, self.n) == 1
@@ -1287,14 +1300,15 @@ class SpanReducer:
         self.ring = ring
         self.dim = dim
         self.pivots: dict[int, list] = {}
+        self._order: list[int] = []  # the keys of pivots, kept sorted
 
     def reduce(self, v):
         """Reduce v against the current span; returns the residue vector."""
         R = self.ring
         v = [R.canon(x) for x in v]
-        for j in sorted(self.pivots):
-            if not R.is_zero(v[j]):
-                c = v[j]
+        for j in self._order:
+            c = v[j]
+            if not R.is_zero(c):
                 pv = self.pivots[j]
                 for t in range(self.dim):
                     v[t] = R.sub(v[t], R.mul(c, pv[t]))
@@ -1308,6 +1322,7 @@ class SpanReducer:
             if not R.is_zero(v[j]):
                 c = R.inv(v[j])
                 self.pivots[j] = [R.mul(c, x) for x in v]
+                bisect.insort(self._order, j)
                 return True
         return False
 

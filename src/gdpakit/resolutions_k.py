@@ -75,9 +75,8 @@ class SpecialBlock:
         if self.h < 1:
             raise PreconditionError("h must be >= 1")
         if not ideal_contains(R, self.ideal_generators, context.pi.pi(self.h)):
-            raise PreconditionError(
-                f"pi_{self.h} is not in the ideal ({self.ideal_generators})"
-            )
+            gens = ", ".join(R.to_str(R.canon(g)) for g in self.ideal_generators)
+            raise PreconditionError(f"pi_{self.h} is not in the ideal ({gens})")
 
     def piece_factors(self, ring: Ring, e: int):
         """(free_rank, torsion factors) contributed at degree e, one copy."""
@@ -162,22 +161,6 @@ class SpecialResolution:
         }
 
 
-def _mult_vector(ctx, F0: FreeGradedModule, d_from: int, j: int, vec):
-    """Coordinates of x^[j] * v at degree d_from + j, v given at d_from."""
-    R = ctx.ring
-    src = F0.basis(d_from)
-    tgt = F0.basis(d_from + j)
-    col_of = {i: c for c, (i, _) in enumerate(tgt)}
-    out = [R.zero()] * len(tgt)
-    for c, (i, s) in enumerate(src):
-        v = vec[c]
-        if not R.is_zero(v):
-            coeff = R.mul(v, ctx.C(s + j, j))
-            if not R.is_zero(coeff):
-                out[col_of[i]] = R.add(out[col_of[i]], coeff)
-    return out
-
-
 def special_resolve_field(M: PresentedModule, horizon: int = 40) -> SpecialResolution:
     """A special resolution of a finitely presented module over a field.
 
@@ -206,6 +189,18 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     R = ctx.ring
     F0 = M.generators
     dmin = M.min_degree()
+    degrees = range(dmin, horizon + 1)
+    # Per-degree maps, built once per call: the basis (i, s) of F0_d, the
+    # column of each generator i in it, and the relation vectors.  x^[j]
+    # sends x^[s] e_i at degree d - j to C(s + j, j) x^[s + j] e_i, which is
+    # the column of generator i at degree d; each generator has one basis
+    # element per degree, so no two products land in the same column.
+    basis = {d: F0.basis(d) for d in degrees}
+    col_of = {d: {i: c for c, (i, _) in enumerate(basis[d])} for d in degrees}
+    rel_vectors = {}
+    for d in degrees:
+        pd = M.relations.slice(d)
+        rel_vectors[d] = [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
     rel_dims = {}
     # F_t(d): spanning vectors (including the relation image) per degree
     spans: list[dict] = []
@@ -213,12 +208,10 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
 
     def fresh_spans():
         out = {}
-        for d in range(dmin, horizon + 1):
-            dim = len(F0.basis(d))
-            span = SpanReducer(R, dim)
-            pd = M.relations.slice(d)
-            for j in range(pd.cols):
-                span.add([pd.entries[i][j] for i in range(pd.rows)])
+        for d in degrees:
+            span = SpanReducer(R, len(basis[d]))
+            for v in rel_vectors[d]:
+                span.add(v)
             rel_dims[d] = span.rank
             out[d] = span
         return out
@@ -226,8 +219,8 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     # F_0 = M: everything
     s0 = fresh_spans()
     v0 = {}
-    for d in range(dmin, horizon + 1):
-        dim = len(F0.basis(d))
+    for d in degrees:
+        dim = len(basis[d])
         vecs = []
         for i in range(dim):
             e = [R.zero()] * dim
@@ -244,22 +237,35 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     # F_t = (ideal generated by x^[j], h does not divide j) * F_{t-1},
     # closed under the D^(h)-action:
     # F_t(d) = sum_{h∤j} x^[j] F_{t-1}(d-j) + sum_{q>=1} x^[qh] F_t(d-qh)
+    # Once F_t(d) spans all of F0_d no vector can grow it, so the j loop
+    # stops there: later products would all be rejected and vt[d] is the
+    # same as without the stop.
     t = 0
-    while any(mdim(t, d) > 0 for d in range(dmin, horizon + 1)):
+    while any(mdim(t, d) > 0 for d in degrees):
         t += 1
         if t > horizon + 1:
             raise AssertionError("adic filtration failed to terminate")
         st = fresh_spans()
-        vt = {d: [] for d in range(dmin, horizon + 1)}
-        for d in range(dmin, horizon + 1):
+        vt = {d: [] for d in degrees}
+        for d in degrees:
+            span, dim, tgt_col = st[d], len(basis[d]), col_of[d]
             for j in range(1, d - dmin + 1):
+                if span.rank == dim:
+                    break
                 if j % h != 0:
                     source = vectors[t - 1][d - j]
                 else:
                     source = vt[d - j]
+                if not source:
+                    continue
+                src = basis[d - j]
                 for vec in source:
-                    w = _mult_vector(ctx, F0, d - j, j, vec)
-                    if st[d].add(w):
+                    w = [R.zero()] * dim
+                    for c, (i, s) in enumerate(src):
+                        v = vec[c]
+                        if not R.is_zero(v):
+                            w[tgt_col[i]] = R.mul(v, ctx.C(s + j, j))
+                    if span.add(w):
                         vt[d].append(w)
         spans.append(st)
         vectors.append(vt)

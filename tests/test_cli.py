@@ -1,11 +1,13 @@
 """CLI tests via click's test runner: outputs, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from gdpakit.cli import main
+import gdpakit.resolutions_k
+from gdpakit.cli import main, run
 from gdpakit.coeff_rings import QQ, Zloc
 from gdpakit.gdpa import AlgebraContext, StructureConstants
 from gdpakit.graded_modules import FreeGradedModule, ModuleMap, PresentedModule
@@ -19,6 +21,16 @@ def runner():
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def run_entry_point(monkeypatch, capsys, args):
+    """Run the console entry point, which maps exceptions to exit codes;
+    returns (exit code, stdout, stderr)."""
+    monkeypatch.setattr(sys, "argv", ["gdpakit", *args])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
 
 
 class TestPiCommands:
@@ -149,6 +161,22 @@ class TestModuleCommands:
         data = json.loads(res.output)
         assert data["l"]["0"] == [[2, 1]]
 
+    @pytest.mark.parametrize("horizon", [9, 10, 11])
+    def test_l_invariant_demo_explicit_horizon(self, runner, horizon):
+        # an explicit --horizon is used as given, 10 included
+        res = invoke(runner, ["l-invariant", "--demo-p", "2", "--demo-h", "2",
+                              "--horizon", str(horizon), "--out", "json"])
+        assert json.loads(res.output)["horizon"] == horizon
+
+    def test_l_invariant_default_horizon(self, runner):
+        # without --horizon the demo picks its own, and a module gets 10
+        res = invoke(runner, ["l-invariant", "--demo-p", "2", "--demo-h", "2",
+                              "--out", "json"])
+        assert json.loads(res.output)["horizon"] == 12
+        res = runner.invoke(main, ["l-invariant", "--ring", "Z_(2)", "--ideal", "[2]",
+                                   "--h", "2", "--out", "json"])
+        assert json.loads(res.output)["horizon"] == 10
+
     def test_l_invariant_demo(self, runner):
         res = invoke(runner, ["l-invariant", "--demo-p", "2", "--demo-h", "2",
                               "--out", "json"])
@@ -179,6 +207,41 @@ class TestInputBoundary:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error: --") and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pi-check", "--up-to", "-3"],
+            ["pi-derive", "--values", "[1, 1, 2, 3]", "--up-to", "-1"],
+            ["pi-transform", "--h", "2", "--up-to", "-1"],
+            ["bound-check", "--seed", "1", "--count", "-2"],
+            ["a2-check", "--ideal", "[2]", "--limit", "-1"],
+        ],
+    )
+    def test_negative_count_rejected(self, runner, args):
+        # a negative count used to give a vacuous "admissible" / "all pass"
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: --") and res.stderr.count("\n") == 1
+
+    def test_precondition_error_prints_ring_elements(self, monkeypatch, capsys):
+        code, out, err = run_entry_point(
+            monkeypatch, capsys, ["special", "--ring", "Z_(2)", "--ideal", "[0]", "--h", "3"])
+        assert code == 1 and out == ""
+        assert err == "error: pi_3 is not in the ideal (0)\n"
+
+    def test_failed_internal_check_exits_three(self, monkeypatch, capsys):
+        # a certificate the resolver built that does not verify is a bug, not
+        # a failed user-facing check: exit 3, not a traceback with exit 1
+        monkeypatch.setattr(gdpakit.resolutions_k, "verify_special_filtration",
+                            lambda M, cert, horizon: (False, 5))
+        code, out, err = run_entry_point(
+            monkeypatch, capsys,
+            ["special", "--ring", "GF(2)", "--ideal", "[0]", "--h", "2", "--horizon", "8"])
+        assert code == 3 and out == ""
+        assert err == ("error: internal verification failed: "
+                       "special filtration verification failed at 5\n")
 
     @pytest.mark.parametrize(
         "module",

@@ -123,6 +123,18 @@ def test_number_ring_fast_paths_match_generic(ring, elts):
             assert fast == generic and type(fast) is type(generic)
 
 
+@pytest.mark.parametrize("ring", [GF(3), Zmod(4), Zmod(6)])
+def test_zmod_fast_paths_match_generic(ring):
+    # zero/one/is_zero/sub of Z/n agree with the Ring definitions
+    for fast, generic in ((ring.zero(), Ring.zero(ring)), (ring.one(), Ring.one(ring))):
+        assert fast == generic and type(fast) is type(generic)
+    for a in range(ring.n):
+        assert ring.is_zero(a) == Ring.is_zero(ring, a)
+        for b in range(ring.n):
+            fast, generic = ring.sub(a, b), Ring.sub(ring, a, b)
+            assert fast == generic and type(fast) is type(generic)
+
+
 def test_matrix_zero_rows_are_distinct_and_constructor_canonicalizes():
     for ring in (ZZ, QQ, Zloc(2), GF(3)):
         m = ExactMatrix.zero(ring, 2, 2)
@@ -423,6 +435,46 @@ def test_span_reducer():
     assert sp.rank == 2
     assert sp.contains([1, 0, 1])  # = 1*(1,2,0) + 1*(0,1,1) over GF(3)
     assert not sp.contains([0, 0, 1])
+
+
+def _sorted_scan(sp, v):
+    """Reduce v against sp.pivots scanning the pivot columns in sorted order."""
+    R = sp.ring
+    v = [R.canon(x) for x in v]
+    for j in sorted(sp.pivots):
+        c = v[j]
+        if not R.is_zero(c):
+            v = [R.sub(x, R.mul(c, y)) for x, y in zip(v, sp.pivots[j])]
+    return v
+
+
+def test_span_reducer_out_of_order_pivots():
+    R = GF(5)
+    sp = SpanReducer(R, 3)
+    assert sp.add([0, 0, 2]) and sp.add([3, 1, 4])
+    assert list(sp.pivots) == [2, 0]  # arrival order, not column order
+    for v in product(range(5), repeat=3):
+        assert sp.reduce(v) == _sorted_scan(sp, v)
+    # a pivot row with an entry at a later pivot column: the scan order counts
+    sp = SpanReducer(R, 3)
+    assert sp.add([1, 1, 0]) and sp.add([0, 0, 3]) and sp.add([0, 1, 0])
+    for v in product(range(5), repeat=3):
+        assert sp.reduce(v) == _sorted_scan(sp, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 7]),
+    st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4), max_size=8),
+)
+def test_span_reducer_matches_sorted_scan(p, vectors):
+    R = GF(p)
+    sp = SpanReducer(R, 4)
+    for v in vectors:
+        before = _sorted_scan(sp, v)
+        assert sp.reduce(v) == before
+        assert sp.add(v) == any(before)
+    assert sp.rank == len(sp.pivots)
 
 
 @settings(max_examples=60, deadline=None)

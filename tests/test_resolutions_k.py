@@ -2,8 +2,10 @@
 and the H / L class invariants."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gdpakit.coeff_rings import GF, QQ, ZZ, PreconditionError, Zloc
+from gdpakit.coeff_rings import GF, QQ, ZZ, PreconditionError, SpanReducer, Zloc
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.graded_modules import (
     FreeGradedModule,
@@ -15,6 +17,7 @@ from gdpakit.pi_core import PiSequence
 from gdpakit.resolutions_k import (
     SpecialBlock,
     SpecialFiltrationCertificate,
+    SpecialResolution,
     check_mah_relation,
     h_invariant,
     ideal_contains,
@@ -92,6 +95,122 @@ class TestFiltrationCertificates:
         )
         ok, witness = verify_special_filtration(I, bad, 12)
         assert not ok
+
+
+def _mult_vector(ctx, F0, d_from, j, vec):
+    """Coordinates of x^[j] * v at degree d_from + j, v given at d_from."""
+    R = ctx.ring
+    src = F0.basis(d_from)
+    tgt = F0.basis(d_from + j)
+    col_of = {i: c for c, (i, _) in enumerate(tgt)}
+    out = [R.zero()] * len(tgt)
+    for c, (i, s) in enumerate(src):
+        v = vec[c]
+        if not R.is_zero(v):
+            coeff = R.mul(v, ctx.C(s + j, j))
+            if not R.is_zero(coeff):
+                out[col_of[i]] = R.add(out[col_of[i]], coeff)
+    return out
+
+
+def _reference_resolve_adic(M, h, horizon):
+    """The adic filtration computed the plain way: fresh spans and slices at
+    every step, every j, and one product at a time."""
+    ctx = M.context
+    R = ctx.ring
+    F0 = M.generators
+    dmin = M.min_degree()
+    degrees = range(dmin, horizon + 1)
+    rel_dims = {}
+
+    def fresh_spans():
+        out = {}
+        for d in degrees:
+            span = SpanReducer(R, len(F0.basis(d)))
+            pd = M.relations.slice(d)
+            for j in range(pd.cols):
+                span.add([pd.entries[i][j] for i in range(pd.rows)])
+            rel_dims[d] = span.rank
+            out[d] = span
+        return out
+
+    s0 = fresh_spans()
+    v0 = {}
+    for d in degrees:
+        dim = len(F0.basis(d))
+        v0[d] = []
+        for i in range(dim):
+            e = [R.zero()] * dim
+            e[i] = R.one()
+            if s0[d].add(e):
+                v0[d].append(e)
+    spans, vectors = [s0], [v0]
+
+    def mdim(t, d):
+        return spans[t][d].rank - rel_dims[d]
+
+    t = 0
+    while any(mdim(t, d) > 0 for d in degrees):
+        t += 1
+        assert t <= horizon + 1
+        st_, vt = fresh_spans(), {d: [] for d in degrees}
+        for d in degrees:
+            for j in range(1, d - dmin + 1):
+                source = vectors[t - 1][d - j] if j % h != 0 else vt[d - j]
+                for vec in source:
+                    w = _mult_vector(ctx, F0, d - j, j, vec)
+                    if st_[d].add(w):
+                        vt[d].append(w)
+        spans.append(st_)
+        vectors.append(vt)
+    T = t
+    blocks = []
+    for t in range(T):
+        l = {}
+        for d in degrees:
+            layer = mdim(t, d) - mdim(t + 1, d) if t + 1 <= T else mdim(t, d)
+            acc = layer - sum(l.get(d - q * h, 0) for q in range(1, (d - dmin) // h + 1))
+            assert acc >= 0
+            if acc:
+                l[d] = acc
+                blocks.append(SpecialBlock([R.zero()], h, shift=d, multiplicity=acc))
+    return SpecialResolution(
+        module=M, r=0, free_part=[], certificate=SpecialFiltrationCertificate(blocks),
+        horizon=horizon, h=h,
+        notes=f"adic filtration with {len(blocks)} block groups, depth {T}",
+    )
+
+
+@st.composite
+def field_modules(draw):
+    """Random presented modules over GF(2), GF(3), GF(5), GF(7), classical pi
+    (the test_10 recipe of the acceptance suite)."""
+    ctx = classical_ctx(GF(draw(st.sampled_from([2, 3, 5, 7]))))
+    gdegs = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)))
+    cols, rdegs = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        rdeg = draw(st.integers(gdegs[0], 6))
+        col = {}
+        for i, g in enumerate(gdegs):
+            c = draw(st.integers(0, ctx.ring.n - 1))
+            if g <= rdeg and c:
+                col[i] = ctx.x(rdeg - g, coeff=ctx.ring.from_int(c))
+        if col:
+            cols.append(col)
+            rdegs.append(rdeg)
+    return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_modules(), st.integers(8, 24))
+def test_adic_resolution_matches_reference(M, horizon):
+    # the resolver takes the adic path when pi has a zero beyond the
+    # presentation degrees within the horizon
+    maxpres = M.max_presentation_degree()
+    h = next((z for z in M.context.pi.zero_degrees(horizon) if z > maxpres), None)
+    assume(h is not None)
+    res = special_resolve_field(M, horizon=horizon)
+    assert res.to_json() == _reference_resolve_adic(M, h, horizon).to_json()
 
 
 class TestSpecialResolveAdic:
