@@ -55,6 +55,21 @@ def _non_negative(ctx, param, value):
     return value
 
 
+def _positive(ctx, param, value):
+    if value is not None and value < 1:
+        _fail(f"{param.opts[0]} must be >= 1, got {value}")
+    return value
+
+
+def _parse(what: str, build):
+    """build(), with malformed input reported as one error line naming the
+    option it came from."""
+    try:
+        return build()
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        _fail(f"malformed {what}: {type(e).__name__}: {e}")
+
+
 def load_json(arg: str):
     """Inline JSON, @path, or '-' for stdin."""
     try:
@@ -154,11 +169,8 @@ def module_from_flags(ctx_flags, module, ideal, h, shift) -> PresentedModule:
     """--module JSON (self-describing) or --ideal/--h building M(a, h)."""
     if module is not None:
         obj = load_json(module)
-        try:
-            pi = PiSequence.from_json(obj["context"])
-            return PresentedModule.from_json(AlgebraContext(pi), obj)
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            _fail(f"malformed --module: {type(e).__name__}: {e}")
+        return _parse("--module", lambda: PresentedModule.from_json(
+            AlgebraContext(PiSequence.from_json(obj["context"])), obj))
     if ideal is None or h is None:
         _fail("provide --module JSON or both --ideal and --h")
     ctx = context_from_flags(*ctx_flags)
@@ -424,7 +436,7 @@ def l_invariant_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
               help='IdealSpec JSON {"chain": [[...], ...], "d": n} over Z classical.')
 @click.option("--seed", type=int, default=None, help="Random batch seed.")
 @click.option("--count", type=int, default=10, show_default=True, callback=_non_negative)
-@click.option("--max-d", type=int, default=4, show_default=True)
+@click.option("--max-d", type=int, default=4, show_default=True, callback=_positive)
 @out_option
 def bound_check(spec, seed, count, max_d, out):
     """t_1(I/T(I)) <= (2N+3)d checks; exit 1 if any report fails."""
@@ -434,10 +446,10 @@ def bound_check(spec, seed, count, max_d, out):
     if spec is not None:
         obj = load_json(spec)
         ctx = AlgebraContext(PiSequence.classical(ZZ))
-        ispec = IdealSpec(
+        ispec = _parse("--spec", lambda: IdealSpec(
             ctx, [[ZZ.from_str(str(g)) for g in gens] for gens in obj["chain"]],
             int(obj["d"]),
-        )
+        ))
         pairs.append((ispec, t1_bound_check(ispec)))
     elif seed is not None:
         pairs = run_random_bound_checks(seed, count, max_d=max_d)
@@ -509,7 +521,8 @@ def counterexample(p, r, koszul_sanity, out):
 def recover_pi_cmd(ring, table, normalize, out):
     """Recover pi (up to associates) from a structure-constant table."""
     R = parse_ring(ring)
-    sc = StructureConstants.from_json(R, load_json(table))
+    obj = load_json(table)
+    sc = _parse("--table", lambda: StructureConstants.from_json(R, obj))
     pi = recover_pi(sc, normalize=normalize)
     data = pi.to_json(value_horizon=sc.N)
     emit(data, out, [f"pi_{n} = {v}" for n, v in sorted(

@@ -26,8 +26,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from sympy import isprime
-
 
 class UnsupportedRingError(ValueError):
     """A ring does not support the requested operation."""
@@ -353,12 +351,12 @@ class IntegersModRing(Ring):
         if n < 2:
             raise PreconditionError("IntegersMod requires n >= 2")
         self.n = n
-        self.is_field = bool(isprime(n))
+        self.is_field = _is_prime(n)
         self.is_domain = self.is_field
         self.is_pid = self.is_field
         self.supports_snf = self.is_field
         # local iff n is a prime power
-        f = _smallest_prime_factor(n)
+        f = n if self.is_field else _smallest_prime_factor(n)
         self.is_local = n == f ** _vp(n, f)
         self._p = f
         self.kind = "GF" if self.is_field else "Zmod"
@@ -471,7 +469,7 @@ class PLocalRing(NumberRing):
 
     def __init__(self, p: int):
         p = int(p)
-        if not isprime(p):
+        if not _is_prime(p):
             raise PreconditionError(f"PLocal requires a prime, got {p}")
         self.p = p
 
@@ -718,6 +716,41 @@ def _smallest_prime_factor(n: int) -> int:
         if n % f == 0:
             return f
     return n
+
+
+# The first 13 primes; a strong probable prime to all of them below this bound
+# is prime (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)).  The bound is the least strong pseudoprime to all 13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test; raises
+    :class:`PreconditionError` when n has no factor up to 41 and lies at or
+    above ``_MR_BOUND``, where the 13 bases no longer certify primality."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        raise PreconditionError(f"cannot certify that {n} is prime (at or above {_MR_BOUND})")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_factors(n: int):

@@ -161,24 +161,30 @@ class SpecialResolution:
         }
 
 
+# The highest degree, unless the horizon is higher, at which
+# special_resolve_field looks for a zero of pi past the presentation degrees.
+_ZERO_SEARCH_DEGREE = 1024
+
+
 def special_resolve_field(M: PresentedModule, horizon: int = 40) -> SpecialResolution:
     """A special resolution of a finitely presented module over a field.
 
     If some pi_h = 0 with h beyond all presentation degrees, M decomposes as
     D^(h) tensor N; the adic filtration of N by the augmentation ideal of
     D_{<h} has layers with trivial D_{<h}-action, i.e. direct sums of shifted
-    M((0), h): the module is itself special and r = 0.  Otherwise (no zero of
-    pi in reach: the polynomial-algebra regime) one free cover suffices and
-    the kernel is free, so r <= 1.  Everything is verified degreewise to the
-    horizon."""
+    M((0), h): the module is itself special and r = 0.  The zero h is sought
+    up to degree max(horizon, 1024), past the horizon too: zeros of pi below
+    the presentation degrees can force syzygies within the horizon that only
+    the split at h resolves.  Otherwise (no zero of pi in reach: the
+    polynomial-algebra regime) one free cover suffices and the kernel is
+    free, so r <= 1.  Everything is verified degreewise to the horizon."""
     ctx = M.context
     R = ctx.ring
     if not R.is_field:
         raise PreconditionError("special_resolve_field requires a field")
-    maxpres = M.max_presentation_degree()
-    h = next(
-        (z for z in ctx.pi.zero_degrees(horizon) if z > maxpres), None
-    )
+    first = max(2, M.max_presentation_degree() + 1)
+    last = max(horizon, _ZERO_SEARCH_DEGREE)
+    h = next((z for z in range(first, last + 1) if R.is_zero(ctx.pi.pi(z))), None)
     if h is not None:
         return _special_resolve_adic(M, h, horizon)
     return _special_resolve_free_kernel(M, horizon)

@@ -1,7 +1,10 @@
 """CLI tests via click's test runner: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -261,6 +264,49 @@ class TestInputBoundary:
         res = runner.invoke(main, ["torsion", "--module", json.dumps(obj)])
         assert res.exit_code == 1
         assert res.stderr.startswith("error: malformed --module: ")
+
+
+    @pytest.mark.parametrize("max_d", ["0", "-1"])
+    def test_max_d_below_one_rejected(self, runner, max_d):
+        # used to exit 1 with random's "empty range for randrange()"
+        res = runner.invoke(main, ["bound-check", "--seed", "1", "--max-d", max_d])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == f"error: --max-d must be >= 1, got {max_d}\n"
+
+    @pytest.mark.parametrize(
+        "spec, kind",
+        [('{"chain": 3}', "TypeError"), ("[1]", "TypeError"),
+         ('{"chain": [[1]]}', "KeyError"), ('{"chain": [["x"]], "d": 0}', "ValueError")],
+    )
+    def test_malformed_spec_rejected(self, runner, spec, kind):
+        res = runner.invoke(main, ["bound-check", "--spec", spec])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith(f"error: malformed --spec: {kind}: ")
+        assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "table, kind",
+        [("[1]", "TypeError"), ('{"rows": 3, "N": 1}', "TypeError"),
+         ('{"rows": [[1], [1, 1]]}', "KeyError"),
+         ('{"rows": [[1], [1, "1/0"]], "N": 1}', "ZeroDivisionError")],
+    )
+    def test_malformed_table_rejected(self, runner, table, kind):
+        res = runner.invoke(main, ["recover-pi", "--table", table])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith(f"error: malformed --table: {kind}: ")
+        assert res.stderr.count("\n") == 1
+
+
+def test_no_module_imports_sympy():
+    # sympy is a test-only oracle; importing it costs every CLI call ~0.35 s
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import gdpakit.cli, gdpakit.coherence_lab, gdpakit.resolutions_k, sys; "
+            "assert 'sympy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 class TestHarnessCommands:

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import isprime
 
 from gdpakit.coeff_rings import (
     GF,
@@ -29,6 +30,7 @@ from gdpakit.coeff_rings import (
     smith_normal_form,
     solve,
     SpanReducer,
+    _is_prime,
 )
 
 
@@ -53,6 +55,54 @@ def test_descriptor_validation():
         GF(6)
     with pytest.raises(PreconditionError):
         Zloc(9)
+
+
+# ---------------------------------------------------------------------------
+# primality (deterministic Miller-Rabin against sympy as the oracle)
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10**7 - 1),
+    st.integers(0, 2**79 - 1).map(lambda k: 2 * k + 1),
+))
+def test_is_prime_matches_sympy(n):
+    assert _is_prime(n) == isprime(n)
+
+
+@pytest.mark.parametrize("n", [
+    0, 1, 2, 4,
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    3215031751, 3825123056546413051, 318665857834031151167461,
+    2**61 - 1,
+])
+def test_is_prime_fixed_cases(n):
+    assert _is_prime(n) == isprime(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 41, 43, 561, 1681, 1723, 3215031751, 2**61 - 1])
+def test_ring_constructors_agree_with_oracle(n):
+    prime = isprime(n)
+    assert Zmod(n).is_field is prime
+    if prime:
+        assert GF(n).is_field and Zloc(n).p == n
+    else:
+        with pytest.raises(PreconditionError):
+            GF(n)
+        with pytest.raises(PreconditionError):
+            Zloc(n)
+
+
+@pytest.mark.parametrize("p", [2**89 - 1, 2**127 - 1])
+def test_primality_beyond_certified_bound_is_refused(p):
+    with pytest.raises(PreconditionError, match="cannot certify"):
+        Zloc(p)
+
+
+def test_large_prime_power_modulus_builds():
+    R = Zmod(2**90)
+    assert not R.is_field and R.is_local
 
 
 def test_ring_json_round_trip():

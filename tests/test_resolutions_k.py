@@ -244,6 +244,21 @@ class TestSpecialResolveAdic:
         ok, witness = verify_special_filtration(M, res.certificate, 24)
         assert ok, f"witness degree {witness}"
 
+    @pytest.mark.parametrize("horizon", [10, 12, 24, 25])
+    def test_zero_of_pi_past_the_horizon(self, horizon):
+        # over GF(5) the classical pi vanishes at 5 and 25; D/(x^[6]) has a
+        # syzygy at degree 10 (C(10, 4) = 0), which the free-kernel path
+        # cannot resolve, so the resolver must split at h = 25 even when the
+        # horizon stops short of it
+        ctx = classical_ctx(GF(5))
+        f0 = FreeGradedModule(ctx, [0])
+        M = PresentedModule(f0, ModuleMap(FreeGradedModule(ctx, [6]), f0, [{0: ctx.x(6)}]))
+        res = special_resolve_field(M, horizon=horizon)
+        assert res.r == 0 and res.h == 25
+        assert res.to_json() == _reference_resolve_adic(M, 25, horizon).to_json()
+        ok, witness = verify_special_filtration(M, res.certificate, horizon)
+        assert ok, f"witness degree {witness}"
+
     def test_sp1_via_resolver(self):
         ctx = classical_ctx(GF(2))
         I, _ = sp1_hand_filtration(ctx, 2)
