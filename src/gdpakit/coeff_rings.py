@@ -355,10 +355,7 @@ class IntegersModRing(Ring):
         self.is_domain = self.is_field
         self.is_pid = self.is_field
         self.supports_snf = self.is_field
-        # local iff n is a prime power
-        f = n if self.is_field else _smallest_prime_factor(n)
-        self.is_local = n == f ** _vp(n, f)
-        self._p = f
+        self.is_local = _is_prime_power(n)
         self.kind = "GF" if self.is_field else "Zmod"
 
     def canon(self, x):
@@ -515,9 +512,6 @@ class PLocalRing(NumberRing):
         if self.divides(b, a):
             return Fraction(a) / b, _FRACTION_ZERO
         return _FRACTION_ZERO, Fraction(a)
-
-    def pivot_key(self, a):
-        return self.valuation(a)
 
     def in_jacobson_radical(self, a):
         return a == 0 or self.valuation(a) >= 1
@@ -726,16 +720,15 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test; raises
-    :class:`PreconditionError` when n has no factor up to 41 and lies at or
-    above ``_MR_BOUND``, where the 13 bases no longer certify primality."""
+    """Deterministic Miller-Rabin primality test.  A witness proves n
+    composite at any size; raises :class:`PreconditionError` when n passes
+    all 13 bases at or above ``_MR_BOUND``, where they no longer certify
+    primality."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_BOUND:
-        raise PreconditionError(f"cannot certify that {n} is prime (at or above {_MR_BOUND})")
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
@@ -750,7 +743,31 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise PreconditionError(f"cannot certify that {n} is prime (at or above {_MR_BOUND})")
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1 (Newton's method)."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime_power(n: int) -> bool:
+    """Whether n = r^k for a prime r and some k >= 1, found by exact k-th
+    roots rather than by factoring n."""
+    for k in range(1, n.bit_length() + 1):
+        r = _iroot(n, k)
+        if r < 2:
+            return False
+        if r**k == n and _is_prime(r):
+            return True
+    return False
 
 
 def _prime_factors(n: int):
@@ -1032,10 +1049,122 @@ def smith_normal_form(m: ExactMatrix):
     U and V are invertible over the ring.  Supported rings: Z, Z_(p), and
     fields.  Over Z/n (n composite) raises UnsupportedRingError; callers
     should use the lift-based kernel/cokernel helpers instead.
+
+    Over Z_(p) the elimination runs on Python ints (:func:`_snf_dvr`); Z, Q
+    and fields use the Euclidean loop (:func:`_snf_euclid`).  Both pick the
+    same pivots and return the same canonical U, D and V.
     """
     R = m.ring
+    if isinstance(R, PLocalRing):
+        return _snf_dvr(m)
     if not R.supports_snf:
         raise UnsupportedRingError(f"smith_normal_form unsupported over {R.describe()}")
+    return _snf_euclid(m)
+
+
+def _snf_dvr(m: ExactMatrix):
+    """Smith normal form over Z_(p), fraction-free.
+
+    Row i of A is cleared of denominators by the unit l_i.  The integer
+    matrices stand for those of the Fraction loop up to unit scales: their
+    entries are A[i][j] / (ru[i] * cv[j]) and U[i][k] / ru[i], and column j
+    of V is V[j] / cv[j] (V is kept transposed).  A pivot p^v * u (u prime
+    to p) clears row i by ``u * A[i] - (A[i][t] // p^v) * A[t]``, which is
+    u times the Fraction row, so ru[i] *= u; columns likewise.  With
+    least-valuation pivots one pass clears row and column t, and the
+    divisibility chain holds.
+    """
+    R = m.ring
+    p = R.p
+    nr, nc = m.rows, m.cols
+    A, ru = [], []
+    for row in m.entries:
+        l = math.lcm(*[x.denominator for x in row])
+        A.append([x.numerator * (l // x.denominator) for x in row])
+        ru.append(l)
+    U = [[ru[i] if i == k else 0 for k in range(nr)] for i in range(nr)]
+    V = [[1 if j == k else 0 for k in range(nc)] for j in range(nc)]
+    cv = [1] * nc
+    pivots = []  # (valuation, unit part) of each pivot
+    for t in range(min(nr, nc)):
+        # the first entry of least valuation, in row-major order
+        best = None
+        for i in range(t, nr):
+            row = A[i]
+            for j in range(t, nc):
+                x = row[j]
+                if x:
+                    v = 0
+                    while not x % p:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if not v:
+                            break
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        v, pi, pj = best
+        A[t], A[pi] = A[pi], A[t]
+        U[t], U[pi] = U[pi], U[t]
+        ru[t], ru[pi] = ru[pi], ru[t]
+        if pj != t:
+            for row in A[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            V[t], V[pj] = V[pj], V[t]
+            cv[t], cv[pj] = cv[pj], cv[t]
+        q = p**v
+        At, Ut, Vt = A[t], U[t], V[t]
+        u = At[t] // q
+        pivots.append((v, u))
+        for i in range(t + 1, nr):
+            w = A[i][t]
+            if w:
+                w //= q
+                A[i] = [u * x - w * y for x, y in zip(A[i], At)]
+                U[i] = [u * x - w * y for x, y in zip(U[i], Ut)]
+                ru[i] *= u
+        # column t of A is now zero below the pivot, so clearing A[t][j]
+        # leaves the rest of column j as it is (up to the scale cv[j])
+        for j in range(t + 1, nc):
+            w = At[j]
+            if w:
+                w //= q
+                At[j] = 0
+                for i in range(t + 1, nr):
+                    A[i][j] *= u
+                V[j] = [u * x - w * y for x, y in zip(V[j], Vt)]
+                cv[j] *= u
+    # convert once; pivot row t of U is also divided by the pivot's unit
+    # u / (ru[t] * cv[t]), which leaves U[t] * cv[t] / u
+    Uf = [_fractions(U[t], u, cv[t]) for t, (_, u) in enumerate(pivots)]
+    Uf += [_fractions(U[i], ru[i]) for i in range(len(pivots), nr)]
+    D = [[_FRACTION_ZERO] * nc for _ in range(nr)]
+    for t, (v, _) in enumerate(pivots):
+        D[t][t] = Fraction(p**v)
+    cols = [_fractions(V[j], cv[j]) for j in range(nc)]
+    Vf = [[col[k] for col in cols] for k in range(nc)]
+    return (
+        ExactMatrix._from_canonical(R, Uf, nr, nr),
+        ExactMatrix._from_canonical(R, D, nr, nc),
+        ExactMatrix._from_canonical(R, Vf, nc, nc),
+    )
+
+
+def _fractions(row, d: int, c: int = 1) -> list:
+    """The Fractions x * c / d for the ints x in row."""
+    if d == c or d == -c:
+        s = d // c
+        return [Fraction(x * s) if x else _FRACTION_ZERO for x in row]
+    return [Fraction(x * c, d) if x else _FRACTION_ZERO for x in row]
+
+
+def _snf_euclid(m: ExactMatrix):
+    """Smith normal form by Euclidean elimination with the ring's quo_rem
+    and pivot_key (Z, Q, fields)."""
+    R = m.ring
     nr, nc = m.rows, m.cols
     A = [row[:] for row in m.entries]
     U = [[R.one() if i == j else R.zero() for j in range(nr)] for i in range(nr)]

@@ -321,10 +321,6 @@ def bi_monomial(context: AlgebraContext, a: int, b: int, coeff=None) -> Bivariat
     return BivariateElement(context, {(a, b): c})
 
 
-def _bi_span_contains(R: Ring, vectors, target) -> bool:
-    return _all_in_span(R, len(target), vectors, [target])
-
-
 def bivariate_xy_syzygy_generators(context: AlgebraContext, box: int):
     """Minimal generators of the syzygy module of (y^[1], x^[1]) in the
     bivariate algebra, scanned over bidegrees (a, b) with a, b <= box.

@@ -71,10 +71,6 @@ class AlgebraContext:
         """Degrees of a generating set of the augmentation ideal D_+."""
         return self.pi.nonunit_degrees(up_to)
 
-    def pi_torsion_is_degenerate(self, horizon: int = 64) -> bool:
-        """Whether some a(n) = 0 for n <= horizon (then T(M) = M literally)."""
-        return not self.pi.is_never_zero(horizon)
-
     def __repr__(self):
         return f"AlgebraContext({self.pi!r})"
 
@@ -104,9 +100,6 @@ class GdpaElement:
     def degrees(self):
         return sorted(self.terms)
 
-    def is_homogeneous(self):
-        return len(self.terms) <= 1
-
     def degree(self):
         """Top degree, or None for 0."""
         return max(self.terms) if self.terms else None
@@ -129,10 +122,6 @@ class GdpaElement:
         R = self.context.ring
         c = R.canon(c)
         return GdpaElement(self.context, {n: R.mul(c, v) for n, v in self.terms.items()})
-
-    def shift_mul_x(self, j: int) -> "GdpaElement":
-        """Multiply by x^[j]."""
-        return self.mul(self.context.x(j))
 
     def mul(self, other: "GdpaElement") -> "GdpaElement":
         self._check(other)

@@ -135,11 +135,6 @@ class ModuleMap:
                     m.entries[r][c] = e.coeff(0)
         return m
 
-    def apply_to_basis_vector(self, d: int, v):
-        """Image (as a coordinate vector on target basis at d) of the degree-d
-        source vector with coordinates v."""
-        return self.slice(d).apply_vector(v)
-
     def to_json(self):
         return {
             "source_degrees": list(self.source.degrees),

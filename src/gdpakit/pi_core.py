@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from threading import RLock
 
 from .coeff_rings import (
     IntPolyRing,
@@ -237,7 +236,6 @@ class PiSequence:
         self._c_memo: dict[tuple, object] = {}
         self._a_memo: dict[int, object] = {}
         self._A_memo: dict[int, object] = {}
-        self._lock = RLock()
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -290,10 +288,9 @@ class PiSequence:
             raise PreconditionError("pi_n requires n >= 1")
         if n == 1:
             return self.ring.zero()
-        with self._lock:
-            if n not in self._memo:
-                self._memo[n] = self.ring.canon(self._fn(n))
-            return self._memo[n]
+        if n not in self._memo:
+            self._memo[n] = self.ring.canon(self._fn(n))
+        return self._memo[n]
 
     def nonunit_degrees(self, up_to: int):
         """Degrees j in [1, up_to] where pi_j is not a unit.
@@ -361,16 +358,14 @@ def a_invariant(pi: PiSequence, n: int):
     """a(n) = prod of pi_d over divisors d of n, d != 1; a(1) = 1."""
     if n < 1:
         raise PreconditionError("a(n) requires n >= 1")
-    with pi._lock:
-        if n in pi._a_memo:
-            return pi._a_memo[n]
+    if n in pi._a_memo:
+        return pi._a_memo[n]
     R = pi.ring
     acc = R.one()
     for d in divisors(n):
         if d != 1:
             acc = R.mul(acc, pi.pi(d))
-    with pi._lock:
-        pi._a_memo[n] = acc
+    pi._a_memo[n] = acc
     return acc
 
 
@@ -379,14 +374,12 @@ def A_invariant(pi: PiSequence, n: int):
     if n < 0:
         raise PreconditionError("A(n) requires n >= 0")
     R = pi.ring
-    with pi._lock:
-        known = max((k for k in pi._A_memo if k <= n), default=None)
+    known = max((k for k in pi._A_memo if k <= n), default=None)
     acc = pi._A_memo[known] if known is not None else R.one()
     start = (known or 0) + 1
     for k in range(start, n + 1):
         acc = R.mul(acc, a_invariant(pi, k))
-        with pi._lock:
-            pi._A_memo[k] = acc
+        pi._A_memo[k] = acc
     if n == 0:
         return R.one()
     return acc
@@ -396,9 +389,8 @@ def c_binomial(pi: PiSequence, n: int, m: int):
     """C(n, m) = prod over k in [2, n] of pi_k^{eps_k(n-m, m)} (carry product)."""
     if not 0 <= m <= n:
         raise PreconditionError(f"c_binomial requires 0 <= m <= n, got ({n}, {m})")
-    with pi._lock:
-        if (n, m) in pi._c_memo:
-            return pi._c_memo[(n, m)]
+    if (n, m) in pi._c_memo:
+        return pi._c_memo[(n, m)]
     R = pi.ring
     acc = R.one()
     a, b = n - m, m
@@ -407,14 +399,8 @@ def c_binomial(pi: PiSequence, n: int, m: int):
             acc = R.mul(acc, pi.pi(k))
             if R.is_zero(acc):
                 break
-    with pi._lock:
-        pi._c_memo[(n, m)] = acc
+    pi._c_memo[(n, m)] = acc
     return acc
-
-
-def carry_degrees(n: int, m: int):
-    """The set of k >= 2 with eps_k(n - m, m) = 1 (the support of C(n,m))."""
-    return [k for k in range(2, n + 1) if carry(k, n - m, m)]
 
 
 # ---------------------------------------------------------------------------

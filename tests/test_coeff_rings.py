@@ -8,7 +8,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import GF as SymGF
+from sympy import ZZ as SymZZ
+from sympy import Matrix, factorint, isprime
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from gdpakit.coeff_rings import (
     GF,
@@ -17,6 +21,7 @@ from gdpakit.coeff_rings import (
     ZZ,
     ExactMatrix,
     ModuleInvariants,
+    PLocalRing,
     PreconditionError,
     Ring,
     UnsupportedRingError,
@@ -30,7 +35,9 @@ from gdpakit.coeff_rings import (
     smith_normal_form,
     solve,
     SpanReducer,
+    _MR_BOUND,
     _is_prime,
+    _snf_euclid,
 )
 
 
@@ -103,6 +110,35 @@ def test_primality_beyond_certified_bound_is_refused(p):
 def test_large_prime_power_modulus_builds():
     R = Zmod(2**90)
     assert not R.is_field and R.is_local
+
+
+def test_composite_beyond_certified_bound_is_decided():
+    # a Miller-Rabin witness proves compositeness at any size
+    n = (2**31 - 1) * (2**61 - 1)
+    assert n > _MR_BOUND
+    assert _is_prime(n) is False
+
+
+def test_zmod_with_two_large_prime_factors_builds():
+    # deciding locality must not factor n
+    R = Zmod((2**31 - 1) ** 2)
+    assert R.is_local and not R.is_field
+    R = Zmod((2**31 - 1) * (2**61 - 1))
+    assert not R.is_local and not R.is_field
+
+
+@pytest.mark.parametrize("ring, local, field", [
+    (Zmod(12), False, False),
+    (Zmod(49), True, False),
+    (GF(7), True, True),
+])
+def test_zmod_flags(ring, local, field):
+    assert (ring.is_local, ring.is_field) == (local, field)
+
+
+def test_zmod_is_local_matches_factorization():
+    for n in range(2, 2000):
+        assert Zmod(n).is_local == (len(factorint(n)) == 1), n
 
 
 def test_ring_json_round_trip():
@@ -326,6 +362,39 @@ def test_snf_plocal_and_field():
             assert d.denominator == 1 and num & (num - 1) == 0  # power of 2
 
 
+class _EuclidZloc(PLocalRing):
+    """Z_(p) with the valuation as pivot key, so that the generic Euclidean
+    loop runs over it as the reference for the integer elimination."""
+
+    def pivot_key(self, a):
+        return self.valuation(a)
+
+
+@st.composite
+def _plocal_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = st.builds(
+        lambda c, k, d: Fraction(c * p**k, d if d % p else d + 1),
+        st.integers(-40, 40), st.integers(0, 6), st.integers(1, 60),
+    )
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return p, rows, cols, draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plocal_matrices())
+def test_snf_plocal_matches_euclidean_loop(case):
+    p, rows, cols, ents = case
+    m = ExactMatrix(Zloc(p), ents, rows, cols)
+    U, D, V = smith_normal_form(m)
+    ref = _snf_euclid(ExactMatrix(_EuclidZloc(p), ents, rows, cols))
+    for got, want in zip((U, D, V), ref):
+        assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+        assert all(type(x) is Fraction for r in got.entries for x in r)
+    assert U.matmul(m).matmul(V).entries == D.entries
+
+
 # ---------------------------------------------------------------------------
 # cokernels
 # ---------------------------------------------------------------------------
@@ -537,3 +606,54 @@ def test_span_reducer_matches_sorted_scan(p, vectors):
 )
 def test_snf_property_integer(rows):
     _check_snf(ZZ, rows)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: sympy's invariant factors and nullspaces
+# ---------------------------------------------------------------------------
+
+
+def _int_matrices(max_rows, max_cols, lo, hi):
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape[0]),
+            st.just(shape[1]),
+            st.lists(
+                st.lists(st.integers(lo, hi), min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            ),
+        )
+    )
+
+
+def _sympy_domain_matrix(rows, cols, ents):
+    if rows and cols:
+        return DomainMatrix.from_list(ents, SymZZ)
+    return DomainMatrix.zeros((rows, cols), SymZZ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices(5, 5, -30, 30))
+def test_cokernel_invariants_match_sympy(case):
+    rows, cols, ents = case
+    inv = cokernel_invariants(ExactMatrix(ZZ, ents, rows, cols))
+    flat = [x for r in ents for x in r]
+    factors = [abs(int(f)) for f in invariant_factors(Matrix(rows, cols, flat), domain=SymZZ)]
+    assert inv.free_rank == rows - sum(1 for f in factors if f)
+    assert list(inv.torsion_factors) == [f for f in factors if f > 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), _int_matrices(5, 6, -9, 9))
+def test_kernel_basis_rank_over_gf_matches_sympy(p, case):
+    rows, cols, ents = case
+    R = GF(p)
+    m = ExactMatrix(R, ents, rows, cols)
+    basis = kernel_basis(m)
+    nullity = _sympy_domain_matrix(rows, cols, ents).convert_to(SymGF(p)).nullspace().shape[0]
+    assert len(basis) == nullity
+    for v in basis:
+        assert all(x == 0 for x in m.apply_vector(v))
+    span = SpanReducer(R, cols)
+    assert all(span.add(v) for v in basis)
