@@ -20,7 +20,6 @@ to Z and reducing.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -428,9 +427,9 @@ class IntegersModRing(Ring):
         return 0
 
     def in_jacobson_radical(self, a):
-        # J(Z/n) = (rad n): a is in it iff every prime of n divides a
-        a %= self.n
-        return all(a % p == 0 for p in _prime_factors(self.n))
+        # J(Z/n) = (rad n) is the set of nilpotents, and every prime divides
+        # n fewer than bit_length times, so a nilpotent a has a^bit_length = 0
+        return pow(a % self.n, self.n.bit_length(), self.n) == 0
 
     def unit_ideal_pair(self, a, b):
         return math.gcd(math.gcd(a % self.n, b % self.n), self.n) == 1
@@ -705,13 +704,6 @@ class IntPolyRing(Ring):
         return "Z[q]"
 
 
-def _smallest_prime_factor(n: int) -> int:
-    for f in range(2, int(math.isqrt(n)) + 1):
-        if n % f == 0:
-            return f
-    return n
-
-
 # The first 13 primes; a strong probable prime to all of them below this bound
 # is prime (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
 # Math. Comp. 86 (2017)).  The bound is the least strong pseudoprime to all 13.
@@ -770,14 +762,51 @@ def _is_prime_power(n: int) -> bool:
     return False
 
 
-def _prime_factors(n: int):
-    out = []
-    while n > 1:
-        f = _smallest_prime_factor(n)
-        out.append(f)
-        while n % f == 0:
-            n //= f
-    return out
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, in increasing order: the first 13
+    primes by trial division, larger ones split off by Pollard-Brent rho."""
+    primes = set()
+    for p in _MR_BASES:
+        if n % p == 0:
+            primes.add(p)
+            n //= p ** _vp(n, p)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            primes.add(m)
+        else:
+            f = _rho_factor(m)
+            stack += [f, m // f]
+    return sorted(primes)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 42
+    (Brent's variant of Pollard's rho, R. P. Brent, BIT 20 (1980))."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError(f"no factor of {n} found")
 
 
 ZZ = IntegerRing()
@@ -1449,49 +1478,141 @@ def homology_invariants(A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Field linear algebra helpers (row reduction, subspaces)
+# Submodules of R^dim
 # ---------------------------------------------------------------------------
 
 
-class SpanReducer:
-    """Incremental row-style span of vectors over a field (exact RREF)."""
+class Lattice:
+    """A submodule of R^dim, held as an echelon basis: one row per pivot
+    column, zero before its pivot, reduced with the ring's quo_rem.
 
-    def __init__(self, ring: Ring, dim: int):
-        if not ring.is_field:
-            raise UnsupportedRingError("SpanReducer requires a field")
-        self.ring = ring
+    Works over fields, Z and Z_(p).  Over Z/n (n composite) it holds the
+    preimage in Z^dim, which contains n Z^dim: vectors are lifted to Z on
+    entry, and the rows are integer vectors whose residues generate the
+    submodule."""
+
+    def __init__(self, ring: Ring, dim: int, vectors=()):
         self.dim = dim
-        self.pivots: dict[int, list] = {}
-        self._order: list[int] = []  # the keys of pivots, kept sorted
+        self.rows: dict[int, list] = {}  # pivot column -> row
+        self.base = ring  # the ring the rows live over
+        self.lift_kernel = []  # generators of ker(Z^dim -> (Z/n)^dim)
+        if isinstance(ring, IntegersModRing) and not ring.is_field:
+            self.base = ZZ
+            n = ring.n
+            self.lift_kernel = [[n if t == i else 0 for t in range(dim)] for i in range(dim)]
+        for v in self.lift_kernel:
+            self.insert(v)
+        for v in vectors:
+            self.insert(v)
 
-    def reduce(self, v):
-        """Reduce v against the current span; returns the residue vector."""
-        R = self.ring
+    def insert(self, v) -> bool:
+        """Add v; returns whether the lattice grew, i.e. v was not in it."""
+        R, rows, dim = self.base, self.rows, self.dim
         v = [R.canon(x) for x in v]
-        for j in self._order:
-            c = v[j]
-            if not R.is_zero(c):
-                pv = self.pivots[j]
-                for t in range(self.dim):
-                    v[t] = R.sub(v[t], R.mul(c, pv[t]))
-        return v
-
-    def add(self, v) -> bool:
-        """Add v to the span; returns True if the span grew."""
-        R = self.ring
-        v = self.reduce(v)
-        for j in range(self.dim):
-            if not R.is_zero(v[j]):
-                c = R.inv(v[j])
-                self.pivots[j] = [R.mul(c, x) for x in v]
-                bisect.insort(self._order, j)
+        grew = False
+        for p in range(dim):
+            if R.is_zero(v[p]):
+                continue
+            r = rows.get(p)
+            if r is None:
+                rows[p] = v
                 return True
-        return False
+            while True:
+                q, v[p] = R.quo_rem(v[p], r[p])
+                if not R.is_zero(q):
+                    for t in range(p + 1, dim):
+                        v[t] = R.sub(v[t], R.mul(q, r[t]))
+                if R.is_zero(v[p]):
+                    break
+                # the remainder did not clear the pivot: it is the smaller
+                # pivot, so swap it in and reduce the old row against it
+                rows[p], v, r = v, r, v
+                grew = True
+        return grew
+
+    def _express(self, v):
+        """{pivot: q} with v = sum of q * rows[pivot], or None when v is not
+        in the lattice.  Stops at the first nonzero entry that the rows
+        cannot clear: the rows with a later pivot are zero there."""
+        R, rows, dim = self.base, self.rows, self.dim
+        v = [R.canon(x) for x in v]
+        out = {}
+        for p in range(dim):
+            if R.is_zero(v[p]):
+                continue
+            r = rows.get(p)
+            if r is None:
+                return None
+            q, rem = R.quo_rem(v[p], r[p])
+            if not R.is_zero(rem):
+                return None
+            out[p] = q
+            for t in range(p + 1, dim):
+                v[t] = R.sub(v[t], R.mul(q, r[t]))
+        return out
 
     def contains(self, v) -> bool:
-        R = self.ring
-        return all(R.is_zero(x) for x in self.reduce(v))
+        return self._express(v) is not None
+
+    def coords(self, v):
+        """Coordinates of v in basis() order, or None when v is not in the lattice."""
+        c = self._express(v)
+        if c is None:
+            return None
+        return [c.get(p, self.base.zero()) for p in sorted(self.rows)]
+
+    def basis(self) -> list:
+        """The rows in pivot order (over Z/n, integer rows)."""
+        return [self.rows[p][:] for p in sorted(self.rows)]
+
+    def equals(self, other: "Lattice") -> bool:
+        return all(other.contains(r) for r in self.rows.values()) and all(
+            self.contains(r) for r in other.rows.values()
+        )
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        """The number of rows (over Z/n, of the lift, so always dim)."""
+        return len(self.rows)
+
+
+def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
+    """Vectors whose classes generate span(vectors) / span(sub_vectors), for
+    sub_vectors inside span(vectors): minimally over fields and PIDs, a
+    generating set over Z/n.
+
+    Over a field these are the vectors that grow the span, kept in order.
+    Otherwise the sub-lattice is written in an echelon basis of
+    span(vectors), and the non-unit invariant factors of its Smith form are
+    lifted back through U^-1 and that basis."""
+    sub = Lattice(ring, dim, sub_vectors)
+    if ring.is_field:
+        return [v for v in vectors if sub.insert(v)]
+    if all(sub.contains(v) for v in vectors):
+        return []
+    whole = Lattice(ring, dim, vectors)
+    R, basis = whole.base, whole.basis()
+    r = len(basis)
+    coords = [whole.coords(v) for v in [*sub_vectors, *whole.lift_kernel]]
+    if any(c is None for c in coords):
+        raise AssertionError("sub_vectors must lie in the span of vectors")
+    if not coords:
+        return basis
+    X = ExactMatrix(R, [[c[i] for c in coords] for i in range(r)], r, len(coords))
+    U, D, _ = smith_normal_form(X)
+    Uinv = solve_columns(U, ExactMatrix.identity(R, r))
+    diag = _diag(D)
+    out = []
+    for i in range(r):
+        if i < len(diag) and R.is_unit(diag[i]):
+            continue
+        vec = [R.zero()] * dim
+        for t in range(r):
+            c = Uinv.entries[t][i]
+            if not R.is_zero(c):
+                for s in range(dim):
+                    vec[s] = R.add(vec[s], R.mul(c, basis[t][s]))
+        vec = [ring.canon(x) for x in vec]
+        if any(not ring.is_zero(x) for x in vec):
+            out.append(vec)
+    return out

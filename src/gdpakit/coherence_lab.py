@@ -13,17 +13,15 @@ from .coeff_rings import (
     IntegersModRing,
     PreconditionError,
     Ring,
-    SpanReducer,
     _factor_torsion,
     kernel_basis,
+    quotient_generators,
 )
 from .gdpa import AlgebraContext, GdpaElement
 from .graded_modules import (
     FreeGradedModule,
     PresentedModule,
     SubmoduleGenerators,
-    _SliceQuotient,
-    _all_in_span,
     syzygy_generators,
 )
 from .pi_core import PiSequence, a_invariant, h_transform
@@ -247,10 +245,8 @@ def a2_condition_check(ring: Ring, ideal_generators, h: int, limit: int = 256) -
                 "n": n,
                 "annihilator": ring.to_str(a_val),
             }
-    if ring.is_pid:
-        # over Z / Z_(p) classical, a^[h](n) realizes every exponent at some
-        # factorial n, so exhausting the limit means the limit was too small
-        return {"verdict": "inconclusive", "limit": limit}
+    # over Z / Z_(p) classical, a^[h](n) realizes every exponent at some
+    # factorial n, so exhausting the limit means the limit was too small
     return {"verdict": "inconclusive", "limit": limit}
 
 
@@ -368,10 +364,7 @@ def bivariate_xy_syzygy_generators(context: AlgebraContext, box: int):
                     if a0 >= 1 and not R.is_zero(be):
                         v = R.mul(be, R.mul(C(a - 1, a0 - 1), C(b, b0)))
                     old.append([u, v])
-            if _all_in_span(R, 2, old, kvecs):
-                continue
-            q = _SliceQuotient(R, 2, kvecs, old)
-            for vec in q.new_generators():
+            for vec in quotient_generators(R, 2, kvecs, old):
                 gens.append((a, b, (vec[0], vec[1])))
     return gens
 

@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 from .coeff_rings import (
     ExactMatrix,
-    IntegersModRing,
+    Lattice,
     ModuleInvariants,
     PreconditionError,
     Ring,
-    SpanReducer,
-    ZZ,
     cokernel_invariants,
     homology_invariants,
     kernel_basis,
-    smith_normal_form,
-    solve_columns,
+    quotient_generators,
 )
 from .gdpa import AlgebraContext, GdpaElement
 
@@ -253,177 +250,6 @@ def principal_special_module(context, ideal_gens, h: int, shift: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# incremental lattice / span arithmetic over the coefficient ring
-# ---------------------------------------------------------------------------
-
-
-class _Echelon:
-    """Incremental triangular basis of a submodule of R^dim, over a ring with
-    a division algorithm (fields, Z, Z_(p))."""
-
-    def __init__(self, ring: Ring, dim: int):
-        self.ring = ring
-        self.dim = dim
-        self.rows: dict[int, list] = {}  # pivot index -> vector
-
-    def insert(self, v) -> bool:
-        R = self.ring
-        v = [R.canon(x) for x in v]
-        changed = False
-        for p in range(self.dim):
-            if R.is_zero(v[p]):
-                continue
-            if p not in self.rows:
-                self.rows[p] = v
-                return True
-            r = self.rows[p]
-            while not R.is_zero(v[p]):
-                q, _ = R.quo_rem(v[p], r[p])
-                if not R.is_zero(q):
-                    v = [R.sub(v[t], R.mul(q, r[t])) for t in range(self.dim)]
-                if R.is_zero(v[p]):
-                    break
-                # remainder step did not clear the pivot: swap to shrink it
-                self.rows[p], v = v, r
-                r = self.rows[p]
-                changed = True
-        return changed
-
-    def contains(self, v) -> bool:
-        R = self.ring
-        v = [R.canon(x) for x in v]
-        for p in range(self.dim):
-            if R.is_zero(v[p]):
-                continue
-            r = self.rows.get(p)
-            if r is None or not R.divides(r[p], v[p]):
-                return False
-            q = R.exact_div(v[p], r[p])
-            v = [R.sub(v[t], R.mul(q, r[t])) for t in range(self.dim)]
-        return True
-
-    def basis_columns(self):
-        return [self.rows[p][:] for p in sorted(self.rows)]
-
-    def coords(self, v):
-        """Coordinates of v in basis_columns order, or None."""
-        R = self.ring
-        v = [R.canon(x) for x in v]
-        pivots = sorted(self.rows)
-        out = [R.zero()] * len(pivots)
-        for k, p in enumerate(pivots):
-            if R.is_zero(v[p]):
-                continue
-            r = self.rows[p]
-            if not R.divides(r[p], v[p]):
-                return None
-            q = R.exact_div(v[p], r[p])
-            out[k] = q
-            v = [R.sub(v[t], R.mul(q, r[t])) for t in range(self.dim)]
-        if any(not R.is_zero(x) for x in v):
-            return None
-        return out
-
-
-def _lift_int(v):
-    return [int(x) for x in v]
-
-
-class _SliceQuotient:
-    """The quotient K_d / G_d of a graded slice of a submodule by the slice
-    generated from below; extracts minimal new generators.
-
-    kernel_vectors generate K_d; old_vectors generate G_d subset K_d.
-    Over Z/n everything is lifted to integer lattices containing n Z^dim.
-    """
-
-    def __init__(self, ring: Ring, dim: int, kernel_vectors, old_vectors):
-        self.ring = ring
-        self.dim = dim
-        self.kernel_vectors = kernel_vectors
-        self.old_vectors = old_vectors
-
-    def new_generators(self):
-        R = self.ring
-        dim = self.dim
-        if R.is_field:
-            span = SpanReducer(R, dim)
-            for v in self.old_vectors:
-                span.add(v)
-            return [v for v in self.kernel_vectors if span.add(v)]
-        if isinstance(R, IntegersModRing):
-            return self._new_generators_lifted()
-        # PID case (Z, Z_(p))
-        kspan = _Echelon(R, dim)
-        for v in self.kernel_vectors:
-            kspan.insert(v)
-        old = _Echelon(R, dim)
-        for v in self.old_vectors:
-            old.insert(v)
-        if all(old.contains(v) for v in self.kernel_vectors):
-            return []
-        basis = kspan.basis_columns()
-        coords = []
-        for v in self.old_vectors:
-            c = kspan.coords(v)
-            if c is None:
-                raise AssertionError("old vectors must lie in the kernel slice")
-            coords.append(c)
-        return self._cokernel_lift(R, basis, coords, len(basis))
-
-    def _new_generators_lifted(self):
-        R = self.ring
-        n = R.n
-        dim = self.dim
-        lat = _Echelon(ZZ, dim)
-        for i in range(dim):
-            lat.insert([n if t == i else 0 for t in range(dim)])
-        for v in self.kernel_vectors:
-            lat.insert(_lift_int(v))
-        old = _Echelon(ZZ, dim)
-        for i in range(dim):
-            old.insert([n if t == i else 0 for t in range(dim)])
-        for v in self.old_vectors:
-            old.insert(_lift_int(v))
-        if all(old.contains(_lift_int(v)) for v in self.kernel_vectors):
-            return []
-        basis = lat.basis_columns()
-        coords = []
-        for v in self.old_vectors:
-            coords.append(lat.coords(_lift_int(v)))
-        for i in range(dim):
-            coords.append(lat.coords([n if t == i else 0 for t in range(dim)]))
-        lifted = self._cokernel_lift(ZZ, basis, coords, len(basis))
-        out = []
-        for v in lifted:
-            w = [R.canon(x) for x in v]
-            if any(not R.is_zero(x) for x in w):
-                out.append(w)
-        return out
-
-    def _cokernel_lift(self, R, basis, coords, r):
-        """Minimal generators of R^r / (column span of coords), lifted through
-        the basis columns of the kernel slice."""
-        if not coords:
-            return [b[:] for b in basis]
-        X = ExactMatrix(R, [[c[i] for c in coords] for i in range(r)], r, len(coords))
-        U, D, _ = smith_normal_form(X)
-        Uinv = solve_columns(U, ExactMatrix.identity(R, r))
-        out = []
-        for i in range(r):
-            di = D.entries[i][i] if i < min(D.rows, D.cols) else R.zero()
-            if not R.is_unit(di):
-                vec = [R.zero()] * self.dim
-                for t in range(r):
-                    c = Uinv.entries[t][i]
-                    if not R.is_zero(c):
-                        for s in range(self.dim):
-                            vec[s] = R.add(vec[s], R.mul(c, basis[t][s]))
-                out.append(vec)
-        return out
-
-
-# ---------------------------------------------------------------------------
 # syzygies / kernels with generator-degree extraction
 # ---------------------------------------------------------------------------
 
@@ -512,10 +338,7 @@ def kernel_slice_vectors(f: ModuleMap, d: int, target_relations: ModuleMap | Non
 
 
 def syzygy_generators(
-    f: ModuleMap,
-    degree_bound: int,
-    target_relations: ModuleMap | None = None,
-    fast_membership: bool = True,
+    f: ModuleMap, degree_bound: int, target_relations: ModuleMap | None = None
 ) -> SubmoduleGenerators:
     """Minimal generators (over fields and PIDs; a generating set over Z/n)
     of ker(f) up to degree_bound, degree by degree.
@@ -523,44 +346,25 @@ def syzygy_generators(
     With target_relations, computes the kernel of the induced map into the
     presented quotient of the target (the result then contains the source
     classes mapping into the relation submodule)."""
-    src = f.source
-    R = f.context.ring
-    out = SubmoduleGenerators(src, [], degree_bound)
-    dmin = min(src.degrees, default=0)
-    for d in range(dmin, degree_bound + 1):
-        kv = [v for v in kernel_slice_vectors(f, d, target_relations)
-              if any(not R.is_zero(x) for x in v)]
+    return _degreewise_generators(
+        f.source, degree_bound, lambda d: kernel_slice_vectors(f, d, target_relations)
+    )
+
+
+def _degreewise_generators(ambient: FreeGradedModule, degree_bound: int, candidates):
+    """Generators of the graded submodule of ambient whose degree-d slice is
+    spanned by the vectors candidates(d): in each degree, those that the
+    generators found below do not already generate."""
+    R = ambient.context.ring
+    out = SubmoduleGenerators(ambient, [], degree_bound)
+    for d in range(min(ambient.degrees, default=0), degree_bound + 1):
+        kv = [v for v in candidates(d) if any(not R.is_zero(x) for x in v)]
         if not kv:
             continue
         old = out.generator_slice_vectors(d)
-        if fast_membership and _all_in_span(R, len(src.basis(d)), old, kv):
-            continue
-        q = _SliceQuotient(R, len(src.basis(d)), kv, old)
-        for vec in q.new_generators():
-            out.generators.append((d, _vector_to_column(src, d, vec)))
+        for vec in quotient_generators(R, len(ambient.basis(d)), kv, old):
+            out.generators.append((d, _vector_to_column(ambient, d, vec)))
     return out
-
-
-def _all_in_span(R: Ring, dim: int, old, vectors) -> bool:
-    if not old:
-        return False
-    if R.is_field:
-        span = SpanReducer(R, dim)
-        for v in old:
-            span.add(v)
-        return all(span.contains(v) for v in vectors)
-    if isinstance(R, IntegersModRing):
-        n = R.n
-        span = _Echelon(ZZ, dim)
-        for i in range(dim):
-            span.insert([n if t == i else 0 for t in range(dim)])
-        for v in old:
-            span.insert(_lift_int(v))
-        return all(span.contains(_lift_int(v)) for v in vectors)
-    span = _Echelon(R, dim)
-    for v in old:
-        span.insert(v)
-    return all(span.contains(v) for v in vectors)
 
 
 @dataclass
@@ -645,42 +449,43 @@ def rational_fit(H: HilbertSeries, max_period: int = 12) -> HilbertSeries:
     by detecting the minimal eventual period h and preperiod s, then verifying
     the fit by exact re-expansion over the horizon.  Requires at least two
     full periods of data; otherwise the series is returned unfitted."""
-    M = H.module
-    horizon = H.horizon
-    dmin = M.min_degree()
+    dmin = H.module.min_degree()
+    fit = _periodic_fit(H.piece, dmin, H.horizon, max_period)
+    if fit is not None:
+        s, h, block = fit["block_start"], fit["period"], fit["block"]
+        zero = ModuleInvariants(H.module.context.ring, 0, ())
+        preperiod = dict(fit["preperiod"])
+        for d in range(dmin, H.horizon + 1):
+            expect = preperiod.get(d, zero) if d < s else block[(d - s) % h]
+            if not expect.eq(H.piece(d)):
+                fit = None
+                break
+    H.fit = fit
+    return H
+
+
+def _periodic_fit(value, dmin: int, horizon: int, max_period: int = 12, zero=None):
+    """Fit the stream value(dmin), ..., value(horizon) as a preperiod and a
+    block repeating with the least period h <= max_period; None if no h fits.
+
+    Returns {"preperiod": [(d, value(d)) for d < s, leaving out values equal
+    to zero], "period": h, "block_start": s, "block": [value(s + j) for
+    j < h]}, where s is the least start of an h-periodic tail."""
     for h in range(1, max_period + 1):
-        # find minimal preperiod for this h
-        last_bad = dmin - 1
+        s = dmin
         for d in range(dmin, horizon - h + 1):
-            if not H.piece(d).eq(H.piece(d + h)):
-                last_bad = d
-        s = last_bad + 1
+            if value(d) != value(d + h):
+                s = d + 1
         # demand a tail of at least two periods and four data points, so a
         # short trailing run cannot masquerade as a period-1 fit
         if horizon - s + 1 >= max(2 * h, 4):
-            preperiod = [(d, H.piece(d)) for d in range(dmin, s)]
-            block = [H.piece(s + j) for j in range(h)]
-            fit = {
-                "preperiod": preperiod,
+            return {
+                "preperiod": [(d, value(d)) for d in range(dmin, s) if value(d) != zero],
                 "period": h,
                 "block_start": s,
-                "block": block,
+                "block": [value(s + j) for j in range(h)],
             }
-            # verify by re-expansion
-            ok = True
-            for d in range(dmin, horizon + 1):
-                if d < s:
-                    expect = dict(preperiod).get(d, ModuleInvariants(M.context.ring, 0, ()))
-                else:
-                    expect = block[(d - s) % h]
-                if not expect.eq(H.piece(d)):
-                    ok = False
-                    break
-            if ok:
-                H.fit = fit
-                return H
-    H.fit = None
-    return H
+    return None
 
 
 def fit_matches_principal_special(H: HilbertSeries, ideal_gens, h: int) -> bool:
@@ -809,44 +614,12 @@ class TorsionReport:
         }
 
 
-def _make_span(R: Ring, dim: int, vectors):
-    if R.is_field:
-        span = SpanReducer(R, dim)
-        for v in vectors:
-            span.add(v)
-        return span
-    if isinstance(R, IntegersModRing):
-        span = _Echelon(ZZ, dim)
-        for i in range(dim):
-            span.insert([R.n if t == i else 0 for t in range(dim)])
-        for v in vectors:
-            span.insert(_lift_int(v))
-        return span
-    span = _Echelon(R, dim)
-    for v in vectors:
-        span.insert(v)
-    return span
-
-
-def _span_vectors(R: Ring, span):
-    if isinstance(span, SpanReducer):
-        return [list(span.pivots[j]) for j in sorted(span.pivots)]
-    return span.basis_columns()
-
-
-def _span_equal(R: Ring, a, b, dim: int) -> bool:
-    va, vb = _span_vectors(R, a), _span_vectors(R, b)
-    if isinstance(R, IntegersModRing):
-        va, vb = [_lift_int(v) for v in va], [_lift_int(v) for v in vb]
-    return all(b.contains(v) for v in va) and all(a.contains(v) for v in vb)
-
-
-def _refine_lattice(M: PresentedModule, d: int, span, j_start: int, j_end: int):
-    """Cut the lattice span down to the vectors v with x^[j] v in
-    im(relations) for every j in [j_start, j_end], one j at a time (each step
-    is a kernel of a tiny matrix in the lattice coordinates, so large margins
-    stay cheap), and return the cut span.  The relation submodule is a
-    D-submodule, so a span that contains its degree-d slice keeps it."""
+def _refine_lattice(M: PresentedModule, d: int, lattice: Lattice, j_start: int, j_end: int):
+    """Cut the lattice down to the vectors v with x^[j] v in im(relations)
+    for every j in [j_start, j_end], one j at a time (each step is a kernel
+    of a tiny matrix in the lattice coordinates, so large margins stay
+    cheap), and return the cut lattice.  The relation submodule is a
+    D-submodule, so a lattice that contains its degree-d slice keeps it."""
     ctx = M.context
     R = ctx.ring
     F0 = M.generators
@@ -854,7 +627,7 @@ def _refine_lattice(M: PresentedModule, d: int, span, j_start: int, j_end: int):
     basis = F0.basis(d)
     dim = len(basis)
     for j in range(j_start, j_end + 1):
-        B = _span_vectors(R, span)
+        B = lattice.basis()
         if not B:
             break
         tb = F0.basis(d + j)
@@ -882,17 +655,17 @@ def _refine_lattice(M: PresentedModule, d: int, span, j_start: int, j_end: int):
                         w[t] = R.add(w[t], R.mul(coeff, B[col][t]))
             if any(not R.is_zero(x) for x in w):
                 newvecs.append(w)
-        span = _make_span(R, dim, newvecs)
-    return span
+        lattice = Lattice(R, dim, newvecs)
+    return lattice
 
 
-def _margin_lattice(M: PresentedModule, d: int, margin: int):
-    """Span of {v in F0_d : x^[j] v in im(relations) for 1 <= j <= margin},
+def _margin_lattice(M: PresentedModule, d: int, margin: int) -> Lattice:
+    """The lattice {v in F0_d : x^[j] v in im(relations) for 1 <= j <= margin},
     cut one j at a time from all of F0_d."""
     R = M.context.ring
     dim = M.generators.rank(d)
     identity = [[R.one() if t == i else R.zero() for t in range(dim)] for i in range(dim)]
-    return _refine_lattice(M, d, _make_span(R, dim, identity), 1, margin)
+    return _refine_lattice(M, d, Lattice(R, dim, identity), 1, margin)
 
 
 def torsion_submodule(
@@ -932,23 +705,23 @@ def torsion_submodule(
         if not dim:
             continue
         pd = M.relations.slice(d)
-        pspan = _make_span(
+        pspan = Lattice(
             R, dim, [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
         )
         window = _margin_lattice(M, d, margin)
-        if _span_equal(R, window, pspan, dim):
+        if window.equals(pspan):
             continue
         half = _refine_lattice(M, d, window, margin + 1, cap // 2)
-        if _span_equal(R, half, pspan, dim):
+        if half.equals(pspan):
             shrank = True
             continue
         final = _refine_lattice(M, d, half, cap // 2 + 1, cap)
-        if _span_equal(R, final, pspan, dim):
+        if final.equals(pspan):
             shrank = True
             continue
-        if _span_equal(R, half, final, dim):
+        if half.equals(final):
             # stable annihilated classes beyond the relation submodule
-            basis2 = _span_vectors(R, final)
+            basis2 = final.basis()
             cmat = ExactMatrix(
                 R, [[v[i] for v in basis2] for i in range(dim)], dim, len(basis2)
             )

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from .coeff_rings import (
     ExactMatrix,
+    Lattice,
     ModuleInvariants,
     PreconditionError,
     Ring,
-    SpanReducer,
     invariants_from_factors,
     solve,
 )
@@ -26,9 +26,8 @@ from .graded_modules import (
     ModuleMap,
     PresentedModule,
     SubmoduleGenerators,
-    _SliceQuotient,
-    _all_in_span,
-    _vector_to_column,
+    _degreewise_generators,
+    _periodic_fit,
     principal_special_module,
     tor,
 )
@@ -215,11 +214,8 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     def fresh_spans():
         out = {}
         for d in degrees:
-            span = SpanReducer(R, len(basis[d]))
-            for v in rel_vectors[d]:
-                span.add(v)
-            rel_dims[d] = span.rank
-            out[d] = span
+            out[d] = Lattice(R, len(basis[d]), rel_vectors[d])
+            rel_dims[d] = out[d].rank
         return out
 
     # F_0 = M: everything
@@ -231,7 +227,7 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
         for i in range(dim):
             e = [R.zero()] * dim
             e[i] = R.one()
-            if s0[d].add(e):
+            if s0[d].insert(e):
                 vecs.append(e)
         v0[d] = vecs
     spans.append(s0)
@@ -271,7 +267,7 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
                         v = vec[c]
                         if not R.is_zero(v):
                             w[tgt_col[i]] = R.mul(v, ctx.C(s + j, j))
-                    if span.add(w):
+                    if span.insert(w):
                         vt[d].append(w)
         spans.append(st)
         vectors.append(vt)
@@ -306,31 +302,13 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
 
 def minimal_image_generators(g: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
     """Minimal generators of the image submodule of g, degree by degree."""
-    tgt = g.target
-    R = g.context.ring
-    out = SubmoduleGenerators(tgt, [], degree_bound)
     # the image at degree d is spanned by the single shifts of the columns
     cols = SubmoduleGenerators(
         g.target,
         [(g.source.degrees[j], g.columns[j]) for j in range(g.source.n_gens)],
         degree_bound,
     )
-    dmin = min(tgt.degrees, default=0)
-    for d in range(dmin, degree_bound + 1):
-        kv = [
-            v
-            for v in cols.generator_slice_vectors(d)
-            if any(not R.is_zero(x) for x in v)
-        ]
-        if not kv:
-            continue
-        old = out.generator_slice_vectors(d)
-        if _all_in_span(R, len(tgt.basis(d)), old, kv):
-            continue
-        q = _SliceQuotient(R, len(tgt.basis(d)), kv, old)
-        for vec in q.new_generators():
-            out.generators.append((d, _vector_to_column(tgt, d, vec)))
-    return out
+    return _degreewise_generators(g.target, degree_bound, cols.generator_slice_vectors)
 
 
 def _special_resolve_free_kernel(M: PresentedModule, horizon: int) -> SpecialResolution:
@@ -408,30 +386,6 @@ def sp1_hand_filtration(context: AlgebraContext, s: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _fit_stream(values: dict, dmin: int, horizon: int, max_period: int = 12, zero=0):
-    """Periodic fit of a value stream (values absent = zero element).
-
-    Returns {preperiod, period, block_start, block} or None; values must
-    support == (use plain ints / tuples)."""
-    def val(d):
-        return values.get(d, zero)
-
-    for h in range(1, max_period + 1):
-        last_bad = dmin - 1
-        for d in range(dmin, horizon - h + 1):
-            if val(d) != val(d + h):
-                last_bad = d
-        s = last_bad + 1
-        if horizon - s + 1 >= max(2 * h, 4):
-            return {
-                "preperiod": [(d, val(d)) for d in range(dmin, s) if val(d) != zero],
-                "period": h,
-                "block_start": s,
-                "block": [val(s + j) for j in range(h)],
-            }
-    return None
-
-
 @dataclass
 class KClassExpr:
     """A K(k)-valued power series: integer rank/dimension per degree."""
@@ -465,7 +419,7 @@ def h_invariant(M: PresentedModule, horizon: int) -> KClassExpr:
         if r:
             coeffs[d] = r
     expr = KClassExpr(coeffs, dmin, horizon)
-    expr.fit = _fit_stream(coeffs, dmin, horizon)
+    expr.fit = _periodic_fit(lambda d: coeffs.get(d, 0), dmin, horizon, zero=0)
     return expr
 
 
@@ -562,7 +516,7 @@ def l_invariant(M: PresentedModule, horizon: int, max_i: int | None = None) -> L
         acc = _plus_add(acc, l0.get(d, ()))
         if acc:
             l[d] = acc
-    fit = _fit_stream({d: v for d, v in l.items()}, dmin, horizon, zero=())
+    fit = _periodic_fit(lambda d: l.get(d, ()), dmin, horizon, zero=())
     return LSeries(l0, l, dmin, horizon, max_i, complete, fit)
 
 

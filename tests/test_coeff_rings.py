@@ -34,9 +34,11 @@ from gdpakit.coeff_rings import (
     ring_from_json,
     smith_normal_form,
     solve,
-    SpanReducer,
+    Lattice,
+    quotient_generators,
     _MR_BOUND,
     _is_prime,
+    _prime_factors,
     _snf_euclid,
 )
 
@@ -139,6 +141,32 @@ def test_zmod_flags(ring, local, field):
 def test_zmod_is_local_matches_factorization():
     for n in range(2, 2000):
         assert Zmod(n).is_local == (len(factorint(n)) == 1), n
+
+
+def test_factoring_two_large_primes_returns():
+    # Pollard-Brent rho, not trial division to sqrt(n)
+    n = (2**31 - 1) * (2**61 - 1)
+    R = Zmod(n)
+    assert R.in_jacobson_radical(0) is True
+    assert R.in_jacobson_radical(2**31 - 1) is False
+    lengths = cokernel_invariants(ExactMatrix(ZZ, [[n]])).torsion_lengths()
+    assert lengths == {2**31 - 1: 1, 2**61 - 1: 1}
+
+
+def test_prime_factors_match_sympy():
+    for n in list(range(1, 3000)) + [43**2 * 47, 1000003**3 * 6, 2**64 + 1]:
+        assert _prime_factors(n) == sorted(factorint(n)), n
+
+
+def test_jacobson_radical_matches_factor_definition():
+    # J(Z/n) = (rad n): a is in it iff every prime of n divides a
+    # the small residues and every multiple of rad n, the only members
+    for n in range(2, 2000):
+        R = Zmod(n)
+        primes = list(factorint(n))
+        rad = math.prod(primes)
+        for a in {*range(min(n, 50)), *range(0, n, rad), *range(1, n, rad)}:
+            assert R.in_jacobson_radical(a) == all(a % p == 0 for p in primes), (n, a)
 
 
 def test_ring_json_round_trip():
@@ -546,54 +574,105 @@ def test_invariants_normalization_and_sum():
     assert z3.plus_class() == {3: 3}
 
 
-def test_span_reducer():
-    sp = SpanReducer(GF(3), 3)
-    assert sp.add([1, 2, 0])
-    assert sp.add([0, 1, 1])
-    assert not sp.add([1, 0, 1])  # 1*(1,2,0) - 2*(0,1,1) = (1,0,-2)=(1,0,1)
-    assert sp.rank == 2
-    assert sp.contains([1, 0, 1])  # = 1*(1,2,0) + 1*(0,1,1) over GF(3)
-    assert not sp.contains([0, 0, 1])
+# ---------------------------------------------------------------------------
+# Lattice and quotient_generators, against SNF solving and sympy ranks
+# ---------------------------------------------------------------------------
+
+LATTICE_RINGS = [GF(2), GF(3), GF(7), ZZ, Zloc(2), Zloc(3), Zmod(4), Zmod(6)]
 
 
-def _sorted_scan(sp, v):
-    """Reduce v against sp.pivots scanning the pivot columns in sorted order."""
-    R = sp.ring
-    v = [R.canon(x) for x in v]
-    for j in sorted(sp.pivots):
-        c = v[j]
-        if not R.is_zero(c):
-            v = [R.sub(x, R.mul(c, y)) for x, y in zip(v, sp.pivots[j])]
-    return v
+@st.composite
+def _lattice_cases(draw):
+    """A ring, a dimension, generating vectors and probe vectors; over Z_(p)
+    some entries have denominators 5 or 7."""
+    R = draw(st.sampled_from(LATTICE_RINGS))
+    dim = draw(st.integers(1, 4))
+    den = st.sampled_from([1, 1, 5, 7]) if isinstance(R, PLocalRing) else st.just(1)
+    entry = st.builds(lambda a, b: R.canon(Fraction(a, b)), st.integers(-6, 6), den)
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    vectors = draw(st.lists(vector, max_size=6))
+    probes = draw(st.lists(vector, min_size=1, max_size=4))
+    # combinations of the generators, so that probes inside the span occur
+    for coeffs in draw(st.lists(st.lists(entry, min_size=len(vectors),
+                                         max_size=len(vectors)), max_size=3)):
+        w = [R.zero()] * dim
+        for c, v in zip(coeffs, vectors):
+            w = [R.add(x, R.mul(c, y)) for x, y in zip(w, v)]
+        probes.append(w)
+    return R, dim, vectors, probes
 
 
-def test_span_reducer_out_of_order_pivots():
-    R = GF(5)
-    sp = SpanReducer(R, 3)
-    assert sp.add([0, 0, 2]) and sp.add([3, 1, 4])
-    assert list(sp.pivots) == [2, 0]  # arrival order, not column order
-    for v in product(range(5), repeat=3):
-        assert sp.reduce(v) == _sorted_scan(sp, v)
-    # a pivot row with an entry at a later pivot column: the scan order counts
-    sp = SpanReducer(R, 3)
-    assert sp.add([1, 1, 0]) and sp.add([0, 0, 3]) and sp.add([0, 1, 0])
-    for v in product(range(5), repeat=3):
-        assert sp.reduce(v) == _sorted_scan(sp, v)
+def _in_column_span(R, dim, columns, v) -> bool:
+    """Whether v is a combination of the columns, by SNF solving."""
+    if not columns:
+        return all(R.is_zero(R.canon(x)) for x in v)
+    m = ExactMatrix(R, [[c[i] for c in columns] for i in range(dim)], dim, len(columns))
+    return solve(m, list(v)) is not None
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([2, 3, 7]),
-    st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4), max_size=8),
-)
-def test_span_reducer_matches_sorted_scan(p, vectors):
-    R = GF(p)
-    sp = SpanReducer(R, 4)
+def _gf_rank(p, vectors):
+    if not vectors:
+        return 0
+    return DomainMatrix.from_list([[int(x) for x in v] for v in vectors], SymZZ).convert_to(
+        SymGF(p)).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_cases())
+def test_lattice_insert_reports_growth(case):
+    R, dim, vectors, probes = case
+    lat = Lattice(R, dim)
+    for v in vectors + probes:
+        before = lat.contains(v)
+        assert lat.insert(v) == (not before)
+        assert lat.contains(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_cases())
+def test_lattice_contains_matches_solve(case):
+    R, dim, vectors, probes = case
+    lat = Lattice(R, dim, vectors)
+    basis = lat.basis()
+    for v in probes + vectors:
+        assert lat.contains(v) == _in_column_span(R, dim, basis, v)
+        assert lat.contains(v) == _in_column_span(R, dim, vectors, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_cases().filter(lambda case: case[0].is_field))
+def test_lattice_rank_over_gf_matches_sympy(case):
+    R, dim, vectors, probes = case
+    assert Lattice(R, dim, vectors).rank == _gf_rank(R.n, vectors)
+    assert Lattice(R, dim, vectors + probes).rank == _gf_rank(R.n, vectors + probes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_cases(), st.randoms(use_true_random=False))
+def test_lattice_equals_ignores_insertion_order(case, rnd):
+    R, dim, vectors, probes = case
+    lat = Lattice(R, dim, vectors)
+    shuffled = vectors + probes[-1:]
+    rnd.shuffle(shuffled)
+    other = Lattice(R, dim, shuffled)
+    inside = lat.contains(probes[-1])
+    assert lat.equals(other) == inside and other.equals(lat) == inside
+    assert lat.equals(Lattice(R, dim, vectors[::-1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_cases())
+def test_quotient_generators_complete_the_sub_lattice(case):
+    # the sub-vectors are the probes that lie in span(vectors)
+    R, dim, vectors, probes = case
+    subs = [v for v in probes if _in_column_span(R, dim, vectors, v)]
+    gens = quotient_generators(R, dim, vectors, subs)
+    for g in gens:
+        assert _in_column_span(R, dim, vectors, g)
     for v in vectors:
-        before = _sorted_scan(sp, v)
-        assert sp.reduce(v) == before
-        assert sp.add(v) == any(before)
-    assert sp.rank == len(sp.pivots)
+        assert _in_column_span(R, dim, gens + subs, v)
+    if R.is_field:
+        assert len(gens) == _gf_rank(R.n, vectors) - _gf_rank(R.n, subs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -655,5 +734,5 @@ def test_kernel_basis_rank_over_gf_matches_sympy(p, case):
     assert len(basis) == nullity
     for v in basis:
         assert all(x == 0 for x in m.apply_vector(v))
-    span = SpanReducer(R, cols)
-    assert all(span.add(v) for v in basis)
+    span = Lattice(R, cols)
+    assert all(span.insert(v) for v in basis)

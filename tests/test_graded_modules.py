@@ -12,9 +12,12 @@ from gdpakit.coeff_rings import (
     Zloc,
     Zmod,
     ExactMatrix,
+    Lattice,
     ModuleInvariants,
     PreconditionError,
+    cokernel_invariants,
     kernel_basis,
+    solve,
 )
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.graded_modules import (
@@ -22,6 +25,7 @@ from gdpakit.graded_modules import (
     HilbertSeries,
     ModuleMap,
     PresentedModule,
+    SubmoduleGenerators,
     fit_matches_principal_special,
     free_resolution,
     hilbert_series,
@@ -36,8 +40,9 @@ from gdpakit.graded_modules import (
     truncate_at_least,
     truncate_at_most,
 )
-from gdpakit.graded_modules import _make_span, _margin_lattice, _span_equal
+from gdpakit.graded_modules import _margin_lattice
 from gdpakit.pi_core import PiSequence
+from gdpakit.resolutions_k import minimal_image_generators
 
 
 def ctx_classical(ring):
@@ -429,12 +434,12 @@ def stacked_margin_lattice(M, d, margin):
     vectors = [v[:dim] for v in kernel_basis(ExactMatrix(R, rows, len(rows), ncols))]
     pd = M.relations.slice(d)
     vectors += [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
-    return _make_span(R, dim, vectors)
+    return Lattice(R, dim, vectors)
 
 
 @st.composite
-def small_modules(draw):
-    ctx = draw(st.sampled_from(ORACLE_CONTEXTS))
+def small_modules(draw, contexts=ORACLE_CONTEXTS):
+    ctx = draw(st.sampled_from(contexts))
     R = ctx.ring
     gdegs = sorted(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
     cols, rdegs = [], []
@@ -459,7 +464,87 @@ def test_margin_lattice_matches_stacked_kernel(M, offset, margin):
     R = M.context.ring
     dim = M.generators.rank(d)
     new = _margin_lattice(M, d, margin)
-    assert _span_equal(R, new, stacked_margin_lattice(M, d, margin), dim)
+    assert new.equals(stacked_margin_lattice(M, d, margin))
+
+
+# ---------------------------------------------------------------------------
+# the degreewise generator loop, slice by slice against SNF solving
+# ---------------------------------------------------------------------------
+
+GENERATOR_CONTEXTS = [
+    AlgebraContext(family(R))
+    for R in (GF(2), GF(3), GF(7), ZZ, Zloc(2), Zloc(3), Zmod(4), Zmod(6))
+    for family in (PiSequence.classical, PiSequence.all_ones)
+]
+
+
+def _matrix_of_columns(R, dim, columns):
+    return ExactMatrix(R, [[c[i] for c in columns] for i in range(dim)], dim, len(columns))
+
+
+def _in_column_span(R, dim, columns, v) -> bool:
+    if not columns:
+        return all(R.is_zero(x) for x in v)
+    return solve(_matrix_of_columns(R, dim, columns), v) is not None
+
+
+def _field_rank(R, dim, columns) -> int:
+    if not columns:
+        return 0
+    return dim - cokernel_invariants(_matrix_of_columns(R, dim, columns)).free_rank
+
+
+def _columns(A):
+    return [[A.entries[i][j] for i in range(A.rows)] for j in range(A.cols)]
+
+
+def _check_degreewise(gens, bound, slice_spanners, in_slice):
+    """In every degree: each generator's slice vector lies in the slice, the
+    slice lies in the span of those vectors, and over a field the number of
+    new generators is the slice's dimension less what lower degrees give."""
+    ambient = gens.ambient
+    R = ambient.context.ring
+    for d in range(min(ambient.degrees), bound + 1):
+        dim = ambient.rank(d)
+        vectors = gens.generator_slice_vectors(d)
+        for v in vectors:
+            assert in_slice(d, v)
+        spanners = slice_spanners(d)
+        for v in spanners:
+            assert _in_column_span(R, dim, vectors, v)
+        if R.is_field:
+            lower = [g for g in gens.generators if g[0] < d]
+            below = SubmoduleGenerators(ambient, lower, bound).generator_slice_vectors(d)
+            new = sum(1 for e, _ in gens.generators if e == d)
+            assert new == _field_rank(R, dim, spanners) - _field_rank(R, dim, below)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_modules(GENERATOR_CONTEXTS))
+def test_syzygy_generators_match_kernel_slices(M):
+    f = M.relations
+    R = f.context.ring
+    bound = M.max_presentation_degree() + 3
+    _check_degreewise(
+        syzygy_generators(f, bound),
+        bound,
+        lambda d: kernel_basis(f.slice(d)),
+        lambda d, v: all(R.is_zero(x) for x in f.slice(d).apply_vector(v)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_modules(GENERATOR_CONTEXTS))
+def test_minimal_image_generators_match_image_slices(M):
+    g = M.relations
+    R = g.context.ring
+    bound = M.max_presentation_degree() + 3
+    _check_degreewise(
+        minimal_image_generators(g, bound),
+        bound,
+        lambda d: _columns(g.slice(d)),
+        lambda d, v: _in_column_span(R, g.target.rank(d), _columns(g.slice(d)), v),
+    )
 
 
 # ---------------------------------------------------------------------------

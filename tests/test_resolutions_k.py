@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gdpakit.coeff_rings import GF, QQ, ZZ, PreconditionError, SpanReducer, Zloc
+from gdpakit.coeff_rings import GF, QQ, ZZ, Lattice, PreconditionError, Zloc
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.graded_modules import (
     FreeGradedModule,
@@ -126,10 +126,10 @@ def _reference_resolve_adic(M, h, horizon):
     def fresh_spans():
         out = {}
         for d in degrees:
-            span = SpanReducer(R, len(F0.basis(d)))
+            span = Lattice(R, len(F0.basis(d)))
             pd = M.relations.slice(d)
             for j in range(pd.cols):
-                span.add([pd.entries[i][j] for i in range(pd.rows)])
+                span.insert([pd.entries[i][j] for i in range(pd.rows)])
             rel_dims[d] = span.rank
             out[d] = span
         return out
@@ -142,7 +142,7 @@ def _reference_resolve_adic(M, h, horizon):
         for i in range(dim):
             e = [R.zero()] * dim
             e[i] = R.one()
-            if s0[d].add(e):
+            if s0[d].insert(e):
                 v0[d].append(e)
     spans, vectors = [s0], [v0]
 
@@ -159,7 +159,7 @@ def _reference_resolve_adic(M, h, horizon):
                 source = vectors[t - 1][d - j] if j % h != 0 else vt[d - j]
                 for vec in source:
                     w = _mult_vector(ctx, F0, d - j, j, vec)
-                    if st_[d].add(w):
+                    if st_[d].insert(w):
                         vt[d].append(w)
         spans.append(st_)
         vectors.append(vt)
