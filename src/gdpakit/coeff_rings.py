@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -1081,7 +1081,9 @@ def smith_normal_form(m: ExactMatrix):
 
     Over Z_(p) the elimination runs on Python ints (:func:`_snf_dvr`); Z, Q
     and fields use the Euclidean loop (:func:`_snf_euclid`).  Both pick the
-    same pivots and return the same canonical U, D and V.
+    same pivots and return the same canonical U, D and V.  Over Z_(p),
+    :func:`kernel_basis` and :func:`integer_kernel` run the same integer
+    elimination without U and do not call this function.
     """
     R = m.ring
     if isinstance(R, PLocalRing):
@@ -1092,29 +1094,56 @@ def smith_normal_form(m: ExactMatrix):
 
 
 def _snf_dvr(m: ExactMatrix):
-    """Smith normal form over Z_(p), fraction-free.
+    """Smith normal form over Z_(p), fraction-free (:func:`_dvr_eliminate`).
 
-    Row i of A is cleared of denominators by the unit l_i.  The integer
-    matrices stand for those of the Fraction loop up to unit scales: their
-    entries are A[i][j] / (ru[i] * cv[j]) and U[i][k] / ru[i], and column j
-    of V is V[j] / cv[j] (V is kept transposed).  A pivot p^v * u (u prime
-    to p) clears row i by ``u * A[i] - (A[i][t] // p^v) * A[t]``, which is
-    u times the Fraction row, so ru[i] *= u; columns likewise.  With
-    least-valuation pivots one pass clears row and column t, and the
-    divisibility chain holds.
+    Row i of m is cleared of denominators by the unit l_i, so U starts as
+    diag(l_i); the Fractions are built once, at the end.
     """
     R = m.ring
-    p = R.p
     nr, nc = m.rows, m.cols
-    A, ru = [], []
-    for row in m.entries:
-        l = math.lcm(*[x.denominator for x in row])
-        A.append([x.numerator * (l // x.denominator) for x in row])
-        ru.append(l)
+    cleared = [_clear_denominators(row) for row in m.entries]
+    A, ru = [a for a, _ in cleared], [l for _, l in cleared]
     U = [[ru[i] if i == k else 0 for k in range(nr)] for i in range(nr)]
+    pivots, V, cv = _dvr_eliminate(A, nc, R.p, U, ru)
+    # pivot row t of U is also divided by the pivot's unit u / (ru[t] * cv[t]),
+    # which leaves U[t] * cv[t] / u
+    Uf = [_fractions(U[t], u, cv[t]) for t, (_, u) in enumerate(pivots)]
+    Uf += [_fractions(U[i], ru[i]) for i in range(len(pivots), nr)]
+    D = [[_FRACTION_ZERO] * nc for _ in range(nr)]
+    for t, (v, _) in enumerate(pivots):
+        D[t][t] = Fraction(R.p**v)
+    cols = [_fractions(V[j], cv[j]) for j in range(nc)]
+    Vf = [[col[k] for col in cols] for k in range(nc)]
+    return (
+        ExactMatrix._from_canonical(R, Uf, nr, nr),
+        ExactMatrix._from_canonical(R, D, nr, nc),
+        ExactMatrix._from_canonical(R, Vf, nc, nc),
+    )
+
+
+def _clear_denominators(row):
+    """(l * row as ints, l), for l the lcm of the denominators in row."""
+    l = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (l // x.denominator) for x in row], l
+
+
+def _dvr_eliminate(A: list, nc: int, p: int, U: list | None = None, ru: list | None = None):
+    """Fraction-free Smith elimination over Z_(p) of the integer rows A (nc
+    columns), in place; returns (pivots, V, cv).
+
+    The integer matrices stand for those of the Fraction loop up to unit
+    scales: column j of V is V[j] / cv[j] (V is kept transposed), and when
+    U and its row scales ru are given, row i of U is U[i] / ru[i].  A pivot
+    p^v * u (u prime to p) clears row i by ``u * A[i] - (A[i][t] // p^v) *
+    A[t]``, which is u times the Fraction row, so ru[i] *= u; columns
+    likewise.  With least-valuation pivots one pass clears row and column
+    t, and the divisibility chain holds.  pivots[t] is (v, u) for the pivot
+    p^v * u at (t, t); the columns of V past the last pivot span the kernel.
+    """
+    nr = len(A)
     V = [[1 if j == k else 0 for k in range(nc)] for j in range(nc)]
     cv = [1] * nc
-    pivots = []  # (valuation, unit part) of each pivot
+    pivots = []
     for t in range(min(nr, nc)):
         # the first entry of least valuation, in row-major order
         best = None
@@ -1137,15 +1166,16 @@ def _snf_dvr(m: ExactMatrix):
             break
         v, pi, pj = best
         A[t], A[pi] = A[pi], A[t]
-        U[t], U[pi] = U[pi], U[t]
-        ru[t], ru[pi] = ru[pi], ru[t]
+        if U is not None:
+            U[t], U[pi] = U[pi], U[t]
+            ru[t], ru[pi] = ru[pi], ru[t]
         if pj != t:
             for row in A[t:]:
                 row[t], row[pj] = row[pj], row[t]
             V[t], V[pj] = V[pj], V[t]
             cv[t], cv[pj] = cv[pj], cv[t]
         q = p**v
-        At, Ut, Vt = A[t], U[t], V[t]
+        At, Vt = A[t], V[t]
         u = At[t] // q
         pivots.append((v, u))
         for i in range(t + 1, nr):
@@ -1153,8 +1183,9 @@ def _snf_dvr(m: ExactMatrix):
             if w:
                 w //= q
                 A[i] = [u * x - w * y for x, y in zip(A[i], At)]
-                U[i] = [u * x - w * y for x, y in zip(U[i], Ut)]
-                ru[i] *= u
+                if U is not None:
+                    U[i] = [u * x - w * y for x, y in zip(U[i], U[t])]
+                    ru[i] *= u
         # column t of A is now zero below the pivot, so clearing A[t][j]
         # leaves the rest of column j as it is (up to the scale cv[j])
         for j in range(t + 1, nc):
@@ -1166,20 +1197,36 @@ def _snf_dvr(m: ExactMatrix):
                     A[i][j] *= u
                 V[j] = [u * x - w * y for x, y in zip(V[j], Vt)]
                 cv[j] *= u
-    # convert once; pivot row t of U is also divided by the pivot's unit
-    # u / (ru[t] * cv[t]), which leaves U[t] * cv[t] / u
-    Uf = [_fractions(U[t], u, cv[t]) for t, (_, u) in enumerate(pivots)]
-    Uf += [_fractions(U[i], ru[i]) for i in range(len(pivots), nr)]
-    D = [[_FRACTION_ZERO] * nc for _ in range(nr)]
-    for t, (v, _) in enumerate(pivots):
-        D[t][t] = Fraction(p**v)
-    cols = [_fractions(V[j], cv[j]) for j in range(nc)]
-    Vf = [[col[k] for col in cols] for k in range(nc)]
-    return (
-        ExactMatrix._from_canonical(R, Uf, nr, nr),
-        ExactMatrix._from_canonical(R, D, nr, nc),
-        ExactMatrix._from_canonical(R, Vf, nc, nc),
-    )
+    return pivots, V, cv
+
+
+def integer_kernel(A: list, nc: int, p: int) -> list:
+    """A basis over Z_(p) of the kernel of the integer rows A (nc columns),
+    as integer vectors whose content is 1.
+
+    Runs the elimination that :func:`_snf_dvr` and :func:`kernel_basis`
+    share, without U; A is left as is."""
+    pivots, V, _ = _dvr_eliminate([row[:] for row in A], nc, p)
+    # V[j] / cv[j] is a column of a matrix invertible over Z_(p), so p does
+    # not divide the content of V[j]
+    return [_without_content(V[j], math.gcd(*V[j])) for j in range(len(pivots), nc)]
+
+
+def primitive_integer_vector(v, p: int) -> list:
+    """The integer vector that is a unit multiple of v over Z_(p) and whose
+    content is a power of p: v's denominators (prime to p) are cleared and
+    the part of its content prime to p is divided out.  v holds ints or
+    p-local Fractions."""
+    w, _ = _clear_denominators(v)
+    g = math.gcd(*w)
+    while g and not g % p:
+        g //= p
+    return _without_content(w, g)
+
+
+def _without_content(w: list, g: int) -> list:
+    """w divided by g, a divisor of its content."""
+    return [x // g for x in w] if g > 1 else w
 
 
 def _fractions(row, d: int, c: int = 1) -> list:
@@ -1368,6 +1415,11 @@ def kernel_basis(m: ExactMatrix):
                 seen.add(w)
                 out.append(list(w))
         return out
+    if isinstance(R, PLocalRing):
+        # the columns of V past the pivots, as smith_normal_form gives them
+        A = [_clear_denominators(row)[0] for row in m.entries]
+        pivots, V, cv = _dvr_eliminate(A, m.cols, R.p)
+        return [_fractions(V[j], cv[j]) for j in range(len(pivots), m.cols)]
     _, D, V = smith_normal_form(m)
     diag = _diag(D)
     out = []
@@ -1487,9 +1539,10 @@ class Lattice:
     column, zero before its pivot, reduced with the ring's quo_rem.
 
     Works over fields, Z and Z_(p).  Over Z/n (n composite) it holds the
-    preimage in Z^dim, which contains n Z^dim: vectors are lifted to Z on
-    entry, and the rows are integer vectors whose residues generate the
-    submodule."""
+    preimage in Z^dim, which contains n Z^dim: vectors enter as integers,
+    and the rows are integer vectors whose residues generate the submodule.
+    Entries must be canonical ring elements (over Z/n, any ints); they are
+    not canonicalized again."""
 
     def __init__(self, ring: Ring, dim: int, vectors=()):
         self.dim = dim
@@ -1508,7 +1561,7 @@ class Lattice:
     def insert(self, v) -> bool:
         """Add v; returns whether the lattice grew, i.e. v was not in it."""
         R, rows, dim = self.base, self.rows, self.dim
-        v = [R.canon(x) for x in v]
+        v = list(v)
         grew = False
         for p in range(dim):
             if R.is_zero(v[p]):
@@ -1535,7 +1588,7 @@ class Lattice:
         in the lattice.  Stops at the first nonzero entry that the rows
         cannot clear: the rows with a later pivot are zero there."""
         R, rows, dim = self.base, self.rows, self.dim
-        v = [R.canon(x) for x in v]
+        v = list(v)
         out = {}
         for p in range(dim):
             if R.is_zero(v[p]):

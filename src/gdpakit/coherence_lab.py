@@ -17,10 +17,9 @@ from .coeff_rings import (
     kernel_basis,
     quotient_generators,
 )
-from .gdpa import AlgebraContext, GdpaElement
+from .gdpa import AlgebraContext
 from .graded_modules import (
     FreeGradedModule,
-    PresentedModule,
     SubmoduleGenerators,
     syzygy_generators,
 )

@@ -19,7 +19,6 @@ from .coeff_rings import (
 from .pi_core import (
     DivisibleSequence,
     PiSequence,
-    a_invariant,
     admissible_check,
     base_rep,
     c_binomial,

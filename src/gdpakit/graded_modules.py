@@ -10,16 +10,20 @@ horizon and tag their results with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coeff_rings import (
     ExactMatrix,
     Lattice,
     ModuleInvariants,
+    PLocalRing,
     PreconditionError,
     Ring,
     cokernel_invariants,
     homology_invariants,
+    integer_kernel,
     kernel_basis,
+    primitive_integer_vector,
     quotient_generators,
 )
 from .gdpa import AlgebraContext, GdpaElement
@@ -614,58 +618,93 @@ class TorsionReport:
         }
 
 
-def _refine_lattice(M: PresentedModule, d: int, lattice: Lattice, j_start: int, j_end: int):
+def _refine_lattice(
+    M: PresentedModule, d: int, lattice: Lattice, j_start: int, j_end: int, relation_rows
+):
     """Cut the lattice down to the vectors v with x^[j] v in im(relations)
     for every j in [j_start, j_end], one j at a time (each step is a kernel
     of a tiny matrix in the lattice coordinates, so large margins stay
     cheap), and return the cut lattice.  The relation submodule is a
-    D-submodule, so a lattice that contains its degree-d slice keeps it."""
+    D-submodule, so a lattice that contains its degree-d slice keeps it.
+
+    relation_rows(e) gives the rows of the relation slice at degree e.  Over
+    Z_(p) a step runs on ints: a span over Z_(p) does not change when a
+    vector is scaled by a unit, so the lattice basis is cleared to primitive
+    integer vectors and the C(s + j, j) by their common p-prime denominator
+    and content (a unit scale of every new vector); the relation columns
+    come cleared one by one, as their kernel coordinates are dropped."""
     ctx = M.context
     R = ctx.ring
     F0 = M.generators
-    P = M.relations
     basis = F0.basis(d)
     dim = len(basis)
+    p = R.p if isinstance(R, PLocalRing) else None
     for j in range(j_start, j_end + 1):
         B = lattice.basis()
         if not B:
             break
-        tb = F0.basis(d + j)
-        row_of = {i: r for r, (i, _) in enumerate(tb)}
-        rows = max(len(tb), 1)
-        pj = P.slice(d + j)
-        big = ExactMatrix.zero(R, rows, len(B) + pj.cols)
-        for col, v in enumerate(B):
-            for c, (i, s) in enumerate(basis):
-                coeff = ctx.C(s + j, j)
-                if not R.is_zero(coeff) and not R.is_zero(v[c]):
-                    r = row_of[i]
-                    big.entries[r][col] = R.add(
-                        big.entries[r][col], R.mul(coeff, v[c])
-                    )
-        for r in range(pj.rows):
-            for c in range(pj.cols):
-                big.entries[r][len(B) + c] = pj.entries[r][c]
+        row_of = {i: r for r, (i, _) in enumerate(F0.basis(d + j))}
+        coeffs = [ctx.C(s + j, j) for _, s in basis]
+        if p:
+            B = [primitive_integer_vector(b, p) for b in B]
+            coeffs = primitive_integer_vector(coeffs, p)
+        # x^[j] sends x^[s] e_i to C(s + j, j) x^[s + j] e_i: one row per
+        # generator, so no two products land in the same entry
+        big = [[0 if p else R.zero()] * len(B) + r for r in relation_rows(d + j)]
+        for col, b in enumerate(B):
+            for (i, _), c, x in zip(basis, coeffs, b):
+                big[row_of[i]][col] = c * x if p else R.mul(c, x)
         newvecs = []
-        for k in kernel_basis(big):
-            w = [R.zero()] * dim
-            for col, coeff in enumerate(k[: len(B)]):
-                if not R.is_zero(coeff):
-                    for t in range(dim):
-                        w[t] = R.add(w[t], R.mul(coeff, B[col][t]))
-            if any(not R.is_zero(x) for x in w):
-                newvecs.append(w)
+        if p:
+            for k in integer_kernel(big, len(big[0]), p):
+                w = [0] * dim
+                for c, b in zip(k, B):
+                    if c:
+                        w = [x + c * y for x, y in zip(w, b)]
+                if any(w):
+                    newvecs.append([Fraction(x) for x in primitive_integer_vector(w, p)])
+        else:
+            for k in kernel_basis(ExactMatrix(R, big, len(big), len(big[0]))):
+                w = [R.zero()] * dim
+                for coeff, b in zip(k, B):
+                    if not R.is_zero(coeff):
+                        w = [R.add(x, R.mul(coeff, y)) for x, y in zip(w, b)]
+                if any(not R.is_zero(x) for x in w):
+                    newvecs.append(w)
         lattice = Lattice(R, dim, newvecs)
     return lattice
 
 
-def _margin_lattice(M: PresentedModule, d: int, margin: int) -> Lattice:
+def _relation_rows(M: PresentedModule):
+    """e -> the rows of the relation slice at degree e, built once per
+    degree; over Z_(p) as ints, each column a primitive integer vector."""
+    R = M.context.ring
+    cache = {}
+
+    def rows(e: int):
+        out = cache.get(e)
+        if out is None:
+            m = M.relations.slice(e)
+            out = m.entries
+            if isinstance(R, PLocalRing):
+                cols = [[row[c] for row in out] for c in range(m.cols)]
+                cols = [primitive_integer_vector(col, R.p) for col in cols]
+                out = [[col[r] for col in cols] for r in range(m.rows)]
+            cache[e] = out
+        return out
+
+    return rows
+
+
+def _margin_lattice(M: PresentedModule, d: int, margin: int, relation_rows=None) -> Lattice:
     """The lattice {v in F0_d : x^[j] v in im(relations) for 1 <= j <= margin},
     cut one j at a time from all of F0_d."""
     R = M.context.ring
     dim = M.generators.rank(d)
     identity = [[R.one() if t == i else R.zero() for t in range(dim)] for i in range(dim)]
-    return _refine_lattice(M, d, Lattice(R, dim, identity), 1, margin)
+    return _refine_lattice(
+        M, d, Lattice(R, dim, identity), 1, margin, relation_rows or _relation_rows(M)
+    )
 
 
 def torsion_submodule(
@@ -700,6 +739,7 @@ def torsion_submodule(
     certified = R.is_field and ctx.pi.is_never_zero(degree_bound + cap + 1)
     stable = []
     shrank = False
+    relation_rows = _relation_rows(M)
     for d in range(M.min_degree(), degree_bound + 1):
         dim = M.generators.rank(d)
         if not dim:
@@ -708,14 +748,14 @@ def torsion_submodule(
         pspan = Lattice(
             R, dim, [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
         )
-        window = _margin_lattice(M, d, margin)
+        window = _margin_lattice(M, d, margin, relation_rows)
         if window.equals(pspan):
             continue
-        half = _refine_lattice(M, d, window, margin + 1, cap // 2)
+        half = _refine_lattice(M, d, window, margin + 1, cap // 2, relation_rows)
         if half.equals(pspan):
             shrank = True
             continue
-        final = _refine_lattice(M, d, half, cap // 2 + 1, cap)
+        final = _refine_lattice(M, d, half, cap // 2 + 1, cap, relation_rows)
         if final.equals(pspan):
             shrank = True
             continue

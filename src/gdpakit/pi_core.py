@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff_rings import (
-    IntPolyRing,
     PreconditionError,
     Ring,
     UnsupportedRingError,

@@ -1,5 +1,6 @@
 """CLI tests via click's test runner: outputs, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -307,6 +308,34 @@ def test_no_module_imports_sympy():
             "assert 'sympy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def _unused_imports(tree) -> list:
+    """Names a module imports but never reads, nor lists in __all__."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in node.value.elts}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parents[1] / "src" / "gdpakit").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
 
 
 class TestHarnessCommands:

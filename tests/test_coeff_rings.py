@@ -29,6 +29,7 @@ from gdpakit.coeff_rings import (
     Zmod,
     cokernel_invariants,
     homology_invariants,
+    integer_kernel,
     invariants_from_factors,
     kernel_basis,
     ring_from_json,
@@ -421,6 +422,35 @@ def test_snf_plocal_matches_euclidean_loop(case):
         assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
         assert all(type(x) is Fraction for r in got.entries for x in r)
     assert U.matmul(m).matmul(V).entries == D.entries
+
+
+def _kernel_columns(D, V):
+    """The columns of V at the zero diagonal entries of D: the kernel."""
+    diag = [D.entries[j][j] if j < D.rows else 0 for j in range(V.cols)]
+    return [[V.entries[t][j] for t in range(V.rows)] for j in range(V.cols) if diag[j] == 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plocal_matrices())
+def test_integer_kernel_matches_euclidean_kernel(case):
+    p, rows, cols, ents = case
+    R = Zloc(p)
+    ref = _kernel_columns(*_snf_euclid(ExactMatrix(_EuclidZloc(p), ents, rows, cols))[1:])
+    # clearing a row's denominators scales it by a unit: the kernel is the same
+    ints = []
+    for row in ents:
+        l = math.lcm(*[x.denominator for x in row])
+        ints.append([int(x * l) for x in row])
+    got = integer_kernel(ints, cols, p)
+    assert len(got) == len(ref)
+    for k in got:
+        assert all(type(x) is int for x in k) and math.gcd(*k) == 1
+    vectors = [[Fraction(x) for x in k] for k in got]
+    assert Lattice(R, cols, vectors).equals(Lattice(R, cols, ref))
+    # kernel_basis reads V without U: exactly the columns smith_normal_form gives
+    m = ExactMatrix(R, ents, rows, cols)
+    assert kernel_basis(m) == ref == _kernel_columns(*smith_normal_form(m)[1:])
+    assert all(type(x) is Fraction for v in kernel_basis(m) for x in v)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from gdpakit.graded_modules import (
     truncate_at_least,
     truncate_at_most,
 )
+from gdpakit import graded_modules
 from gdpakit.graded_modules import _margin_lattice
 from gdpakit.pi_core import PiSequence
 from gdpakit.resolutions_k import minimal_image_generators
@@ -465,6 +466,65 @@ def test_margin_lattice_matches_stacked_kernel(M, offset, margin):
     dim = M.generators.rank(d)
     new = _margin_lattice(M, d, margin)
     assert new.equals(stacked_margin_lattice(M, d, margin))
+
+
+# q-integers at a p-local fraction q0: C(s + j, j) and the relation slices
+# have denominators prime to p, which the integer torsion step clears
+FRACTIONAL_CONTEXTS = [
+    AlgebraContext(PiSequence.cyclotomic_at(Zloc(p), Fraction(a, b)))
+    for p, a, b in ((2, 1, 3), (3, 2, 5), (5, 4, 7), (3, -1, 7))
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_modules(FRACTIONAL_CONTEXTS), st.integers(0, 3), st.integers(1, 5))
+def test_margin_lattice_matches_stacked_kernel_with_denominators(M, offset, margin):
+    d = M.min_degree() + offset
+    assert _margin_lattice(M, d, margin).equals(stacked_margin_lattice(M, d, margin))
+
+
+def recipe_13_modules(seed, count):
+    """Random Z_(2) modules by the recipe of test_13 in test_acceptance.py."""
+    rng = random.Random(seed)
+    ctx = ctx_classical(Zloc(2))
+    out = []
+    while len(out) < count:
+        gdegs = sorted(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        cols, rdegs = [], []
+        for _ in range(rng.randint(1, 3)):
+            rdeg = max(gdegs) + rng.randint(1, 4)
+            col = {}
+            for i, g in enumerate(gdegs):
+                c = rng.randint(0, 4)
+                if c:
+                    col[i] = ctx.x(rdeg - g, coeff=ctx.ring.from_int(c))
+            if col:
+                cols.append(col)
+                rdegs.append(rdeg)
+        if cols:
+            out.append(PresentedModule.from_columns(ctx, gdegs, cols, rdegs))
+    return out
+
+
+def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
+    # Over Z_(2) at horizon 40 the torsion step's integer kernels see entries
+    # of at most 29 bits here (38 on the benchmark's modules): each row of
+    # binomials C(s + j, j), up to 94 bits, is divided by its content first.
+    # 128 bits leaves room for whole binomials times window entries (108
+    # bits) and flags growth in the window loop.
+    kernel = graded_modules.integer_kernel
+    bits = []
+
+    def watched(A, nc, p):
+        out = kernel(A, nc, p)
+        bits.append(max((abs(x).bit_length() for v in (*A, *out) for x in v), default=0))
+        return out
+
+    monkeypatch.setattr(graded_modules, "integer_kernel", watched)
+    for M in recipe_13_modules(40, 8):
+        assert torsion_submodule(M, 40).verdict == "torsion_free"
+    assert len(bits) > 1000
+    assert max(bits) <= 128
 
 
 # ---------------------------------------------------------------------------
