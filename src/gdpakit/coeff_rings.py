@@ -975,16 +975,6 @@ class ModuleInvariants:
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion_factors
 
-    def eq(self, other: "ModuleInvariants") -> bool:
-        return (
-            self.free_rank == other.free_rank
-            and len(self.torsion_factors) == len(other.torsion_factors)
-            and all(
-                self.ring.eq(a, b)
-                for a, b in zip(self.torsion_factors, other.torsion_factors)
-            )
-        )
-
     def direct_sum(self, other: "ModuleInvariants") -> "ModuleInvariants":
         return invariants_from_factors(
             self.ring,
@@ -1034,37 +1024,14 @@ def _factor_torsion(ring: Ring, t):
 
 
 def invariants_from_factors(ring: Ring, free_rank: int, factors) -> ModuleInvariants:
-    """Normalize an unordered multiset of torsion factors into a chain."""
-    factors = [ring.canon(f) for f in factors]
-    factors = [f for f in factors if not ring.is_unit(f)]
-    zeros = sum(1 for f in factors if ring.is_zero(f))
-    factors = [f for f in factors if not ring.is_zero(f)]
-    if ring.is_field:
-        return ModuleInvariants(ring, free_rank + zeros)
-    if not factors:
-        return ModuleInvariants(ring, free_rank + zeros, ())
-    if isinstance(ring, PLocalRing):
-        chain = sorted(factors, key=ring.valuation)
-        chain = [ring.canonical_associate(f) for f in chain]
-        return ModuleInvariants(ring, free_rank + zeros, tuple(chain))
-    # integer-like factors: normalize via SNF of a diagonal integer matrix
-    ints = []
-    for f in factors:
-        if isinstance(ring, IntegersModRing):
-            ints.append(f % ring.n)
-        else:
-            ints.append(abs(int(f)))
-    k = len(ints)
-    diag = [[ints[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    m = ExactMatrix(ZZ, diag)
-    if isinstance(ring, IntegersModRing):
-        inv = cokernel_invariants(
-            ExactMatrix(ring, diag)
-        )
-        return ModuleInvariants(ring, free_rank + zeros, inv.torsion_factors)
-    _, D, _ = smith_normal_form(m)
-    chain = [D.entries[i][i] for i in range(k) if D.entries[i][i] not in (0, 1, -1)]
-    return ModuleInvariants(ring, free_rank + zeros, tuple(abs(c) for c in chain))
+    """Invariants of ring^free_rank plus the sum of ring/(f) over the factors
+    f, in any order: the cokernel of their diagonal matrix."""
+    k = len(factors)
+    diag = ExactMatrix.zero(ring, k, k)
+    for i, f in enumerate(factors):
+        diag.entries[i][i] = ring.canon(f)
+    inv = cokernel_invariants(diag)
+    return ModuleInvariants(ring, free_rank + inv.free_rank, inv.torsion_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1459,76 +1426,6 @@ def solve(m: ExactMatrix, b):
     return V.apply_vector(y)
 
 
-def solve_columns(m: ExactMatrix, b: ExactMatrix):
-    """Solve m X = b columnwise; returns ExactMatrix X or None."""
-    R = m.ring
-    cols = []
-    for j in range(b.cols):
-        x = solve(m, [b.entries[i][j] for i in range(b.rows)])
-        if x is None:
-            return None
-        cols.append(x)
-    ents = [[cols[j][i] for j in range(b.cols)] for i in range(m.cols)]
-    return ExactMatrix(R, ents, m.cols, b.cols)
-
-
-def homology_invariants(A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
-    """Invariants of ker(A)/im(B) for a complex C2 --B--> C1 --A--> C0.
-
-    Requires A.cols == B.rows and A*B = 0.  Supported over Z, Z_(p), fields,
-    and Z/n (computed as abelian-group homology via integer lifts; the
-    resulting factors all divide n).
-    """
-    R = A.ring
-    if A.cols != B.rows:
-        raise ValueError("shape mismatch in homology")
-    if A.cols == 0:
-        return ModuleInvariants(R, 0, ())
-    if isinstance(R, IntegersModRing) and not R.is_field:
-        n = R.n
-        a = A.cols
-        # L = {v in Z^a : A v = 0 mod n}: full-rank lattice containing nZ^a
-        Aint = ExactMatrix(ZZ, [[int(x) for x in row] for row in A.entries])
-        big = ExactMatrix(
-            ZZ,
-            [
-                [Aint.entries[i][j] for j in range(a)]
-                + [n if k == i else 0 for k in range(A.rows)]
-                for i in range(A.rows)
-            ],
-        )
-        L = [v[:a] for v in kernel_basis(big)]
-        # L generates the projection lattice; extract an honest basis via SNF:
-        # Lmat = U^{-1} D V^{-1}, so the column lattice is spanned by the
-        # columns of U^{-1} scaled by the nonzero diagonal entries of D.
-        Lmat = ExactMatrix(ZZ, [[L[j][i] for j in range(len(L))] for i in range(a)], a, len(L))
-        U, D, _ = smith_normal_form(Lmat)
-        Uinv = solve_columns(U, ExactMatrix.identity(ZZ, a))
-        diag = _diag(D)
-        basis_cols = []
-        for j, dj in enumerate(diag):
-            if dj != 0:
-                basis_cols.append([Uinv.entries[i][j] * dj for i in range(a)])
-        Bcols = [[int(x) for x in [B.entries[i][j] for i in range(B.rows)]] for j in range(B.cols)]
-        targets = Bcols + [[n if i == k else 0 for i in range(a)] for k in range(a)]
-        Bas = ExactMatrix(ZZ, [[basis_cols[j][i] for j in range(len(basis_cols))] for i in range(a)], a, len(basis_cols))
-        X = solve_columns(Bas, ExactMatrix(ZZ, [[t[i] for t in targets] for i in range(a)], a, len(targets)))
-        if X is None:
-            raise AssertionError("image not contained in kernel lattice")
-        inv = cokernel_invariants(X)
-        return _zmod_invariants(R, inv.torsion_factors)
-    # PID / field case
-    N = kernel_basis(A)  # basis of ker(A), saturated
-    if not N:
-        return ModuleInvariants(R, 0, ())
-    a = A.cols
-    Nmat = ExactMatrix(R, [[N[j][i] for j in range(len(N))] for i in range(a)], a, len(N))
-    X = solve_columns(Nmat, B)
-    if X is None:
-        raise AssertionError("complex not exactly composable: im(B) not in ker(A)")
-    return cokernel_invariants(X)
-
-
 # ---------------------------------------------------------------------------
 # Submodules of R^dim
 # ---------------------------------------------------------------------------
@@ -1629,6 +1526,16 @@ class Lattice:
         return len(self.rows)
 
 
+def _coordinates(lattice: Lattice, vectors) -> ExactMatrix:
+    """The coordinates in lattice.basis() of the vectors and, over Z/n, of
+    lattice.lift_kernel, one column each, over lattice.base."""
+    coords = [lattice.coords(v) for v in [*vectors, *lattice.lift_kernel]]
+    if any(c is None for c in coords):
+        raise AssertionError("vectors must lie in the lattice")
+    r = lattice.rank
+    return ExactMatrix(lattice.base, [[c[i] for c in coords] for i in range(r)], r, len(coords))
+
+
 def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
     """Vectors whose classes generate span(vectors) / span(sub_vectors), for
     sub_vectors inside span(vectors): minimally over fields and PIDs, a
@@ -1637,7 +1544,8 @@ def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
     Over a field these are the vectors that grow the span, kept in order.
     Otherwise the sub-lattice is written in an echelon basis of
     span(vectors), and the non-unit invariant factors of its Smith form are
-    lifted back through U^-1 and that basis."""
+    lifted back through U^-1 and that basis.  U is invertible, so the Smith
+    form of U is P U Q = I and U^-1 = Q P."""
     sub = Lattice(ring, dim, sub_vectors)
     if ring.is_field:
         return [v for v in vectors if sub.insert(v)]
@@ -1645,17 +1553,15 @@ def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
         return []
     whole = Lattice(ring, dim, vectors)
     R, basis = whole.base, whole.basis()
-    r = len(basis)
-    coords = [whole.coords(v) for v in [*sub_vectors, *whole.lift_kernel]]
-    if any(c is None for c in coords):
-        raise AssertionError("sub_vectors must lie in the span of vectors")
-    if not coords:
+    X = _coordinates(whole, sub_vectors)
+    if not X.cols:
         return basis
-    X = ExactMatrix(R, [[c[i] for c in coords] for i in range(r)], r, len(coords))
     U, D, _ = smith_normal_form(X)
-    Uinv = solve_columns(U, ExactMatrix.identity(R, r))
+    P, _, Q = smith_normal_form(U)
+    Uinv = Q.matmul(P)
     diag = _diag(D)
     out = []
+    r = len(basis)
     for i in range(r):
         if i < len(diag) and R.is_unit(diag[i]):
             continue
@@ -1669,3 +1575,21 @@ def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
         if any(not ring.is_zero(x) for x in vec):
             out.append(vec)
     return out
+
+
+def homology_invariants(A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
+    """Invariants of ker(A)/im(B) for a complex C2 --B--> C1 --A--> C0.
+
+    Requires A.cols == B.rows and A*B = 0.  The columns of B are written in
+    a basis of the kernel lattice, whose cokernel is the homology.  Over Z/n
+    that lattice is the preimage of ker(A) in Z^a, so the homology is
+    computed as an abelian group whose factors all divide n."""
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch in homology")
+    R = A.ring
+    kernel = Lattice(R, A.cols, kernel_basis(A))
+    columns = [[row[j] for row in B.entries] for j in range(B.cols)]
+    inv = cokernel_invariants(_coordinates(kernel, columns))
+    if kernel.base is not R:
+        return _zmod_invariants(R, inv.torsion_factors)
+    return inv

@@ -94,8 +94,7 @@ class BoundReport:
 
 
 def _torsion_factors_of_quotient(ring: Ring, gens):
-    inv = ideal_invariants(ring, gens)
-    return [t for t in inv.torsion_factors if not ring.is_zero(t)]
+    return list(ideal_invariants(ring, gens).torsion_factors)
 
 
 def torsion_bound_N(spec: IdealSpec, limit: int | None = None) -> int:

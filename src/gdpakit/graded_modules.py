@@ -461,7 +461,7 @@ def rational_fit(H: HilbertSeries, max_period: int = 12) -> HilbertSeries:
         preperiod = dict(fit["preperiod"])
         for d in range(dmin, H.horizon + 1):
             expect = preperiod.get(d, zero) if d < s else block[(d - s) % h]
-            if not expect.eq(H.piece(d)):
+            if expect != H.piece(d):
                 fit = None
                 break
     H.fit = fit
@@ -502,7 +502,7 @@ def fit_matches_principal_special(H: HilbertSeries, ideal_gens, h: int) -> bool:
     block = H.fit["block"]
     if H.fit["block_start"] % h != 0:
         return False
-    if not block[0].eq(target):
+    if block[0] != target:
         return False
     return all(block[j].is_zero for j in range(1, h))
 
@@ -551,23 +551,11 @@ def free_resolution(M: PresentedModule, steps: int, degree_bound: int):
     return maps
 
 
-def _slice_homology(R: Ring, A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
-    if A.cols == 0:
-        return ModuleInvariants(R, 0, ())
-    if A.rows == 0:
-        A = ExactMatrix.zero(R, 1, A.cols)
-    if B.cols == 0:
-        B = ExactMatrix.zero(R, A.cols, 1)
-    return homology_invariants(A, B)
-
-
 def tor(M: PresentedModule, max_i: int, degree_bound: int) -> TorTable:
     """Tor_i(M, k)_d for 0 <= i <= max_i, d <= degree_bound, computed as the
     homology of (free resolution) tensor k: only the scalar components of the
     differentials survive, degree by degree."""
-    R = M.context.ring
     maps = free_resolution(M, max_i + 1, degree_bound)
-    frees = [M.generators] + [m.source for m in maps]
     entries = {}
     for d in range(M.min_degree(), degree_bound + 1):
         bars = [m.constant_slice(d) for m in maps]
@@ -576,9 +564,7 @@ def tor(M: PresentedModule, max_i: int, degree_bound: int) -> TorTable:
         if not inv0.is_zero:
             entries[(0, d)] = inv0
         for i in range(1, max_i + 1):
-            A = bars[i - 1]
-            B = bars[i]
-            inv = _slice_homology(R, A, B)
+            inv = homology_invariants(bars[i - 1], bars[i])
             if not inv.is_zero:
                 entries[(i, d)] = inv
     return TorTable(entries, max_i, degree_bound)
@@ -841,7 +827,7 @@ def truncate_at_least(M: PresentedModule, n: int, horizon: int | None = None) ->
     rels = syzygy_generators(to_M, horizon, target_relations=M.relations)
     out = PresentedModule(F, rels.as_map())
     for d in range(n, horizon + 1):
-        if not out.piece_invariants(d).eq(M.piece_invariants(d)):
+        if out.piece_invariants(d) != M.piece_invariants(d):
             raise AssertionError(f"truncation pieces disagree at degree {d}")
     return out
 

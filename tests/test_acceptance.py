@@ -181,7 +181,7 @@ def test_06_tor1_closed_form(ring):
         if want.is_zero:
             assert got is None, n
         else:
-            assert got is not None and got.eq(want), n
+            assert got is not None and got == want, n
 
 
 def test_06_induced_module_tor_vanishing():

@@ -604,6 +604,89 @@ def test_invariants_normalization_and_sum():
     assert z3.plus_class() == {3: 3}
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_homology_zmod_without_rows_or_columns_matches_padding(n):
+    # a zero row of A or a zero column of B changes neither ker(A) nor
+    # im(B), so the complex keeps the homology of its padded form
+    R = Zmod(n)
+    B = ExactMatrix(R, [[2], [3]])
+    padded = homology_invariants(ExactMatrix.zero(R, 1, 2), B)
+    assert padded == ModuleInvariants(R, 1, ())  # (Z/n)^2 / <(2, 3)> = Z/n
+    assert homology_invariants(ExactMatrix.zero(R, 0, 2), B) == padded
+    A = ExactMatrix(R, [[2, 0]])
+    padded = homology_invariants(A, ExactMatrix.zero(R, 2, 1))
+    assert padded == ModuleInvariants(R, 1, (2,))  # ker(A) = Z/2 + Z/n
+    assert homology_invariants(A, ExactMatrix.zero(R, 2, 0)) == padded
+    padded = homology_invariants(ExactMatrix.zero(R, 1, 2), ExactMatrix.zero(R, 2, 1))
+    assert homology_invariants(ExactMatrix.zero(R, 0, 2), ExactMatrix.zero(R, 2, 0)) == padded
+
+
+def test_zmod_direct_sum_keeps_the_free_summand_of_coprime_factors():
+    # Z/6/(2) + Z/6/(3) = Z/3 + Z/2 = Z/6
+    R = Zmod(6)
+    s = ModuleInvariants(R, 0, (2,)).direct_sum(ModuleInvariants(R, 0, (3,)))
+    assert s == ModuleInvariants(R, 1, ())
+    assert invariants_from_factors(Zmod(12), 0, [4, 3, 2]) == ModuleInvariants(Zmod(12), 1, (2,))
+
+
+# ---------------------------------------------------------------------------
+# homology over Z/n and GF(p), against brute-force enumeration of (Z/n)^a
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _zmod_complexes(draw):
+    """n, a, the rows of A : (Z/n)^a -> (Z/n)^rows, ker(A) found by
+    enumerating (Z/n)^a, and columns of B drawn from ker(A)."""
+    n = draw(st.sampled_from([4, 6, 12, 2, 3, 5]))
+    a = draw(st.integers(0, 3))
+    row = st.lists(st.integers(0, n - 1), min_size=a, max_size=a)
+    A = draw(st.lists(row, max_size=3))
+    kernel = [
+        v for v in product(range(n), repeat=a)
+        if all(sum(x * y for x, y in zip(r, v)) % n == 0 for r in A)
+    ]
+    B = draw(st.lists(st.sampled_from(kernel), max_size=3))
+    return n, a, A, kernel, B
+
+
+def _subgroup(n, a, gens):
+    """The subgroup of (Z/n)^a that gens generate, by closure under adding
+    a generator."""
+    span = {(0,) * a}
+    frontier = list(span)
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple((x + y) % n for x, y in zip(v, g))
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    return span
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zmod_complexes())
+def test_homology_zmod_matches_enumeration(case):
+    # a finite abelian group H is determined by #{h : k h = 0} for k | n;
+    # for H = (Z/n)^f + sum Z/t that count is the product of gcd(k, n) over
+    # the free summands and gcd(k, t) over the others
+    n, a, A, kernel, B = case
+    R = Zmod(n)
+    H = homology_invariants(
+        ExactMatrix(R, A, len(A), a),
+        ExactMatrix(R, [[c[i] for c in B] for i in range(a)], a, len(B)),
+    )
+    image = _subgroup(n, a, B)
+    summands = [n] * H.free_rank + list(H.torsion_factors)
+    for k in (k for k in range(1, n + 1) if n % k == 0):
+        killed = sum(tuple(k * x % n for x in v) in image for v in kernel)
+        assert killed % len(image) == 0
+        assert math.prod(math.gcd(k, t) for t in summands) == killed // len(image), (k, H)
+    if R.is_field:
+        assert H == ModuleInvariants(R, a - _gf_rank(n, A) - _gf_rank(n, B), ())
+
+
 # ---------------------------------------------------------------------------
 # Lattice and quotient_generators, against SNF solving and sympy ranks
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class TestGradedPieces:
     def test_free_module_pieces(self):
         M = PresentedModule.free(ctx_classical(ZZ), [0])
         for d in range(0, 10):
-            assert M.piece_invariants(d).eq(ModuleInvariants(ZZ, 1, ()))
+            assert M.piece_invariants(d) == ModuleInvariants(ZZ, 1, ())
         assert M.piece_invariants(-1).is_zero
 
     def test_zero_module(self):
@@ -87,7 +87,7 @@ class TestGradedPieces:
         for d in range(0, 4 * h + 1):
             inv = M.piece_invariants(d)
             if d % h == 0:
-                assert inv.eq(target), d
+                assert inv == target, d
             else:
                 assert inv.is_zero, d
 
@@ -110,7 +110,7 @@ class TestGradedPieces:
         M = principal_special_module(ctx, [0], 3)
         M2 = PresentedModule.from_json(ctx, M.to_json())
         for d in range(10):
-            assert M.piece_invariants(d).eq(M2.piece_invariants(d))
+            assert M.piece_invariants(d) == M2.piece_invariants(d)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ class TestHilbert:
         H = rational_fit(hilbert_series(M, 20))
         assert H.fit["period"] == 1
         assert H.fit["preperiod"] == []
-        assert H.fit["block"][0].eq(ModuleInvariants(ZZ, 1, ()))
+        assert H.fit["block"][0] == ModuleInvariants(ZZ, 1, ())
 
     @pytest.mark.parametrize("h,gens", [(1, [2]), (2, [2]), (3, [3]), (4, [2]), (8, [2])])
     def test_principal_special_fit(self, h, gens):
@@ -290,7 +290,7 @@ class TestTor:
         for d in range(1, bound + 1):
             inv = t.entry(1, d, ring)
             if d in expected:
-                assert inv.eq(expected[d]), d
+                assert inv == expected[d], d
             else:
                 assert inv.is_zero, d
 
@@ -299,9 +299,9 @@ class TestTor:
         bound = 12
         M = trivial_module(ctx, bound)
         t = tor(M, 1, bound)
-        assert t.entry(1, 1, ZZ).eq(ModuleInvariants(ZZ, 1, ()))
-        assert t.entry(1, 4, ZZ).eq(ModuleInvariants(ZZ, 0, (2,)))
-        assert t.entry(1, 9, ZZ).eq(ModuleInvariants(ZZ, 0, (3,)))
+        assert t.entry(1, 1, ZZ) == ModuleInvariants(ZZ, 1, ())
+        assert t.entry(1, 4, ZZ) == ModuleInvariants(ZZ, 0, (2,))
+        assert t.entry(1, 9, ZZ) == ModuleInvariants(ZZ, 0, (3,))
         assert t.entry(1, 6, ZZ).is_zero
         assert t.entry(1, 12, ZZ).is_zero
 
@@ -322,9 +322,9 @@ class TestTor:
         t = tor(M, 1, bound)
         R = Zmod(4)
         # degree 1: Z/4 (pi_1 = 0); degree 2,4,8: Z/2; odd prime powers: 0
-        assert t.entry(1, 1, R).eq(ModuleInvariants(R, 1, ()))
+        assert t.entry(1, 1, R) == ModuleInvariants(R, 1, ())
         for d in (2, 4, 8):
-            assert t.entry(1, d, R).eq(ModuleInvariants(R, 0, (2,))), d
+            assert t.entry(1, d, R) == ModuleInvariants(R, 0, (2,)), d
         for d in (3, 5, 6, 7, 9, 10):
             assert t.entry(1, d, R).is_zero, d
 
@@ -618,7 +618,7 @@ class TestTruncate:
         M = principal_special_module(ctx, [0], 2)
         T = truncate_at_least(M, 0, horizon=12)
         for d in range(0, 13):
-            assert T.piece_invariants(d).eq(M.piece_invariants(d))
+            assert T.piece_invariants(d) == M.piece_invariants(d)
 
     def test_at_most_zero_of_D_is_k(self):
         for ctx in (ctx_all_ones(QQ), ctx_classical(ZZ)):
@@ -646,4 +646,4 @@ class TestTruncate:
             if v == 0:
                 assert inv.is_zero, d
             else:
-                assert inv.eq(ModuleInvariants(ring, 0, (Fraction(p**v),))), d
+                assert inv == ModuleInvariants(ring, 0, (Fraction(p**v),)), d

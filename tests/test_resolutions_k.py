@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gdpakit.coeff_rings import GF, QQ, ZZ, Lattice, PreconditionError, Zloc
+from gdpakit.coeff_rings import GF, QQ, ZZ, Lattice, ModuleInvariants, PreconditionError, Zloc, Zmod
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.graded_modules import (
     FreeGradedModule,
@@ -45,6 +45,11 @@ class TestSpecialBlocks:
         assert not ideal_contains(ZZ, [ZZ.from_int(4)], ZZ.from_int(2))
         assert ideal_contains(ZZ, [], ZZ.zero())
         assert not ideal_contains(ZZ, [], ZZ.from_int(3))
+
+    def test_expected_piece_over_zmod_keeps_coprime_blocks_free(self):
+        # Z/6/(2) + Z/6/(3) = Z/6
+        cert = SpecialFiltrationCertificate([SpecialBlock([2], 1), SpecialBlock([3], 1)])
+        assert cert.expected_piece(Zmod(6), 0) == ModuleInvariants(Zmod(6), 1, ())
 
     def test_make_special_requires_pi_h_in_ideal(self):
         ctx = classical_ctx(ZZ)
