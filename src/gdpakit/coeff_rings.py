@@ -878,6 +878,13 @@ class ExactMatrix:
         return m
 
     @classmethod
+    def from_columns(cls, ring: Ring, columns, rows: int) -> "ExactMatrix":
+        """The rows x len(columns) matrix with these columns of canonical
+        ring elements, as is."""
+        entries = [list(r) for r in zip(*columns)] if columns else [[] for _ in range(rows)]
+        return cls._from_canonical(ring, entries, rows, len(columns))
+
+    @classmethod
     def zero(cls, ring: Ring, rows: int, cols: int) -> "ExactMatrix":
         z = ring.zero()
         return cls._from_canonical(ring, [[z] * cols for _ in range(rows)], rows, cols)
@@ -1532,8 +1539,7 @@ def _coordinates(lattice: Lattice, vectors) -> ExactMatrix:
     coords = [lattice.coords(v) for v in [*vectors, *lattice.lift_kernel]]
     if any(c is None for c in coords):
         raise AssertionError("vectors must lie in the lattice")
-    r = lattice.rank
-    return ExactMatrix(lattice.base, [[c[i] for c in coords] for i in range(r)], r, len(coords))
+    return ExactMatrix.from_columns(lattice.base, coords, lattice.rank)
 
 
 def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:

@@ -9,10 +9,13 @@ import random
 from dataclasses import dataclass
 
 from .coeff_rings import (
+    QQ,
+    ZZ,
     ExactMatrix,
     IntegersModRing,
     PreconditionError,
     Ring,
+    Zloc,
     _factor_torsion,
     kernel_basis,
     quotient_generators,
@@ -20,6 +23,7 @@ from .coeff_rings import (
 from .gdpa import AlgebraContext
 from .graded_modules import (
     FreeGradedModule,
+    ModuleMap,
     SubmoduleGenerators,
     syzygy_generators,
 )
@@ -93,10 +97,6 @@ class BoundReport:
         }
 
 
-def _torsion_factors_of_quotient(ring: Ring, gens):
-    return list(ideal_invariants(ring, gens).torsion_factors)
-
-
 def torsion_bound_N(spec: IdealSpec, limit: int | None = None) -> int:
     """Smallest N such that a^[h](N) annihilates the torsion of k/a_i for all
     1 <= h <= 2d and 0 <= i <= 3d (the chain extended constantly by a_d).
@@ -109,7 +109,7 @@ def torsion_bound_N(spec: IdealSpec, limit: int | None = None) -> int:
         return 1
     factors = []
     for i in range(3 * spec.d + 1):
-        factors += _torsion_factors_of_quotient(R, spec.ideal_at(i))
+        factors += ideal_invariants(R, spec.ideal_at(i)).torsion_factors
     if not factors:
         return 1
     # exponent as an integer: lcm of the prime-power contents of the factors
@@ -152,8 +152,6 @@ def materialize_ideal(spec: IdealSpec, horizon: int) -> SubmoduleGenerators:
                 cols.append((n, {0: ctx.x(n, coeff=g)}))
     if not cols:
         return SubmoduleGenerators(ambient, [], horizon)
-    from .graded_modules import ModuleMap
-
     gmap = ModuleMap(
         FreeGradedModule(ctx, [n for n, _ in cols]), ambient, [c for _, c in cols]
     )
@@ -205,8 +203,6 @@ def run_random_bound_checks(
     seed: int, count: int, max_d: int = 4, ring: Ring | None = None
 ):
     """A batch of randomized t1_bound_check runs (classical pi over Z)."""
-    from .coeff_rings import ZZ
-
     ring = ring or ZZ
     ctx = AlgebraContext(PiSequence.classical(ring))
     rng = random.Random(seed)
@@ -232,7 +228,7 @@ def a2_condition_check(ring: Ring, ideal_generators, h: int, limit: int = 256) -
     tpi = pi if h == 1 else h_transform(pi, h)
     if ring.is_field or isinstance(ring, IntegersModRing):
         return {"verdict": "bounded", "n": 1, "reason": "quotient is torsion-free mod T(k)"}
-    factors = _torsion_factors_of_quotient(ring, gens)
+    factors = ideal_invariants(ring, gens).torsion_factors
     if not factors:
         return {"verdict": "bounded", "n": 1, "reason": "no torsion"}
     for n in range(1, limit + 1):
@@ -371,8 +367,6 @@ def bivariate_counterexample(p: int, r: int) -> dict:
     """The relation (y^[p^r - 1] x^[p^r]) y^[1] - (y^[p^r] x^[p^r - 1]) x^[1]
     vanishes exactly over Z_(p), and the bidegree-(p^r, p^r) syzygy of
     (y^[1], x^[1]) is not generated by syzygies of lower bidegree."""
-    from .coeff_rings import Zloc
-
     m = p**r
     if m > 16:
         raise PreconditionError("declared scope: p^r <= 16")
@@ -406,8 +400,6 @@ def bivariate_counterexample(p: int, r: int) -> dict:
 def koszul_sanity(box: int = 6) -> dict:
     """Over Q with all-ones pi (the bivariate polynomial ring), the syzygy
     module of (y, x) is generated by the single Koszul relation at (1, 1)."""
-    from .coeff_rings import QQ
-
     ctx = AlgebraContext(PiSequence.all_ones(QQ))
     gens = bivariate_xy_syzygy_generators(ctx, box)
     return {

@@ -63,6 +63,27 @@ class FreeGradedModule:
     def shifted(self, by: int) -> "FreeGradedModule":
         return FreeGradedModule(self.context, [g + by for g in self.degrees])
 
+    def images(self, generators, d: int):
+        """For each (degree e, column) in generators with e <= d, the
+        coordinate vector of x^[d - e] * column on the degree-d basis: an
+        entry coeff * x^[t] of the column at generator i gives
+        coeff * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1)."""
+        ctx = self.context
+        R = ctx.ring
+        col_of = {i: c for c, (i, _) in enumerate(self.basis(d))}
+        out = []
+        for e, col in generators:
+            if e > d:
+                continue
+            vec = [R.zero()] * len(col_of)
+            for i, elem in col.items():
+                t = e - self.degrees[i]
+                coeff = R.mul(elem.coeff(t), ctx.C(d - self.degrees[i], t))
+                if not R.is_zero(coeff):
+                    vec[col_of[i]] = coeff
+            out.append(vec)
+        return out
+
 
 class ModuleMap:
     """A homogeneous map of free graded modules, one GdpaElement column per
@@ -99,26 +120,17 @@ class ModuleMap:
     def zero(cls, source: FreeGradedModule, target: FreeGradedModule) -> "ModuleMap":
         return cls(source, target, [{} for _ in range(source.n_gens)])
 
-    def slice(self, d: int) -> ExactMatrix:
-        """The degree-d piece as a matrix over the coefficient ring.
+    def slice_columns(self, d: int) -> list:
+        """The columns of slice(d): the images of the source basis at degree
+        d, x^[d - e_j] e_j mapping to x^[d - e_j] * column j."""
+        return self.target.images(zip(self.source.degrees, self.columns), d)
 
-        Rows are the target basis at degree d, columns the source basis.
-        The basis vector x^[s] e_j maps to sum_i coeff * C(d - g_i, t) times
-        x^[d - g_i] e_i, where the (i, j) entry is coeff * x^[t].
-        """
-        ctx = self.context
-        R = ctx.ring
-        tbasis = self.target.basis(d)
-        sbasis = self.source.basis(d)
-        row_of = {i: r for r, (i, _) in enumerate(tbasis)}
-        m = ExactMatrix.zero(R, len(tbasis), len(sbasis))
-        for c, (j, _s) in enumerate(sbasis):
-            for i, e in self.columns[j].items():
-                t = self.source.degrees[j] - self.target.degrees[i]
-                coeff = R.mul(e.coeff(t), ctx.C(d - self.target.degrees[i], t))
-                if not R.is_zero(coeff):
-                    m.entries[row_of[i]][c] = coeff
-        return m
+    def slice(self, d: int) -> ExactMatrix:
+        """The degree-d piece as a matrix over the coefficient ring: rows are
+        the target basis at degree d, columns the source basis."""
+        return ExactMatrix.from_columns(
+            self.context.ring, self.slice_columns(d), self.target.rank(d)
+        )
 
     def constant_slice(self, d: int) -> ExactMatrix:
         """The degree-d piece of the map tensored with k = D/D_+.
@@ -241,7 +253,6 @@ def principal_special_module(context, ideal_gens, h: int, shift: int = 0):
     """M(a, h)[-shift] = (D/aD)^(h), regraded: one generator in degree shift,
     relations a*e for each ideal generator and x^[j] e for 0 < j < h
     (so nonzero pieces sit at shift + multiples of h, each one k/a)."""
-    R = context.ring
     cols = []
     degs = []
     for a in ideal_gens:
@@ -284,22 +295,7 @@ class SubmoduleGenerators:
         """For each generator of degree e <= d, the coordinate vector of
         x^[d-e] * g on the ambient basis at degree d (spans the degree-d
         piece of the generated submodule: D_s has rank 1)."""
-        ctx = self.ambient.context
-        R = ctx.ring
-        basis = self.ambient.basis(d)
-        col_of = {i: c for c, (i, _) in enumerate(basis)}
-        out = []
-        for e, col in self.generators:
-            if e > d:
-                continue
-            vec = [R.zero()] * len(basis)
-            for i, elem in col.items():
-                t = e - self.ambient.degrees[i]
-                coeff = R.mul(elem.coeff(t), ctx.C(d - self.ambient.degrees[i], t))
-                if not R.is_zero(coeff):
-                    vec[col_of[i]] = coeff
-            out.append(vec)
-        return out
+        return self.ambient.images(self.generators, d)
 
 
 def _vector_to_column(ambient: FreeGradedModule, d: int, vec) -> dict:
@@ -317,28 +313,26 @@ def _vector_to_column(ambient: FreeGradedModule, d: int, vec) -> dict:
 def kernel_slice_vectors(f: ModuleMap, d: int, target_relations: ModuleMap | None = None):
     """Generating vectors (source coordinates at degree d) of the kernel of
     the degree-d slice of f, into the target modulo target_relations."""
-    A = f.slice(d)
-    if target_relations is not None and target_relations.source.n_gens:
-        P = target_relations.slice(d)
-        R = f.context.ring
-        stacked = ExactMatrix(
-            R,
-            [A.entries[i] + P.entries[i] for i in range(A.rows)],
-            A.rows,
-            A.cols + P.cols,
-        )
-        vs = kernel_basis(stacked)
-        out = []
-        seen = set()
-        for v in vs:
-            w = v[: A.cols]
-            if any(not R.is_zero(x) for x in w):
-                key = tuple(R.to_str(x) for x in w)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(w)
-        return out
-    return kernel_basis(A)
+    if target_relations is None or not target_relations.source.n_gens:
+        return kernel_basis(f.slice(d))
+    R = f.context.ring
+    n = f.source.rank(d)
+    out = []
+    seen = set()
+    for v in kernel_basis(_side_by_side(f, target_relations, d)):
+        w = v[:n]
+        if any(not R.is_zero(x) for x in w):
+            key = tuple(R.to_str(x) for x in w)
+            if key not in seen:
+                seen.add(key)
+                out.append(w)
+    return out
+
+
+def _side_by_side(f: ModuleMap, g: ModuleMap, d: int) -> ExactMatrix:
+    """[f_d | g_d]: the degree-d slices of two maps into one target."""
+    columns = f.slice_columns(d) + g.slice_columns(d)
+    return ExactMatrix.from_columns(f.context.ring, columns, f.target.rank(d))
 
 
 def syzygy_generators(
@@ -670,12 +664,10 @@ def _relation_rows(M: PresentedModule):
     def rows(e: int):
         out = cache.get(e)
         if out is None:
-            m = M.relations.slice(e)
-            out = m.entries
+            cols = M.relations.slice_columns(e)
             if isinstance(R, PLocalRing):
-                cols = [[row[c] for row in out] for c in range(m.cols)]
                 cols = [primitive_integer_vector(col, R.p) for col in cols]
-                out = [[col[r] for col in cols] for r in range(m.rows)]
+            out = ExactMatrix.from_columns(R, cols, M.generators.rank(e)).entries
             cache[e] = out
         return out
 
@@ -687,7 +679,7 @@ def _margin_lattice(M: PresentedModule, d: int, margin: int, relation_rows=None)
     cut one j at a time from all of F0_d."""
     R = M.context.ring
     dim = M.generators.rank(d)
-    identity = [[R.one() if t == i else R.zero() for t in range(dim)] for i in range(dim)]
+    identity = ExactMatrix.identity(R, dim).entries
     return _refine_lattice(
         M, d, Lattice(R, dim, identity), 1, margin, relation_rows or _relation_rows(M)
     )
@@ -730,10 +722,7 @@ def torsion_submodule(
         dim = M.generators.rank(d)
         if not dim:
             continue
-        pd = M.relations.slice(d)
-        pspan = Lattice(
-            R, dim, [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
-        )
+        pspan = Lattice(R, dim, M.relations.slice_columns(d))
         window = _margin_lattice(M, d, margin, relation_rows)
         if window.equals(pspan):
             continue
@@ -746,12 +735,10 @@ def torsion_submodule(
             shrank = True
             continue
         if half.equals(final):
-            # stable annihilated classes beyond the relation submodule
-            basis2 = final.basis()
-            cmat = ExactMatrix(
-                R, [[v[i] for v in basis2] for i in range(dim)], dim, len(basis2)
-            )
-            stable.append((d, cokernel_invariants(cmat)))
+            # stable annihilated classes beyond the relation submodule (over
+            # Z/n the lattice rows are integer lifts)
+            cols = [[R.canon(x) for x in v] for v in final.basis()]
+            stable.append((d, cokernel_invariants(ExactMatrix.from_columns(R, cols, dim))))
         else:
             shrank = True
     if stable:
@@ -804,7 +791,6 @@ def truncate_at_least(M: PresentedModule, n: int, horizon: int | None = None) ->
     classes in a generation window [n, n + gap] with induced relations found
     degreewise (horizon-limited); pieces verified against M on [n, horizon]."""
     ctx = M.context
-    R = ctx.ring
     if horizon is None:
         horizon = default_horizon(max(n, M.max_presentation_degree()))
     gap = 0
@@ -834,16 +820,7 @@ def truncate_at_least(M: PresentedModule, n: int, horizon: int | None = None) ->
 
 def _generates_range(to_M: ModuleMap, M: PresentedModule, n: int, horizon: int) -> bool:
     """Whether the image of to_M spans M_d (modulo relations) for n <= d <= horizon."""
-    R = M.context.ring
-    for d in range(n, horizon + 1):
-        A = to_M.slice(d)
-        P = M.relations.slice(d)
-        stacked = ExactMatrix(
-            R,
-            [A.entries[i] + P.entries[i] for i in range(A.rows)],
-            A.rows,
-            A.cols + P.cols,
-        )
-        if not cokernel_invariants(stacked).is_zero:
-            return False
-    return True
+    return all(
+        cokernel_invariants(_side_by_side(to_M, M.relations, d)).is_zero
+        for d in range(n, horizon + 1)
+    )

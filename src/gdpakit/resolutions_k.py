@@ -17,8 +17,10 @@ from .coeff_rings import (
     ModuleInvariants,
     PreconditionError,
     Ring,
+    Zloc,
     cokernel_invariants,
     invariants_from_factors,
+    quotient_generators,
 )
 from .gdpa import AlgebraContext
 from .graded_modules import (
@@ -29,8 +31,10 @@ from .graded_modules import (
     _degreewise_generators,
     _periodic_fit,
     principal_special_module,
+    syzygy_generators,
     tor,
 )
+from .pi_core import PiSequence
 
 
 def ideal_contains(ring: Ring, gens, x) -> bool:
@@ -41,11 +45,8 @@ def ideal_contains(ring: Ring, gens, x) -> bool:
 
 
 def ideal_invariants(ring: Ring, gens) -> ModuleInvariants:
-    """Invariants of the cyclic module k/(gens)."""
-    m = ExactMatrix(ring, [[ring.canon(g) for g in gens]], 1, max(1, len(gens)))
-    if not gens:
-        m = ExactMatrix.zero(ring, 1, 1)
-    return cokernel_invariants(m)
+    """Invariants of the cyclic module k/(gens); k itself when gens is empty."""
+    return cokernel_invariants(ExactMatrix(ring, [[ring.canon(g) for g in gens]], 1, len(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,42 +193,22 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     # column of each generator i in it, and the relation vectors.  x^[j]
     # sends x^[s] e_i at degree d - j to C(s + j, j) x^[s + j] e_i, which is
     # the column of generator i at degree d; each generator has one basis
-    # element per degree, so no two products land in the same column.
+    # element per degree, so no two products land in the same column.  The
+    # products are formed here rather than by a slice of x^[j], so that
+    # C(s + j, j) is evaluated only at the nonzero entries of the vectors
+    # multiplied, and not at all once the span is full.
     basis = {d: F0.basis(d) for d in degrees}
     col_of = {d: {i: c for c, (i, _) in enumerate(basis[d])} for d in degrees}
-    rel_vectors = {}
-    for d in degrees:
-        pd = M.relations.slice(d)
-        rel_vectors[d] = [[pd.entries[i][j] for i in range(pd.rows)] for j in range(pd.cols)]
-    rel_dims = {}
-    # F_t(d): spanning vectors (including the relation image) per degree
-    spans: list[dict] = []
-    vectors: list[dict] = []
-
-    def fresh_spans():
-        out = {}
-        for d in degrees:
-            out[d] = Lattice(R, len(basis[d]), rel_vectors[d])
-            rel_dims[d] = out[d].rank
-        return out
-
-    # F_0 = M: everything
-    s0 = fresh_spans()
-    v0 = {}
-    for d in degrees:
-        dim = len(basis[d])
-        vecs = []
-        for i in range(dim):
-            e = [R.zero()] * dim
-            e[i] = R.one()
-            if s0[d].insert(e):
-                vecs.append(e)
-        v0[d] = vecs
-    spans.append(s0)
-    vectors.append(v0)
-
-    def mdim(t, d):
-        return spans[t][d].rank - rel_dims[d]
+    rel_vectors = {d: M.relations.slice_columns(d) for d in degrees}
+    # vectors[t][d]: the vectors that grow span(rel_vectors[d]) to F_t(d);
+    # over a field each adds one to the rank, so dim F_t(d) in M is their
+    # number.  F_0 = M: everything
+    vectors = [{
+        d: quotient_generators(
+            R, len(basis[d]), ExactMatrix.identity(R, len(basis[d])).entries, rel_vectors[d]
+        )
+        for d in degrees
+    }]
 
     # F_t = (ideal generated by x^[j], h does not divide j) * F_{t-1},
     # closed under the D^(h)-action:
@@ -236,14 +217,14 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     # stops there: later products would all be rejected and vt[d] is the
     # same as without the stop.
     t = 0
-    while any(mdim(t, d) > 0 for d in degrees):
+    while any(vectors[t].values()):
         t += 1
         if t > horizon + 1:
             raise AssertionError("adic filtration failed to terminate")
-        st = fresh_spans()
         vt = {d: [] for d in degrees}
         for d in degrees:
-            span, dim, tgt_col = st[d], len(basis[d]), col_of[d]
+            dim, tgt_col = len(basis[d]), col_of[d]
+            span = Lattice(R, dim, rel_vectors[d])
             for j in range(1, d - dmin + 1):
                 if span.rank == dim:
                     break
@@ -262,7 +243,6 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
                             w[tgt_col[i]] = R.mul(v, ctx.C(s + j, j))
                     if span.insert(w):
                         vt[d].append(w)
-        spans.append(st)
         vectors.append(vt)
     T = t  # F_T = 0 in M on the whole horizon
 
@@ -271,7 +251,7 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     for t in range(T):
         l = {}
         for d in range(dmin, horizon + 1):
-            layer = mdim(t, d) - mdim(t + 1, d) if t + 1 <= T else mdim(t, d)
+            layer = len(vectors[t][d]) - len(vectors[t + 1][d])
             acc = layer - sum(l.get(d - q * h, 0) for q in range(1, (d - dmin) // h + 1))
             if acc < 0:
                 raise AssertionError(f"negative layer multiplicity at (t={t}, d={d})")
@@ -295,20 +275,13 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
 
 def minimal_image_generators(g: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
     """Minimal generators of the image submodule of g, degree by degree."""
-    # the image at degree d is spanned by the single shifts of the columns
-    cols = SubmoduleGenerators(
-        g.target,
-        [(g.source.degrees[j], g.columns[j]) for j in range(g.source.n_gens)],
-        degree_bound,
-    )
-    return _degreewise_generators(g.target, degree_bound, cols.generator_slice_vectors)
+    # the image at degree d is spanned by the columns of the slice
+    return _degreewise_generators(g.target, degree_bound, g.slice_columns)
 
 
 def _special_resolve_free_kernel(M: PresentedModule, horizon: int) -> SpecialResolution:
     ctx = M.context
     R = ctx.ring
-    from .graded_modules import syzygy_generators
-
     if M.n_relations == 0:
         cert = SpecialFiltrationCertificate(
             [SpecialBlock([R.zero()], 1, shift=g) for g in M.generators.degrees]
@@ -363,8 +336,6 @@ def sp1_hand_filtration(context: AlgebraContext, s: int) -> tuple:
     f0 = FreeGradedModule(context, degs)
     # present the ideal as a module: generators x^[j], syzygies among them
     gmap = ModuleMap(f0, FreeGradedModule(context, [0]), cols)
-    from .graded_modules import syzygy_generators
-
     horizon = 4 * s
     syz = syzygy_generators(gmap, horizon)
     I = PresentedModule(f0, syz.as_map())
@@ -516,9 +487,6 @@ def l_invariant(M: PresentedModule, horizon: int, max_i: int | None = None) -> L
 def ktors_demo(p: int, h: int, horizon: int | None = None) -> dict:
     """The torsion-class phenomenon over Z_(p), classical pi: the H-class of
     D/pD is 0 in K(Z_(p)) = Z, while L_{M((p), h)} = [F_p]_+/(1 - t^h) != 0."""
-    from .coeff_rings import Zloc
-    from .pi_core import PiSequence
-
     hh = h
     while hh % p == 0:
         hh //= p

@@ -367,6 +367,24 @@ class TestHarnessCommands:
         data = json.loads(res.output)
         assert data["verdict"] == "bounded" and data["n"] == 6
 
+    def test_a2_check_zero_ideal_without_generators(self, runner):
+        # k/(no generators) = k, as k/(0)
+        outs = [invoke(runner, ["a2-check", "--ideal", ideal, "--out", "json"])
+                for ideal in ("[]", "[0]")]
+        assert [r.exit_code for r in outs] == [0, 0]
+        assert json.loads(outs[0].output) == json.loads(outs[1].output)
+
+    def test_bound_check_spec_with_empty_generator_list(self, runner):
+        reports = []
+        for a0 in ("[]", "[0]"):
+            spec = f'{{"chain": [{a0}, [1]], "d": 1}}'
+            res = invoke(runner, ["bound-check", "--spec", spec, "--out", "json"])
+            assert res.exit_code == 0
+            data = json.loads(res.output)
+            assert data["all_pass"]
+            reports.append({k: v for k, v in data["reports"][0].items() if k != "spec"})
+        assert reports[0] == reports[1]
+
     def test_counterexample(self, runner):
         res = invoke(runner, ["counterexample", "--p", "2", "--r", "1",
                               "--out", "json"])

@@ -608,6 +608,58 @@ def test_minimal_image_generators_match_image_slices(M):
 
 
 # ---------------------------------------------------------------------------
+# slices against multiplication in the algebra, and Tor against the Hilbert
+# series (Euler characteristic)
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_modules(), st.integers(0, 6))
+def test_slice_entries_match_algebra_multiplication(M, offset):
+    # the basis vector x^[s] e_j maps to x^[s] * (column j), whose part at
+    # generator i is x^[s] * entry (i, j) in degree d - g_i
+    f = M.relations
+    ctx = f.context
+    R = ctx.ring
+    d = M.min_degree() + offset
+    A = f.slice(d)
+    rows, cols = f.target.basis(d), f.source.basis(d)
+    assert (A.rows, A.cols) == (len(rows), len(cols))
+    for c, (j, s) in enumerate(cols):
+        for r, (i, shift) in enumerate(rows):
+            entry = f.columns[j].get(i)
+            want = R.zero() if entry is None else ctx.x(s).mul(entry).coeff(shift)
+            assert R.eq(A.entries[r][c], want)
+    assert f.slice_columns(d) == _columns(A)
+    gens = SubmoduleGenerators(f.target, list(zip(f.source.degrees, f.columns)), d)
+    assert gens.generator_slice_vectors(d) == _columns(A)
+
+
+EULER_CONTEXTS = [
+    AlgebraContext(family(R))
+    for R in (GF(2), GF(3), QQ)
+    for family in (PiSequence.classical, PiSequence.all_ones)
+]
+
+
+@settings(max_examples=90, deadline=None)
+@given(small_modules(EULER_CONTEXTS))
+def test_tor_euler_characteristic_matches_hilbert_series(M):
+    # over a field, (1 - t) H_M(t) = sum_i (-1)^i sum_d dim Tor_i(M, k)_d t^d:
+    # a free resolution's F_i has one generator of degree d per dimension of
+    # (F_i tensor k)_d, and H_{D(-d)} = t^d / (1 - t).  The generators of a
+    # minimal F_i have degree >= min_degree + i, so i <= horizon - min_degree
+    # covers every index that can be nonzero.
+    horizon = 10
+    dmin = M.min_degree()
+    H = hilbert_series(M, horizon)
+    table = tor(M, horizon - dmin + 1, horizon)
+    for d in range(dmin, horizon + 1):
+        euler = sum((-1) ** i * inv.free_rank for (i, e), inv in table.entries.items() if e == d)
+        assert euler == H.piece(d).free_rank - H.piece(d - 1).free_rank
+
+
+# ---------------------------------------------------------------------------
 # truncation
 # ---------------------------------------------------------------------------
 

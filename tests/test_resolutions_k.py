@@ -21,6 +21,7 @@ from gdpakit.resolutions_k import (
     check_mah_relation,
     h_invariant,
     ideal_contains,
+    ideal_invariants,
     ktors_demo,
     l_invariant,
     make_special,
@@ -45,6 +46,13 @@ class TestSpecialBlocks:
         assert not ideal_contains(ZZ, [ZZ.from_int(4)], ZZ.from_int(2))
         assert ideal_contains(ZZ, [], ZZ.zero())
         assert not ideal_contains(ZZ, [], ZZ.from_int(3))
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), Zmod(6), Zloc(2)], ids=lambda R: R.describe())
+    def test_ideal_without_generators_is_the_zero_ideal(self, ring):
+        # k/(no generators) = k/(0) = k^1
+        assert ideal_invariants(ring, []) == ideal_invariants(ring, [0])
+        assert ideal_invariants(ring, []) == ModuleInvariants(ring, 1, ())
+        assert SpecialBlock([], 2).piece_factors(ring, 4) == (1, [])
 
     def test_expected_piece_over_zmod_keeps_coprime_blocks_free(self):
         # Z/6/(2) + Z/6/(3) = Z/6
