@@ -70,6 +70,14 @@ def _parse(what: str, build):
         _fail(f"malformed {what}: {type(e).__name__}: {e}")
 
 
+def _int_list(obj) -> list:
+    """obj itself if it is a JSON list of integers; a ValueError otherwise
+    (no coercion of objects, floats, booleans or strings)."""
+    if not (isinstance(obj, list) and all(type(x) is int for x in obj)):
+        raise ValueError(f"expected a list of integers, got {json.dumps(obj)}")
+    return obj
+
+
 def load_json(arg: str):
     """Inline JSON, @path, or '-' for stdin."""
     try:
@@ -121,7 +129,7 @@ def build_pi(family: str, ring: Ring, values: str | None, default: str | None,
     if fam == "gcd_morphic":
         if values is None:
             _fail("gcd-morphic requires --values (JSON list a(1), a(2), ...)")
-        seq = [int(x) for x in load_json(values)]
+        seq = _parse("--values", lambda: _int_list(load_json(values)))
         return pi_from_gcd_morphic(lambda n: seq[n - 1], up_to=len(seq))
     if fam == "custom":
         if values is None:
@@ -213,8 +221,11 @@ def cbinom(ring, family, values, default_, q0, n, m, out):
 @out_option
 def pi_derive(values, up_to, out):
     """Derive pi from a GCD-morphic sequence by Mobius inversion."""
-    seq = [int(x) for x in load_json(values)]
-    bound = up_to or len(seq)
+    obj = load_json(values)
+    seq = _parse("--values", lambda: _int_list(obj))
+    bound = len(seq) if up_to is None else up_to
+    if bound > len(seq):
+        _fail(f"--up-to must be <= the number of values ({len(seq)}), got {bound}")
     pi = pi_from_gcd_morphic(lambda n: seq[n - 1], up_to=bound)
     data = pi.to_json(value_horizon=bound)
     emit(data, out, [f"pi_{n} = {v}" for n, v in sorted(
@@ -372,7 +383,7 @@ def special(ring, family, values, default_, q0, module, ideal, h, shift, horizon
         f"r = {res.r} (h = {res.h}); {res.notes}",
         "blocks: " + ", ".join(
             f"M(({','.join(str(g) for g in b.ideal_generators)}),{b.h})"
-            f"[-{b.shift}]^{b.multiplicity}"
+            f"[{-b.shift if b.shift < 0 else f'-{b.shift}'}]^{b.multiplicity}"
             for b in res.certificate.blocks
         ),
     ])
@@ -394,7 +405,8 @@ def kclass(ring, family, values, default_, q0, module, ideal, h, shift, horizon,
                           module, ideal, h, shift)
     H = h_invariant(M, horizon)
     data = H.to_json()
-    emit(data, out, [f"rank stream: {[H.coeff(d) for d in range(0, horizon + 1)]}",
+    lo = min(0, M.min_degree())
+    emit(data, out, [f"rank stream: {[H.coeff(d) for d in range(lo, horizon + 1)]}",
                      f"fit: {H.fit}"])
 
 

@@ -1032,8 +1032,11 @@ def _factor_torsion(ring: Ring, t):
 
 def invariants_from_factors(ring: Ring, free_rank: int, factors) -> ModuleInvariants:
     """Invariants of ring^free_rank plus the sum of ring/(f) over the factors
-    f, in any order: the cokernel of their diagonal matrix."""
+    f, in any order: the cokernel of their diagonal matrix.  With no factors
+    that is ring^free_rank, returned without a Smith normal form."""
     k = len(factors)
+    if not k:
+        return ModuleInvariants(ring, free_rank, ())
     diag = ExactMatrix.zero(ring, k, k)
     for i, f in enumerate(factors):
         diag.entries[i][i] = ring.canon(f)

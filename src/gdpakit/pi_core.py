@@ -317,7 +317,7 @@ class PiSequence:
             out["q0"] = self.ring.to_str(self.meta["q0"])
         elif self.family == "gcd_morphic":
             out["a"] = list(self.meta["a"])
-        if value_horizon:
+        if value_horizon is not None:
             out["values_preview"] = {
                 str(n): self.ring.to_str(self.pi(n)) for n in range(2, value_horizon + 1)
             }

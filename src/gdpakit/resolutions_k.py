@@ -71,13 +71,6 @@ class SpecialBlock:
             gens = ", ".join(R.to_str(R.canon(g)) for g in self.ideal_generators)
             raise PreconditionError(f"pi_{self.h} is not in the ideal ({gens})")
 
-    def piece_factors(self, ring: Ring, e: int):
-        """(free_rank, torsion factors) contributed at degree e, one copy."""
-        if e < self.shift or (e - self.shift) % self.h != 0:
-            return 0, []
-        inv = ideal_invariants(ring, self.ideal_generators)
-        return inv.free_rank, list(inv.torsion_factors)
-
     def to_json(self, ring: Ring):
         return {
             "ideal": [ring.to_str(ring.canon(g)) for g in self.ideal_generators],
@@ -100,14 +93,18 @@ def make_special(context: AlgebraContext, block: SpecialBlock) -> PresentedModul
 class SpecialFiltrationCertificate:
     blocks: list  # of SpecialBlock
 
-    def expected_piece(self, ring: Ring, e: int) -> ModuleInvariants:
-        free = 0
-        factors = []
-        for b in self.blocks:
-            fr, tf = b.piece_factors(ring, e)
-            free += fr * b.multiplicity
-            factors += tf * b.multiplicity
-        return invariants_from_factors(ring, free, factors)
+    def expected_pieces(self, ring: Ring, degrees):
+        """The invariants of the direct sum of the blocks at each degree in
+        degrees; each block's k/(ideal) is computed once, not per degree."""
+        ideals = [ideal_invariants(ring, b.ideal_generators) for b in self.blocks]
+        for e in degrees:
+            free = 0
+            factors = []
+            for b, inv in zip(self.blocks, ideals):
+                if e >= b.shift and (e - b.shift) % b.h == 0:
+                    free += inv.free_rank * b.multiplicity
+                    factors += list(inv.torsion_factors) * b.multiplicity
+            yield invariants_from_factors(ring, free, factors)
 
     def to_json(self, ring: Ring):
         return {"blocks": [b.to_json(ring) for b in self.blocks]}
@@ -121,8 +118,9 @@ def verify_special_filtration(
     degree)."""
     R = M.context.ring
     lo = min([M.min_degree()] + [b.shift for b in cert.blocks])
-    for e in range(lo, horizon + 1):
-        if M.piece_invariants(e) != cert.expected_piece(R, e):
+    degrees = range(lo, horizon + 1)
+    for e, expected in zip(degrees, cert.expected_pieces(R, degrees)):
+        if M.piece_invariants(e) != expected:
             return False, e
     return True, None
 
@@ -210,12 +208,21 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
         for d in degrees
     }]
 
-    # F_t = (ideal generated by x^[j], h does not divide j) * F_{t-1},
-    # closed under the D^(h)-action:
-    # F_t(d) = sum_{h∤j} x^[j] F_{t-1}(d-j) + sum_{q>=1} x^[qh] F_t(d-qh)
-    # Once F_t(d) spans all of F0_d no vector can grow it, so the j loop
-    # stops there: later products would all be rejected and vt[d] is the
-    # same as without the stop.
+    # F_t = I F_{t-1} with I = (x^[j] : h ∤ j), and F_{t-1} is a
+    # D-submodule, so F_t(d) = sum_{j in G} x^[j] F_{t-1}(d - j) for any set
+    # G of degrees j with h ∤ j whose x^[j] generate I.  The j with h ∤ j
+    # and pi_j not a unit do: if pi_j is a unit, the degree-j piece k/(pi_j)
+    # of D_+/D_+^2 is 0, so C(j, a) != 0 for some 0 < a < j and
+    # x^[j] = C(j, a)^-1 x^[a] x^[j-a].  One of a and j - a, call it b, has
+    # h ∤ b (else h | j), so x^[j] F_{t-1}(d - j) lies in x^[b] F_{t-1}(d - b)
+    # with b < j, and by induction on j in the sum over G.  I F_{t-1} is a
+    # D-submodule, so it needs no closure under x^[qh].  The spans, hence the
+    # vector counts and the blocks, are those of the sum over every j with
+    # h ∤ j; only the vectors picked to span them may differ.  Once F_t(d)
+    # spans all of F0_d no vector can grow it, so the j loop stops there:
+    # later products would all be rejected and vt[d] is the same as without
+    # the stop.
+    G = [j for j in ctx.dplus_generator_degrees(horizon - dmin) if j % h]
     t = 0
     while any(vectors[t].values()):
         t += 1
@@ -225,13 +232,10 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
         for d in degrees:
             dim, tgt_col = len(basis[d]), col_of[d]
             span = Lattice(R, dim, rel_vectors[d])
-            for j in range(1, d - dmin + 1):
-                if span.rank == dim:
+            for j in G:
+                if j > d - dmin or span.rank == dim:
                     break
-                if j % h != 0:
-                    source = vectors[t - 1][d - j]
-                else:
-                    source = vt[d - j]
+                source = vectors[t - 1][d - j]
                 if not source:
                     continue
                 src = basis[d - j]
@@ -246,17 +250,16 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
         vectors.append(vt)
     T = t  # F_T = 0 in M on the whole horizon
 
-    # layer multiplicities: dim L_t(d) = sum_{q >= 0} l_{t, d - qh}
+    # layer multiplicities: dim L_t(d) = sum_{q >= 0} l_{t, d - qh}, so
+    # l_{t, d} = dim L_t(d) - dim L_t(d - h)
     blocks = []
     for t in range(T):
-        l = {}
-        for d in range(dmin, horizon + 1):
-            layer = len(vectors[t][d]) - len(vectors[t + 1][d])
-            acc = layer - sum(l.get(d - q * h, 0) for q in range(1, (d - dmin) // h + 1))
+        layer = {d: len(vectors[t][d]) - len(vectors[t + 1][d]) for d in degrees}
+        for d in degrees:
+            acc = layer[d] - layer.get(d - h, 0)
             if acc < 0:
                 raise AssertionError(f"negative layer multiplicity at (t={t}, d={d})")
             if acc:
-                l[d] = acc
                 blocks.append(SpecialBlock([R.zero()], h, shift=d, multiplicity=acc))
     cert = SpecialFiltrationCertificate(blocks)
     ok, witness = verify_special_filtration(M, cert, horizon)

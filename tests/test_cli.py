@@ -79,6 +79,21 @@ class TestPiCommands:
         assert "pi_6 = 4" in res.output
         assert "pi_7 = 13" in res.output
 
+    def test_pi_derive_empty_values_prints_empty_preview(self, runner):
+        # used to raise KeyError: 'values_preview'
+        res = invoke(runner, ["pi-derive", "--values", "[]"])
+        assert res.exit_code == 0 and res.output == ""
+        res = invoke(runner, ["pi-derive", "--values", "[]", "--out", "json"])
+        assert json.loads(res.output)["values_preview"] == {}
+
+    def test_pi_derive_explicit_up_to_zero(self, runner):
+        # --up-to 0 used to be read as the default, the number of values
+        res = invoke(runner, ["pi-derive", "--values", "[1, 1, 2, 3]", "--up-to", "0",
+                              "--out", "json"])
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert data["values_preview"] == {} and data["a"] == []
+
     def test_pi_transform(self, runner):
         res = invoke(
             runner, ["pi-transform", "--h", "2", "--up-to", "8", "--out", "json"]
@@ -144,6 +159,23 @@ class TestModuleCommands:
         assert res.exit_code == 0
         data = json.loads(res.output)
         assert data["r"] == 0
+
+    @pytest.mark.parametrize("shift, shown", [(3, "[-3]"), (0, "[-0]"), (-3, "[3]")])
+    def test_special_text_reads_shift_as_m_minus_s(self, runner, shift, shown):
+        # M(a, h)[-s] with s = -3 is M(a, h)[3], not M(a, h)[--3]
+        res = invoke(runner, ["special", "--ring", "GF(2)", "--ideal", "[0]", "--h", "2",
+                              "--shift", str(shift), "--horizon", "4"])
+        assert res.exit_code == 0
+        blocks = res.output.splitlines()[1]
+        assert blocks.startswith("blocks: M((0),") and blocks.endswith(f"){shown}^1")
+
+    def test_kclass_text_starts_at_negative_shift(self, runner):
+        args = ["kclass", "--ring", "GF(2)", "--ideal", "[0]", "--h", "2",
+                "--shift", "-2", "--horizon", "4"]
+        res = invoke(runner, args)
+        assert res.output.splitlines()[0] == "rank stream: [1, 0, 1, 0, 1, 0, 1]"
+        coeffs = json.loads(invoke(runner, args + ["--out", "json"]).output)["coeffs"]
+        assert coeffs == {"-2": 1, "0": 1, "2": 1, "4": 1}
 
     def test_kclass(self, runner):
         res = invoke(
@@ -228,6 +260,41 @@ class TestInputBoundary:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error: --") and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            (["--values", "5"],
+             "error: malformed --values: ValueError: expected a list of integers, got 5\n"),
+            (["--values", '["x"]'], "error: malformed --values: ValueError: "),
+            (["--values", '{"1": 2}'], "error: malformed --values: ValueError: "),
+            (["--values", "[1.5]"], "error: malformed --values: ValueError: "),
+            (["--values", "[true, 2]"], "error: malformed --values: ValueError: "),
+            (["--values", '["3"]'], "error: malformed --values: ValueError: "),
+            (["--values", "[1, 2]", "--up-to", "3"],
+             "error: --up-to must be <= the number of values (2), got 3\n"),
+        ],
+        ids=["not-a-list", "not-integers", "object", "float", "boolean", "numeric-string",
+             "up-to-past-the-values"],
+    )
+    def test_pi_derive_bad_values_rejected(self, runner, args, err):
+        # these used to end in a TypeError or IndexError traceback
+        res = runner.invoke(main, ["pi-derive", *args])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr.startswith(err) and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("values", ["5", "[1.5, 2]", '{"1": 2}'])
+    def test_gcd_morphic_family_bad_values_rejected(self, runner, values):
+        # the gcd-morphic family reads --values as pi-derive does; "5" used
+        # to end in a TypeError traceback and "[1.5, 2]" was read as [1, 2]
+        res = runner.invoke(main, ["pi-check", "--ring", "ZZ", "--family", "gcd-morphic",
+                                   "--values", values])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr == f"error: malformed --values: ValueError: expected a list of integers, got {values}\n"
 
     def test_precondition_error_prints_ring_elements(self, monkeypatch, capsys):
         code, out, err = run_entry_point(

@@ -604,6 +604,19 @@ def test_invariants_normalization_and_sum():
     assert z3.plus_class() == {3: 3}
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF(3), Zmod(6), Zloc(2)], ids=lambda R: R.describe())
+def test_invariants_without_factors_skip_the_snf(ring, monkeypatch):
+    # ring^r plus nothing is ring^r; no 0x0 Smith normal form is needed
+    import gdpakit.coeff_rings as cr
+
+    def no_snf(m):
+        raise AssertionError("cokernel_invariants called")
+
+    monkeypatch.setattr(cr, "cokernel_invariants", no_snf)
+    assert invariants_from_factors(ring, 3, []) == ModuleInvariants(ring, 3, ())
+    assert invariants_from_factors(ring, 0, ()).is_zero
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_homology_zmod_without_rows_or_columns_matches_padding(n):
     # a zero row of A or a zero column of B changes neither ker(A) nor

@@ -52,12 +52,14 @@ class TestSpecialBlocks:
         # k/(no generators) = k/(0) = k^1
         assert ideal_invariants(ring, []) == ideal_invariants(ring, [0])
         assert ideal_invariants(ring, []) == ModuleInvariants(ring, 1, ())
-        assert SpecialBlock([], 2).piece_factors(ring, 4) == (1, [])
+        cert = SpecialFiltrationCertificate([SpecialBlock([], 2)])
+        assert list(cert.expected_pieces(ring, [3, 4])) == [
+            ModuleInvariants(ring, 0, ()), ModuleInvariants(ring, 1, ())]
 
     def test_expected_piece_over_zmod_keeps_coprime_blocks_free(self):
         # Z/6/(2) + Z/6/(3) = Z/6
         cert = SpecialFiltrationCertificate([SpecialBlock([2], 1), SpecialBlock([3], 1)])
-        assert cert.expected_piece(Zmod(6), 0) == ModuleInvariants(Zmod(6), 1, ())
+        assert list(cert.expected_pieces(Zmod(6), [0])) == [ModuleInvariants(Zmod(6), 1, ())]
 
     def test_make_special_requires_pi_h_in_ideal(self):
         ctx = classical_ctx(ZZ)
@@ -99,6 +101,27 @@ class TestFiltrationCertificates:
         ok, witness = verify_special_filtration(M, bad, 12)
         assert not ok
         assert witness is not None
+
+    def test_block_ideals_computed_once_per_call(self, monkeypatch):
+        # k/(ideal) is computed once per block, while M's pieces are still
+        # computed by SNF at every degree
+        import gdpakit.resolutions_k as rk
+
+        ctx = classical_ctx(GF(3))
+        I, cert = sp1_hand_filtration(ctx, 3)
+        calls = {"ideal": 0, "piece": 0}
+        ideal_invariants_, piece_invariants = rk.ideal_invariants, I.piece_invariants
+
+        def count(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(rk, "ideal_invariants", count("ideal", ideal_invariants_))
+        monkeypatch.setattr(I, "piece_invariants", count("piece", piece_invariants))
+        assert verify_special_filtration(I, cert, 20) == (True, None)
+        assert calls == {"ideal": len(cert.blocks), "piece": 20}
 
     def test_negative_control_wrong_shift(self):
         ctx = classical_ctx(GF(3))
@@ -194,11 +217,25 @@ def _reference_resolve_adic(M, h, horizon):
     )
 
 
+# admissible custom pi-sequences with zeros (each zero set is a divisor chain)
+CUSTOM_ZEROS = [{3: 0, 9: 0}, {2: 0, 6: 0}, {4: 0, 8: 0}, {2: 0, 4: 0, 8: 0, 16: 0}]
+
+
+def field_pis(R):
+    """Classical, every cyclotomic_at(R, q0) with q0 != 0, 1, and the custom
+    pi-sequences of CUSTOM_ZEROS over the field R."""
+    return ([PiSequence.classical(R)]
+            + [PiSequence.cyclotomic_at(R, q0) for q0 in range(2, R.n)]
+            + [PiSequence.custom(R, zeros) for zeros in CUSTOM_ZEROS])
+
+
 @st.composite
 def field_modules(draw):
-    """Random presented modules over GF(2), GF(3), GF(5), GF(7), classical pi
-    (the test_10 recipe of the acceptance suite)."""
-    ctx = classical_ctx(GF(draw(st.sampled_from([2, 3, 5, 7]))))
+    """Random presented modules over GF(2), GF(3), GF(5), GF(7) (the test_10
+    recipe of the acceptance suite), with classical, cyclotomic_at or custom
+    pi."""
+    R = GF(draw(st.sampled_from([2, 3, 5, 7])))
+    ctx = AlgebraContext(draw(st.sampled_from(field_pis(R))))
     gdegs = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)))
     cols, rdegs = [], []
     for _ in range(draw(st.integers(0, 3))):
@@ -214,7 +251,7 @@ def field_modules(draw):
     return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(field_modules(), st.integers(8, 24))
 def test_adic_resolution_matches_reference(M, horizon):
     # the resolver takes the adic path when pi has a zero beyond the
@@ -224,6 +261,21 @@ def test_adic_resolution_matches_reference(M, horizon):
     assume(h is not None)
     res = special_resolve_field(M, horizon=horizon)
     assert res.to_json() == _reference_resolve_adic(M, h, horizon).to_json()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_adic_generators_are_the_greedy_closure(p):
+    # the greedy closure keeps j with h ∤ j unless C(j, g) != 0 for a kept
+    # g, i.e. unless x^[j] is a multiple of x^[g]; the x^[j] it keeps
+    # generate (x^[j] : h ∤ j) by construction
+    for pi in field_pis(GF(p)):
+        ctx = AlgebraContext(pi)
+        for h in pi.zero_degrees(79):
+            greedy = []
+            for j in range(1, 121):
+                if j % h and all(ctx.ring.is_zero(ctx.C(j, g)) for g in greedy):
+                    greedy.append(j)
+            assert [j for j in ctx.dplus_generator_degrees(120) if j % h] == greedy, (pi, h)
 
 
 class TestSpecialResolveAdic:
