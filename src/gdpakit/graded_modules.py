@@ -9,7 +9,7 @@ horizon and tag their results with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff_rings import (
@@ -27,6 +27,7 @@ from .coeff_rings import (
     quotient_generators,
 )
 from .gdpa import AlgebraContext, GdpaElement
+from .pi_core import c_binomial
 
 
 def default_horizon(max_relation_degree: int) -> int:
@@ -63,24 +64,35 @@ class FreeGradedModule:
     def shifted(self, by: int) -> "FreeGradedModule":
         return FreeGradedModule(self.context, [g + by for g in self.degrees])
 
+    def _column_terms(self, e: int, col: dict) -> list:
+        """A degree-e column {i: element} as its terms (i, g_i, t, c): the
+        entry at generator i (degree g_i) read as c * x^[t], t = e - g_i, the
+        one degree at which it counts (D_t has rank 1); zero terms dropped."""
+        R = self.context.ring
+        out = []
+        for i, elem in col.items():
+            g = self.degrees[i]
+            c = elem.coeff(e - g)
+            if not R.is_zero(c):
+                out.append((i, g, e - g, c))
+        return out
+
     def images(self, generators, d: int):
-        """For each (degree e, column) in generators with e <= d, the
-        coordinate vector of x^[d - e] * column on the degree-d basis: an
-        entry coeff * x^[t] of the column at generator i gives
-        coeff * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1)."""
+        """For each (degree e, terms) in generators with e <= d, the
+        coordinate vector of x^[d - e] * column on the degree-d basis, terms
+        being the column as _column_terms parses it: a term (i, g_i, t, c)
+        gives c * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1)."""
         ctx = self.context
-        R = ctx.ring
+        mul, pi = ctx.ring.mul, ctx.pi
+        zero = ctx.ring.zero()
         col_of = {i: c for c, (i, _) in enumerate(self.basis(d))}
         out = []
-        for e, col in generators:
+        for e, terms in generators:
             if e > d:
                 continue
-            vec = [R.zero()] * len(col_of)
-            for i, elem in col.items():
-                t = e - self.degrees[i]
-                coeff = R.mul(elem.coeff(t), ctx.C(d - self.degrees[i], t))
-                if not R.is_zero(coeff):
-                    vec[col_of[i]] = coeff
+            vec = [zero] * len(col_of)
+            for i, g, t, c in terms:
+                vec[col_of[i]] = mul(c, c_binomial(pi, d - g, t))
             out.append(vec)
         return out
 
@@ -115,6 +127,10 @@ class ModuleMap:
             self.columns.append(clean)
         if len(self.columns) != source.n_gens:
             raise PreconditionError("one column per source generator required")
+        # the columns are never changed, so each is parsed into terms once
+        self._terms = [
+            target._column_terms(e, col) for e, col in zip(source.degrees, self.columns)
+        ]
 
     @classmethod
     def zero(cls, source: FreeGradedModule, target: FreeGradedModule) -> "ModuleMap":
@@ -123,7 +139,7 @@ class ModuleMap:
     def slice_columns(self, d: int) -> list:
         """The columns of slice(d): the images of the source basis at degree
         d, x^[d - e_j] e_j mapping to x^[d - e_j] * column j."""
-        return self.target.images(zip(self.source.degrees, self.columns), d)
+        return self.target.images(zip(self.source.degrees, self._terms), d)
 
     def slice(self, d: int) -> ExactMatrix:
         """The degree-d piece as a matrix over the coefficient ring: rows are
@@ -192,15 +208,6 @@ class PresentedModule:
         degs = self.generators.degrees + self.relations.source.degrees
         return max(degs, default=0)
 
-    def graded_piece(self, d: int) -> "GradedPieceRealization":
-        m = self.relations.slice(d)
-        return GradedPieceRealization(
-            degree=d,
-            presentation_matrix=m,
-            invariants=cokernel_invariants(m),
-            basis_labels=self.generators.basis(d),
-        )
-
     def piece_invariants(self, d: int) -> ModuleInvariants:
         return cokernel_invariants(self.relations.slice(d))
 
@@ -224,21 +231,6 @@ class PresentedModule:
             for col in obj["relations"]
         ]
         return cls(f0, ModuleMap(f1, f0, cols))
-
-
-@dataclass
-class GradedPieceRealization:
-    degree: int
-    presentation_matrix: ExactMatrix
-    invariants: ModuleInvariants
-    basis_labels: list
-
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "invariants": self.invariants.to_json(),
-            "basis": [list(b) for b in self.basis_labels],
-        }
 
 
 def trivial_module(context: AlgebraContext, horizon: int) -> PresentedModule:
@@ -280,12 +272,12 @@ class SubmoduleGenerators:
     generators: list
     horizon: int
     complete: bool = False
+    # (degree, terms) of generators[:len(_terms)]: generators are only ever
+    # appended, so each is parsed once, by the first call that needs it
+    _terms: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def degrees(self):
         return [d for d, _ in self.generators]
-
-    def max_degree(self):
-        return max((d for d, _ in self.generators), default=None)
 
     def as_map(self) -> ModuleMap:
         src = FreeGradedModule(self.ambient.context, self.degrees())
@@ -295,7 +287,10 @@ class SubmoduleGenerators:
         """For each generator of degree e <= d, the coordinate vector of
         x^[d-e] * g on the ambient basis at degree d (spans the degree-d
         piece of the generated submodule: D_s has rank 1)."""
-        return self.ambient.images(self.generators, d)
+        F = self.ambient
+        for e, col in self.generators[len(self._terms):]:
+            self._terms.append((e, F._column_terms(e, col)))
+        return F.images(self._terms, d)
 
 
 def _vector_to_column(ambient: FreeGradedModule, d: int, vec) -> dict:

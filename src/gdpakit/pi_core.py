@@ -139,10 +139,6 @@ class DivisibleSequence:
             i += 1
         return out
 
-    @property
-    def is_unbounded(self) -> bool:
-        return self._rule is not None
-
     def known_terms(self):
         return tuple(self._terms)
 

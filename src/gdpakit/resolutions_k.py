@@ -277,9 +277,20 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
 
 
 def minimal_image_generators(g: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
-    """Minimal generators of the image submodule of g, degree by degree."""
-    # the image at degree d is spanned by the columns of the slice
-    return _degreewise_generators(g.target, degree_bound, g.slice_columns)
+    """Minimal generators of the image submodule of g, degree by degree,
+    with horizon degree_bound.
+
+    The image at degree d is spanned by the slice columns x^[d - e_j] * col_j
+    (source degrees e_j <= d).  The scan stops at the top source degree:
+    col_j lies in the span of the generators g_k (degrees e_k) found up to
+    e_j, col_j = sum c_k * x^[e_j - e_k] * g_k, so at every d > e_j
+    x^[d - e_j] * col_j = sum c_k * C(d - e_k, d - e_j) * x^[d - e_k] * g_k
+    lies in the span of the old generators' images, and quotient_generators
+    returns [] there, over every ring (Z/n included)."""
+    top = min(degree_bound, max(g.source.degrees, default=degree_bound))
+    gens = _degreewise_generators(g.target, top, g.slice_columns)
+    gens.horizon = degree_bound
+    return gens
 
 
 def _special_resolve_free_kernel(M: PresentedModule, horizon: int) -> SpecialResolution:

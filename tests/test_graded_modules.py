@@ -41,7 +41,7 @@ from gdpakit.graded_modules import (
     truncate_at_most,
 )
 from gdpakit import graded_modules
-from gdpakit.graded_modules import _margin_lattice
+from gdpakit.graded_modules import _degreewise_generators, _margin_lattice
 from gdpakit.pi_core import PiSequence
 from gdpakit.resolutions_k import minimal_image_generators
 
@@ -607,6 +607,35 @@ def test_minimal_image_generators_match_image_slices(M):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_modules(), st.integers(0, 3))
+def test_minimal_image_generators_match_full_length_loop(M, past_top):
+    # the reference scans every degree up to the bound; above the top source
+    # degree it can find no new generator, so stopping there changes nothing
+    g = M.relations
+    bound = max(g.source.degrees) + past_top
+    ref = _degreewise_generators(g.target, bound, g.slice_columns)
+    got = minimal_image_generators(g, bound)
+    assert got.as_map().to_json() == ref.as_map().to_json()
+    assert got.horizon == ref.horizon == bound
+
+
+def _fresh_images(F, generators, d):
+    """F.images of generators whose columns are parsed afresh."""
+    return F.images([(e, F._column_terms(e, col)) for e, col in generators], d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_modules())
+def test_generator_terms_cache_matches_fresh_images(M):
+    f = M.relations
+    bound = M.max_presentation_degree() + 3
+    for gens in (syzygy_generators(f, bound), minimal_image_generators(f, bound)):
+        F = gens.ambient
+        for d in range(min(F.degrees), bound + 1):
+            assert gens.generator_slice_vectors(d) == _fresh_images(F, gens.generators, d)
+
+
 # ---------------------------------------------------------------------------
 # slices against multiplication in the algebra, and Tor against the Hilbert
 # series (Euler characteristic)
@@ -633,6 +662,14 @@ def test_slice_entries_match_algebra_multiplication(M, offset):
     assert f.slice_columns(d) == _columns(A)
     gens = SubmoduleGenerators(f.target, list(zip(f.source.degrees, f.columns)), d)
     assert gens.generator_slice_vectors(d) == _columns(A)
+    # generators appended after a first call are read too: the cache of
+    # parsed columns must not go stale as the list grows
+    pairs = list(zip(f.source.degrees, f.columns))
+    half = len(pairs) // 2
+    grown = SubmoduleGenerators(f.target, pairs[:half], d)
+    grown.generator_slice_vectors(d)
+    grown.generators.extend(pairs[half:])
+    assert grown.generator_slice_vectors(d) == _columns(A)
 
 
 EULER_CONTEXTS = [
