@@ -13,7 +13,7 @@ Elements are plain Python values interpreted through a :class:`Ring` object:
 - Z[q]: ``tuple`` of ``int`` coefficients, low degree first, no trailing zeros
   (the zero polynomial is the empty tuple).
 
-All matrix routines (Smith normal form, kernels, cokernels, solving) are exact
+All matrix routines (Smith normal form, kernels, cokernels, lattices) are exact
 and work over the PID-like rings (Z, Z_(p), fields); Z/n is handled by lifting
 to Z and reducing.
 """
@@ -1060,7 +1060,8 @@ def smith_normal_form(m: ExactMatrix):
     and fields use the Euclidean loop (:func:`_snf_euclid`).  Both pick the
     same pivots and return the same canonical U, D and V.  Over Z_(p),
     :func:`kernel_basis` and :func:`integer_kernel` run the same integer
-    elimination without U and do not call this function.
+    elimination without U, and over Z (and Z/n, through the lift to Z)
+    :func:`kernel_basis` runs :func:`_euclid_kernel`: none calls this.
     """
     R = m.ring
     if isinstance(R, PLocalRing):
@@ -1329,6 +1330,68 @@ def _snf_euclid(m: ExactMatrix):
     )
 
 
+def _euclid_kernel(A: list, nc: int) -> list:
+    """The kernel columns of the V of :func:`_snf_euclid` over Z, entry for
+    entry, for the integer rows A (nc columns), on ints and without U.
+
+    It makes the moves of _snf_euclid's first diagonalization (the first
+    entry of least |x| in row-major order as pivot, the symmetric quotient
+    of ``IntegerRing.quo_rem``, rows cleared then columns, until clean) on V
+    alone.  _snf_euclid then repairs the divisibility chain, which only adds
+    pivot columns to pivot columns (a zero column never becomes a pivot),
+    and scales rows by units: neither touches the columns of V past the
+    rank.  V is kept transposed (V[j] is column j); A is left as is."""
+    A = [row[:] for row in A]
+    nr = len(A)
+    V = [[1 if j == k else 0 for k in range(nc)] for j in range(nc)]
+    for t in range(min(nr, nc)):
+        while True:
+            # the first entry of least |x| at or after (t, t), in row-major
+            # order; rows before t are zero from column t on
+            best, pi, pj = 0, t, t
+            for i in range(t, nr):
+                row = A[i]
+                for j in range(t, nc):
+                    x = abs(row[j])
+                    if x and (not best or x < best):
+                        best, pi, pj = x, i, j
+            if not best:
+                return V[t:]
+            A[t], A[pi] = A[pi], A[t]
+            if pj != t:
+                for row in A[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+                V[t], V[pj] = V[pj], V[t]
+            At, Vt = A[t], V[t]
+            a = At[t]
+            dirty = False
+            for i in range(t + 1, nr):
+                x = A[i][t]
+                if x:
+                    q, r = divmod(x, a)
+                    if 2 * abs(r) > best:
+                        q += 1
+                        r -= a
+                    if q:
+                        A[i] = [y - q * z for y, z in zip(A[i], At)]
+                    dirty = dirty or r != 0
+            for j in range(t + 1, nc):
+                x = At[j]
+                if x:
+                    q, r = divmod(x, a)
+                    if 2 * abs(r) > best:
+                        q += 1
+                        r -= a
+                    if q:
+                        for row in A[t:]:
+                            row[j] -= q * row[t]
+                        V[j] = [y - q * z for y, z in zip(V[j], Vt)]
+                    dirty = dirty or r != 0
+            if not dirty:
+                break
+    return V[min(nr, nc):]
+
+
 def _diag(D: ExactMatrix):
     return [D.entries[i][i] for i in range(min(D.rows, D.cols))]
 
@@ -1376,10 +1439,12 @@ def cokernel_invariants(m: ExactMatrix) -> ModuleInvariants:
 
 
 def kernel_basis(m: ExactMatrix):
-    """Generators of {v : m v = 0} as a list of column vectors.
+    """Generators of {v : m v = 0} as a list of column vectors: the columns
+    of the Smith form's V past the rank.
 
     Over fields and Z (and Z_(p)) this is a basis of the full kernel
-    (saturated over Z).  Over Z/n it generates the kernel subgroup.
+    (saturated over Z).  Over Z/n it generates the kernel subgroup.  Over Z
+    and Z_(p), V comes from an integer elimination that builds no U.
     """
     R = m.ring
     if isinstance(R, IntegersModRing) and not R.is_field:
@@ -1392,6 +1457,8 @@ def kernel_basis(m: ExactMatrix):
                 seen.add(w)
                 out.append(list(w))
         return out
+    if isinstance(R, IntegerRing):
+        return _euclid_kernel(m.entries, m.cols)
     if isinstance(R, PLocalRing):
         # the columns of V past the pivots, as smith_normal_form gives them
         A = [_clear_denominators(row)[0] for row in m.entries]
@@ -1405,35 +1472,6 @@ def kernel_basis(m: ExactMatrix):
         if R.is_zero(dj):
             out.append([V.entries[t][j] for t in range(m.cols)])
     return out
-
-
-def solve(m: ExactMatrix, b):
-    """Solve m x = b exactly (b a list); returns x or None if unsolvable."""
-    R = m.ring
-    if isinstance(R, IntegersModRing) and not R.is_field:
-        lifted = _lift_zmod(m)
-        x = solve(lifted, [int(v) for v in b])
-        if x is None:
-            return None
-        return [R.canon(v) for v in x[: m.cols]]
-    U, D, V = smith_normal_form(m)
-    c = U.apply_vector([R.canon(x) for x in b])
-    diag = _diag(D)
-    y = [R.zero()] * m.cols
-    for i in range(m.rows):
-        ci = c[i]
-        di = diag[i] if i < len(diag) else R.zero()
-        if R.is_zero(di):
-            if not R.is_zero(ci):
-                return None
-        else:
-            if i < m.cols:
-                if not R.divides(di, ci):
-                    return None
-                y[i] = R.exact_div(ci, di)
-            elif not R.is_zero(ci):
-                return None
-    return V.apply_vector(y)
 
 
 # ---------------------------------------------------------------------------
@@ -1460,6 +1498,10 @@ class Lattice:
             self.base = ZZ
             n = ring.n
             self.lift_kernel = [[n if t == i else 0 for t in range(dim)] for i in range(dim)]
+        # entries are ints or Fractions: the base's zero test, sub and mul are
+        # Python's operators (mod p over GF(p)), and over Z its quo_rem too
+        self._mod = self.base.n if isinstance(self.base, IntegersModRing) else 0
+        self._quo_rem = None if isinstance(self.base, IntegerRing) else self.base.quo_rem
         for v in self.lift_kernel:
             self.insert(v)
         for v in vectors:
@@ -1467,22 +1509,29 @@ class Lattice:
 
     def insert(self, v) -> bool:
         """Add v; returns whether the lattice grew, i.e. v was not in it."""
-        R, rows, dim = self.base, self.rows, self.dim
+        rows, dim, quo_rem, mod = self.rows, self.dim, self._quo_rem, self._mod
         v = list(v)
         grew = False
         for p in range(dim):
-            if R.is_zero(v[p]):
+            if not v[p]:
                 continue
             r = rows.get(p)
             if r is None:
                 rows[p] = v
                 return True
             while True:
-                q, v[p] = R.quo_rem(v[p], r[p])
-                if not R.is_zero(q):
-                    for t in range(p + 1, dim):
-                        v[t] = R.sub(v[t], R.mul(q, r[t]))
-                if R.is_zero(v[p]):
+                q, v[p] = divmod(v[p], r[p]) if quo_rem is None else quo_rem(v[p], r[p])
+                if quo_rem is None and 2 * abs(v[p]) > abs(r[p]):
+                    q += 1  # the symmetric remainder of IntegerRing.quo_rem
+                    v[p] -= r[p]
+                if q:
+                    if mod:
+                        for t in range(p + 1, dim):
+                            v[t] = (v[t] - q * r[t]) % mod
+                    else:
+                        for t in range(p + 1, dim):
+                            v[t] -= q * r[t]
+                if not v[p]:
                     break
                 # the remainder did not clear the pivot: it is the smaller
                 # pivot, so swap it in and reduce the old row against it
@@ -1494,21 +1543,27 @@ class Lattice:
         """{pivot: q} with v = sum of q * rows[pivot], or None when v is not
         in the lattice.  Stops at the first nonzero entry that the rows
         cannot clear: the rows with a later pivot are zero there."""
-        R, rows, dim = self.base, self.rows, self.dim
+        rows, dim, quo_rem, mod = self.rows, self.dim, self._quo_rem, self._mod
         v = list(v)
         out = {}
         for p in range(dim):
-            if R.is_zero(v[p]):
+            if not v[p]:
                 continue
             r = rows.get(p)
             if r is None:
                 return None
-            q, rem = R.quo_rem(v[p], r[p])
-            if not R.is_zero(rem):
+            # over Z, b | a exactly when divmod leaves no remainder, so the
+            # symmetric remainder of IntegerRing.quo_rem is not needed
+            q, rem = divmod(v[p], r[p]) if quo_rem is None else quo_rem(v[p], r[p])
+            if rem:
                 return None
             out[p] = q
-            for t in range(p + 1, dim):
-                v[t] = R.sub(v[t], R.mul(q, r[t]))
+            if mod:
+                for t in range(p + 1, dim):
+                    v[t] = (v[t] - q * r[t]) % mod
+            else:
+                for t in range(p + 1, dim):
+                    v[t] -= q * r[t]
         return out
 
     def contains(self, v) -> bool:

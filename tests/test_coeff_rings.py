@@ -34,14 +34,16 @@ from gdpakit.coeff_rings import (
     kernel_basis,
     ring_from_json,
     smith_normal_form,
-    solve,
     Lattice,
     quotient_generators,
     _MR_BOUND,
     _is_prime,
     _prime_factors,
+    _lift_zmod,
     _snf_euclid,
 )
+from gdpakit import coeff_rings
+from references import solve
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +455,60 @@ def test_integer_kernel_matches_euclidean_kernel(case):
     assert all(type(x) is Fraction for v in kernel_basis(m) for x in v)
 
 
+@st.composite
+def _integer_matrices(draw):
+    """Integer matrices of shape 0-6 x 0-7 with entries up to 2^70 in size,
+    some rows and columns zero."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    bound = draw(st.sampled_from([1, 9, 2**20, 2**70]))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    ents = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    zero_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    return rows, cols, [[0 if zero_rows[i] or zero_cols[j] else x for j, x in enumerate(row)]
+                        for i, row in enumerate(ents)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integer_matrices())
+def test_integer_kernel_basis_matches_euclidean_v(case):
+    # over Z kernel_basis runs the integer elimination without U: the same
+    # kernel columns as the V of the full Euclidean Smith form
+    rows, cols, ents = case
+    m = ExactMatrix(ZZ, ents, rows, cols)
+    got = kernel_basis(m)
+    assert m.entries == ents  # m is left as it was
+    assert got == _kernel_columns(*_snf_euclid(m)[1:])
+    assert all(type(x) is int for v in got for x in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([4, 6, 12]), _integer_matrices())
+def test_zmod_kernel_basis_matches_lifted_euclidean_v(n, case):
+    rows, cols, ents = case
+    R = Zmod(n)
+    m = ExactMatrix(R, ents, rows, cols)
+    want = []
+    for v in _kernel_columns(*_snf_euclid(_lift_zmod(m))[1:]):
+        w = [x % n for x in v[:cols]]
+        if any(w) and w not in want:
+            want.append(w)
+    assert kernel_basis(m) == want
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(12)], ids=lambda R: R.describe())
+def test_kernel_basis_over_z_makes_no_smith_form(ring, monkeypatch):
+    def refuse(m):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(coeff_rings, "smith_normal_form", refuse)
+    monkeypatch.setattr(coeff_rings, "_snf_euclid", refuse)
+    m = ExactMatrix(ring, [[2, 4, 6, 3], [0, 6, 2, 9]])
+    for v in kernel_basis(m):
+        assert not any(ring.canon(x) for x in m.apply_vector(v))
+
+
 # ---------------------------------------------------------------------------
 # cokernels
 # ---------------------------------------------------------------------------
@@ -784,6 +840,83 @@ def test_lattice_equals_ignores_insertion_order(case, rnd):
     inside = lat.contains(probes[-1])
     assert lat.equals(other) == inside and other.equals(lat) == inside
     assert lat.equals(Lattice(R, dim, vectors[::-1]))
+
+
+class _RingOpLattice(Lattice):
+    """Lattice reducing with the base ring's methods (is_zero, quo_rem,
+    sub, mul) entry by entry: the reference for its operator loop."""
+
+    def insert(self, v):
+        R, rows, dim = self.base, self.rows, self.dim
+        v = list(v)
+        grew = False
+        for p in range(dim):
+            if R.is_zero(v[p]):
+                continue
+            r = rows.get(p)
+            if r is None:
+                rows[p] = v
+                return True
+            while True:
+                q, v[p] = R.quo_rem(v[p], r[p])
+                if not R.is_zero(q):
+                    for t in range(p + 1, dim):
+                        v[t] = R.sub(v[t], R.mul(q, r[t]))
+                if R.is_zero(v[p]):
+                    break
+                rows[p], v, r = v, r, v
+                grew = True
+        return grew
+
+    def _express(self, v):
+        R, rows, dim = self.base, self.rows, self.dim
+        v = list(v)
+        out = {}
+        for p in range(dim):
+            if R.is_zero(v[p]):
+                continue
+            r = rows.get(p)
+            if r is None:
+                return None
+            q, rem = R.quo_rem(v[p], r[p])
+            if not R.is_zero(rem):
+                return None
+            out[p] = q
+            for t in range(p + 1, dim):
+                v[t] = R.sub(v[t], R.mul(q, r[t]))
+        return out
+
+
+@st.composite
+def _lattice_sequences(draw):
+    """A ring, a dimension, vectors to insert in order and probes; integer
+    entries go up to 2^70 in size, and probes include sums of the vectors."""
+    R = draw(st.sampled_from([ZZ, Zmod(4), Zmod(6), Zmod(12), GF(2), GF(7), QQ, Zloc(2)]))
+    dim = draw(st.integers(1, 5))
+    bound = draw(st.sampled_from([6, 2**20, 2**70]))
+    den = st.sampled_from([1, 3, 5]) if R in (QQ, Zloc(2)) else st.just(1)
+    entry = st.one_of(st.just(0), st.builds(lambda a, b: R.canon(Fraction(a, b)),
+                                            st.integers(-bound, bound), den))
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    vectors = draw(st.lists(vector, max_size=8))
+    probes = draw(st.lists(vector, max_size=3))
+    for k in range(1, len(vectors)):
+        probes.append([R.add(x, y) for x, y in zip(vectors[k - 1], vectors[k])])
+    return R, dim, vectors, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_sequences())
+def test_lattice_operator_loop_matches_ring_op_loop(case):
+    R, dim, vectors, probes = case
+    lat, ref = Lattice(R, dim), _RingOpLattice(R, dim)
+    assert lat.rows == ref.rows
+    for v in vectors:
+        assert lat.insert(v) == ref.insert(v)
+        assert lat.rows == ref.rows
+    for v in probes + vectors:
+        assert lat.contains(v) == ref.contains(v)
+        assert lat.coords(v) == ref.coords(v)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gdpakit import coeff_rings
 from gdpakit.coeff_rings import GF, QQ, ZZ, PreconditionError, Zloc, Zmod
 from gdpakit.coherence_lab import (
     BivariateElement,
@@ -118,6 +119,25 @@ class TestT1BoundCheck:
     def test_random_batch_passes(self):
         reports = run_random_bound_checks(seed=7, count=6, max_d=3)
         assert all(rep.passed for _, rep in reports)
+
+    def test_integer_kernel_entries_stay_below_64_bits(self, monkeypatch):
+        # The syzygies of a bound check come from integer kernels of 1 x k
+        # rows (k <= 4) of binomials times chain coefficients: 30 bits at
+        # most in and out here, 31 on the benchmark's specs.  64 bits leaves
+        # room for the largest binomials and flags growth in the elimination.
+        kernel = coeff_rings._euclid_kernel
+        bits = []
+
+        def watched(A, nc):
+            out = kernel(A, nc)
+            bits.append(max((abs(x).bit_length() for v in (*A, *out) for x in v), default=0))
+            return out
+
+        monkeypatch.setattr(coeff_rings, "_euclid_kernel", watched)
+        reports = run_random_bound_checks(seed=1, count=12)
+        assert all(rep.passed for _, rep in reports)
+        assert len(bits) > 1000
+        assert max(bits) <= 64
 
 
 class TestA2Check:

@@ -17,7 +17,6 @@ from gdpakit.coeff_rings import (
     PreconditionError,
     cokernel_invariants,
     kernel_basis,
-    solve,
 )
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.graded_modules import (
@@ -44,6 +43,7 @@ from gdpakit import graded_modules
 from gdpakit.graded_modules import _degreewise_generators, _margin_lattice
 from gdpakit.pi_core import PiSequence
 from gdpakit.resolutions_k import minimal_image_generators
+from references import solve
 
 
 def ctx_classical(ring):
