@@ -512,6 +512,9 @@ class PLocalRing(NumberRing):
             return Fraction(a) / b, _FRACTION_ZERO
         return _FRACTION_ZERO, Fraction(a)
 
+    def pivot_key(self, a):
+        return self.valuation(a)
+
     def in_jacobson_radical(self, a):
         return a == 0 or self.valuation(a) >= 1
 
@@ -891,13 +894,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "ExactMatrix":
-        m = cls.zero(ring, n, n)
-        for i in range(n):
-            m.entries[i][i] = ring.one()
-        return m
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, [row[:] for row in self.entries], self.rows, self.cols)
+        return cls._from_canonical(ring, _identity(n, ring.one(), ring.zero()), n, n)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -948,13 +945,6 @@ class ExactMatrix:
             "cols": self.cols,
             "entries": [[self.ring.to_str(x) for x in row] for row in self.entries],
         }
-
-    @classmethod
-    def from_json(cls, ring: Ring, obj) -> "ExactMatrix":
-        if isinstance(obj, dict):
-            ents = [[ring.from_str(x) for x in row] for row in obj["entries"]]
-            return cls(ring, ents, obj["rows"], obj["cols"])
-        return cls(ring, [[ring.from_str(str(x)) for x in row] for row in obj])
 
     def __repr__(self):
         return f"ExactMatrix({self.ring.describe()}, {self.entries})"
@@ -1056,47 +1046,204 @@ def smith_normal_form(m: ExactMatrix):
     fields.  Over Z/n (n composite) raises UnsupportedRingError; callers
     should use the lift-based kernel/cokernel helpers instead.
 
-    Over Z_(p) the elimination runs on Python ints (:func:`_snf_dvr`); Z, Q
-    and fields use the Euclidean loop (:func:`_snf_euclid`).  Both pick the
-    same pivots and return the same canonical U, D and V.  Over Z_(p),
-    :func:`kernel_basis` and :func:`integer_kernel` run the same integer
-    elimination without U, and over Z (and Z/n, through the lift to Z)
-    :func:`kernel_basis` runs :func:`_euclid_kernel`: none calls this.
+    The elimination is :func:`_euclid` (through :func:`_smith`), which
+    :func:`cokernel_invariants`, :func:`kernel_basis` and
+    :func:`quotient_generators` run too, each building only the factors it
+    reads: none of them calls this.
     """
-    R = m.ring
-    if isinstance(R, PLocalRing):
-        return _snf_dvr(m)
+    return _smith(m, "UDV")
+
+
+def _smith(m: ExactMatrix, want: str):
+    """The Smith elimination of m that its ring and the request want call
+    for, building only the factors the request reads:
+
+    - "UDV": the ExactMatrices (U, D, V) of :func:`smith_normal_form`;
+    - "D": the diagonal of D, for :func:`cokernel_invariants`;
+    - "V": the columns of V past the rank, a basis of the kernel;
+    - "W": (the diagonal of D, the columns of U^-1), for
+      :func:`quotient_generators`.
+
+    Z, Q, GF(p) and Z_(p) run :func:`_euclid`.  Unless only V is wanted, a
+    violation of the divisibility chain then mixes the two columns and
+    eliminates again (the least pivot pulls in the gcd), and each pivot is
+    scaled to its canonical associate, its row of U by the inverse unit and
+    its column of U^-1 by the unit.  Neither step touches the columns of V
+    past the rank: the repair only adds pivot columns to pivot columns, and
+    a zero column never becomes a pivot.  Over Z_(p), "D" and "V" run the
+    integer elimination :func:`_dvr_eliminate` instead, whose least-valuation
+    pivots already form the chain.  Over Z/n (n composite), "D" and "V" run
+    over Z on the lift [A | nI] and read the result mod n; every other
+    request there, and every request over Z[q], raises.
+    """
+    R, nr, nc = m.ring, m.rows, m.cols
+    if isinstance(R, IntegersModRing) and not R.is_field and want in ("D", "V"):
+        out = _smith(_lift_zmod(m), want)
+        if want == "D":
+            return out
+        kernel, seen = [], set()
+        for v in out:
+            w = tuple(R.canon(x) for x in v[:nc])
+            if any(w) and w not in seen:
+                seen.add(w)
+                kernel.append(list(w))
+        return kernel
     if not R.supports_snf:
         raise UnsupportedRingError(f"smith_normal_form unsupported over {R.describe()}")
-    return _snf_euclid(m)
-
-
-def _snf_dvr(m: ExactMatrix):
-    """Smith normal form over Z_(p), fraction-free (:func:`_dvr_eliminate`).
-
-    Row i of m is cleared of denominators by the unit l_i, so U starts as
-    diag(l_i); the Fractions are built once, at the end.
-    """
-    R = m.ring
-    nr, nc = m.rows, m.cols
-    cleared = [_clear_denominators(row) for row in m.entries]
-    A, ru = [a for a, _ in cleared], [l for _, l in cleared]
-    U = [[ru[i] if i == k else 0 for k in range(nr)] for i in range(nr)]
-    pivots, V, cv = _dvr_eliminate(A, nc, R.p, U, ru)
-    # pivot row t of U is also divided by the pivot's unit u / (ru[t] * cv[t]),
-    # which leaves U[t] * cv[t] / u
-    Uf = [_fractions(U[t], u, cv[t]) for t, (_, u) in enumerate(pivots)]
-    Uf += [_fractions(U[i], ru[i]) for i in range(len(pivots), nr)]
-    D = [[_FRACTION_ZERO] * nc for _ in range(nr)]
-    for t, (v, _) in enumerate(pivots):
-        D[t][t] = Fraction(R.p**v)
-    cols = [_fractions(V[j], cv[j]) for j in range(nc)]
-    Vf = [[col[k] for col in cols] for k in range(nc)]
+    if isinstance(R, PLocalRing) and want in ("D", "V"):
+        A = [_clear_denominators(row)[0] for row in m.entries]
+        V = _identity(nc) if want == "V" else None
+        pivots, cv = _dvr_eliminate(A, nc, R.p, V)
+        if V is None:
+            return [Fraction(R.p**v) for v, _ in pivots]
+        return [_fractions(V[j], cv[j]) for j in range(len(pivots), nc)]
+    A = [row[:] for row in m.entries]
+    one, zero = R.one(), R.zero()
+    U = _identity(nr, one, zero) if "U" in want else None
+    V = _identity(nc, one, zero) if "V" in want else None
+    W = _identity(nr, one, zero) if want == "W" else None
+    key, quo_rem = (abs, None) if isinstance(R, IntegerRing) else (R.pivot_key, R.quo_rem)
+    p = R.n if isinstance(R, IntegersModRing) else 0
+    rank = _euclid(A, nc, key, quo_rem, p, U, V, W)
+    if want == "V":
+        return V[rank:]
+    i = 0
+    while i < rank - 1:
+        if R.divides(A[i][i], A[i + 1][i + 1]):
+            i += 1
+            continue
+        # a chain breaks only over Z, where A and V need no reduction
+        for row in A:
+            row[i] += row[i + 1]
+        if V is not None:
+            V[i] = [x + y for x, y in zip(V[i], V[i + 1])]
+        rank = _euclid(A, nc, key, quo_rem, p, U, V, W)
+        i = 0
+    for i in range(rank):
+        u, A[i][i] = R.unit_and_canonical(A[i][i])
+        if u != 1:
+            ui = R.inv(u)
+            if U is not None:
+                U[i] = [R.mul(ui, x) for x in U[i]]
+            if W is not None:
+                W[i] = [R.mul(u, x) for x in W[i]]
+    diag = [A[i][i] for i in range(min(nr, nc))]
+    if want == "D":
+        return diag
+    if want == "W":
+        return diag, W
     return (
-        ExactMatrix._from_canonical(R, Uf, nr, nr),
-        ExactMatrix._from_canonical(R, D, nr, nc),
-        ExactMatrix._from_canonical(R, Vf, nc, nc),
+        ExactMatrix._from_canonical(R, U, nr, nr),
+        ExactMatrix._from_canonical(R, A, nr, nc),
+        ExactMatrix._from_canonical(R, [list(r) for r in zip(*V)], nc, nc),
     )
+
+
+def _euclid(A: list, nc: int, key, quo_rem, p: int, U=None, V=None, W=None) -> int:
+    """Diagonalize the rows A (nc columns) in place by the Euclidean
+    elimination of the Smith form (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4); returns the rank.
+
+    Step t takes as pivot the first entry of least key(x) at or after
+    (t, t), in row-major order, and clears the rows below it, then the
+    columns after it, with quo_rem(x, pivot) (over Z, quo_rem is None and
+    the symmetric quotient of ``IntegerRing.quo_rem`` is inlined), until no
+    remainder is left.  Entries are ints or Fractions, so the zero test,
+    product and difference are Python's operators, reduced mod p when p is
+    nonzero (over GF(p)).  Each factor given is updated in place: U (rows)
+    by the row moves, V by the column moves, and W, U^-1, by the inverse of
+    each row move as a column move; V and W are kept transposed (V[j] is
+    column j of V)."""
+    nr = len(A)
+    for t in range(min(nr, nc)):
+        while True:
+            # rows before t are zero from column t on; a key of 0 is least
+            best, pi, pj = -1, t, t
+            for i in range(t, nr):
+                row = A[i]
+                for j in range(t, nc):
+                    x = row[j]
+                    if x:
+                        k = key(x)
+                        if best < 0 or k < best:
+                            best, pi, pj = k, i, j
+                            if not k:
+                                break
+                if not best:
+                    break
+            if best < 0:
+                return t
+            if pi != t:
+                A[t], A[pi] = A[pi], A[t]
+                if U is not None:
+                    U[t], U[pi] = U[pi], U[t]
+                if W is not None:
+                    W[t], W[pi] = W[pi], W[t]
+            if pj != t:
+                for row in A[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+                if V is not None:
+                    V[t], V[pj] = V[pj], V[t]
+            At = A[t]
+            a = At[t]
+            left = []  # the rows below the pivot left with a remainder
+            for i in range(t + 1, nr):
+                x = A[i][t]
+                if x:
+                    if quo_rem is None:
+                        q, r = divmod(x, a)
+                        if 2 * abs(r) > best:  # best is |a| over Z
+                            q += 1
+                            r -= a
+                    else:
+                        q, r = quo_rem(x, a)
+                    if q:
+                        A[i] = _minus(A[i], q, At, p)
+                        if U is not None:
+                            U[i] = _minus(U[i], q, U[t], p)
+                        if W is not None:
+                            W[t] = _minus(W[t], -q, W[i], p)
+                    if r:
+                        left.append(A[i])
+            dirty = bool(left)
+            for j in range(t + 1, nc):
+                x = At[j]
+                if x:
+                    if quo_rem is None:
+                        q, r = divmod(x, a)
+                        if 2 * abs(r) > best:
+                            q += 1
+                            r -= a
+                    else:
+                        q, r = quo_rem(x, a)
+                    if q:
+                        At[j] = r
+                        for row in left:
+                            row[j] -= q * row[t]
+                        if V is not None:
+                            V[j] = _minus(V[j], q, V[t], p)
+                    if r:
+                        dirty = True
+            if not dirty:
+                break
+    return min(nr, nc)
+
+
+def _identity(n: int, one=1, zero=0) -> list:
+    """The rows of the n x n identity matrix."""
+    rows = []
+    for i in range(n):
+        row = [zero] * n
+        row[i] = one
+        rows.append(row)
+    return rows
+
+
+def _minus(x: list, q, y: list, p: int) -> list:
+    """x - q * y, entry by entry, reduced mod p when p is nonzero."""
+    if p:
+        return [(a - q * b) % p for a, b in zip(x, y)]
+    return [a - q * b for a, b in zip(x, y)]
 
 
 def _clear_denominators(row):
@@ -1105,21 +1252,20 @@ def _clear_denominators(row):
     return [x.numerator * (l // x.denominator) for x in row], l
 
 
-def _dvr_eliminate(A: list, nc: int, p: int, U: list | None = None, ru: list | None = None):
+def _dvr_eliminate(A: list, nc: int, p: int, V: list | None = None):
     """Fraction-free Smith elimination over Z_(p) of the integer rows A (nc
-    columns), in place; returns (pivots, V, cv).
+    columns), in place; returns (pivots, cv).
 
     The integer matrices stand for those of the Fraction loop up to unit
-    scales: column j of V is V[j] / cv[j] (V is kept transposed), and when
-    U and its row scales ru are given, row i of U is U[i] / ru[i].  A pivot
+    scales.  V, when given, is the nc x nc identity, kept transposed: it
+    ends with column j of the Fraction loop's V at V[j] / cv[j].  A pivot
     p^v * u (u prime to p) clears row i by ``u * A[i] - (A[i][t] // p^v) *
-    A[t]``, which is u times the Fraction row, so ru[i] *= u; columns
-    likewise.  With least-valuation pivots one pass clears row and column
+    A[t]``, which is u times the Fraction row; columns likewise, with
+    cv[j] *= u.  With least-valuation pivots one pass clears row and column
     t, and the divisibility chain holds.  pivots[t] is (v, u) for the pivot
     p^v * u at (t, t); the columns of V past the last pivot span the kernel.
     """
     nr = len(A)
-    V = [[1 if j == k else 0 for k in range(nc)] for j in range(nc)]
     cv = [1] * nc
     pivots = []
     for t in range(min(nr, nc)):
@@ -1144,16 +1290,14 @@ def _dvr_eliminate(A: list, nc: int, p: int, U: list | None = None, ru: list | N
             break
         v, pi, pj = best
         A[t], A[pi] = A[pi], A[t]
-        if U is not None:
-            U[t], U[pi] = U[pi], U[t]
-            ru[t], ru[pi] = ru[pi], ru[t]
         if pj != t:
             for row in A[t:]:
                 row[t], row[pj] = row[pj], row[t]
-            V[t], V[pj] = V[pj], V[t]
-            cv[t], cv[pj] = cv[pj], cv[t]
+            if V is not None:
+                V[t], V[pj] = V[pj], V[t]
+                cv[t], cv[pj] = cv[pj], cv[t]
         q = p**v
-        At, Vt = A[t], V[t]
+        At = A[t]
         u = At[t] // q
         pivots.append((v, u))
         for i in range(t + 1, nr):
@@ -1161,9 +1305,6 @@ def _dvr_eliminate(A: list, nc: int, p: int, U: list | None = None, ru: list | N
             if w:
                 w //= q
                 A[i] = [u * x - w * y for x, y in zip(A[i], At)]
-                if U is not None:
-                    U[i] = [u * x - w * y for x, y in zip(U[i], U[t])]
-                    ru[i] *= u
         # column t of A is now zero below the pivot, so clearing A[t][j]
         # leaves the rest of column j as it is (up to the scale cv[j])
         for j in range(t + 1, nc):
@@ -1173,18 +1314,20 @@ def _dvr_eliminate(A: list, nc: int, p: int, U: list | None = None, ru: list | N
                 At[j] = 0
                 for i in range(t + 1, nr):
                     A[i][j] *= u
-                V[j] = [u * x - w * y for x, y in zip(V[j], Vt)]
-                cv[j] *= u
-    return pivots, V, cv
+                if V is not None:
+                    V[j] = [u * x - w * y for x, y in zip(V[j], V[t])]
+                    cv[j] *= u
+    return pivots, cv
 
 
 def integer_kernel(A: list, nc: int, p: int) -> list:
     """A basis over Z_(p) of the kernel of the integer rows A (nc columns),
     as integer vectors whose content is 1.
 
-    Runs the elimination that :func:`_snf_dvr` and :func:`kernel_basis`
-    share, without U; A is left as is."""
-    pivots, V, _ = _dvr_eliminate([row[:] for row in A], nc, p)
+    Runs the elimination of :func:`kernel_basis` over Z_(p); A is left as
+    is."""
+    V = _identity(nc)
+    pivots, _ = _dvr_eliminate([row[:] for row in A], nc, p, V)
     # V[j] / cv[j] is a column of a matrix invertible over Z_(p), so p does
     # not divide the content of V[j]
     return [_without_content(V[j], math.gcd(*V[j])) for j in range(len(pivots), nc)]
@@ -1207,193 +1350,11 @@ def _without_content(w: list, g: int) -> list:
     return [x // g for x in w] if g > 1 else w
 
 
-def _fractions(row, d: int, c: int = 1) -> list:
-    """The Fractions x * c / d for the ints x in row."""
-    if d == c or d == -c:
-        s = d // c
-        return [Fraction(x * s) if x else _FRACTION_ZERO for x in row]
-    return [Fraction(x * c, d) if x else _FRACTION_ZERO for x in row]
-
-
-def _snf_euclid(m: ExactMatrix):
-    """Smith normal form by Euclidean elimination with the ring's quo_rem
-    and pivot_key (Z, Q, fields)."""
-    R = m.ring
-    nr, nc = m.rows, m.cols
-    A = [row[:] for row in m.entries]
-    U = [[R.one() if i == j else R.zero() for j in range(nr)] for i in range(nr)]
-    V = [[R.one() if i == j else R.zero() for j in range(nc)] for i in range(nc)]
-
-    def row_sub(i, j, q):  # row_i -= q * row_j  (on A and U)
-        if R.is_zero(q):
-            return
-        for t in range(nc):
-            A[i][t] = R.sub(A[i][t], R.mul(q, A[j][t]))
-        for t in range(nr):
-            U[i][t] = R.sub(U[i][t], R.mul(q, U[j][t]))
-
-    def col_sub(i, j, q):  # col_i -= q * col_j  (on A and V)
-        if R.is_zero(q):
-            return
-        for t in range(nr):
-            A[t][i] = R.sub(A[t][i], R.mul(q, A[t][j]))
-        for t in range(nc):
-            V[t][i] = R.sub(V[t][i], R.mul(q, V[t][j]))
-
-    def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for t in range(nr):
-                A[t][i], A[t][j] = A[t][j], A[t][i]
-            for t in range(nc):
-                V[t][i], V[t][j] = V[t][j], V[t][i]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = A[i][j]
-                if not R.is_zero(x):
-                    k = R.pivot_key(x)
-                    if best is None or k < best[0]:
-                        best = (k, i, j)
-        return best
-
-    def eliminate_at(t):
-        """Clear row t and column t beyond (t,t), leaving a pivot at (t,t)."""
-        while True:
-            best = find_pivot(t)
-            if best is None:
-                return False
-            _, pi, pj = best
-            swap_rows(t, pi)
-            swap_cols(t, pj)
-            dirty = False
-            for i in range(t + 1, nr):
-                if not R.is_zero(A[i][t]):
-                    q, r = R.quo_rem(A[i][t], A[t][t])
-                    row_sub(i, t, q)
-                    if not R.is_zero(A[i][t]):
-                        dirty = True
-            for j in range(t + 1, nc):
-                if not R.is_zero(A[t][j]):
-                    q, r = R.quo_rem(A[t][j], A[t][t])
-                    col_sub(j, t, q)
-                    if not R.is_zero(A[t][j]):
-                        dirty = True
-            if not dirty:
-                return True
-
-    def diagonalize() -> int:
-        rank = 0
-        for t in range(min(nr, nc)):
-            if not eliminate_at(t):
-                break
-            rank += 1
-        return rank
-
-    rank = diagonalize()
-    # enforce the divisibility chain d_i | d_{i+1}: on a violation, mix the
-    # two columns and re-diagonalize (the min-pivot rule pulls in the gcd)
-    while True:
-        violation = None
-        for i in range(rank - 1):
-            if not R.divides(A[i][i], A[i + 1][i + 1]):
-                violation = i
-                break
-        if violation is None:
-            break
-        col_sub(violation, violation + 1, R.neg(R.one()))  # col_i += col_{i+1}
-        rank = diagonalize()
-
-    # normalize diagonal entries to canonical associates (scale rows by units)
-    for i in range(min(nr, nc)):
-        a = A[i][i]
-        if R.is_zero(a):
-            continue
-        u, c = R.unit_and_canonical(a)
-        if not R.eq(u, R.one()):
-            ui = R.inv(u)
-            for t in range(nc):
-                A[i][t] = R.mul(ui, A[i][t])
-            for t in range(nr):
-                U[i][t] = R.mul(ui, U[i][t])
-
-    return (
-        ExactMatrix._from_canonical(R, U, nr, nr),
-        ExactMatrix._from_canonical(R, A, nr, nc),
-        ExactMatrix._from_canonical(R, V, nc, nc),
-    )
-
-
-def _euclid_kernel(A: list, nc: int) -> list:
-    """The kernel columns of the V of :func:`_snf_euclid` over Z, entry for
-    entry, for the integer rows A (nc columns), on ints and without U.
-
-    It makes the moves of _snf_euclid's first diagonalization (the first
-    entry of least |x| in row-major order as pivot, the symmetric quotient
-    of ``IntegerRing.quo_rem``, rows cleared then columns, until clean) on V
-    alone.  _snf_euclid then repairs the divisibility chain, which only adds
-    pivot columns to pivot columns (a zero column never becomes a pivot),
-    and scales rows by units: neither touches the columns of V past the
-    rank.  V is kept transposed (V[j] is column j); A is left as is."""
-    A = [row[:] for row in A]
-    nr = len(A)
-    V = [[1 if j == k else 0 for k in range(nc)] for j in range(nc)]
-    for t in range(min(nr, nc)):
-        while True:
-            # the first entry of least |x| at or after (t, t), in row-major
-            # order; rows before t are zero from column t on
-            best, pi, pj = 0, t, t
-            for i in range(t, nr):
-                row = A[i]
-                for j in range(t, nc):
-                    x = abs(row[j])
-                    if x and (not best or x < best):
-                        best, pi, pj = x, i, j
-            if not best:
-                return V[t:]
-            A[t], A[pi] = A[pi], A[t]
-            if pj != t:
-                for row in A[t:]:
-                    row[t], row[pj] = row[pj], row[t]
-                V[t], V[pj] = V[pj], V[t]
-            At, Vt = A[t], V[t]
-            a = At[t]
-            dirty = False
-            for i in range(t + 1, nr):
-                x = A[i][t]
-                if x:
-                    q, r = divmod(x, a)
-                    if 2 * abs(r) > best:
-                        q += 1
-                        r -= a
-                    if q:
-                        A[i] = [y - q * z for y, z in zip(A[i], At)]
-                    dirty = dirty or r != 0
-            for j in range(t + 1, nc):
-                x = At[j]
-                if x:
-                    q, r = divmod(x, a)
-                    if 2 * abs(r) > best:
-                        q += 1
-                        r -= a
-                    if q:
-                        for row in A[t:]:
-                            row[j] -= q * row[t]
-                        V[j] = [y - q * z for y, z in zip(V[j], Vt)]
-                    dirty = dirty or r != 0
-            if not dirty:
-                break
-    return V[min(nr, nc):]
-
-
-def _diag(D: ExactMatrix):
-    return [D.entries[i][i] for i in range(min(D.rows, D.cols))]
+def _fractions(row, d: int) -> list:
+    """The Fractions x / d for the ints x in row."""
+    if d == 1 or d == -1:
+        return [Fraction(x * d) if x else _FRACTION_ZERO for x in row]
+    return [Fraction(x, d) if x else _FRACTION_ZERO for x in row]
 
 
 def _lift_zmod(m: ExactMatrix) -> ExactMatrix:
@@ -1408,70 +1369,31 @@ def _lift_zmod(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(ZZ, ents, m.rows, m.cols + m.rows)
 
 
-def _zmod_invariants(R: IntegersModRing, int_factors) -> ModuleInvariants:
-    """Interpret integer invariant factors (each dividing n) over Z/n.
-
-    A factor equal to n is a free rank-one Z/n summand; units are dropped.
-    """
-    free = 0
-    torsion = []
-    for t in int_factors:
-        t = int(t) % R.n
-        if t == 0:
-            free += 1
-        elif not R.is_unit(t):
-            torsion.append(t)
-    return ModuleInvariants(R, free, tuple(torsion))
+def _diagonal_invariants(R: Ring, rows: int, diag) -> ModuleInvariants:
+    """Invariants of R^rows modulo the diag[i] * e_i, with the entries of
+    diag read in R (over Z/n, integers read mod n, so a factor n is a free
+    summand): one free summand per zero or missing entry, and the nonunits
+    as torsion."""
+    nonzero = [d for d in map(R.canon, diag) if d]
+    return ModuleInvariants(R, rows - len(nonzero), tuple(d for d in nonzero if not R.is_unit(d)))
 
 
 def cokernel_invariants(m: ExactMatrix) -> ModuleInvariants:
-    """Invariants of coker(m : R^cols -> R^rows)."""
-    R = m.ring
-    if isinstance(R, IntegersModRing) and not R.is_field:
-        lifted = cokernel_invariants(_lift_zmod(m))
-        assert lifted.free_rank == 0
-        return _zmod_invariants(R, lifted.torsion_factors)
-    _, D, _ = smith_normal_form(m)
-    diag = _diag(D)
-    nonzero = [d for d in diag if not R.is_zero(d)]
-    torsion = tuple(d for d in nonzero if not R.is_unit(d))
-    return ModuleInvariants(R, m.rows - len(nonzero), torsion)
+    """Invariants of coker(m : R^cols -> R^rows), from the diagonal of m's
+    Smith form, built without U or V (over Z/n, of the lift's)."""
+    return _diagonal_invariants(m.ring, m.rows, _smith(m, "D"))
 
 
 def kernel_basis(m: ExactMatrix):
     """Generators of {v : m v = 0} as a list of column vectors: the columns
-    of the Smith form's V past the rank.
+    of the Smith form's V past the rank, built without U.
 
     Over fields and Z (and Z_(p)) this is a basis of the full kernel
-    (saturated over Z).  Over Z/n it generates the kernel subgroup.  Over Z
-    and Z_(p), V comes from an integer elimination that builds no U.
+    (saturated over Z).  Over Z/n it generates the kernel subgroup: the
+    distinct nonzero residues of the kernel of the lift [A | nI] over Z,
+    cut to A's columns.
     """
-    R = m.ring
-    if isinstance(R, IntegersModRing) and not R.is_field:
-        lifted = _lift_zmod(m)
-        out = []
-        seen = set()
-        for v in kernel_basis(lifted):
-            w = tuple(R.canon(x) for x in v[: m.cols])
-            if any(x != 0 for x in w) and w not in seen:
-                seen.add(w)
-                out.append(list(w))
-        return out
-    if isinstance(R, IntegerRing):
-        return _euclid_kernel(m.entries, m.cols)
-    if isinstance(R, PLocalRing):
-        # the columns of V past the pivots, as smith_normal_form gives them
-        A = [_clear_denominators(row)[0] for row in m.entries]
-        pivots, V, cv = _dvr_eliminate(A, m.cols, R.p)
-        return [_fractions(V[j], cv[j]) for j in range(len(pivots), m.cols)]
-    _, D, V = smith_normal_form(m)
-    diag = _diag(D)
-    out = []
-    for j in range(m.cols):
-        dj = diag[j] if j < len(diag) else R.zero()
-        if R.is_zero(dj):
-            out.append([V.entries[t][j] for t in range(m.cols)])
-    return out
+    return _smith(m, "V")
 
 
 # ---------------------------------------------------------------------------
@@ -1607,9 +1529,10 @@ def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
 
     Over a field these are the vectors that grow the span, kept in order.
     Otherwise the sub-lattice is written in an echelon basis of
-    span(vectors), and the non-unit invariant factors of its Smith form are
-    lifted back through U^-1 and that basis.  U is invertible, so the Smith
-    form of U is P U Q = I and U^-1 = Q P."""
+    span(vectors), and the non-unit invariant factors of its Smith form
+    U X V = D are lifted back through U^-1 and that basis.  The elimination
+    builds U^-1 alone, applying the inverse of each row move as a column
+    move."""
     sub = Lattice(ring, dim, sub_vectors)
     if ring.is_field:
         return [v for v in vectors if sub.insert(v)]
@@ -1620,21 +1543,16 @@ def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
     X = _coordinates(whole, sub_vectors)
     if not X.cols:
         return basis
-    U, D, _ = smith_normal_form(X)
-    P, _, Q = smith_normal_form(U)
-    Uinv = Q.matmul(P)
-    diag = _diag(D)
+    diag, Uinv = _smith(X, "W")
     out = []
-    r = len(basis)
-    for i in range(r):
+    for i, column in enumerate(Uinv):
         if i < len(diag) and R.is_unit(diag[i]):
             continue
         vec = [R.zero()] * dim
-        for t in range(r):
-            c = Uinv.entries[t][i]
+        for c, b in zip(column, basis):
             if not R.is_zero(c):
                 for s in range(dim):
-                    vec[s] = R.add(vec[s], R.mul(c, basis[t][s]))
+                    vec[s] = R.add(vec[s], R.mul(c, b[s]))
         vec = [ring.canon(x) for x in vec]
         if any(not ring.is_zero(x) for x in vec):
             out.append(vec)
@@ -1650,10 +1568,6 @@ def homology_invariants(A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
     computed as an abelian group whose factors all divide n."""
     if A.cols != B.rows:
         raise ValueError("shape mismatch in homology")
-    R = A.ring
-    kernel = Lattice(R, A.cols, kernel_basis(A))
-    columns = [[row[j] for row in B.entries] for j in range(B.cols)]
-    inv = cokernel_invariants(_coordinates(kernel, columns))
-    if kernel.base is not R:
-        return _zmod_invariants(R, inv.torsion_factors)
-    return inv
+    kernel = Lattice(A.ring, A.cols, kernel_basis(A))
+    X = _coordinates(kernel, [[row[j] for row in B.entries] for j in range(B.cols)])
+    return _diagonal_invariants(A.ring, X.rows, _smith(X, "D"))

@@ -3,10 +3,16 @@
 from gdpakit.coeff_rings import (
     ExactMatrix,
     IntegersModRing,
-    _diag,
+    Lattice,
+    Ring,
+    _coordinates,
     _lift_zmod,
     smith_normal_form,
 )
+
+
+def _diag(D: ExactMatrix):
+    return [D.entries[i][i] for i in range(min(D.rows, D.cols))]
 
 
 def solve(m: ExactMatrix, b):
@@ -37,3 +43,162 @@ def solve(m: ExactMatrix, b):
             elif not R.is_zero(ci):
                 return None
     return V.apply_vector(y)
+
+
+def _snf_euclid(m: ExactMatrix):
+    """Smith normal form by Euclidean elimination with the ring's quo_rem
+    and pivot_key (Z, Q, fields)."""
+    R = m.ring
+    nr, nc = m.rows, m.cols
+    A = [row[:] for row in m.entries]
+    U = [[R.one() if i == j else R.zero() for j in range(nr)] for i in range(nr)]
+    V = [[R.one() if i == j else R.zero() for j in range(nc)] for i in range(nc)]
+
+    def row_sub(i, j, q):  # row_i -= q * row_j  (on A and U)
+        if R.is_zero(q):
+            return
+        for t in range(nc):
+            A[i][t] = R.sub(A[i][t], R.mul(q, A[j][t]))
+        for t in range(nr):
+            U[i][t] = R.sub(U[i][t], R.mul(q, U[j][t]))
+
+    def col_sub(i, j, q):  # col_i -= q * col_j  (on A and V)
+        if R.is_zero(q):
+            return
+        for t in range(nr):
+            A[t][i] = R.sub(A[t][i], R.mul(q, A[t][j]))
+        for t in range(nc):
+            V[t][i] = R.sub(V[t][i], R.mul(q, V[t][j]))
+
+    def swap_rows(i, j):
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for t in range(nr):
+                A[t][i], A[t][j] = A[t][j], A[t][i]
+            for t in range(nc):
+                V[t][i], V[t][j] = V[t][j], V[t][i]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = A[i][j]
+                if not R.is_zero(x):
+                    k = R.pivot_key(x)
+                    if best is None or k < best[0]:
+                        best = (k, i, j)
+        return best
+
+    def eliminate_at(t):
+        """Clear row t and column t beyond (t,t), leaving a pivot at (t,t)."""
+        while True:
+            best = find_pivot(t)
+            if best is None:
+                return False
+            _, pi, pj = best
+            swap_rows(t, pi)
+            swap_cols(t, pj)
+            dirty = False
+            for i in range(t + 1, nr):
+                if not R.is_zero(A[i][t]):
+                    q, r = R.quo_rem(A[i][t], A[t][t])
+                    row_sub(i, t, q)
+                    if not R.is_zero(A[i][t]):
+                        dirty = True
+            for j in range(t + 1, nc):
+                if not R.is_zero(A[t][j]):
+                    q, r = R.quo_rem(A[t][j], A[t][t])
+                    col_sub(j, t, q)
+                    if not R.is_zero(A[t][j]):
+                        dirty = True
+            if not dirty:
+                return True
+
+    def diagonalize() -> int:
+        rank = 0
+        for t in range(min(nr, nc)):
+            if not eliminate_at(t):
+                break
+            rank += 1
+        return rank
+
+    rank = diagonalize()
+    # enforce the divisibility chain d_i | d_{i+1}: on a violation, mix the
+    # two columns and re-diagonalize (the min-pivot rule pulls in the gcd)
+    while True:
+        violation = None
+        for i in range(rank - 1):
+            if not R.divides(A[i][i], A[i + 1][i + 1]):
+                violation = i
+                break
+        if violation is None:
+            break
+        col_sub(violation, violation + 1, R.neg(R.one()))  # col_i += col_{i+1}
+        rank = diagonalize()
+
+    # normalize diagonal entries to canonical associates (scale rows by units)
+    for i in range(min(nr, nc)):
+        a = A[i][i]
+        if R.is_zero(a):
+            continue
+        u, c = R.unit_and_canonical(a)
+        if not R.eq(u, R.one()):
+            ui = R.inv(u)
+            for t in range(nc):
+                A[i][t] = R.mul(ui, A[i][t])
+            for t in range(nr):
+                U[i][t] = R.mul(ui, U[i][t])
+
+    return (
+        ExactMatrix._from_canonical(R, U, nr, nr),
+        ExactMatrix._from_canonical(R, A, nr, nc),
+        ExactMatrix._from_canonical(R, V, nc, nc),
+    )
+
+
+def quotient_generators_two_snf(ring: Ring, dim: int, vectors, sub_vectors) -> list:
+    """gdpakit's quotient_generators as it was with two Smith forms, both by
+    the generic loop _snf_euclid.
+
+    Vectors whose classes generate span(vectors) / span(sub_vectors), for
+    sub_vectors inside span(vectors): minimally over fields and PIDs, a
+    generating set over Z/n.
+
+    Over a field these are the vectors that grow the span, kept in order.
+    Otherwise the sub-lattice is written in an echelon basis of
+    span(vectors), and the non-unit invariant factors of its Smith form are
+    lifted back through U^-1 and that basis.  U is invertible, so the Smith
+    form of U is P U Q = I and U^-1 = Q P."""
+    sub = Lattice(ring, dim, sub_vectors)
+    if ring.is_field:
+        return [v for v in vectors if sub.insert(v)]
+    if all(sub.contains(v) for v in vectors):
+        return []
+    whole = Lattice(ring, dim, vectors)
+    R, basis = whole.base, whole.basis()
+    X = _coordinates(whole, sub_vectors)
+    if not X.cols:
+        return basis
+    U, D, _ = _snf_euclid(X)
+    P, _, Q = _snf_euclid(U)
+    Uinv = Q.matmul(P)
+    diag = _diag(D)
+    out = []
+    r = len(basis)
+    for i in range(r):
+        if i < len(diag) and R.is_unit(diag[i]):
+            continue
+        vec = [R.zero()] * dim
+        for t in range(r):
+            c = Uinv.entries[t][i]
+            if not R.is_zero(c):
+                for s in range(dim):
+                    vec[s] = R.add(vec[s], R.mul(c, basis[t][s]))
+        vec = [ring.canon(x) for x in vec]
+        if any(not ring.is_zero(x) for x in vec):
+            out.append(vec)
+    return out

@@ -40,10 +40,9 @@ from gdpakit.coeff_rings import (
     _is_prime,
     _prime_factors,
     _lift_zmod,
-    _snf_euclid,
 )
 from gdpakit import coeff_rings
-from references import solve
+from references import _diag, _snf_euclid, quotient_generators_two_snf, solve
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +392,6 @@ def test_snf_plocal_and_field():
             assert d.denominator == 1 and num & (num - 1) == 0  # power of 2
 
 
-class _EuclidZloc(PLocalRing):
-    """Z_(p) with the valuation as pivot key, so that the generic Euclidean
-    loop runs over it as the reference for the integer elimination."""
-
-    def pivot_key(self, a):
-        return self.valuation(a)
-
-
 @st.composite
 def _plocal_matrices(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
@@ -419,11 +410,26 @@ def test_snf_plocal_matches_euclidean_loop(case):
     p, rows, cols, ents = case
     m = ExactMatrix(Zloc(p), ents, rows, cols)
     U, D, V = smith_normal_form(m)
-    ref = _snf_euclid(ExactMatrix(_EuclidZloc(p), ents, rows, cols))
-    for got, want in zip((U, D, V), ref):
-        assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
-        assert all(type(x) is Fraction for r in got.entries for x in r)
+    ref = _snf_euclid(m)
+    _assert_same_factors((U, D, V), ref)
+    assert all(type(x) is Fraction for f in (U, D, V) for r in f.entries for x in r)
     assert U.matmul(m).matmul(V).entries == D.entries
+    assert cokernel_invariants(m) == _cokernel_of_diagonal(Zloc(p), rows, _diag(ref[1]))
+
+
+def _assert_same_factors(got, ref):
+    """The Smith factors got equal ref entry for entry, in value and type."""
+    for g, w in zip(got, ref):
+        assert (g.rows, g.cols, g.entries) == (w.rows, w.cols, w.entries)
+        assert [type(x) for r in g.entries for x in r] == [type(x) for r in w.entries for x in r]
+
+
+def _cokernel_of_diagonal(R, rows, diag):
+    """The invariants of R^rows modulo the span of diag[i] * e_i, with the
+    entries of diag read in R (over Z/n, integers mod n)."""
+    diag = [R.canon(d) for d in diag]
+    nonzero = [d for d in diag if not R.is_zero(d)]
+    return ModuleInvariants(R, rows - len(nonzero), tuple(d for d in nonzero if not R.is_unit(d)))
 
 
 def _kernel_columns(D, V):
@@ -437,7 +443,7 @@ def _kernel_columns(D, V):
 def test_integer_kernel_matches_euclidean_kernel(case):
     p, rows, cols, ents = case
     R = Zloc(p)
-    ref = _kernel_columns(*_snf_euclid(ExactMatrix(_EuclidZloc(p), ents, rows, cols))[1:])
+    ref = _kernel_columns(*_snf_euclid(ExactMatrix(R, ents, rows, cols))[1:])
     # clearing a row's denominators scales it by a unit: the kernel is the same
     ints = []
     for row in ents:
@@ -473,14 +479,44 @@ def _integer_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(_integer_matrices())
 def test_integer_kernel_basis_matches_euclidean_v(case):
-    # over Z kernel_basis runs the integer elimination without U: the same
-    # kernel columns as the V of the full Euclidean Smith form
+    # over Z kernel_basis builds V alone and cokernel_invariants D alone:
+    # the same kernel columns and diagonal as the full Euclidean Smith form,
+    # which smith_normal_form gives entry for entry
     rows, cols, ents = case
     m = ExactMatrix(ZZ, ents, rows, cols)
     got = kernel_basis(m)
     assert m.entries == ents  # m is left as it was
-    assert got == _kernel_columns(*_snf_euclid(m)[1:])
+    ref = _snf_euclid(m)
+    assert got == _kernel_columns(*ref[1:])
     assert all(type(x) is int for v in got for x in v)
+    _assert_same_factors(smith_normal_form(m), ref)
+    assert cokernel_invariants(m) == _cokernel_of_diagonal(ZZ, rows, _diag(ref[1]))
+    assert m.entries == ents
+
+
+@st.composite
+def _field_matrices(draw):
+    """A field among Q, GF(2), GF(3), GF(7) and a matrix over it from
+    _integer_matrices, over Q with denominators 1, 2, 3 or 7."""
+    R = draw(st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+    rows, cols, ents = draw(_integer_matrices())
+    den = st.sampled_from([1, 2, 3, 7]) if R is QQ else st.just(1)
+    dens = draw(st.lists(st.lists(den, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return R, rows, cols, [[R.canon(Fraction(x, d)) for x, d in zip(r, ds)]
+                           for r, ds in zip(ents, dens)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_matrices())
+def test_field_smith_form_matches_euclidean_loop(case):
+    R, rows, cols, ents = case
+    m = ExactMatrix(R, ents, rows, cols)
+    ref = _snf_euclid(m)
+    _assert_same_factors(smith_normal_form(m), ref)
+    assert kernel_basis(m) == _kernel_columns(*ref[1:])
+    assert cokernel_invariants(m) == _cokernel_of_diagonal(R, rows, _diag(ref[1]))
+    assert m.entries == ents
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,23 +525,33 @@ def test_zmod_kernel_basis_matches_lifted_euclidean_v(n, case):
     rows, cols, ents = case
     R = Zmod(n)
     m = ExactMatrix(R, ents, rows, cols)
+    ref = _snf_euclid(_lift_zmod(m))
     want = []
-    for v in _kernel_columns(*_snf_euclid(_lift_zmod(m))[1:]):
+    for v in _kernel_columns(*ref[1:]):
         w = [x % n for x in v[:cols]]
         if any(w) and w not in want:
             want.append(w)
     assert kernel_basis(m) == want
+    assert cokernel_invariants(m) == _cokernel_of_diagonal(R, rows, _diag(ref[1]))
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(12)], ids=lambda R: R.describe())
-def test_kernel_basis_over_z_makes_no_smith_form(ring, monkeypatch):
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3), Zloc(2), Zmod(4), Zmod(12)],
+                         ids=lambda R: R.describe())
+def test_kernel_basis_builds_no_u(ring, monkeypatch):
     def refuse(m):
         raise AssertionError("smith_normal_form called")
 
+    def euclid(A, nc, key, quo_rem, p, U=None, V=None, W=None):
+        assert U is None and W is None
+        return eliminate(A, nc, key, quo_rem, p, U, V, W)
+
+    eliminate = getattr(coeff_rings, "_euclid", None)
     monkeypatch.setattr(coeff_rings, "smith_normal_form", refuse)
-    monkeypatch.setattr(coeff_rings, "_snf_euclid", refuse)
+    monkeypatch.setattr(coeff_rings, "_euclid", euclid, raising=False)
     m = ExactMatrix(ring, [[2, 4, 6, 3], [0, 6, 2, 9]])
-    for v in kernel_basis(m):
+    kernel = kernel_basis(m)
+    assert kernel
+    for v in kernel:
         assert not any(ring.canon(x) for x in m.apply_vector(v))
 
 
@@ -932,6 +978,55 @@ def test_quotient_generators_complete_the_sub_lattice(case):
         assert _in_column_span(R, dim, gens + subs, v)
     if R.is_field:
         assert len(gens) == _gf_rank(R.n, vectors) - _gf_rank(R.n, subs)
+
+
+@st.composite
+def _quotient_cases(draw):
+    """A ring that is not a field, a dimension, vectors, and sub-vectors
+    that are combinations of them, so that the quotient takes a Smith
+    form; over Z_(p) some entries have denominators 5 or 7."""
+    R = draw(st.sampled_from([ZZ, Zloc(2), Zloc(3), Zmod(4), Zmod(6), Zmod(12)]))
+    dim = draw(st.integers(1, 5))
+    den = st.sampled_from([1, 1, 5, 7]) if isinstance(R, PLocalRing) else st.just(1)
+    entry = st.builds(lambda a, b: R.canon(Fraction(a, b)), st.integers(-9, 9), den)
+    vectors = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    subs = []
+    for coeffs in draw(st.lists(st.lists(entry, min_size=len(vectors), max_size=len(vectors)),
+                                min_size=1, max_size=5)):
+        w = [R.zero()] * dim
+        for c, v in zip(coeffs, vectors):
+            w = [R.add(x, R.mul(c, y)) for x, y in zip(w, v)]
+        subs.append(w)
+    return R, dim, vectors, subs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quotient_cases())
+def test_quotient_generators_match_two_smith_forms(case):
+    # U^-1 is unique, so tracking it gives what the Smith form of U gave
+    R, dim, vectors, subs = case
+    got = quotient_generators(R, dim, vectors, subs)
+    assert got == quotient_generators_two_snf(R, dim, vectors, subs)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zloc(2), Zmod(6)], ids=lambda R: R.describe())
+def test_quotient_generators_run_one_elimination(ring, monkeypatch):
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(coeff_rings, "smith_normal_form", counted(smith_normal_form))
+    if hasattr(coeff_rings, "_smith"):
+        monkeypatch.setattr(coeff_rings, "_smith", counted(coeff_rings._smith))
+    vectors = [[ring.canon(x) for x in v] for v in ([2, 0, 4], [0, 3, 6], [1, 1, 1])]
+    subs = [[ring.canon(2 * x) for x in vectors[0]], [ring.canon(3 * x) for x in vectors[1]]]
+    gens = quotient_generators(ring, 3, vectors, subs)
+    assert len(calls) == 1
+    assert gens and gens == quotient_generators_two_snf(ring, 3, vectors, subs)
 
 
 @settings(max_examples=60, deadline=None)

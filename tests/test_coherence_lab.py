@@ -125,19 +125,27 @@ class TestT1BoundCheck:
         # rows (k <= 4) of binomials times chain coefficients: 30 bits at
         # most in and out here, 31 on the benchmark's specs.  64 bits leaves
         # room for the largest binomials and flags growth in the elimination.
-        kernel = coeff_rings._euclid_kernel
-        bits = []
+        # The U^-1 of quotient_generators has entries of at most 7 bits
+        # here, as the Smith form of U gave it; 8 bits flags growth there.
+        smith = coeff_rings._smith
+        bits = {"V": [], "W": []}
 
-        def watched(A, nc):
-            out = kernel(A, nc)
-            bits.append(max((abs(x).bit_length() for v in (*A, *out) for x in v), default=0))
+        def watched(m, want):
+            out = smith(m, want)
+            if want == "V" and m.ring == ZZ:
+                bits["V"].append(max((abs(x).bit_length() for v in (*m.entries, *out)
+                                      for x in v), default=0))
+            if want == "W":
+                bits["W"].append(max((abs(x).bit_length() for v in out[1] for x in v),
+                                     default=0))
             return out
 
-        monkeypatch.setattr(coeff_rings, "_euclid_kernel", watched)
+        monkeypatch.setattr(coeff_rings, "_smith", watched)
         reports = run_random_bound_checks(seed=1, count=12)
         assert all(rep.passed for _, rep in reports)
-        assert len(bits) > 1000
-        assert max(bits) <= 64
+        assert len(bits["V"]) > 1000 and len(bits["W"]) > 50
+        assert max(bits["V"]) <= 64
+        assert max(bits["W"]) <= 8
 
 
 class TestA2Check:
