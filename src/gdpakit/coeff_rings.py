@@ -1562,12 +1562,18 @@ def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
 def homology_invariants(A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
     """Invariants of ker(A)/im(B) for a complex C2 --B--> C1 --A--> C0.
 
-    Requires A.cols == B.rows and A*B = 0.  The columns of B are written in
+    Requires A.cols == B.rows and A*B = 0; raises PreconditionError when a
+    column of B is not in the kernel of A.  The columns of B are written in
     a basis of the kernel lattice, whose cokernel is the homology.  Over Z/n
     that lattice is the preimage of ker(A) in Z^a, so the homology is
     computed as an abelian group whose factors all divide n."""
     if A.cols != B.rows:
         raise ValueError("shape mismatch in homology")
     kernel = Lattice(A.ring, A.cols, kernel_basis(A))
-    X = _coordinates(kernel, [[row[j] for row in B.entries] for j in range(B.cols)])
+    try:
+        X = _coordinates(kernel, [[row[j] for row in B.entries] for j in range(B.cols)])
+    except AssertionError:
+        raise PreconditionError(
+            "homology needs A*B = 0: a column of B is not in the kernel of A"
+        ) from None
     return _diagonal_invariants(A.ring, X.rows, _smith(X, "D"))

@@ -19,6 +19,7 @@ from .coeff_rings import (
     PLocalRing,
     PreconditionError,
     Ring,
+    UnsupportedRingError,
     cokernel_invariants,
     homology_invariants,
     integer_kernel,
@@ -593,14 +594,53 @@ class TorsionReport:
         }
 
 
-def _refine_lattice(
-    M: PresentedModule, d: int, lattice: Lattice, j_start: int, j_end: int, relation_rows
-):
+def _cut_degrees(ctx: AlgebraContext, cap: int) -> list:
+    """The j in [1, cap] whose condition x^[j] v in N (N the relation
+    submodule) the conditions for smaller j do not already imply.
+
+    N is a D-submodule, so x^[a] v in N gives x^[j-a] x^[a] v =
+    C(j, a) x^[j] v in N.  When the C(j, a), 0 < a < j, generate the unit
+    ideal, x^[j] v is an R-combination of them and lies in N too.  Every
+    C(j, a) is a multiple of pi_j (eps_j(j - a, a) = 1), so j is kept at
+    once when pi_j is not a unit, and otherwise when :func:`_implied` finds
+    no unit ideal.  Classical pi, cap 128: {1, 2, 4, ..., 128} over Z_(2)
+    and GF(2), {1} over Q, {1} and the prime powers over Z."""
+    R, pi = ctx.ring, ctx.pi
+    out = []
+    for j in range(1, cap + 1):
+        if R.is_unit(pi.pi(j)) and _implied(ctx, j):
+            continue
+        out.append(j)
+    return out
+
+
+def _implied(ctx: AlgebraContext, j: int) -> bool:
+    """Whether the C(j, a), 0 < a < j, generate the unit ideal: at once when
+    one of them is a unit, otherwise by the ring's ideal test; a ring
+    without one (Z[q]) answers no.  C(j, a) = C(j, j - a), so a runs up to
+    j/2."""
+    R = ctx.ring
+    gens = []
+    for a in range(1, j // 2 + 1):
+        c = ctx.C(j, a)
+        if R.is_unit(c):
+            return True
+        gens.append(c)
+    try:
+        return R.ideal_is_unit(gens)
+    except UnsupportedRingError:
+        return False
+
+
+def _refine_lattice(M: PresentedModule, d: int, lattice: Lattice, degrees, relation_rows):
     """Cut the lattice down to the vectors v with x^[j] v in im(relations)
-    for every j in [j_start, j_end], one j at a time (each step is a kernel
-    of a tiny matrix in the lattice coordinates, so large margins stay
-    cheap), and return the cut lattice.  The relation submodule is a
-    D-submodule, so a lattice that contains its degree-d slice keeps it.
+    for every j in degrees, one j at a time (each step is a kernel of a tiny
+    matrix in the lattice coordinates, so large margins stay cheap), and
+    return the cut lattice.  The relation submodule is a D-submodule, so a
+    lattice that contains its degree-d slice keeps it.  Callers pass the
+    degrees of :func:`_cut_degrees` in a window: a lattice that meets the
+    conditions for every j below the window meets them for every j up to
+    its top, as the skipped conditions follow from smaller ones.
 
     relation_rows(e) gives the rows of the relation slice at degree e.  Over
     Z_(p) a step runs on ints: a span over Z_(p) does not change when a
@@ -614,7 +654,7 @@ def _refine_lattice(
     basis = F0.basis(d)
     dim = len(basis)
     p = R.p if isinstance(R, PLocalRing) else None
-    for j in range(j_start, j_end + 1):
+    for j in degrees:
         B = lattice.basis()
         if not B:
             break
@@ -669,14 +709,19 @@ def _relation_rows(M: PresentedModule):
     return rows
 
 
-def _margin_lattice(M: PresentedModule, d: int, margin: int, relation_rows=None) -> Lattice:
+def _margin_lattice(
+    M: PresentedModule, d: int, margin: int, relation_rows=None, degrees=None
+) -> Lattice:
     """The lattice {v in F0_d : x^[j] v in im(relations) for 1 <= j <= margin},
-    cut one j at a time from all of F0_d."""
+    cut from all of F0_d at the degrees (by default those of
+    :func:`_cut_degrees` up to margin)."""
     R = M.context.ring
     dim = M.generators.rank(d)
     identity = ExactMatrix.identity(R, dim).entries
+    if degrees is None:
+        degrees = _cut_degrees(M.context, margin)
     return _refine_lattice(
-        M, d, Lattice(R, dim, identity), 1, margin, relation_rows or _relation_rows(M)
+        M, d, Lattice(R, dim, identity), degrees, relation_rows or _relation_rows(M)
     )
 
 
@@ -691,9 +736,13 @@ def torsion_submodule(
     free classes satisfy long windows and only escape at p-power-aligned j);
     so the search runs on past the margin, up to a cap that scales with the
     degree bound.  In every degree the lattice starts as all of F0_d and is
-    cut one j at a time, through the windows [1, margin], [margin+1, cap/2]
-    and [cap/2+1, cap]; it always contains the relation span, because the
-    relation submodule is a D-submodule.  After a window:
+    cut through the windows [1, margin], [margin+1, cap/2] and
+    [cap/2+1, cap], at the j of :func:`_cut_degrees` only: when the C(j, a),
+    0 < a < j, generate the unit ideal, x^[a] v in N for every a < j gives
+    x^[j] v in N, since x^[j-a] x^[a] v = C(j, a) x^[j] v, so a cut at j
+    would not change a lattice already cut at every smaller degree.  The
+    lattice always contains the relation span, because the relation
+    submodule is a D-submodule.  After a window:
 
     - lattice equal to the relation span -> no candidate;
     - unchanged over the top half of the window [cap/2, cap] (stable) ->
@@ -713,19 +762,23 @@ def torsion_submodule(
     stable = []
     shrank = False
     relation_rows = _relation_rows(M)
+    cuts = _cut_degrees(ctx, cap)
+    first = [j for j in cuts if j <= margin]
+    middle = [j for j in cuts if margin < j <= cap // 2]
+    last = [j for j in cuts if j > cap // 2]
     for d in range(M.min_degree(), degree_bound + 1):
         dim = M.generators.rank(d)
         if not dim:
             continue
         pspan = Lattice(R, dim, M.relations.slice_columns(d))
-        window = _margin_lattice(M, d, margin, relation_rows)
+        window = _margin_lattice(M, d, margin, relation_rows, first)
         if window.equals(pspan):
             continue
-        half = _refine_lattice(M, d, window, margin + 1, cap // 2, relation_rows)
+        half = _refine_lattice(M, d, window, middle, relation_rows)
         if half.equals(pspan):
             shrank = True
             continue
-        final = _refine_lattice(M, d, half, cap // 2 + 1, cap, relation_rows)
+        final = _refine_lattice(M, d, half, last, relation_rows)
         if final.equals(pspan):
             shrank = True
             continue

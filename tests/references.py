@@ -1,14 +1,22 @@
 """Reference algorithms the tests compare gdpakit against."""
 
+from fractions import Fraction
+
 from gdpakit.coeff_rings import (
     ExactMatrix,
     IntegersModRing,
     Lattice,
+    PLocalRing,
     Ring,
     _coordinates,
     _lift_zmod,
+    cokernel_invariants,
+    integer_kernel,
+    kernel_basis,
+    primitive_integer_vector,
     smith_normal_form,
 )
+from gdpakit.graded_modules import TorsionReport, _relation_rows
 
 
 def _diag(D: ExactMatrix):
@@ -202,3 +210,87 @@ def quotient_generators_two_snf(ring: Ring, dim: int, vectors, sub_vectors) -> l
         if any(not ring.is_zero(x) for x in vec):
             out.append(vec)
     return out
+
+
+def refine_lattice_every_j(M, d: int, lattice: Lattice, j_start: int, j_end: int, relation_rows):
+    """Cut the lattice down to the vectors v with x^[j] v in im(relations)
+    for every j in [j_start, j_end], one j at a time; over Z_(p) each step
+    runs on primitive integer vectors."""
+    ctx = M.context
+    R = ctx.ring
+    F0 = M.generators
+    basis = F0.basis(d)
+    dim = len(basis)
+    p = R.p if isinstance(R, PLocalRing) else None
+    for j in range(j_start, j_end + 1):
+        B = lattice.basis()
+        if not B:
+            break
+        row_of = {i: r for r, (i, _) in enumerate(F0.basis(d + j))}
+        coeffs = [ctx.C(s + j, j) for _, s in basis]
+        if p:
+            B = [primitive_integer_vector(b, p) for b in B]
+            coeffs = primitive_integer_vector(coeffs, p)
+        big = [[0 if p else R.zero()] * len(B) + r for r in relation_rows(d + j)]
+        for col, b in enumerate(B):
+            for (i, _), c, x in zip(basis, coeffs, b):
+                big[row_of[i]][col] = c * x if p else R.mul(c, x)
+        newvecs = []
+        if p:
+            for k in integer_kernel(big, len(big[0]), p):
+                w = [0] * dim
+                for c, b in zip(k, B):
+                    if c:
+                        w = [x + c * y for x, y in zip(w, b)]
+                if any(w):
+                    newvecs.append([Fraction(x) for x in primitive_integer_vector(w, p)])
+        else:
+            for k in kernel_basis(ExactMatrix(R, big, len(big), len(big[0]))):
+                w = [R.zero()] * dim
+                for coeff, b in zip(k, B):
+                    if not R.is_zero(coeff):
+                        w = [R.add(x, R.mul(coeff, y)) for x, y in zip(w, b)]
+                if any(not R.is_zero(x) for x in w):
+                    newvecs.append(w)
+        lattice = Lattice(R, dim, newvecs)
+    return lattice
+
+
+def torsion_submodule_every_j(M, degree_bound: int) -> TorsionReport:
+    """torsion_submodule with its windows [1, margin], [margin+1, cap/2] and
+    [cap/2+1, cap] cut at every j."""
+    ctx = M.context
+    R = ctx.ring
+    margin = max(4, M.max_presentation_degree() + 1)
+    cap = max(4 * margin, 2 * (1 << (degree_bound + margin - 1).bit_length()))
+    certified = R.is_field and ctx.pi.is_never_zero(degree_bound + cap + 1)
+    stable = []
+    shrank = False
+    rows = _relation_rows(M)
+    for d in range(M.min_degree(), degree_bound + 1):
+        dim = M.generators.rank(d)
+        if not dim:
+            continue
+        pspan = Lattice(R, dim, M.relations.slice_columns(d))
+        whole = Lattice(R, dim, ExactMatrix.identity(R, dim).entries)
+        window = refine_lattice_every_j(M, d, whole, 1, margin, rows)
+        if window.equals(pspan):
+            continue
+        half = refine_lattice_every_j(M, d, window, margin + 1, cap // 2, rows)
+        final = refine_lattice_every_j(M, d, half, cap // 2 + 1, cap, rows)
+        if half.equals(pspan) or final.equals(pspan) or not half.equals(final):
+            shrank = True
+            continue
+        cols = [[R.canon(x) for x in v] for v in final.basis()]
+        stable.append((d, cokernel_invariants(ExactMatrix.from_columns(R, cols, dim))))
+    if stable:
+        if certified:
+            return TorsionReport(
+                "has_torsion", stable, degree_bound, margin,
+                certificate="field with nowhere-vanishing pi: x^[1]-annihilation persists",
+            )
+        return TorsionReport("inconclusive", stable, degree_bound, margin)
+    note = f"no stable annihilated classes up to degree {degree_bound}"
+    if shrank:
+        note += f" (margin artifacts eliminated within extended window {cap})"
+    return TorsionReport("torsion_free", [], degree_bound, margin, certificate=note)

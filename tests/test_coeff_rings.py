@@ -693,6 +693,15 @@ def test_homology_zmod():
     assert h.free_rank == 1
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zloc(2), GF(3), Zmod(6)], ids=lambda R: R.describe())
+def test_homology_of_a_non_complex_names_the_precondition(ring):
+    # the second column of B is not in ker(A), so A*B != 0
+    A = ExactMatrix(ring, [[ring.from_int(1), ring.from_int(0)]])
+    B = ExactMatrix(ring, [[ring.from_int(0), ring.from_int(1)], [ring.from_int(1)] * 2])
+    with pytest.raises(PreconditionError, match=r"A\*B = 0"):
+        homology_invariants(A, B)
+
+
 def test_invariants_normalization_and_sum():
     a = invariants_from_factors(ZZ, 0, [2, 3])
     assert a.torsion_factors == (6,)

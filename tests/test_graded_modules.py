@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from gdpakit.coeff_rings import (
     GF,
     QQ,
+    ZPOLY,
     ZZ,
     Zloc,
     Zmod,
@@ -15,6 +17,7 @@ from gdpakit.coeff_rings import (
     Lattice,
     ModuleInvariants,
     PreconditionError,
+    UnsupportedRingError,
     cokernel_invariants,
     kernel_basis,
 )
@@ -40,10 +43,10 @@ from gdpakit.graded_modules import (
     truncate_at_most,
 )
 from gdpakit import graded_modules
-from gdpakit.graded_modules import _degreewise_generators, _margin_lattice
+from gdpakit.graded_modules import _cut_degrees, _degreewise_generators, _margin_lattice
 from gdpakit.pi_core import PiSequence
 from gdpakit.resolutions_k import minimal_image_generators
-from references import solve
+from references import solve, torsion_submodule_every_j
 
 
 def ctx_classical(ring):
@@ -511,7 +514,9 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
     # of at most 29 bits here (38 on the benchmark's modules): each row of
     # binomials C(s + j, j), up to 94 bits, is divided by its content first.
     # 128 bits leaves room for whole binomials times window entries (108
-    # bits) and flags growth in the window loop.
+    # bits) and flags growth in the window loop.  The cut degrees up to the
+    # cap 128 are the 8 powers of 2, so a degree makes at most 8 kernels
+    # (cutting at every j made up to 128).
     kernel = graded_modules.integer_kernel
     bits = []
 
@@ -522,9 +527,98 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
 
     monkeypatch.setattr(graded_modules, "integer_kernel", watched)
     for M in recipe_13_modules(40, 8):
+        before = len(bits)
         assert torsion_submodule(M, 40).verdict == "torsion_free"
+        assert len(bits) - before <= 8 * (40 - M.min_degree() + 1)
     assert len(bits) > 1000
     assert max(bits) <= 128
+
+
+# rings and pi of the torsion oracle: classical, all-ones and custom pi,
+# custom with zeros ({2: 0, 6: 0}, {3: 0, 9: 0}) and without
+TORSION_RINGS = [ZZ, QQ, GF(2), GF(3), Zloc(2), Zloc(3), Zmod(4), Zmod(6)]
+CUSTOM_PI = [{2: 0, 6: 0}, {3: 0, 9: 0}, {2: 2, 4: 2, 8: 2}, {2: 6, 3: 5}]
+TORSION_CONTEXTS = [
+    AlgebraContext(pi)
+    for R in TORSION_RINGS
+    for pi in (
+        PiSequence.classical(R),
+        PiSequence.all_ones(R),
+        *(PiSequence.custom(R, values) for values in CUSTOM_PI),
+    )
+]
+
+
+def random_torsion_module(rng, ctx):
+    """The recipe of small_modules, drawn from a seeded random.Random."""
+    R = ctx.ring
+    gdegs = sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+    cols, rdegs = [], []
+    for _ in range(rng.randint(1, 3)):
+        rdeg = max(gdegs) + rng.randint(0, 3)
+        col = {i: ctx.x(rdeg - g, coeff=R.from_int(c))
+               for i, g in enumerate(gdegs) if (c := rng.randint(-4, 4))}
+        cols.append(col)
+        rdegs.append(rdeg)
+    return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
+
+
+def test_torsion_matches_the_every_j_reference():
+    # cutting only at the degrees of _cut_degrees gives the same report as
+    # cutting at every j of every window
+    rng = random.Random(14)
+    verdicts = set()
+    for n in range(240):
+        ctx = TORSION_CONTEXTS[n % len(TORSION_CONTEXTS)]
+        M = random_torsion_module(rng, ctx)
+        h = rng.randint(3, 8)
+        rep = torsion_submodule(M, h)
+        assert rep.to_json() == torsion_submodule_every_j(M, h).to_json()
+        verdicts.add(rep.verdict)
+    assert verdicts == {"torsion_free", "has_torsion", "inconclusive"}
+
+
+@pytest.mark.parametrize("pi", [PiSequence.cyclotomic_symbolic(), PiSequence.all_ones(ZPOLY)],
+                         ids=lambda pi: pi.family)
+def test_torsion_over_zq_raises_the_smith_form_error(pi):
+    # over Z[q] the first cut needs a Smith form, which Z[q] does not have;
+    # choosing the cut degrees must not fail first on an ideal test
+    ctx = AlgebraContext(pi)
+    M = PresentedModule.from_columns(ctx, [0], [{0: ctx.x(2)}], [2])
+    with pytest.raises(UnsupportedRingError, match=r"^smith_normal_form unsupported over Z\[q\]$"):
+        torsion_submodule(M, 6)
+
+
+def test_cut_degrees_skip_exactly_the_unit_ideals():
+    # j is skipped exactly when the C(j, a), 0 < a < j, generate the unit
+    # ideal; C(j, a) is the product of the pi_k with a carry,
+    # floor(j/k) - floor(a/k) - floor((j-a)/k) = 1, and only pi_k != 1 count
+    for ctx in TORSION_CONTEXTS:
+        R = ctx.ring
+        factors = [(k, ctx.pi.pi(k)) for k in range(2, 129) if ctx.pi.pi(k) != R.one()]
+        cuts = set(_cut_degrees(ctx, 128))
+        for j in range(1, 129):
+            gens = []
+            for a in range(1, j):
+                c = R.one()
+                for k, pk in factors:
+                    if k > j:
+                        break
+                    if j // k - a // k - (j - a) // k:
+                        c = R.mul(c, pk)
+                gens.append(c)
+            assert (j not in cuts) == R.ideal_is_unit(gens), (ctx.pi.family, R.describe(), j)
+
+
+def test_classical_cut_degrees():
+    # gcd of C(n, k), 0 < k < n, is p when n is a power of the prime p and 1
+    # otherwise; localised at 2 only the powers of 2 keep a non-unit
+    powers_of_2 = [1, 2, 4, 8, 16, 32, 64, 128]
+    assert _cut_degrees(ctx_classical(Zloc(2)), 128) == powers_of_2
+    assert _cut_degrees(ctx_classical(GF(2)), 128) == powers_of_2
+    assert _cut_degrees(ctx_classical(QQ), 128) == [1]
+    prime_powers = [n for n in range(2, 129) if len(factorint(n)) == 1]
+    assert _cut_degrees(ctx_classical(ZZ), 128) == [1] + prime_powers
 
 
 # ---------------------------------------------------------------------------
