@@ -1513,12 +1513,16 @@ class Lattice:
         return len(self.rows)
 
 
+class _NotInLatticeError(AssertionError):
+    """A vector handed to _coordinates is not in the lattice."""
+
+
 def _coordinates(lattice: Lattice, vectors) -> ExactMatrix:
     """The coordinates in lattice.basis() of the vectors and, over Z/n, of
     lattice.lift_kernel, one column each, over lattice.base."""
     coords = [lattice.coords(v) for v in [*vectors, *lattice.lift_kernel]]
     if any(c is None for c in coords):
-        raise AssertionError("vectors must lie in the lattice")
+        raise _NotInLatticeError("vectors must lie in the lattice")
     return ExactMatrix.from_columns(lattice.base, coords, lattice.rank)
 
 
@@ -1572,7 +1576,7 @@ def homology_invariants(A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
     kernel = Lattice(A.ring, A.cols, kernel_basis(A))
     try:
         X = _coordinates(kernel, [[row[j] for row in B.entries] for j in range(B.cols)])
-    except AssertionError:
+    except _NotInLatticeError:
         raise PreconditionError(
             "homology needs A*B = 0: a column of B is not in the kernel of A"
         ) from None

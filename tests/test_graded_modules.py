@@ -441,22 +441,29 @@ def stacked_margin_lattice(M, d, margin):
     return Lattice(R, dim, vectors)
 
 
-@st.composite
-def small_modules(draw, contexts=ORACLE_CONTEXTS):
-    ctx = draw(st.sampled_from(contexts))
+def small_module(ctx, randint):
+    """A module over ctx with 1-3 generators in degrees 0-2 and 1-3
+    relations up to 3 degrees above the top generator, coefficients in
+    [-4, 4]; randint(a, b) draws each number."""
     R = ctx.ring
-    gdegs = sorted(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    gdegs = sorted(randint(0, 2) for _ in range(randint(1, 3)))
     cols, rdegs = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        rdeg = max(gdegs) + draw(st.integers(0, 3))
+    for _ in range(randint(1, 3)):
+        rdeg = max(gdegs) + randint(0, 3)
         col = {}
         for i, g in enumerate(gdegs):
-            c = draw(st.integers(-4, 4))
+            c = randint(-4, 4)
             if c:
                 col[i] = ctx.x(rdeg - g, coeff=R.from_int(c))
         cols.append(col)
         rdegs.append(rdeg)
     return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
+
+
+@st.composite
+def small_modules(draw, contexts=ORACLE_CONTEXTS):
+    ctx = draw(st.sampled_from(contexts))
+    return small_module(ctx, lambda a, b: draw(st.integers(a, b)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -536,31 +543,10 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
 
 # rings and pi of the torsion oracle: classical, all-ones and custom pi,
 # custom with zeros ({2: 0, 6: 0}, {3: 0, 9: 0}) and without
-TORSION_RINGS = [ZZ, QQ, GF(2), GF(3), Zloc(2), Zloc(3), Zmod(4), Zmod(6)]
 CUSTOM_PI = [{2: 0, 6: 0}, {3: 0, 9: 0}, {2: 2, 4: 2, 8: 2}, {2: 6, 3: 5}]
-TORSION_CONTEXTS = [
-    AlgebraContext(pi)
-    for R in TORSION_RINGS
-    for pi in (
-        PiSequence.classical(R),
-        PiSequence.all_ones(R),
-        *(PiSequence.custom(R, values) for values in CUSTOM_PI),
-    )
+TORSION_CONTEXTS = ORACLE_CONTEXTS + [
+    AlgebraContext(PiSequence.custom(R, values)) for R in ORACLE_RINGS for values in CUSTOM_PI
 ]
-
-
-def random_torsion_module(rng, ctx):
-    """The recipe of small_modules, drawn from a seeded random.Random."""
-    R = ctx.ring
-    gdegs = sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
-    cols, rdegs = [], []
-    for _ in range(rng.randint(1, 3)):
-        rdeg = max(gdegs) + rng.randint(0, 3)
-        col = {i: ctx.x(rdeg - g, coeff=R.from_int(c))
-               for i, g in enumerate(gdegs) if (c := rng.randint(-4, 4))}
-        cols.append(col)
-        rdegs.append(rdeg)
-    return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
 
 
 def test_torsion_matches_the_every_j_reference():
@@ -570,7 +556,7 @@ def test_torsion_matches_the_every_j_reference():
     verdicts = set()
     for n in range(240):
         ctx = TORSION_CONTEXTS[n % len(TORSION_CONTEXTS)]
-        M = random_torsion_module(rng, ctx)
+        M = small_module(ctx, rng.randint)
         h = rng.randint(3, 8)
         rep = torsion_submodule(M, h)
         assert rep.to_json() == torsion_submodule_every_j(M, h).to_json()
