@@ -134,7 +134,8 @@ def build_pi(family: str, ring: Ring, values: str | None, default: str | None,
     if fam == "custom":
         if values is None:
             _fail("custom requires --values (JSON object degree -> value)")
-        vals = {int(k): ring.from_str(str(v)) for k, v in load_json(values).items()}
+        obj = load_json(values)
+        vals = _parse("--values", lambda: {int(k): ring.from_str(str(v)) for k, v in obj.items()})
         dflt = ring.from_str(default) if default is not None else None
         return PiSequence.custom(ring, vals, dflt)
     _fail(f"unknown family {family!r}")
@@ -184,7 +185,8 @@ def module_from_flags(ctx_flags, module, ideal, h, shift) -> PresentedModule:
     ctx = context_from_flags(*ctx_flags)
     from .resolutions_k import SpecialBlock, make_special
 
-    gens = [ctx.ring.from_str(str(g)) for g in load_json(ideal)]
+    obj = load_json(ideal)
+    gens = _parse("--ideal", lambda: [ctx.ring.from_str(str(g)) for g in obj])
     return make_special(ctx, SpecialBlock(gens, h, shift=shift))
 
 
@@ -492,7 +494,8 @@ def a2_check(ring, ideal, h, limit, out):
     from .coherence_lab import a2_condition_check
 
     R = parse_ring(ring)
-    gens = [R.from_str(str(g)) for g in load_json(ideal)]
+    obj = load_json(ideal)
+    gens = _parse("--ideal", lambda: [R.from_str(str(g)) for g in obj])
     result = a2_condition_check(R, gens, h, limit=limit)
     emit(result, out, [f"verdict: {result['verdict']}"
                        + (f" (n = {result['n']})" if "n" in result else "")])

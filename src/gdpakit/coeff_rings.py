@@ -1064,17 +1064,17 @@ def _smith(m: ExactMatrix, want: str):
     - "W": (the diagonal of D, the columns of U^-1), for
       :func:`quotient_generators`.
 
-    Z, Q, GF(p) and Z_(p) run :func:`_euclid`.  Unless only V is wanted, a
-    violation of the divisibility chain then mixes the two columns and
+    Every request over Z, Q, GF(p) and Z_(p) runs :func:`_euclid`: on ints
+    over Z and GF(p), on Fractions over Q and Z_(p), whose pivots of least
+    valuation already form the divisibility chain.  Unless only V is wanted,
+    a violation of the chain (over Z) then mixes the two columns and
     eliminates again (the least pivot pulls in the gcd), and each pivot is
     scaled to its canonical associate, its row of U by the inverse unit and
     its column of U^-1 by the unit.  Neither step touches the columns of V
     past the rank: the repair only adds pivot columns to pivot columns, and
-    a zero column never becomes a pivot.  Over Z_(p), "D" and "V" run the
-    integer elimination :func:`_dvr_eliminate` instead, whose least-valuation
-    pivots already form the chain.  Over Z/n (n composite), "D" and "V" run
-    over Z on the lift [A | nI] and read the result mod n; every other
-    request there, and every request over Z[q], raises.
+    a zero column never becomes a pivot.  Over Z/n (n composite), "D" and
+    "V" run over Z on the lift [A | nI] and read the result mod n; every
+    other request there, and every request over Z[q], raises.
     """
     R, nr, nc = m.ring, m.rows, m.cols
     if isinstance(R, IntegersModRing) and not R.is_field and want in ("D", "V"):
@@ -1090,13 +1090,6 @@ def _smith(m: ExactMatrix, want: str):
         return kernel
     if not R.supports_snf:
         raise UnsupportedRingError(f"smith_normal_form unsupported over {R.describe()}")
-    if isinstance(R, PLocalRing) and want in ("D", "V"):
-        A = [_clear_denominators(row)[0] for row in m.entries]
-        V = _identity(nc) if want == "V" else None
-        pivots, cv = _dvr_eliminate(A, nc, R.p, V)
-        if V is None:
-            return [Fraction(R.p**v) for v, _ in pivots]
-        return [_fractions(V[j], cv[j]) for j in range(len(pivots), nc)]
     A = [row[:] for row in m.entries]
     one, zero = R.one(), R.zero()
     U = _identity(nr, one, zero) if "U" in want else None
@@ -1246,115 +1239,17 @@ def _minus(x: list, q, y: list, p: int) -> list:
     return [a - q * b for a, b in zip(x, y)]
 
 
-def _clear_denominators(row):
-    """(l * row as ints, l), for l the lcm of the denominators in row."""
-    l = math.lcm(*[x.denominator for x in row])
-    return [x.numerator * (l // x.denominator) for x in row], l
-
-
-def _dvr_eliminate(A: list, nc: int, p: int, V: list | None = None):
-    """Fraction-free Smith elimination over Z_(p) of the integer rows A (nc
-    columns), in place; returns (pivots, cv).
-
-    The integer matrices stand for those of the Fraction loop up to unit
-    scales.  V, when given, is the nc x nc identity, kept transposed: it
-    ends with column j of the Fraction loop's V at V[j] / cv[j].  A pivot
-    p^v * u (u prime to p) clears row i by ``u * A[i] - (A[i][t] // p^v) *
-    A[t]``, which is u times the Fraction row; columns likewise, with
-    cv[j] *= u.  With least-valuation pivots one pass clears row and column
-    t, and the divisibility chain holds.  pivots[t] is (v, u) for the pivot
-    p^v * u at (t, t); the columns of V past the last pivot span the kernel.
-    """
-    nr = len(A)
-    cv = [1] * nc
-    pivots = []
-    for t in range(min(nr, nc)):
-        # the first entry of least valuation, in row-major order
-        best = None
-        for i in range(t, nr):
-            row = A[i]
-            for j in range(t, nc):
-                x = row[j]
-                if x:
-                    v = 0
-                    while not x % p:
-                        x //= p
-                        v += 1
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-                        if not v:
-                            break
-            if best is not None and not best[0]:
-                break
-        if best is None:
-            break
-        v, pi, pj = best
-        A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            if V is not None:
-                V[t], V[pj] = V[pj], V[t]
-                cv[t], cv[pj] = cv[pj], cv[t]
-        q = p**v
-        At = A[t]
-        u = At[t] // q
-        pivots.append((v, u))
-        for i in range(t + 1, nr):
-            w = A[i][t]
-            if w:
-                w //= q
-                A[i] = [u * x - w * y for x, y in zip(A[i], At)]
-        # column t of A is now zero below the pivot, so clearing A[t][j]
-        # leaves the rest of column j as it is (up to the scale cv[j])
-        for j in range(t + 1, nc):
-            w = At[j]
-            if w:
-                w //= q
-                At[j] = 0
-                for i in range(t + 1, nr):
-                    A[i][j] *= u
-                if V is not None:
-                    V[j] = [u * x - w * y for x, y in zip(V[j], V[t])]
-                    cv[j] *= u
-    return pivots, cv
-
-
-def integer_kernel(A: list, nc: int, p: int) -> list:
-    """A basis over Z_(p) of the kernel of the integer rows A (nc columns),
-    as integer vectors whose content is 1.
-
-    Runs the elimination of :func:`kernel_basis` over Z_(p); A is left as
-    is."""
-    V = _identity(nc)
-    pivots, _ = _dvr_eliminate([row[:] for row in A], nc, p, V)
-    # V[j] / cv[j] is a column of a matrix invertible over Z_(p), so p does
-    # not divide the content of V[j]
-    return [_without_content(V[j], math.gcd(*V[j])) for j in range(len(pivots), nc)]
-
-
 def primitive_integer_vector(v, p: int) -> list:
     """The integer vector that is a unit multiple of v over Z_(p) and whose
     content is a power of p: v's denominators (prime to p) are cleared and
     the part of its content prime to p is divided out.  v holds ints or
     p-local Fractions."""
-    w, _ = _clear_denominators(v)
+    l = math.lcm(*[x.denominator for x in v])
+    w = [x.numerator * (l // x.denominator) for x in v]
     g = math.gcd(*w)
     while g and not g % p:
         g //= p
-    return _without_content(w, g)
-
-
-def _without_content(w: list, g: int) -> list:
-    """w divided by g, a divisor of its content."""
     return [x // g for x in w] if g > 1 else w
-
-
-def _fractions(row, d: int) -> list:
-    """The Fractions x / d for the ints x in row."""
-    if d == 1 or d == -1:
-        return [Fraction(x * d) if x else _FRACTION_ZERO for x in row]
-    return [Fraction(x, d) if x else _FRACTION_ZERO for x in row]
 
 
 def _lift_zmod(m: ExactMatrix) -> ExactMatrix:

@@ -20,9 +20,9 @@ from .coeff_rings import (
     PreconditionError,
     Ring,
     UnsupportedRingError,
+    ZZ,
     cokernel_invariants,
     homology_invariants,
-    integer_kernel,
     kernel_basis,
     primitive_integer_vector,
     quotient_generators,
@@ -652,7 +652,10 @@ def _refine_lattice(M: PresentedModule, d: int, lattice: Lattice, degrees, relat
     vector is scaled by a unit, so the lattice basis is cleared to primitive
     integer vectors and the C(s + j, j) by their common p-prime denominator
     and content (a unit scale of every new vector); the relation columns
-    come cleared one by one, as their kernel coordinates are dropped."""
+    come cleared one by one, as their kernel coordinates are dropped.  The
+    kernel of the integer matrix is then taken over Z: Z_(p) is a
+    localization of Z, so the Z-basis of the kernel that the unimodular V
+    of the Smith form gives is a Z_(p)-basis of it too."""
     ctx = M.context
     R = ctx.ring
     F0 = M.generators
@@ -676,7 +679,8 @@ def _refine_lattice(M: PresentedModule, d: int, lattice: Lattice, degrees, relat
                 big[row_of[i]][col] = c * x if p else R.mul(c, x)
         newvecs = []
         if p:
-            for k in integer_kernel(big, len(big[0]), p):
+            # ints are canonical over Z, so the rows are wrapped as they are
+            for k in kernel_basis(ExactMatrix._from_canonical(ZZ, big, len(big), len(big[0]))):
                 w = [0] * dim
                 for c, b in zip(k, B):
                     if c:
@@ -770,7 +774,12 @@ def torsion_submodule(
         dim = M.generators.rank(d)
         if not dim:
             continue
-        pspan = Lattice(R, dim, M.relations.slice_columns(d))
+        # the columns of relation_rows(d) span the relation slice (over
+        # Z_(p), up to unit scales) and are built once for every use
+        cols = zip(*relation_rows(d))
+        if isinstance(R, PLocalRing):
+            cols = ([Fraction(x) for x in col] for col in cols)
+        pspan = Lattice(R, dim, cols)
         window = _margin_lattice(M, d, margin, relation_rows)
         if window.equals(pspan):
             continue

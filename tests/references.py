@@ -1,5 +1,6 @@
 """Reference algorithms the tests compare gdpakit against."""
 
+import math
 from fractions import Fraction
 
 from gdpakit.coeff_rings import (
@@ -10,8 +11,8 @@ from gdpakit.coeff_rings import (
     Ring,
     _coordinates,
     _lift_zmod,
+    _identity,
     cokernel_invariants,
-    integer_kernel,
     kernel_basis,
     primitive_integer_vector,
     smith_normal_form,
@@ -168,6 +169,89 @@ def _snf_euclid(m: ExactMatrix):
     )
 
 
+def _dvr_eliminate(A: list, nc: int, p: int, V: list | None = None):
+    """Fraction-free Smith elimination over Z_(p) of the integer rows A (nc
+    columns), in place; returns (pivots, cv).
+
+    The integer matrices stand for those of the Fraction loop up to unit
+    scales.  V, when given, is the nc x nc identity, kept transposed: it
+    ends with column j of the Fraction loop's V at V[j] / cv[j].  A pivot
+    p^v * u (u prime to p) clears row i by ``u * A[i] - (A[i][t] // p^v) *
+    A[t]``, which is u times the Fraction row; columns likewise, with
+    cv[j] *= u.  With least-valuation pivots one pass clears row and column
+    t, and the divisibility chain holds.  pivots[t] is (v, u) for the pivot
+    p^v * u at (t, t); the columns of V past the last pivot span the kernel.
+    """
+    nr = len(A)
+    cv = [1] * nc
+    pivots = []
+    for t in range(min(nr, nc)):
+        # the first entry of least valuation, in row-major order
+        best = None
+        for i in range(t, nr):
+            row = A[i]
+            for j in range(t, nc):
+                x = row[j]
+                if x:
+                    v = 0
+                    while not x % p:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if not v:
+                            break
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        v, pi, pj = best
+        A[t], A[pi] = A[pi], A[t]
+        if pj != t:
+            for row in A[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            if V is not None:
+                V[t], V[pj] = V[pj], V[t]
+                cv[t], cv[pj] = cv[pj], cv[t]
+        q = p**v
+        At = A[t]
+        u = At[t] // q
+        pivots.append((v, u))
+        for i in range(t + 1, nr):
+            w = A[i][t]
+            if w:
+                w //= q
+                A[i] = [u * x - w * y for x, y in zip(A[i], At)]
+        # column t of A is now zero below the pivot, so clearing A[t][j]
+        # leaves the rest of column j as it is (up to the scale cv[j])
+        for j in range(t + 1, nc):
+            w = At[j]
+            if w:
+                w //= q
+                At[j] = 0
+                for i in range(t + 1, nr):
+                    A[i][j] *= u
+                if V is not None:
+                    V[j] = [u * x - w * y for x, y in zip(V[j], V[t])]
+                    cv[j] *= u
+    return pivots, cv
+
+
+def integer_kernel(A: list, nc: int, p: int) -> list:
+    """A basis over Z_(p) of the kernel of the integer rows A (nc columns),
+    as integer vectors whose content is 1, by :func:`_dvr_eliminate`; A is
+    left as is."""
+    V = _identity(nc)
+    pivots, _ = _dvr_eliminate([row[:] for row in A], nc, p, V)
+    # V[j] / cv[j] is a column of a matrix invertible over Z_(p), so p does
+    # not divide the content of V[j]
+    out = []
+    for j in range(len(pivots), nc):
+        g = math.gcd(*V[j])
+        out.append([x // g for x in V[j]] if g > 1 else V[j])
+    return out
+
+
 def quotient_generators_two_snf(ring: Ring, dim: int, vectors, sub_vectors) -> list:
     """gdpakit's quotient_generators as it was with two Smith forms, both by
     the generic loop _snf_euclid.
@@ -215,7 +299,8 @@ def quotient_generators_two_snf(ring: Ring, dim: int, vectors, sub_vectors) -> l
 def refine_lattice_every_j(M, d: int, lattice: Lattice, j_start: int, j_end: int, relation_rows):
     """Cut the lattice down to the vectors v with x^[j] v in im(relations)
     for every j in [j_start, j_end], one j at a time; over Z_(p) each step
-    runs on primitive integer vectors."""
+    runs on primitive integer vectors, with kernels by the DVR elimination
+    :func:`integer_kernel`."""
     ctx = M.context
     R = ctx.ring
     F0 = M.generators

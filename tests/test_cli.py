@@ -367,6 +367,21 @@ class TestInputBoundary:
         assert res.stderr.startswith(f"error: malformed --table: {kind}: ")
         assert res.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args, option, kind",
+        [(["cbinom", "--family", "custom", "--values", "[1,2]", "--n", "4", "--m", "2"],
+          "--values", "AttributeError"),
+         (["hilbert", "--ideal", "5", "--h", "2"], "--ideal", "TypeError"),
+         (["a2-check", "--ideal", "5"], "--ideal", "TypeError")],
+        ids=["custom-values-list", "hilbert-ideal-int", "a2-check-ideal-int"],
+    )
+    def test_malformed_values_and_ideal_rejected(self, monkeypatch, capsys, args, option, kind):
+        # these used to end in a traceback from the console entry point
+        code, out, err = run_entry_point(monkeypatch, capsys, args)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: malformed {option}: {kind}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 def test_no_module_imports_sympy():
     # sympy is a test-only oracle; importing it costs every CLI call ~0.35 s

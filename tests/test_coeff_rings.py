@@ -29,7 +29,6 @@ from gdpakit.coeff_rings import (
     Zmod,
     cokernel_invariants,
     homology_invariants,
-    integer_kernel,
     invariants_from_factors,
     kernel_basis,
     ring_from_json,
@@ -42,7 +41,7 @@ from gdpakit.coeff_rings import (
     _lift_zmod,
 )
 from gdpakit import coeff_rings
-from references import _diag, _snf_euclid, quotient_generators_two_snf, solve
+from references import _diag, _snf_euclid, integer_kernel, quotient_generators_two_snf, solve
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +443,21 @@ def test_integer_kernel_matches_euclidean_kernel(case):
     p, rows, cols, ents = case
     R = Zloc(p)
     ref = _kernel_columns(*_snf_euclid(ExactMatrix(R, ents, rows, cols))[1:])
-    # clearing a row's denominators scales it by a unit: the kernel is the same
+    # clearing a row's denominators scales it by a unit: the kernel is the
+    # same, and Z_(p) is a localization of Z, so a Z-basis of the kernel of
+    # the integer rows is a Z_(p)-basis of it
     ints = []
     for row in ents:
         l = math.lcm(*[x.denominator for x in row])
         ints.append([int(x * l) for x in row])
-    got = integer_kernel(ints, cols, p)
-    assert len(got) == len(ref)
+    got = kernel_basis(ExactMatrix(ZZ, ints, rows, cols))
+    dvr = integer_kernel(ints, cols, p)
+    assert len(got) == len(dvr) == len(ref)
     for k in got:
         assert all(type(x) is int for x in k) and math.gcd(*k) == 1
-    vectors = [[Fraction(x) for x in k] for k in got]
-    assert Lattice(R, cols, vectors).equals(Lattice(R, cols, ref))
+    lattice = Lattice(R, cols, [[Fraction(x) for x in k] for k in got])
+    assert lattice.equals(Lattice(R, cols, ref))
+    assert lattice.equals(Lattice(R, cols, [[Fraction(x) for x in k] for k in dvr]))
     # kernel_basis reads V without U: exactly the columns smith_normal_form gives
     m = ExactMatrix(R, ents, rows, cols)
     assert kernel_basis(m) == ref == _kernel_columns(*smith_normal_form(m)[1:])

@@ -523,22 +523,46 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
     # 128 bits leaves room for whole binomials times window entries (108
     # bits) and flags growth in the window loop.  The cut degrees up to the
     # cap 128 are the 8 powers of 2, so a degree makes at most 8 kernels
-    # (cutting at every j made up to 128).
-    kernel = graded_modules.integer_kernel
+    # (cutting at every j made up to 128).  The integer kernels are taken
+    # over Z, so they are the kernel_basis calls on ZZ matrices.
+    kernel = graded_modules.kernel_basis
     bits = []
 
-    def watched(A, nc, p):
-        out = kernel(A, nc, p)
-        bits.append(max((abs(x).bit_length() for v in (*A, *out) for x in v), default=0))
+    def watched(m):
+        out = kernel(m)
+        if m.ring == ZZ:
+            bits.append(max((abs(x).bit_length() for v in (*m.entries, *out) for x in v),
+                            default=0))
         return out
 
-    monkeypatch.setattr(graded_modules, "integer_kernel", watched)
+    monkeypatch.setattr(graded_modules, "kernel_basis", watched)
     for M in recipe_13_modules(40, 8):
         before = len(bits)
         assert torsion_submodule(M, 40).verdict == "torsion_free"
         assert len(bits) - before <= 8 * (40 - M.min_degree() + 1)
     assert len(bits) > 1000
     assert max(bits) <= 128
+
+
+def test_torsion_builds_each_relation_slice_once(monkeypatch):
+    # the relation span of degree d and the torsion windows read the same
+    # slices: one torsion_submodule call builds each (map, degree) slice once
+    slice_columns = ModuleMap.slice_columns
+    built = []
+
+    def watched(f, d):
+        built.append((id(f), d))
+        return slice_columns(f, d)
+
+    monkeypatch.setattr(ModuleMap, "slice_columns", watched)
+    rng = random.Random(15)
+    modules = recipe_13_modules(5, 4) + [
+        small_module(ctx, rng.randint) for ctx in ORACLE_CONTEXTS for _ in range(3)
+    ]
+    for M in modules:
+        built.clear()
+        torsion_submodule(M, 12)
+        assert built and len(built) == len(set(built))
 
 
 # rings and pi of the torsion oracle: classical, all-ones and custom pi,
