@@ -125,7 +125,7 @@ def build_pi(family: str, ring: Ring, values: str | None, default: str | None,
     if fam == "cyclotomic_at":
         if q0 is None:
             _fail("cyclotomic-at requires --q0")
-        return PiSequence.cyclotomic_at(ring, ring.from_str(q0))
+        return PiSequence.cyclotomic_at(ring, _parse("--q0", lambda: ring.from_str(q0)))
     if fam == "gcd_morphic":
         if values is None:
             _fail("gcd-morphic requires --values (JSON list a(1), a(2), ...)")
@@ -136,7 +136,7 @@ def build_pi(family: str, ring: Ring, values: str | None, default: str | None,
             _fail("custom requires --values (JSON object degree -> value)")
         obj = load_json(values)
         vals = _parse("--values", lambda: {int(k): ring.from_str(str(v)) for k, v in obj.items()})
-        dflt = ring.from_str(default) if default is not None else None
+        dflt = None if default is None else _parse("--default", lambda: ring.from_str(default))
         return PiSequence.custom(ring, vals, dflt)
     _fail(f"unknown family {family!r}")
 

@@ -9,8 +9,8 @@ horizon and tag their results with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .coeff_rings import (
     ExactMatrix,
@@ -21,6 +21,7 @@ from .coeff_rings import (
     Ring,
     UnsupportedRingError,
     ZZ,
+    _smith,
     cokernel_invariants,
     homology_invariants,
     kernel_basis,
@@ -637,66 +638,88 @@ def _implied(ctx: AlgebraContext, j: int) -> bool:
         return False
 
 
-def _refine_lattice(M: PresentedModule, d: int, lattice: Lattice, degrees, relation_rows):
-    """Cut the lattice down to the vectors v with x^[j] v in im(relations)
-    for every j in degrees, one j at a time (each step is a kernel of a tiny
-    matrix in the lattice coordinates, so large margins stay cheap), and
-    return the cut lattice.  The relation submodule is a D-submodule, so a
-    lattice that contains its degree-d slice keeps it.  Callers pass the
-    degrees of :func:`_cut_degrees` in a window: a lattice that meets the
-    conditions for every j below the window meets them for every j up to
-    its top, as the skipped conditions follow from smaller ones.
+def _ideal_generator(R: Ring, x) -> int:
+    """The canonical generator of the ideal that a nonzero determinant x
+    generates: 1 over a field, the p-part of the int x over Z_(p), |x|
+    over Z and over the Z lift of Z/n."""
+    if R.is_field:
+        return 1
+    if isinstance(R, PLocalRing):
+        return R.p ** R.valuation(x)
+    return abs(x)
 
-    relation_rows(e) gives the rows of the relation slice at degree e.  Over
-    Z_(p) a step runs on ints: a span over Z_(p) does not change when a
-    vector is scaled by a unit, so the lattice basis is cleared to primitive
-    integer vectors and the C(s + j, j) by their common p-prime denominator
-    and content (a unit scale of every new vector); the relation columns
-    come cleared one by one, as their kernel coordinates are dropped.  The
-    kernel of the integer matrix is then taken over Z: Z_(p) is a
-    localization of Z, so the Z-basis of the kernel that the unimodular V
-    of the Smith form gives is a Z_(p)-basis of it too."""
+
+def _rank_and_delta(R: Ring, vectors, dim: int):
+    """(rank, delta) of the span of the vectors in R^dim, integer vectors
+    over Z_(p): delta generates the ideal of the maximal nonzero minors of
+    the matrix with the vectors as columns, the product of the nonzero
+    diagonal of its D-only Smith form (taken over Z for Z_(p), and over
+    Z/n of the lift [A | nI], whose columns span the preimage in Z^dim)."""
+    K = ZZ if isinstance(R, PLocalRing) else R
+    diag = [x for x in _smith(ExactMatrix.from_columns(K, vectors, dim), "D") if x]
+    return len(diag), _ideal_generator(R, math.prod(diag))
+
+
+def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_rows, goal=None):
+    """Cut a window of F0_d down to the vectors v with x^[j] v in
+    im(relations) for every j in degrees, one j at a time (each step is a
+    kernel of a tiny matrix in the lattice coordinates, so large margins
+    stay cheap), and return the cut window.  The relation submodule is a
+    D-submodule, so a lattice that contains its degree-d slice keeps it.
+    Callers pass the degrees of :func:`_cut_degrees` in a window: a lattice
+    that meets the conditions for every j below the window meets them for
+    every j up to its top, as the skipped conditions follow from smaller
+    ones.
+
+    A window is ((rank, delta), B): B an independent basis (rows) of the
+    lattice, delta the generator of the ideal of B's maximal minors
+    (:func:`_ideal_generator`); None is all of F0_d.  Over Z_(p) the rows
+    are primitive integer vectors, as a unit scale changes no span; over
+    Z/n they are integer rows of the preimage in Z^dim.  A step takes the
+    kernel of [x^[j] B | relation_rows(d + j)], over Z_(p) with the
+    binomials cleared the same way and over Z: Z_(p) is a localization of
+    Z, so a Z-basis of the kernel is a Z_(p)-basis of it.  The kernel's
+    B-coordinates go into a Lattice over the same ring, whose echelon basis
+    A gives B <- A B.  At an unchanged rank A is square and triangular, so
+    delta gains the product of its pivots; when the rank drops, one D-only
+    Smith form of B gives delta again.
+
+    With goal, the (rank, delta) of the relation span, the cuts stop once
+    the window reaches it: the window contains the relation span, and
+    nested lattices of equal rank and delta are equal."""
     ctx = M.context
     R = ctx.ring
     F0 = M.generators
     basis = F0.basis(d)
     dim = len(basis)
     p = R.p if isinstance(R, PLocalRing) else None
+    K = ZZ if p else R
+    (rank, delta), B = window or ((dim, 1), ExactMatrix.identity(K, dim).entries)
     for j in degrees:
-        B = lattice.basis()
-        if not B:
+        if not rank or (rank, delta) == goal:
             break
         row_of = {i: r for r, (i, _) in enumerate(F0.basis(d + j))}
         coeffs = [ctx.C(s + j, j) for _, s in basis]
         if p:
-            B = [primitive_integer_vector(b, p) for b in B]
             coeffs = primitive_integer_vector(coeffs, p)
         # x^[j] sends x^[s] e_i to C(s + j, j) x^[s + j] e_i: one row per
         # generator, so no two products land in the same entry
-        big = [[0 if p else R.zero()] * len(B) + r for r in relation_rows(d + j)]
+        big = [[K.zero()] * rank + row for row in relation_rows(d + j)]
         for col, b in enumerate(B):
             for (i, _), c, x in zip(basis, coeffs, b):
-                big[row_of[i]][col] = c * x if p else R.mul(c, x)
-        newvecs = []
+                big[row_of[i]][col] = K.mul(c, x)
+        kernel = kernel_basis(ExactMatrix._from_canonical(K, big, len(big), len(big[0])))
+        coords = Lattice(K, rank, [k[:rank] for k in kernel])
+        A = coords.basis()
+        B = ExactMatrix._from_canonical(coords.base, A, len(A), rank).matmul(
+            ExactMatrix._from_canonical(coords.base, B, rank, dim)).entries
         if p:
-            # ints are canonical over Z, so the rows are wrapped as they are
-            for k in kernel_basis(ExactMatrix._from_canonical(ZZ, big, len(big), len(big[0]))):
-                w = [0] * dim
-                for c, b in zip(k, B):
-                    if c:
-                        w = [x + c * y for x, y in zip(w, b)]
-                if any(w):
-                    newvecs.append([Fraction(x) for x in primitive_integer_vector(w, p)])
+            B = [primitive_integer_vector(b, p) for b in B]
+        if len(A) == rank:
+            delta = _ideal_generator(R, delta * math.prod(a[t] for t, a in enumerate(A)))
         else:
-            for k in kernel_basis(ExactMatrix(R, big, len(big), len(big[0]))):
-                w = [R.zero()] * dim
-                for coeff, b in zip(k, B):
-                    if not R.is_zero(coeff):
-                        w = [R.add(x, R.mul(coeff, y)) for x, y in zip(w, b)]
-                if any(not R.is_zero(x) for x in w):
-                    newvecs.append(w)
-        lattice = Lattice(R, dim, newvecs)
-    return lattice
+            rank, delta = _rank_and_delta(R, B, dim)
+    return (rank, delta), B
 
 
 def _relation_rows(M: PresentedModule):
@@ -722,12 +745,10 @@ def _margin_lattice(M: PresentedModule, d: int, margin: int, relation_rows=None)
     """The lattice {v in F0_d : x^[j] v in im(relations) for 1 <= j <= margin},
     cut from all of F0_d at the degrees of :func:`_cut_degrees` up to margin."""
     R = M.context.ring
-    dim = M.generators.rank(d)
-    identity = ExactMatrix.identity(R, dim).entries
-    return _refine_lattice(
-        M, d, Lattice(R, dim, identity), _cut_degrees(M.context, margin),
-        relation_rows or _relation_rows(M),
+    _, B = _refine_lattice(
+        M, d, None, _cut_degrees(M.context, margin), relation_rows or _relation_rows(M)
     )
+    return Lattice(R, M.generators.rank(d), [[R.canon(x) for x in b] for b in B])
 
 
 def torsion_submodule(
@@ -747,7 +768,12 @@ def torsion_submodule(
     x^[j] v in N, since x^[j-a] x^[a] v = C(j, a) x^[j] v, so a cut at j
     would not change a lattice already cut at every smaller degree.  The
     lattice always contains the relation span, because the relation
-    submodule is a D-submodule.  After a window:
+    submodule is a D-submodule, so the lattices after the three windows
+    shrink and all contain the span.  Nested lattices of equal rank are
+    equal exactly when their determinant ideals agree, so each is compared
+    with the span, and the last with the middle one, by (rank, delta) (see
+    :func:`_refine_lattice`); a window that reaches the span stops cutting,
+    as every later cut would keep it.  After a window:
 
     - lattice equal to the relation span -> no candidate;
     - unchanged over the top half of the window [cap/2, cap] (stable) ->
@@ -768,36 +794,26 @@ def torsion_submodule(
     shrank = False
     relation_rows = _relation_rows(M)
     cuts = _cut_degrees(ctx, cap)
+    first = [j for j in cuts if j <= margin]
     middle = [j for j in cuts if margin < j <= cap // 2]
     last = [j for j in cuts if j > cap // 2]
     for d in range(M.min_degree(), degree_bound + 1):
         dim = M.generators.rank(d)
         if not dim:
             continue
-        # the columns of relation_rows(d) span the relation slice (over
-        # Z_(p), up to unit scales) and are built once for every use
-        cols = zip(*relation_rows(d))
-        if isinstance(R, PLocalRing):
-            cols = ([Fraction(x) for x in col] for col in cols)
-        pspan = Lattice(R, dim, cols)
-        window = _margin_lattice(M, d, margin, relation_rows)
-        if window.equals(pspan):
+        goal = _rank_and_delta(R, list(zip(*relation_rows(d))), dim)
+        window = _refine_lattice(M, d, None, first, relation_rows, goal)
+        if window[0] == goal:
             continue
-        half = _refine_lattice(M, d, window, middle, relation_rows)
-        if half.equals(pspan):
+        half = _refine_lattice(M, d, window, middle, relation_rows, goal)
+        final = _refine_lattice(M, d, half, last, relation_rows, goal)
+        if final[0] == goal or half[0] != final[0]:
             shrank = True
             continue
-        final = _refine_lattice(M, d, half, last, relation_rows)
-        if final.equals(pspan):
-            shrank = True
-            continue
-        if half.equals(final):
-            # stable annihilated classes beyond the relation submodule (over
-            # Z/n the lattice rows are integer lifts)
-            cols = [[R.canon(x) for x in v] for v in final.basis()]
-            stable.append((d, cokernel_invariants(ExactMatrix.from_columns(R, cols, dim))))
-        else:
-            shrank = True
+        # stable annihilated classes beyond the relation submodule (over Z/n
+        # the basis rows are integer lifts)
+        cols = [[R.canon(x) for x in v] for v in final[1]]
+        stable.append((d, cokernel_invariants(ExactMatrix.from_columns(R, cols, dim))))
     if stable:
         if certified:
             return TorsionReport(

@@ -166,9 +166,12 @@ def special_resolve_field(M: PresentedModule, horizon: int = 40) -> SpecialResol
     M((0), h): the module is itself special and r = 0.  The zero h is sought
     up to degree max(horizon, 1024), past the horizon too: zeros of pi below
     the presentation degrees can force syzygies within the horizon that only
-    the split at h resolves.  Otherwise (no zero of pi in reach: the
-    polynomial-algebra regime) one free cover suffices and the kernel is
-    free, so r <= 1.  Everything is verified degreewise to the horizon."""
+    the split at h resolves.  Otherwise the free-kernel path takes one free
+    cover and checks that its kernel is free, so r <= 1; that holds when pi
+    has no zeros at all.  A pi whose zeros all lie at or below the
+    presentation degrees can leave a kernel that is not free, and then
+    PreconditionError is raised although the module is valid.  Everything
+    is verified degreewise to the horizon."""
     ctx = M.context
     R = ctx.ring
     if not R.is_field:

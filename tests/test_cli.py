@@ -372,8 +372,13 @@ class TestInputBoundary:
         [(["cbinom", "--family", "custom", "--values", "[1,2]", "--n", "4", "--m", "2"],
           "--values", "AttributeError"),
          (["hilbert", "--ideal", "5", "--h", "2"], "--ideal", "TypeError"),
-         (["a2-check", "--ideal", "5"], "--ideal", "TypeError")],
-        ids=["custom-values-list", "hilbert-ideal-int", "a2-check-ideal-int"],
+         (["a2-check", "--ideal", "5"], "--ideal", "TypeError"),
+         (["cbinom", "--ring", "Q", "--family", "custom", "--values", '{"2":3}',
+           "--default", "1/0", "--n", "4", "--m", "2"], "--default", "ZeroDivisionError"),
+         (["cbinom", "--ring", "Q", "--family", "cyclotomic-at", "--q0", "1/0",
+           "--n", "4", "--m", "2"], "--q0", "ZeroDivisionError")],
+        ids=["custom-values-list", "hilbert-ideal-int", "a2-check-ideal-int",
+             "custom-default-zero-denominator", "cyclotomic-at-q0-zero-denominator"],
     )
     def test_malformed_values_and_ideal_rejected(self, monkeypatch, capsys, args, option, kind):
         # these used to end in a traceback from the console entry point

@@ -16,10 +16,12 @@ from gdpakit.coeff_rings import (
     ExactMatrix,
     Lattice,
     ModuleInvariants,
+    PLocalRing,
     PreconditionError,
     UnsupportedRingError,
     cokernel_invariants,
     kernel_basis,
+    primitive_integer_vector,
 )
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.graded_modules import (
@@ -43,7 +45,14 @@ from gdpakit.graded_modules import (
     truncate_at_most,
 )
 from gdpakit import graded_modules
-from gdpakit.graded_modules import _cut_degrees, _degreewise_generators, _margin_lattice
+from gdpakit.graded_modules import (
+    _cut_degrees,
+    _degreewise_generators,
+    _margin_lattice,
+    _rank_and_delta,
+    _refine_lattice,
+    _relation_rows,
+)
 from gdpakit.pi_core import PiSequence
 from gdpakit.resolutions_k import minimal_image_generators
 from references import solve, torsion_submodule_every_j
@@ -524,7 +533,10 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
     # bits) and flags growth in the window loop.  The cut degrees up to the
     # cap 128 are the 8 powers of 2, so a degree makes at most 8 kernels
     # (cutting at every j made up to 128).  The integer kernels are taken
-    # over Z, so they are the kernel_basis calls on ZZ matrices.
+    # over Z, so they are the kernel_basis calls on ZZ matrices.  A window
+    # stops cutting once it reaches the relation span, so these 8 modules
+    # make 707 kernels (1,242 when every window ran every cut): the floor
+    # shows the watch is hooked, the ceiling that the early exit holds.
     kernel = graded_modules.kernel_basis
     bits = []
 
@@ -540,7 +552,7 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
         before = len(bits)
         assert torsion_submodule(M, 40).verdict == "torsion_free"
         assert len(bits) - before <= 8 * (40 - M.min_degree() + 1)
-    assert len(bits) > 1000
+    assert 500 < len(bits) <= 900
     assert max(bits) <= 128
 
 
@@ -574,18 +586,114 @@ TORSION_CONTEXTS = ORACLE_CONTEXTS + [
 
 
 def test_torsion_matches_the_every_j_reference():
-    # cutting only at the degrees of _cut_degrees gives the same report as
-    # cutting at every j of every window
+    # cutting only at the degrees of _cut_degrees, and stopping at the
+    # relation span, gives the same report as cutting at every j of every
+    # window; the fractional contexts have denominators prime to p
     rng = random.Random(14)
     verdicts = set()
+    contexts = TORSION_CONTEXTS + FRACTIONAL_CONTEXTS
     for n in range(240):
-        ctx = TORSION_CONTEXTS[n % len(TORSION_CONTEXTS)]
+        ctx = contexts[n % len(contexts)]
         M = small_module(ctx, rng.randint)
         h = rng.randint(3, 8)
         rep = torsion_submodule(M, h)
         assert rep.to_json() == torsion_submodule_every_j(M, h).to_json()
         verdicts.add(rep.verdict)
     assert verdicts == {"torsion_free", "has_torsion", "inconclusive"}
+
+
+def test_torsion_matches_the_every_j_reference_at_the_benchmark_horizon():
+    # horizon 40 and cap 128 as in torsion-zloc2, on Z_(2) modules it does
+    # not draw: the windows stop at the relation span, the reference does not
+    for M in recipe_13_modules(7, 4):
+        assert torsion_submodule(M, 40).to_json() == torsion_submodule_every_j(M, 40).to_json()
+
+
+def test_torsion_windows_stop_at_the_relation_span(monkeypatch):
+    # a degree makes one kernel per cut until its lattice equals the
+    # relation span, and none after, in whichever window that happens
+    kernel = graded_modules.kernel_basis
+    calls = []
+    monkeypatch.setattr(graded_modules, "kernel_basis", lambda m: calls.append(m) or kernel(m))
+    rng = random.Random(16)
+    modules = [(M, 40) for M in recipe_13_modules(5, 4)] + [
+        (small_module(ctx, rng.randint), 12) for ctx in ORACLE_CONTEXTS + FRACTIONAL_CONTEXTS
+    ]
+    for M, h in modules:
+        R = M.context.ring
+        margin = max(4, M.max_presentation_degree() + 1)
+        cap = max(4 * margin, 2 * (1 << (h + margin - 1).bit_length()))
+        rows = _relation_rows(M)
+        expected = 0
+        cuts = _cut_degrees(M.context, cap)
+        for d in range(M.min_degree(), h + 1):
+            dim = M.generators.rank(d)
+            span = Lattice(R, dim, M.relations.slice_columns(d))
+            window, basis = None, ExactMatrix.identity(R, dim).entries
+            for j in cuts:
+                if span.equals(Lattice(R, dim, [[R.canon(x) for x in b] for b in basis])):
+                    break
+                window = _refine_lattice(M, d, window, [j], rows)
+                basis = window[1]
+                expected += 1
+        calls.clear()
+        torsion_submodule(M, h)
+        assert len(calls) == expected
+
+
+@st.composite
+def nested_lattices(draw):
+    """(R, dim, S, L): vectors L in R^dim and vectors S, random combinations
+    of them, so span(S) <= span(L); over Z_(p) with denominators prime to p."""
+    R = draw(st.sampled_from(ORACLE_RINGS))
+    dim = draw(st.integers(1, 4))
+
+    def element():
+        n = draw(st.integers(-6, 6))
+        if isinstance(R, PLocalRing):
+            return Fraction(n, draw(st.sampled_from([q for q in (1, 3, 5, 7) if q % R.p])))
+        return R.from_int(n)
+
+    L = [[element() for _ in range(dim)] for _ in range(draw(st.integers(0, 4)))]
+    S = []
+    for _ in range(draw(st.integers(0, 4))):
+        v = [R.zero()] * dim
+        for b in L:
+            c = element()
+            v = [R.add(x, R.mul(c, y)) for x, y in zip(v, b)]
+        S.append(v)
+    return R, dim, S, L
+
+
+def rank_and_delta(R, dim, vectors):
+    if isinstance(R, PLocalRing):
+        vectors = [primitive_integer_vector(v, R.p) for v in vectors]
+    return _rank_and_delta(R, vectors, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_lattices())
+def test_rank_and_delta_decide_equality_of_nested_lattices(case):
+    # the torsion windows compare lattices by (rank, delta) alone, which
+    # holds for nested ones: S = T L with T square at equal rank, and
+    # delta(S) = det(T) delta(L) up to a unit
+    R, dim, S, L = case
+    same = rank_and_delta(R, dim, S) == rank_and_delta(R, dim, L)
+    assert same == Lattice(R, dim, S).equals(Lattice(R, dim, L))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_modules(ORACLE_CONTEXTS + FRACTIONAL_CONTEXTS), st.integers(0, 3),
+       st.integers(1, 8))
+def test_torsion_window_keeps_the_rank_and_delta_of_its_basis(M, offset, margin):
+    # each step updates delta from the pivots of its coordinate basis, or
+    # from a Smith form when the rank drops; both must give the pair of the
+    # cut lattice
+    R = M.context.ring
+    d = M.min_degree() + offset
+    dim = M.generators.rank(d)
+    pair, B = _refine_lattice(M, d, None, _cut_degrees(M.context, margin), _relation_rows(M))
+    assert pair == _rank_and_delta(R, B, dim)
 
 
 @pytest.mark.parametrize("pi", [PiSequence.cyclotomic_symbolic(), PiSequence.all_ones(ZPOLY)],
