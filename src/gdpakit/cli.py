@@ -260,8 +260,8 @@ def pi_check(ring, family, values, default_, q0, up_to, out):
 @out_option
 def pi_transform(ring, family, values, default_, q0, h, up_to, out):
     """The h-transform pi^[h], with a value preview."""
-    R = parse_ring(ring)
-    pi = build_pi(family, R, values, default_, q0)
+    pi = build_pi(family, parse_ring(ring), values, default_, q0)
+    R = pi.ring  # gcd-morphic values are integers whatever --ring says
     tpi = h_transform(pi, h)
     data = {
         "h": h,
@@ -550,7 +550,7 @@ def run():
     except click.exceptions.Exit as e:
         sys.exit(e.exit_code)
     except click.ClickException as e:
-        e.show()
+        click.echo(f"error: {e.format_message()}", err=True)
         sys.exit(1)
     except (PreconditionError, NotAGdpaError, ValueError) as e:
         click.echo(f"error: {e}", err=True)

@@ -1275,8 +1275,13 @@ def _diagonal_invariants(R: Ring, rows: int, diag) -> ModuleInvariants:
 
 def cokernel_invariants(m: ExactMatrix) -> ModuleInvariants:
     """Invariants of coker(m : R^cols -> R^rows), from the diagonal of m's
-    Smith form, built without U or V (over Z/n, of the lift's)."""
-    return _diagonal_invariants(m.ring, m.rows, _smith(m, "D"))
+    Smith form, built without U or V (over Z/n, of the lift's).  Over a
+    field the cokernel is free of rank rows - rank(m), and the rank is that
+    of the echelon basis of m's columns."""
+    R = m.ring
+    if R.is_field:
+        return ModuleInvariants(R, m.rows - Lattice(R, m.rows, zip(*m.entries)).rank)
+    return _diagonal_invariants(R, m.rows, _smith(m, "D"))
 
 
 def kernel_basis(m: ExactMatrix):
@@ -1432,7 +1437,13 @@ def quotient_generators(ring: Ring, dim: int, vectors, sub_vectors) -> list:
     U X V = D are lifted back through U^-1 and that basis.  The elimination
     builds U^-1 alone, applying the inverse of each row move as a column
     move."""
-    sub = Lattice(ring, dim, sub_vectors)
+    return _quotient_generators(ring, vectors, sub_vectors, Lattice(ring, dim, sub_vectors))
+
+
+def _quotient_generators(ring: Ring, vectors, sub_vectors, sub: Lattice) -> list:
+    """:func:`quotient_generators` with sub, the Lattice of sub_vectors,
+    already built (it may grow)."""
+    dim = sub.dim
     if ring.is_field:
         return [v for v in vectors if sub.insert(v)]
     if all(sub.contains(v) for v in vectors):

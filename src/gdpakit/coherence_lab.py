@@ -164,7 +164,15 @@ def t1_bound_check(spec: IdealSpec, margin: int = 4) -> BoundReport:
     Over Z (and Z_(p)) the graded slices of I are subgroups of the free
     slices of D, hence torsion-free: T(I) = 0 and I/T(I) = I.  t_1 is the
     largest degree where the syzygies of a minimal generating set need a new
-    generator (None when I is free on its generators)."""
+    generator (None when I is free on its generators).
+
+    The scan runs to horizon = bound + margin.  The generators map into D,
+    which has one generator, so every degree-d slice is one row, and
+    :func:`syzygy_generators` takes no kernel in a degree where the
+    syzygies found below already span the row's kernel (index 1, see
+    :func:`~gdpakit.graded_modules._spans_row_kernel`): past the last new
+    syzygy each degree costs the images of the old syzygies and their
+    echelon basis."""
     ctx = spec.context
     R = ctx.ring
     N = torsion_bound_N(spec)
@@ -367,10 +375,11 @@ def bivariate_counterexample(p: int, r: int) -> dict:
     """The relation (y^[p^r - 1] x^[p^r]) y^[1] - (y^[p^r] x^[p^r - 1]) x^[1]
     vanishes exactly over Z_(p), and the bidegree-(p^r, p^r) syzygy of
     (y^[1], x^[1]) is not generated by syzygies of lower bidegree."""
+    ring = Zloc(p)  # PreconditionError unless p is prime
+    # p >= 2, so r <= 4 in scope; the bound on r also keeps p**r small
+    if not 0 <= r <= 4 or p**r > 16:
+        raise PreconditionError(f"declared scope: r >= 0 and p^r <= 16, got p = {p}, r = {r}")
     m = p**r
-    if m > 16:
-        raise PreconditionError("declared scope: p^r <= 16")
-    ring = Zloc(p)
     ctx = AlgebraContext(PiSequence.classical(ring))
     A = bi_monomial(ctx, m, m - 1)
     B = bi_monomial(ctx, m - 1, m)

@@ -21,12 +21,12 @@ from .coeff_rings import (
     Ring,
     UnsupportedRingError,
     ZZ,
+    _quotient_generators,
     _smith,
     cokernel_invariants,
     homology_invariants,
     kernel_basis,
     primitive_integer_vector,
-    quotient_generators,
 )
 from .gdpa import AlgebraContext, GdpaElement
 from .pi_core import c_binomial
@@ -340,24 +340,91 @@ def syzygy_generators(
 
     With target_relations, computes the kernel of the induced map into the
     presented quotient of the target (the result then contains the source
-    classes mapping into the relation submodule)."""
-    return _degreewise_generators(
-        f.source, degree_bound, lambda d: kernel_slice_vectors(f, d, target_relations)
+    classes mapping into the relation submodule).
+
+    Without them, over a field or a PID (Z, Z_(p), Q, GF(p)), and with one
+    target generator, each degree-d slice of f is one row r in R^m.  The
+    images S of the generators found below lie in K = ker(r), as x^[j]
+    times a syzygy is a syzygy, and a degree is skipped, with no kernel and
+    no quotient, when :func:`_spans_row_kernel` finds S = K by an index
+    test on the echelon basis of S, with its proof.  This changes no
+    output: the quotient K / S is then 0, so no generator would be found.
+    Every other case (Z/n, several target generators, target_relations)
+    takes the kernel in every degree."""
+    R = f.context.ring
+    one_row = (
+        (target_relations is None or not target_relations.source.n_gens)
+        and f.target.n_gens == 1
+        and R.is_pid
     )
+
+    def candidates(d, old):
+        if one_row and f.target.rank(d):
+            _, sub = old(d)
+            if _spans_row_kernel(R, [col[0] for col in f.slice_columns(d)], sub):
+                return []
+        return kernel_slice_vectors(f, d, target_relations)
+
+    return _degreewise_generators(f.source, degree_bound, candidates)
+
+
+def _spans_row_kernel(R: Ring, r, sub: Lattice) -> bool:
+    """Whether sub, a lattice inside K = ker(r) for a row r in R^m over a
+    field or a PID, is all of K: r != 0, sub has rank m - 1, and the
+    product of sub's echelon pivots times content(r) generates the ideal of
+    r[np], np being the one column without a pivot (equal absolute values
+    over Z, equal valuations over Z_(p); over a field the rank decides).
+
+    Proof.  R^m / K embeds in R through r, so it is free and K is a direct
+    summand of rank m - 1.  Let w_j be the maximal minor, signed by
+    (-1)^j, of a basis of K without column j: w . x is the determinant of
+    that basis with x appended, so w is orthogonal to K, and w is
+    primitive, as K is a direct summand.  r / content(r) is the other
+    primitive vector on that line, so w = u r / content(r) for a unit u.
+    The minors of sub's basis are det T times those of K's, T the matrix of
+    sub's basis in K's, and det T generates the index ideal [K : sub],
+    which is the unit ideal exactly when sub = K.  sub's echelon basis
+    without column np is triangular, so its minor there is the product of
+    its pivots.  And r[np] != 0: otherwise e_np would lie in K over the
+    fraction field, which equals sub's span there (same rank), and no
+    vector of that span has its first nonzero entry at np, not a pivot.
+    So det T generates the ideal of (product of pivots) * content(r) /
+    r[np] (Cohen, *A Course in Computational Algebraic Number Theory*,
+    2.4), and sub = K exactly when the test holds."""
+    m = len(r)
+    if sub.rank != m - 1 or not any(r):
+        return False
+    np = next(j for j in range(m) if j not in sub.rows)
+    # the numerators' gcd generates content(r): denominators are units
+    content = math.gcd(*[x.numerator for x in r])
+    pivots = math.prod(row[p] for p, row in sub.rows.items())
+    return _ideal_generator(R, pivots * content) == _ideal_generator(R, r[np])
 
 
 def _degreewise_generators(ambient: FreeGradedModule, degree_bound: int, candidates):
     """Generators of the graded submodule of ambient whose degree-d slice is
-    spanned by the vectors candidates(d): in each degree, those that the
-    generators found below do not already generate."""
+    spanned by the vectors candidates(d, old): in each degree, those that
+    the generators found below do not already generate.  old(d) gives the
+    degree-d images of the generators found below and the Lattice they
+    span, built on its first call in each degree, so candidates can read
+    it (and return [] when it already spans the slice) and the quotient
+    reuses it."""
     R = ambient.context.ring
     out = SubmoduleGenerators(ambient, [], degree_bound)
+    built = {}
+
+    def old(d: int):
+        if d not in built:
+            vectors = out.generator_slice_vectors(d)
+            built[d] = vectors, Lattice(R, ambient.rank(d), vectors)
+        return built[d]
+
     for d in range(min(ambient.degrees, default=0), degree_bound + 1):
-        kv = [v for v in candidates(d) if any(not R.is_zero(x) for x in v)]
+        built.clear()
+        kv = [v for v in candidates(d, old) if any(not R.is_zero(x) for x in v)]
         if not kv:
             continue
-        old = out.generator_slice_vectors(d)
-        for vec in quotient_generators(R, len(ambient.basis(d)), kv, old):
+        for vec in _quotient_generators(R, kv, *old(d)):
             out.generators.append((d, _vector_to_column(ambient, d, vec)))
     return out
 
@@ -639,9 +706,9 @@ def _implied(ctx: AlgebraContext, j: int) -> bool:
 
 
 def _ideal_generator(R: Ring, x) -> int:
-    """The canonical generator of the ideal that a nonzero determinant x
-    generates: 1 over a field, the p-part of the int x over Z_(p), |x|
-    over Z and over the Z lift of Z/n."""
+    """The canonical generator of the ideal that a nonzero x generates: 1
+    over a field, the p-part of x (an int or a p-local Fraction) over
+    Z_(p), |x| over Z and over the Z lift of Z/n."""
     if R.is_field:
         return 1
     if isinstance(R, PLocalRing):
@@ -739,16 +806,6 @@ def _relation_rows(M: PresentedModule):
         return out
 
     return rows
-
-
-def _margin_lattice(M: PresentedModule, d: int, margin: int, relation_rows=None) -> Lattice:
-    """The lattice {v in F0_d : x^[j] v in im(relations) for 1 <= j <= margin},
-    cut from all of F0_d at the degrees of :func:`_cut_degrees` up to margin."""
-    R = M.context.ring
-    _, B = _refine_lattice(
-        M, d, None, _cut_degrees(M.context, margin), relation_rows or _relation_rows(M)
-    )
-    return Lattice(R, M.generators.rank(d), [[R.canon(x) for x in b] for b in B])
 
 
 def torsion_submodule(

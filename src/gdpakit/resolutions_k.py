@@ -291,7 +291,7 @@ def minimal_image_generators(g: ModuleMap, degree_bound: int) -> SubmoduleGenera
     lies in the span of the old generators' images, and quotient_generators
     returns [] there, over every ring (Z/n included)."""
     top = min(degree_bound, max(g.source.degrees, default=degree_bound))
-    gens = _degreewise_generators(g.target, top, g.slice_columns)
+    gens = _degreewise_generators(g.target, top, lambda d, old: g.slice_columns(d))
     gens.horizon = degree_bound
     return gens
 
@@ -504,14 +504,14 @@ def l_invariant(M: PresentedModule, horizon: int, max_i: int | None = None) -> L
 def ktors_demo(p: int, h: int, horizon: int | None = None) -> dict:
     """The torsion-class phenomenon over Z_(p), classical pi: the H-class of
     D/pD is 0 in K(Z_(p)) = Z, while L_{M((p), h)} = [F_p]_+/(1 - t^h) != 0."""
+    ring = Zloc(p)  # PreconditionError unless p is prime
     hh = h
-    while hh % p == 0:
+    while hh > 0 and hh % p == 0:
         hh //= p
     if hh != 1:
         raise PreconditionError(f"h = {h} must be a power of p = {p}")
     if horizon is None:
         horizon = max(12, 3 * h + 2)
-    ring = Zloc(p)
     ctx = AlgebraContext(PiSequence.classical(ring))
     DpD = make_special(ctx, SpecialBlock([ring.from_int(p)], 1))
     Hc = h_invariant(DpD, horizon)

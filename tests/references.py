@@ -15,9 +15,16 @@ from gdpakit.coeff_rings import (
     cokernel_invariants,
     kernel_basis,
     primitive_integer_vector,
+    quotient_generators,
     smith_normal_form,
 )
-from gdpakit.graded_modules import TorsionReport, _relation_rows
+from gdpakit.graded_modules import (
+    SubmoduleGenerators,
+    TorsionReport,
+    _relation_rows,
+    _vector_to_column,
+    kernel_slice_vectors,
+)
 
 
 def _diag(D: ExactMatrix):
@@ -379,3 +386,20 @@ def torsion_submodule_every_j(M, degree_bound: int) -> TorsionReport:
     if shrank:
         note += f" (margin artifacts eliminated within extended window {cap})"
     return TorsionReport("torsion_free", [], degree_bound, margin, certificate=note)
+
+
+def syzygy_generators_every_degree(f, degree_bound: int, target_relations=None):
+    """gdpakit's syzygy_generators as it was before one-row slices stopped
+    at index 1: in every degree, the kernel of the slice and the quotient of
+    it by the images of the generators found below."""
+    R = f.context.ring
+    out = SubmoduleGenerators(f.source, [], degree_bound)
+    for d in range(min(f.source.degrees, default=0), degree_bound + 1):
+        kv = [v for v in kernel_slice_vectors(f, d, target_relations)
+              if any(not R.is_zero(x) for x in v)]
+        if not kv:
+            continue
+        old = out.generator_slice_vectors(d)
+        for vec in quotient_generators(R, f.source.rank(d), kv, old):
+            out.generators.append((d, _vector_to_column(f.source, d, vec)))
+    return out

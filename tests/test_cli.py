@@ -1,14 +1,19 @@
 """CLI tests via click's test runner: outputs, exit codes, determinism."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gdpakit.resolutions_k
 from gdpakit.cli import main, run
@@ -496,3 +501,109 @@ class TestHarnessCommands:
         assert res.exit_code == 0
         data = json.loads(res.output)
         assert data["values_preview"]["2"] == "2"
+
+
+# ---------------------------------------------------------------------------
+# the input boundary, fuzzed: every command of the click tree on drawn argv
+# ---------------------------------------------------------------------------
+
+def _module_json():
+    ctx = AlgebraContext(PiSequence.classical(Zloc(2)))
+    M = PresentedModule.from_columns(ctx, [0, 1], [{0: ctx.x(1, 2), 1: ctx.x(0, 1)}], [1])
+    return json.dumps(M.to_json())
+
+
+# option name -> (valid values, malformed values); sizes stay small (horizon
+# <= 12) so each run is quick, and the size options are always passed, as
+# some defaults (horizon 40, the demo's own horizon) are slower
+FUZZ_VALUES = {
+    "ring": (["Z", "Q", "GF(2)", "GF(3)", "Z_(2)", "Z/4", "Z/6", "Z[q]"],
+             ["GF(4)", "Z/0", "Z/1", "Z/-2", "Z_(x)", "Zloc9", "R", ""]),
+    "family": (["classical", "all-ones", "cyclotomic", "cyclotomic-at", "custom",
+                "gcd-morphic"], ["nope", ""]),
+    "values": (['{"2": 3}', '{"2": 0, "6": 0}', "[1, 1, 2, 3, 5, 8]", "[1, 2]"],
+               ["{", '{"2": "1/0"}', '{"x": 1}', "null", "[1.5]", '"s"', "5",
+                '{"2": [1]}', "@missing.json", "[]", '{"-1": 2}', '{"0": 0}']),
+    "default_": (["1", "2", "0"], ["1/0", "x", ""]),
+    "q0": (["2", "1/3", "-1"], ["1/0", "x", "1/2", ""]),
+    "module": ([_module_json()],
+               ["{", "{}", "[]", '{"context": 1}', "5", "null",
+                _module_json().replace('"relation_degrees": [1]', '"relation_degrees": [0]')]),
+    "ideal": (["[2]", "[0]", "[]", "[2, 4]", '["1/3"]'],
+              ["[", '["1/0"]', '"x"', "5", "[[1]]", '{"a": 1}', "[1.5]", "[true]"]),
+    "h": (["1", "2", "3"], ["0", "-1", "x"]),
+    "shift": (["0", "1", "2"], ["-1", "-3", "x"]),
+    "horizon": ([str(i) for i in range(13)], ["-1", "x", "1.5", ""]),
+    "max_i": (["0", "1", "2"], ["-1", "y"]),
+    "n": ([str(i) for i in range(7)], ["-1", "x"]),
+    "m": ([str(i) for i in range(7)], ["-1", "9", "x"]),
+    "up_to": ([str(i) for i in range(9)], ["-1", "1/0"]),
+    "spec": (['{"chain": [[2], [1]], "d": 1}', '{"chain": [[4], [2], [1]], "d": 2}',
+              '{"chain": [[0]], "d": 0}', '{"chain": [[], [3]], "d": 1}'],
+             ["{", '{"chain": 3}', "[1]", '{"chain": [[1]]}', '{"chain": [["x"]], "d": 0}',
+              '{"chain": [[1], [2]], "d": 1}', '{"chain": [[2]], "d": -1}',
+              '{"chain": [[2]], "d": "a"}', '{"chain": [[2]], "d": 1.5}']),
+    "seed": (["0", "1", "7", "-1"], ["x", "1.5"]),
+    "count": (["0", "1", "2"], ["-1", "x"]),
+    "max_d": (["1", "2"], ["0", "-1"]),
+    "out": (["json", "text"], ["xml"]),
+    "limit": (["0", "8", "16"], ["-1", "x"]),
+    "p": (["2", "3"], ["0", "1", "4", "-2", "x"]),
+    "r": (["0", "1"], ["-1", "3", "5", "x"]),
+    "demo_p": (["2", "3"], ["4", "0", "-1", "1"]),
+    "demo_h": (["1", "2"], ["0", "-1"]),
+    "table": ([json.dumps(StructureConstants.from_pi(PiSequence.classical(Zloc(2)), 4).to_json())],
+              ["[1]", '{"rows": 3, "N": 1}', "{", '{"rows": [[1], [1, 1]]}',
+               '{"rows": [[1], [1, "1/0"]], "N": 1}', '{"rows": [], "N": 0}',
+               '{"rows": [[1]], "N": 5}']),
+}
+SIZE_OPTIONS = {"horizon", "max_i", "up_to", "count", "limit"}
+
+
+def _run_in_process(args):
+    """(exit code, stdout, stderr) of the console entry point on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    argv, sys.argv = sys.argv, ["gdpakit", *args]
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                run()
+                code = 0
+            except SystemExit as e:
+                code = e.code or 0
+    finally:
+        sys.argv = argv
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def cli_argv(draw):
+    name = draw(st.sampled_from(sorted(main.commands)))
+    args = [name]
+    for param in main.commands[name].params:
+        if not isinstance(param, click.Option):
+            continue
+        flag = param.opts[0]
+        if param.is_flag:
+            if draw(st.booleans()):
+                args.append(flag)
+            continue
+        valid, malformed = FUZZ_VALUES[param.name]
+        kind = draw(st.sampled_from(["valid"] * 4 + ["malformed", "omitted"]))
+        if kind == "omitted" and param.name in SIZE_OPTIONS:
+            kind = "valid"
+        if kind != "omitted":
+            args += [flag, draw(st.sampled_from(valid if kind == "valid" else malformed))]
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_every_command_holds_its_input_boundary(args):
+    # any argv ends in a documented exit code, without a traceback, and a
+    # rejected one says why in exactly one line
+    code, out, err = _run_in_process(args)
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1, err

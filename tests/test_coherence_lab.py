@@ -127,6 +127,8 @@ class TestT1BoundCheck:
         # room for the largest binomials and flags growth in the elimination.
         # The U^-1 of quotient_generators has entries of at most 7 bits
         # here, as the Smith form of U gave it; 8 bits flags growth there.
+        # A degree takes a kernel only while the syzygies found below do not
+        # span it: 54 kernels here, 2,138 when every degree took one.
         smith = coeff_rings._smith
         bits = {"V": [], "W": []}
 
@@ -143,7 +145,7 @@ class TestT1BoundCheck:
         monkeypatch.setattr(coeff_rings, "_smith", watched)
         reports = run_random_bound_checks(seed=1, count=12)
         assert all(rep.passed for _, rep in reports)
-        assert len(bits["V"]) > 1000 and len(bits["W"]) > 50
+        assert 0 < len(bits["V"]) <= 100 and len(bits["W"]) > 50
         assert max(bits["V"]) <= 64
         assert max(bits["W"]) <= 8
 

@@ -23,6 +23,7 @@ from gdpakit.coeff_rings import (
     kernel_basis,
     primitive_integer_vector,
 )
+from gdpakit.coherence_lab import materialize_ideal, random_ideal_spec
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.graded_modules import (
     FreeGradedModule,
@@ -48,14 +49,14 @@ from gdpakit import graded_modules
 from gdpakit.graded_modules import (
     _cut_degrees,
     _degreewise_generators,
-    _margin_lattice,
     _rank_and_delta,
     _refine_lattice,
     _relation_rows,
+    _spans_row_kernel,
 )
 from gdpakit.pi_core import PiSequence
 from gdpakit.resolutions_k import minimal_image_generators
-from references import solve, torsion_submodule_every_j
+from references import solve, syzygy_generators_every_degree, torsion_submodule_every_j
 
 
 def ctx_classical(ring):
@@ -423,9 +424,10 @@ ORACLE_CONTEXTS = [
 
 
 def stacked_margin_lattice(M, d, margin):
-    """Reference for _margin_lattice: {v in F0_d : x^[j] v in im(P) for
-    1 <= j <= margin} + P_d, from one kernel of the block matrix whose j-th
-    block row is [X_j | 0 ... P_{d+j} ... 0], X_j multiplication by x^[j]."""
+    """Reference for the margin window of torsion_submodule: {v in F0_d :
+    x^[j] v in im(P) for 1 <= j <= margin} + P_d, from one kernel of the
+    block matrix whose j-th block row is [X_j | 0 ... P_{d+j} ... 0], X_j
+    multiplication by x^[j]."""
     ctx = M.context
     R = ctx.ring
     F0 = M.generators
@@ -482,9 +484,9 @@ def test_margin_lattice_matches_stacked_kernel(M, offset, margin):
     # the single stacked kernel it replaced, relation span included
     d = M.min_degree() + offset
     R = M.context.ring
-    dim = M.generators.rank(d)
-    new = _margin_lattice(M, d, margin)
-    assert new.equals(stacked_margin_lattice(M, d, margin))
+    _, B = _refine_lattice(M, d, None, _cut_degrees(M.context, margin), _relation_rows(M))
+    cut = Lattice(R, M.generators.rank(d), [[R.canon(x) for x in b] for b in B])
+    assert cut.equals(stacked_margin_lattice(M, d, margin))
 
 
 # q-integers at a p-local fraction q0: C(s + j, j) and the relation slices
@@ -499,7 +501,10 @@ FRACTIONAL_CONTEXTS = [
 @given(small_modules(FRACTIONAL_CONTEXTS), st.integers(0, 3), st.integers(1, 5))
 def test_margin_lattice_matches_stacked_kernel_with_denominators(M, offset, margin):
     d = M.min_degree() + offset
-    assert _margin_lattice(M, d, margin).equals(stacked_margin_lattice(M, d, margin))
+    R = M.context.ring
+    _, B = _refine_lattice(M, d, None, _cut_degrees(M.context, margin), _relation_rows(M))
+    cut = Lattice(R, M.generators.rank(d), [[R.canon(x) for x in b] for b in B])
+    assert cut.equals(stacked_margin_lattice(M, d, margin))
 
 
 def recipe_13_modules(seed, count):
@@ -805,6 +810,67 @@ def test_syzygy_generators_match_kernel_slices(M):
     )
 
 
+def test_syzygy_generators_match_the_every_degree_reference():
+    # a one-row slice skips its degree once the syzygies found below span
+    # its kernel; the reference takes the kernel and the quotient in every
+    # degree.  Ideals of D (one row), and relation maps of modules with one
+    # to three generators (one row or several), over every oracle ring with
+    # classical, all-ones and custom pi
+    rng = random.Random(17)
+    target_gens = set()
+    for n in range(4 * len(TORSION_CONTEXTS)):
+        ctx = TORSION_CONTEXTS[n % len(TORSION_CONTEXTS)]
+        ideal = materialize_ideal(random_ideal_spec(ctx, rng.randint(1, 3), rng), 24)
+        M = small_module(ctx, rng.randint)
+        for f, bound in ((ideal.as_map(), rng.randint(8, 24)),
+                         (M.relations, M.max_presentation_degree() + rng.randint(0, 6))):
+            target_gens.add(f.target.n_gens)
+            got = syzygy_generators(f, bound)
+            ref = syzygy_generators_every_degree(f, bound)
+            assert got.as_map().to_json() == ref.as_map().to_json()
+            assert got.horizon == bound
+    assert target_gens == {1, 2, 3}
+
+
+@st.composite
+def row_kernel_sublattices(draw):
+    """(R, r, S, K): a nonzero row r in R^m, m <= 4, a basis K of ker(r),
+    and vectors S, small combinations of K, so that S spans ker(r) in many
+    draws and not in many others; over Z_(p) with denominators prime to p."""
+    R = draw(st.sampled_from([ZZ, Zloc(2), Zloc(3), QQ, GF(2), GF(3)]))
+    m = draw(st.integers(1, 4))
+
+    def element(lo, hi):
+        n = draw(st.integers(lo, hi))
+        if isinstance(R, PLocalRing):
+            return Fraction(n, draw(st.sampled_from([q for q in (1, 3, 5, 7) if q % R.p])))
+        return R.from_int(n)
+
+    r = [element(-12, 12) for _ in range(m)]
+    if not any(r):
+        r[draw(st.integers(0, m - 1))] = R.one()
+    K = kernel_basis(ExactMatrix(R, [r], 1, m))
+    S = []
+    for _ in range(draw(st.integers(0, 4))):
+        v = [R.zero()] * m
+        for b in K:
+            c = element(-2, 3)
+            v = [R.add(x, R.mul(c, y)) for x, y in zip(v, b)]
+        S.append(v)
+    return R, r, S, K
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_kernel_sublattices())
+def test_row_kernel_index_test_decides_equality(case):
+    # the skip test reads [ker(r) : S] off S's echelon pivots, content(r)
+    # and r at the column without a pivot; it holds exactly when S = ker(r)
+    R, r, S, K = case
+    m = len(r)
+    sub = Lattice(R, m, S)
+    assert _spans_row_kernel(R, r, sub) == sub.equals(Lattice(R, m, K))
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_modules(GENERATOR_CONTEXTS))
 def test_minimal_image_generators_match_image_slices(M):
@@ -826,7 +892,7 @@ def test_minimal_image_generators_match_full_length_loop(M, past_top):
     # degree it can find no new generator, so stopping there changes nothing
     g = M.relations
     bound = max(g.source.degrees) + past_top
-    ref = _degreewise_generators(g.target, bound, g.slice_columns)
+    ref = _degreewise_generators(g.target, bound, lambda d, old: g.slice_columns(d))
     got = minimal_image_generators(g, bound)
     assert got.as_map().to_json() == ref.as_map().to_json()
     assert got.horizon == ref.horizon == bound
