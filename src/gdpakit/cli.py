@@ -6,6 +6,7 @@ partial results (results are still emitted), 3 internal verification failed
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -20,6 +21,8 @@ from .coeff_rings import (
     Ring,
     Zloc,
     Zmod,
+    json_int,
+    json_int_list,
 )
 from .gdpa import (
     AlgebraContext,
@@ -68,14 +71,6 @@ def _parse(what: str, build):
         return build()
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         _fail(f"malformed {what}: {type(e).__name__}: {e}")
-
-
-def _int_list(obj) -> list:
-    """obj itself if it is a JSON list of integers; a ValueError otherwise
-    (no coercion of objects, floats, booleans or strings)."""
-    if not (isinstance(obj, list) and all(type(x) is int for x in obj)):
-        raise ValueError(f"expected a list of integers, got {json.dumps(obj)}")
-    return obj
 
 
 def load_json(arg: str):
@@ -129,7 +124,7 @@ def build_pi(family: str, ring: Ring, values: str | None, default: str | None,
     if fam == "gcd_morphic":
         if values is None:
             _fail("gcd-morphic requires --values (JSON list a(1), a(2), ...)")
-        seq = _parse("--values", lambda: _int_list(load_json(values)))
+        seq = _parse("--values", lambda: json_int_list(load_json(values)))
         return pi_from_gcd_morphic(lambda n: seq[n - 1], up_to=len(seq))
     if fam == "custom":
         if values is None:
@@ -174,7 +169,8 @@ def context_from_flags(ring, family, values, default_, q0) -> AlgebraContext:
     return AlgebraContext(build_pi(family, R, values, default_, q0))
 
 
-def module_from_flags(ctx_flags, module, ideal, h, shift) -> PresentedModule:
+def module_from_flags(ring, family, values, default_, q0, module, ideal, h,
+                      shift) -> PresentedModule:
     """--module JSON (self-describing) or --ideal/--h building M(a, h)."""
     if module is not None:
         obj = load_json(module)
@@ -182,7 +178,7 @@ def module_from_flags(ctx_flags, module, ideal, h, shift) -> PresentedModule:
             AlgebraContext(PiSequence.from_json(obj["context"])), obj))
     if ideal is None or h is None:
         _fail("provide --module JSON or both --ideal and --h")
-    ctx = context_from_flags(*ctx_flags)
+    ctx = context_from_flags(ring, family, values, default_, q0)
     from .resolutions_k import SpecialBlock, make_special
 
     obj = load_json(ideal)
@@ -197,6 +193,21 @@ ideal_option = click.option("--ideal", default=None,
 h_option = click.option("--h", "h", type=int, default=None,
                         help="Period h for M(a, h).")
 shift_option = click.option("--shift", type=int, default=0, show_default=True)
+
+
+def module_options(f):
+    """The pi options and --module, --ideal, --h, --shift, in that order.
+    The command gets, in their place, ``load_module``: a function of no
+    arguments that builds the module when called, so a command may also
+    run without module flags."""
+    @functools.wraps(f)
+    def command(ring, family, values, default_, q0, module, ideal, h, shift, **kwargs):
+        return f(functools.partial(module_from_flags, ring, family, values, default_, q0,
+                                   module, ideal, h, shift), **kwargs)
+
+    for opt in (shift_option, h_option, ideal_option, module_option):
+        command = opt(command)
+    return pi_options(command)
 
 
 @click.group()
@@ -224,7 +235,7 @@ def cbinom(ring, family, values, default_, q0, n, m, out):
 def pi_derive(values, up_to, out):
     """Derive pi from a GCD-morphic sequence by Mobius inversion."""
     obj = load_json(values)
-    seq = _parse("--values", lambda: _int_list(obj))
+    seq = _parse("--values", lambda: json_int_list(obj))
     bound = len(seq) if up_to is None else up_to
     if bound > len(seq):
         _fail(f"--up-to must be <= the number of values ({len(seq)}), got {bound}")
@@ -250,7 +261,7 @@ def pi_check(ring, family, values, default_, q0, up_to, out):
         f"admissible up to {up_to}" if ok else f"violation at pair {witness}"
     ])
     if not ok:
-        sys.exit(1)
+        _fail(f"not admissible up to {up_to}: violation at pair {witness}")
 
 
 @main.command("pi-transform")
@@ -273,17 +284,12 @@ def pi_transform(ring, family, values, default_, q0, h, up_to, out):
 
 
 @main.command()
-@pi_options
-@module_option
-@ideal_option
-@h_option
-@shift_option
+@module_options
 @click.option("--horizon", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
-def hilbert(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
+def hilbert(load_module, horizon, out):
     """Graded pieces and the rational fit of the Hilbert series."""
-    M = module_from_flags((ring, family, values, default_, q0),
-                          module, ideal, h, shift)
+    M = load_module()
     H = rational_fit(hilbert_series(M, horizon))
     data = H.to_json()
     lines = [f"H_{d} = {H.pieces[d]!r}" for d in sorted(H.pieces)]
@@ -292,17 +298,12 @@ def hilbert(ring, family, values, default_, q0, module, ideal, h, shift, horizon
 
 
 @main.command()
-@pi_options
-@module_option
-@ideal_option
-@h_option
-@shift_option
+@module_options
 @click.option("--horizon", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
-def syzygy(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
+def syzygy(load_module, horizon, out):
     """Minimal syzygy generators of the presentation map, degree by degree."""
-    M = module_from_flags((ring, family, values, default_, q0),
-                          module, ideal, h, shift)
+    M = load_module()
     syz = syzygy_generators(M.relations, horizon)
     data = {
         "degrees": syz.degrees(),
@@ -315,19 +316,13 @@ def syzygy(ring, family, values, default_, q0, module, ideal, h, shift, horizon,
 
 
 @main.command("tor")
-@pi_options
-@module_option
-@ideal_option
-@h_option
-@shift_option
+@module_options
 @click.option("--max-i", type=int, default=3, show_default=True, callback=_non_negative)
 @click.option("--horizon", type=int, default=16, show_default=True, callback=_non_negative)
 @out_option
-def tor_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
-            max_i, horizon, out):
+def tor_cmd(load_module, max_i, horizon, out):
     """The Tor table Tor_i(M, k)_d for i <= max-i, d <= horizon."""
-    M = module_from_flags((ring, family, values, default_, q0),
-                          module, ideal, h, shift)
+    M = load_module()
     table = tor(M, max_i, horizon)
     data = {
         "max_i": max_i,
@@ -340,17 +335,12 @@ def tor_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
 
 
 @main.command()
-@pi_options
-@module_option
-@ideal_option
-@h_option
-@shift_option
+@module_options
 @click.option("--horizon", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
-def torsion(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
+def torsion(load_module, horizon, out):
     """Torsion-submodule detection; exit 2 when inconclusive."""
-    M = module_from_flags((ring, family, values, default_, q0),
-                          module, ideal, h, shift)
+    M = load_module()
     report = torsion_submodule(M, horizon)
     data = {
         "verdict": report.verdict,
@@ -366,19 +356,14 @@ def torsion(ring, family, values, default_, q0, module, ideal, h, shift, horizon
 
 
 @main.command()
-@pi_options
-@module_option
-@ideal_option
-@h_option
-@shift_option
+@module_options
 @click.option("--horizon", type=int, default=40, show_default=True, callback=_non_negative)
 @out_option
-def special(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
+def special(load_module, horizon, out):
     """Special resolution over a field (certified, r <= 1)."""
     from .resolutions_k import special_resolve_field
 
-    M = module_from_flags((ring, family, values, default_, q0),
-                          module, ideal, h, shift)
+    M = load_module()
     res = special_resolve_field(M, horizon=horizon)
     data = res.to_json()
     emit(data, out, [
@@ -392,19 +377,14 @@ def special(ring, family, values, default_, q0, module, ideal, h, shift, horizon
 
 
 @main.command()
-@pi_options
-@module_option
-@ideal_option
-@h_option
-@shift_option
+@module_options
 @click.option("--horizon", type=int, default=24, show_default=True, callback=_non_negative)
 @out_option
-def kclass(ring, family, values, default_, q0, module, ideal, h, shift, horizon, out):
+def kclass(load_module, horizon, out):
     """The H-invariant: the class of M in K(k) = Z, degree by degree."""
     from .resolutions_k import h_invariant
 
-    M = module_from_flags((ring, family, values, default_, q0),
-                          module, ideal, h, shift)
+    M = load_module()
     H = h_invariant(M, horizon)
     data = H.to_json()
     lo = min(0, M.min_degree())
@@ -413,11 +393,7 @@ def kclass(ring, family, values, default_, q0, module, ideal, h, shift, horizon,
 
 
 @main.command("l-invariant")
-@pi_options
-@module_option
-@ideal_option
-@h_option
-@shift_option
+@module_options
 @click.option("--horizon", type=int, default=None, callback=_non_negative,
               help="Degree horizon.  [default: 10; the demo picks its own]")
 @click.option("--max-i", type=int, default=None, callback=_non_negative)
@@ -425,8 +401,7 @@ def kclass(ring, family, values, default_, q0, module, ideal, h, shift, horizon,
               help="Run the torsion-class demo for this prime instead.")
 @click.option("--demo-h", type=int, default=None)
 @out_option
-def l_invariant_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
-                    horizon, max_i, demo_p, demo_h, out):
+def l_invariant_cmd(load_module, horizon, max_i, demo_p, demo_h, out):
     """The L-invariant (K_+-valued series); exit 2 when partial."""
     from .resolutions_k import ktors_demo, l_invariant
 
@@ -436,8 +411,7 @@ def l_invariant_cmd(ring, family, values, default_, q0, module, ideal, h, shift,
         text = report.pop("text")
         emit(report, out, text.splitlines())
         return
-    M = module_from_flags((ring, family, values, default_, q0),
-                          module, ideal, h, shift)
+    M = load_module()
     L = l_invariant(M, 10 if horizon is None else horizon, max_i=max_i)
     data = L.to_json()
     emit(data, out, [f"L0: {data['l0']}", f"L: {data['l']}", f"fit: {data['fit']}"])
@@ -462,7 +436,7 @@ def bound_check(spec, seed, count, max_d, out):
         ctx = AlgebraContext(PiSequence.classical(ZZ))
         ispec = _parse("--spec", lambda: IdealSpec(
             ctx, [[ZZ.from_str(str(g)) for g in gens] for gens in obj["chain"]],
-            int(obj["d"]),
+            json_int(obj["d"]),
         ))
         pairs.append((ispec, t1_bound_check(ispec)))
     elif seed is not None:

@@ -20,6 +20,7 @@ to Z and reducing.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -149,10 +150,6 @@ class Ring:
     def in_jacobson_radical(self, a) -> bool:
         raise UnsupportedRingError(f"no Jacobson-radical test over {self.kind}")
 
-    def unit_ideal_pair(self, a, b) -> bool:
-        """Whether the ideal (a, b) is the unit ideal."""
-        raise UnsupportedRingError(f"no two-element unit-ideal test over {self.kind}")
-
     def ideal_contains(self, gens, x) -> bool:
         """Whether x lies in the ideal generated by gens."""
         raise UnsupportedRingError(f"no ideal membership over {self.kind}")
@@ -267,9 +264,6 @@ class IntegerRing(NumberRing):
     def in_jacobson_radical(self, a):
         return a == 0
 
-    def unit_ideal_pair(self, a, b):
-        return math.gcd(a, b) == 1
-
     def ideal_contains(self, gens, x):
         g = 0
         for a in gens:
@@ -326,9 +320,6 @@ class RationalField(NumberRing):
 
     def in_jacobson_radical(self, a):
         return a == 0
-
-    def unit_ideal_pair(self, a, b):
-        return a != 0 or b != 0
 
     def ideal_contains(self, gens, x):
         if any(g != 0 for g in gens):
@@ -431,9 +422,6 @@ class IntegersModRing(Ring):
         # n fewer than bit_length times, so a nilpotent a has a^bit_length = 0
         return pow(a % self.n, self.n.bit_length(), self.n) == 0
 
-    def unit_ideal_pair(self, a, b):
-        return math.gcd(math.gcd(a % self.n, b % self.n), self.n) == 1
-
     def ideal_contains(self, gens, x):
         g = self.n
         for a in gens:
@@ -517,9 +505,6 @@ class PLocalRing(NumberRing):
 
     def in_jacobson_radical(self, a):
         return a == 0 or self.valuation(a) >= 1
-
-    def unit_ideal_pair(self, a, b):
-        return self.is_unit(a) or self.is_unit(b)
 
     def ideal_contains(self, gens, x):
         vals = [self.valuation(g) for g in gens if g != 0]
@@ -645,12 +630,6 @@ class IntPolyRing(Ring):
         for c in reversed(a):
             acc = ring.add(ring.mul(acc, q0), ring.from_int(c))
         return acc
-
-    def unit_ideal_pair(self, a, b):
-        # conservative decidable cases only
-        if self.is_unit(a) or self.is_unit(b):
-            return True
-        raise UnsupportedRingError("general unit-ideal test not supported over Z[q]")
 
     def to_str(self, a):
         if not a:
@@ -832,6 +811,26 @@ def Zloc(p: int) -> PLocalRing:
     return PLocalRing(p)
 
 
+def json_int(x) -> int:
+    """x itself if it is a JSON integer; a ValueError otherwise.  The one
+    integer rule for JSON input: floats, booleans and strings are not
+    coerced (JSON object keys, always strings, are read as decimals)."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
+def json_int_list(obj) -> list:
+    """obj as a list of :func:`json_int` integers; a ValueError naming all
+    of obj otherwise."""
+    if isinstance(obj, list):
+        try:
+            return [json_int(x) for x in obj]
+        except ValueError:
+            pass
+    raise ValueError(f"expected a list of integers, got {json.dumps(obj)}")
+
+
 def ring_from_json(obj: dict) -> Ring:
     """Deserialize a ring descriptor {"ring": ..., "n": ..., "p": ...}."""
     kind = obj["ring"]
@@ -840,11 +839,11 @@ def ring_from_json(obj: dict) -> Ring:
     if kind == "Q":
         return QQ
     if kind == "Zmod":
-        return Zmod(obj["n"])
+        return Zmod(json_int(obj["n"]))
     if kind == "GF":
-        return GF(obj["p"])
+        return GF(json_int(obj["p"]))
     if kind == "Zloc":
-        return Zloc(obj["p"])
+        return Zloc(json_int(obj["p"]))
     if kind == "ZPoly":
         return ZPOLY
     raise ValueError(f"unknown ring kind {kind!r}")
@@ -1079,15 +1078,7 @@ def _smith(m: ExactMatrix, want: str):
     R, nr, nc = m.ring, m.rows, m.cols
     if isinstance(R, IntegersModRing) and not R.is_field and want in ("D", "V"):
         out = _smith(_lift_zmod(m), want)
-        if want == "D":
-            return out
-        kernel, seen = [], set()
-        for v in out:
-            w = tuple(R.canon(x) for x in v[:nc])
-            if any(w) and w not in seen:
-                seen.add(w)
-                kernel.append(list(w))
-        return kernel
+        return out if want == "D" else _kernel_heads(R, out, nc)
     if not R.supports_snf:
         raise UnsupportedRingError(f"smith_normal_form unsupported over {R.describe()}")
     A = [row[:] for row in m.entries]
@@ -1250,6 +1241,19 @@ def primitive_integer_vector(v, p: int) -> list:
     while g and not g % p:
         g //= p
     return [x // g for x in w] if g > 1 else w
+
+
+def _kernel_heads(R: Ring, kernel, n: int) -> list:
+    """The distinct nonzero heads v[:n], read in R, of the kernel vectors v
+    of a matrix [A | B] whose A has n columns: they generate the vectors
+    that A maps into the span of B's columns."""
+    heads, seen = [], set()
+    for v in kernel:
+        w = tuple(R.canon(x) for x in v[:n])
+        if any(w) and w not in seen:
+            seen.add(w)
+            heads.append(list(w))
+    return heads
 
 
 def _lift_zmod(m: ExactMatrix) -> ExactMatrix:

@@ -15,6 +15,7 @@ from .coeff_rings import (
     PreconditionError,
     Ring,
     UnsupportedRingError,
+    json_int,
 )
 from .pi_core import (
     DivisibleSequence,
@@ -22,7 +23,6 @@ from .pi_core import (
     admissible_check,
     base_rep,
     c_binomial,
-    carry,
 )
 
 
@@ -153,7 +153,7 @@ class GdpaElement:
     @classmethod
     def from_json(cls, context: AlgebraContext, obj) -> "GdpaElement":
         R = context.ring
-        return cls(context, {int(n): R.from_str(str(c)) for n, c in obj["terms"]})
+        return cls(context, {json_int(n): R.from_str(str(c)) for n, c in obj["terms"]})
 
     def __repr__(self):
         R = self.context.ring
@@ -369,7 +369,7 @@ class StructureConstants:
         for n, row in enumerate(obj["rows"]):
             for m, v in enumerate(row):
                 table[(n, m)] = ring.from_str(str(v))
-        return cls(ring, obj["N"], table)
+        return cls(ring, json_int(obj["N"]), table)
 
 
 def recover_pi(sc: StructureConstants, normalize: bool = False) -> PiSequence:
@@ -382,6 +382,12 @@ def recover_pi(sc: StructureConstants, normalize: bool = False) -> PiSequence:
     with the pi_N factor removed (R(m*) involves only known pi's and must be
     a unit).  After each step verify C(N, m) = c(N, m) for all m <= N.
 
+    Every C(N, m) with 0 < m < N has the factor pi_N, as eps_N(N-m, m) = 1,
+    and 0 < m* < N; so R(m*) is C(N, m*) of the pi's found so far with
+    pi_N = 1, and the check takes C(N, m) of the same pi's with pi_N set.
+    Each is :func:`c_binomial` of a fresh sequence, since a sequence
+    memoizes its values and its C.
+
     With ``normalize`` the returned sequence has each pi_n replaced by its
     canonical associate (then C = c only up to units).
     """
@@ -391,18 +397,9 @@ def recover_pi(sc: StructureConstants, normalize: bool = False) -> PiSequence:
     values: dict[int, object] = {}
     b_elements = [1]
 
-    def known_pi(k):
-        if k == 1:
-            return R.zero()
-        return values[k]
-
     for N in range(2, sc.N + 1):
         m_star = max(b for b in b_elements if N % b == 0)
-        # R(m*) = product over 2 <= k <= N-1 of pi_k^{eps_k(N-m*, m*)}
-        rest = R.one()
-        for k in range(2, N):
-            if carry(k, N - m_star, m_star):
-                rest = R.mul(rest, known_pi(k))
+        rest = c_binomial(PiSequence.custom(R, values), N, m_star)
         if not R.is_unit(rest):
             raise NotAGdpaError(
                 f"carry cofactor at N={N} is not a unit; table is not a GDPA "
@@ -419,13 +416,9 @@ def recover_pi(sc: StructureConstants, normalize: bool = False) -> PiSequence:
                     witness=(N, b_elements[-1]),
                 )
             b_elements.append(N)
-        # verify C(N, m) = c(N, m) for all m
+        pi = PiSequence.custom(R, values)
         for m in range(N + 1):
-            acc = R.one()
-            for k in range(2, N + 1):
-                if carry(k, N - m, m):
-                    acc = R.mul(acc, known_pi(k))
-            if not R.eq(acc, sc.c(N, m)):
+            if not R.eq(c_binomial(pi, N, m), sc.c(N, m)):
                 raise NotAGdpaError(
                     f"verification failed at C({N},{m})", witness=(N, m)
                 )

@@ -21,10 +21,12 @@ from .coeff_rings import (
     Ring,
     UnsupportedRingError,
     ZZ,
+    _kernel_heads,
     _quotient_generators,
     _smith,
     cokernel_invariants,
     homology_invariants,
+    json_int_list,
     kernel_basis,
     primitive_integer_vector,
 )
@@ -226,8 +228,8 @@ class PresentedModule:
 
     @classmethod
     def from_json(cls, context: AlgebraContext, obj) -> "PresentedModule":
-        f0 = FreeGradedModule(context, obj["generators"])
-        f1 = FreeGradedModule(context, obj["relation_degrees"])
+        f0 = FreeGradedModule(context, json_int_list(obj["generators"]))
+        f1 = FreeGradedModule(context, json_int_list(obj["relation_degrees"]))
         cols = [
             {int(i): GdpaElement.from_json(context, e) for i, e in col.items()}
             for col in obj["relations"]
@@ -312,18 +314,8 @@ def kernel_slice_vectors(f: ModuleMap, d: int, target_relations: ModuleMap | Non
     the degree-d slice of f, into the target modulo target_relations."""
     if target_relations is None or not target_relations.source.n_gens:
         return kernel_basis(f.slice(d))
-    R = f.context.ring
-    n = f.source.rank(d)
-    out = []
-    seen = set()
-    for v in kernel_basis(_side_by_side(f, target_relations, d)):
-        w = v[:n]
-        if any(not R.is_zero(x) for x in w):
-            key = tuple(R.to_str(x) for x in w)
-            if key not in seen:
-                seen.add(key)
-                out.append(w)
-    return out
+    kernel = kernel_basis(_side_by_side(f, target_relations, d))
+    return _kernel_heads(f.context.ring, kernel, f.source.rank(d))
 
 
 def _side_by_side(f: ModuleMap, g: ModuleMap, d: int) -> ExactMatrix:

@@ -22,9 +22,10 @@ from functools import lru_cache
 from .coeff_rings import (
     PreconditionError,
     Ring,
-    UnsupportedRingError,
     ZPOLY,
     ZZ,
+    _prime_factors,
+    json_int_list,
     ring_from_json,
 )
 
@@ -48,37 +49,19 @@ def divisors(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m = n
-    count = 0
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            m //= f
-            if m % f == 0:
-                return 0
-            count += 1
-        f += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    """The Moebius function of n >= 1: 0 unless n is squarefree, else -1
+    to the number of its primes."""
+    primes = _prime_factors(n)
+    if math.prod(primes) != n:
+        return 0
+    return -1 if len(primes) % 2 else 1
 
 
 @lru_cache(maxsize=None)
 def prime_power_base(n: int):
     """Return p if n = p^s with s >= 1, else None."""
-    if n < 2:
-        return None
-    f = 2
-    m = n
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            return f if m == 1 else None
-        f += 1
-    return n  # n is prime
+    primes = _prime_factors(n) if n >= 2 else []
+    return primes[0] if len(primes) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +315,7 @@ class PiSequence:
         if family == "cyclotomic_at":
             return cls.cyclotomic_at(ring, ring.from_str(str(obj["q0"])))
         if family == "gcd_morphic":
-            seq = [int(x) for x in obj["a"]]  # a(1), a(2), ...
+            seq = json_int_list(obj["a"])  # a(1), a(2), ...
             return pi_from_gcd_morphic(lambda n: seq[n - 1], up_to=len(seq))
         if family == "custom":
             values = {int(k): ring.from_str(str(v)) for k, v in obj.get("values", {}).items()}
@@ -449,8 +432,14 @@ def divisor_factorization_unique(n: int, h: int) -> bool:
 
 
 def admissible_check(pi: PiSequence, up_to: int):
-    """Scan pairs 2 <= n, m <= up_to with n and m incomparable under
-    divisibility; return ("admissible", None) or ("violation", (n, m))."""
+    """Scan pairs 2 <= n < m <= up_to with n not dividing m; return
+    ("admissible", None) or ("violation", (n, m)) for the first pair whose
+    values pi_n, pi_m do not generate the unit ideal.
+
+    The pair test asks whether either value is a unit before it asks the
+    ring for ideal membership, so over a ring without an ideal test (Z[q])
+    a sequence whose pairs all contain a unit (all ones) is admissible, and
+    a pair of non-units raises UnsupportedRingError."""
     if pi.admissible_by_fiat:
         return ("admissible", None)
     R = pi.ring
@@ -459,11 +448,8 @@ def admissible_check(pi: PiSequence, up_to: int):
         for m in range(n + 1, up_to + 1):
             if m % n == 0:
                 continue
-            try:
-                unit_ideal = R.unit_ideal_pair(vals[n], vals[m])
-            except UnsupportedRingError:
-                raise
-            if not unit_ideal:
+            a, b = vals[n], vals[m]
+            if not (R.is_unit(a) or R.is_unit(b) or R.ideal_is_unit([a, b])):
                 return ("violation", (n, m))
     return ("admissible", None)
 

@@ -62,14 +62,20 @@ class TestPiCommands:
         # [3 choose 1]_q = 1 + q + q^2
         assert "q" in res.output
 
-    def test_pi_check_violation_exits_one(self, runner):
-        res = runner.invoke(
-            main,
-            ["pi-check", "--family", "custom",
-             "--values", '{"2": 2, "3": 2}', "--ring", "Z", "--up-to", "10"],
-        )
+    def test_pi_check_violation_exits_one(self, runner, monkeypatch, capsys):
+        args = ["pi-check", "--family", "custom",
+                "--values", '{"2": 2, "3": 2}', "--ring", "Z", "--up-to", "10"]
+        res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert "violation" in res.output
+        # the verdict on stdout, and the one error line of every exit 1
+        code, out, err = run_entry_point(monkeypatch, capsys, args)
+        assert code == 1 and out == "violation at pair (2, 3)\n"
+        assert err == "error: not admissible up to 10: violation at pair (2, 3)\n"
+        code, out, err = run_entry_point(monkeypatch, capsys, [*args, "--out", "json"])
+        assert code == 1 and json.loads(out) == {
+            "admissible": False, "up_to": 10, "violation": [2, 3]}
+        assert err == "error: not admissible up to 10: violation at pair (2, 3)\n"
 
     def test_pi_check_classical_ok(self, runner):
         res = invoke(runner, ["pi-check", "--up-to", "16"])
@@ -108,7 +114,51 @@ class TestPiCommands:
         assert data["h"] == 2 and "values" in data
 
 
+def _module_json():
+    ctx = AlgebraContext(PiSequence.classical(Zloc(2)))
+    M = PresentedModule.from_columns(ctx, [0, 1], [{0: ctx.x(1, 2), 1: ctx.x(0, 1)}], [1])
+    return json.dumps(M.to_json())
+
+
+def _module_json_with(**fields):
+    """_module_json() with the given top-level fields replaced."""
+    return json.dumps({**json.loads(_module_json()), **fields})
+
+
+# a JSON integer given as a float, boolean or string, which int() used to
+# read (Z/6.9 as Z/6, "0" as 0, d = 1.9 as 1) and the command ran
+MALFORMED_INT_MODULES = [
+    _module_json_with(context={"family": "classical", "ring": {"ring": "Zmod", "n": 6.9}}),
+    _module_json_with(generators=["0", 1]),
+    _module_json_with(relation_degrees=[True]),
+    _module_json_with(relations=[{"0": {"terms": [[1.9, "2"]]}, "1": {"terms": [[0, "1"]]}}]),
+    _module_json_with(context={"family": "gcd_morphic", "a": [1.5, 2.7, 3]}),
+]
+MALFORMED_INT_SPECS = ['{"chain": [[2], [1]], "d": 1.9}', '{"chain": [[2], [1]], "d": true}']
+
+
+PI_PARAMS = [("q0", None), ("default_", None), ("values", None), ("family", "classical"),
+             ("ring", "Z")]
+MODULE_PARAMS = [*PI_PARAMS, ("module", None), ("ideal", None), ("h", None), ("shift", 0)]
+
+
 class TestModuleCommands:
+    @pytest.mark.parametrize("name, own", [
+        ("hilbert", [("horizon", 24)]),
+        ("syzygy", [("horizon", 24)]),
+        ("tor", [("max_i", 3), ("horizon", 16)]),
+        ("torsion", [("horizon", 24)]),
+        ("special", [("horizon", 40)]),
+        ("kclass", [("horizon", 24)]),
+        ("l-invariant", [("horizon", None), ("max_i", None), ("demo_p", None),
+                         ("demo_h", None)]),
+    ])
+    def test_module_command_params(self, name, own):
+        # the module options are declared once; each command keeps them, in
+        # this order and with these defaults, before its own
+        params = [(p.name, p.default) for p in main.commands[name].params]
+        assert params == [*MODULE_PARAMS, *own, ("out", "text")]
+
     def test_hilbert_principal_special(self, runner):
         res = invoke(
             runner,
@@ -321,7 +371,7 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize(
         "module",
-        ['{"foo": 1}', "[1]", '{"context": {"ring": {"ring": "Z"}}}'],
+        ['{"foo": 1}', "[1]", '{"context": {"ring": {"ring": "Z"}}}', *MALFORMED_INT_MODULES],
     )
     def test_malformed_module_json_rejected(self, runner, module):
         res = runner.invoke(main, ["torsion", "--module", module])
@@ -350,7 +400,8 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "spec, kind",
         [('{"chain": 3}', "TypeError"), ("[1]", "TypeError"),
-         ('{"chain": [[1]]}', "KeyError"), ('{"chain": [["x"]], "d": 0}', "ValueError")],
+         ('{"chain": [[1]]}', "KeyError"), ('{"chain": [["x"]], "d": 0}', "ValueError"),
+         *[(spec, "ValueError") for spec in MALFORMED_INT_SPECS]],
     )
     def test_malformed_spec_rejected(self, runner, spec, kind):
         res = runner.invoke(main, ["bound-check", "--spec", spec])
@@ -507,12 +558,6 @@ class TestHarnessCommands:
 # the input boundary, fuzzed: every command of the click tree on drawn argv
 # ---------------------------------------------------------------------------
 
-def _module_json():
-    ctx = AlgebraContext(PiSequence.classical(Zloc(2)))
-    M = PresentedModule.from_columns(ctx, [0, 1], [{0: ctx.x(1, 2), 1: ctx.x(0, 1)}], [1])
-    return json.dumps(M.to_json())
-
-
 # option name -> (valid values, malformed values); sizes stay small (horizon
 # <= 12) so each run is quick, and the size options are always passed, as
 # some defaults (horizon 40, the demo's own horizon) are slower
@@ -528,7 +573,8 @@ FUZZ_VALUES = {
     "q0": (["2", "1/3", "-1"], ["1/0", "x", "1/2", ""]),
     "module": ([_module_json()],
                ["{", "{}", "[]", '{"context": 1}', "5", "null",
-                _module_json().replace('"relation_degrees": [1]', '"relation_degrees": [0]')]),
+                _module_json().replace('"relation_degrees": [1]', '"relation_degrees": [0]'),
+                *MALFORMED_INT_MODULES]),
     "ideal": (["[2]", "[0]", "[]", "[2, 4]", '["1/3"]'],
               ["[", '["1/0"]', '"x"', "5", "[[1]]", '{"a": 1}', "[1.5]", "[true]"]),
     "h": (["1", "2", "3"], ["0", "-1", "x"]),
@@ -542,7 +588,8 @@ FUZZ_VALUES = {
               '{"chain": [[0]], "d": 0}', '{"chain": [[], [3]], "d": 1}'],
              ["{", '{"chain": 3}', "[1]", '{"chain": [[1]]}', '{"chain": [["x"]], "d": 0}',
               '{"chain": [[1], [2]], "d": 1}', '{"chain": [[2]], "d": -1}',
-              '{"chain": [[2]], "d": "a"}', '{"chain": [[2]], "d": 1.5}']),
+              '{"chain": [[2]], "d": "a"}', '{"chain": [[2]], "d": 1.5}',
+              *MALFORMED_INT_SPECS]),
     "seed": (["0", "1", "7", "-1"], ["x", "1.5"]),
     "count": (["0", "1", "2"], ["-1", "x"]),
     "max_d": (["1", "2"], ["0", "-1"]),

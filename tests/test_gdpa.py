@@ -2,8 +2,10 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdpakit.coeff_rings import GF, QQ, ZZ, Zloc, PreconditionError
+from gdpakit.coeff_rings import GF, QQ, ZZ, Zloc, Zmod, PreconditionError
 from gdpakit.gdpa import (
     AlgebraContext,
     GdpaElement,
@@ -25,6 +27,30 @@ from gdpakit.pi_core import PiSequence, c_binomial
 def random_never_zero_pi(ring, rng, up_to, choices):
     vals = {n: rng.choice(choices) for n in range(2, up_to + 1)}
     return PiSequence.custom(ring, vals, default=ring.one())
+
+
+# local rings, each with some units and some non-units
+LOCAL_RINGS = [
+    (Zloc(2), [1, -1, 3, Fraction(5, 3)], [0, 2, 6, Fraction(4, 3)]),
+    (Zloc(3), [1, -1, 2, Fraction(4, 5)], [0, 3, 6, Fraction(9, 2)]),
+    (GF(5), [1, 2, 3, 4], [0]),
+    (Zmod(8), [1, 3, 5, 7], [0, 2, 4, 6]),
+]
+
+
+@st.composite
+def admissible_local_pis(draw):
+    """(ring, N, pi): a custom pi over a local ring, admissible because its
+    nonunit degrees form a divisibility chain b_1 | b_2 | ..., N in [4, 10]."""
+    ring, units, nonunits = draw(st.sampled_from(LOCAL_RINGS))
+    N = draw(st.integers(4, 10))
+    chain, b = set(), draw(st.integers(2, 4))
+    while b <= N:
+        chain.add(b)
+        b *= draw(st.integers(2, 3))
+    vals = {n: ring.canon(draw(st.sampled_from(nonunits if n in chain else units)))
+            for n in range(2, N + 1)}
+    return ring, N, PiSequence.custom(ring, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +327,23 @@ class TestRecovery:
         sc = StructureConstants.from_pi(pi, 8)
         sc.table[(5, 2)] = ring.canon(7)
         sc.table[(5, 3)] = ring.canon(7)
+        with pytest.raises(NotAGdpaError):
+            recover_pi(sc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_admissible_roundtrip_and_one_changed_entry(self, data):
+        ring, N, pi = data.draw(admissible_local_pis())
+        sc = StructureConstants.from_pi(pi, N)
+        for normalize in (False, True):
+            rec = recover_pi(sc, normalize=normalize)
+            assert all(ring.associate(rec.pi(n), pi.pi(n)) for n in range(2, N + 1))
+        # change c(n, m) = c(n, n - m) for an m other than m*, the largest
+        # nonunit degree below n dividing n, which pi_n is read from
+        n = data.draw(st.integers(4, N))
+        m_star = max(b for b in pi.nonunit_degrees(n - 1) if n % b == 0)
+        m = data.draw(st.sampled_from([m for m in range(1, n) if m not in (m_star, n - m_star)]))
+        sc.table[(n, m)] = sc.table[(n, n - m)] = ring.add(sc.c(n, m), ring.one())
         with pytest.raises(NotAGdpaError):
             recover_pi(sc)
 

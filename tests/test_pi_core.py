@@ -5,9 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import binomial
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import binomial, factorint
 
-from gdpakit.coeff_rings import GF, QQ, ZPOLY, ZZ, PreconditionError, Zloc, Zmod
+from gdpakit.coeff_rings import (
+    GF,
+    QQ,
+    ZPOLY,
+    ZZ,
+    PreconditionError,
+    UnsupportedRingError,
+    Zloc,
+    Zmod,
+)
 from gdpakit.pi_core import (
     A_invariant,
     DivisibleSequence,
@@ -51,6 +62,14 @@ def test_divisors_mobius_prime_power():
     assert prime_power_base(7) == 7
     assert prime_power_base(12) is None
     assert prime_power_base(1) is None
+
+
+def test_mobius_and_prime_power_base_match_factorint():
+    for n in range(1, 10001):
+        f = factorint(n)
+        squarefree = all(e == 1 for e in f.values())
+        assert mobius(n) == ((-1) ** len(f) if squarefree else 0), n
+        assert prime_power_base(n) == (next(iter(f)) if len(f) == 1 else None), n
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +312,40 @@ def test_admissible_other_rings():
     assert admissible_check(PiSequence.classical(GF(5)), 40) == ("admissible", None)
     assert admissible_check(PiSequence.classical(Zmod(12)), 40) == ("admissible", None)
     assert admissible_check(PiSequence.cyclotomic_symbolic(), 40) == ("admissible", None)
+
+
+def generates_unit_ideal(R, a, b) -> bool:
+    """Whether (a, b) = R, read off directly: nonvanishing over Q, a
+    valuation-0 value over Z_(p), the gcd over Z and Z/n."""
+    if R.kind == "Q":
+        return a != 0 or b != 0
+    if R.kind == "Zloc":
+        return any(x != 0 and x.numerator % R.p for x in (a, b))
+    return math.gcd(a, b, getattr(R, "n", 0)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([ZZ, QQ, Zmod(4), Zmod(6), Zmod(12), GF(3), Zloc(2), Zloc(3)]),
+    st.dictionaries(st.integers(2, 12), st.sampled_from([0, 1, -1, 2, 3, 4, 6, 9])),
+    st.sampled_from([0, 1, 2, 3]),
+    st.integers(2, 12),
+)
+def test_admissible_check_matches_unit_ideal_oracle(R, values, default, up_to):
+    pi = PiSequence.custom(R, {n: R.from_int(v) for n, v in values.items()}, R.from_int(default))
+    witness = next(((n, m) for n in range(2, up_to + 1) for m in range(n + 1, up_to + 1)
+                    if m % n and not generates_unit_ideal(R, pi.pi(n), pi.pi(m))), None)
+    expected = ("violation", witness) if witness else ("admissible", None)
+    assert admissible_check(pi, up_to) == expected
+
+
+def test_admissible_check_over_zq():
+    # no ideal test over Z[q]: pairs holding a unit pass, two non-units raise
+    assert admissible_check(PiSequence.all_ones(ZPOLY), 12) == ("admissible", None)
+    nonunits_at_2_and_4 = PiSequence.custom(ZPOLY, {2: (1, 1), 4: (0, 1)})
+    assert admissible_check(nonunits_at_2_and_4, 12) == ("admissible", None)
+    with pytest.raises(UnsupportedRingError):
+        admissible_check(PiSequence.custom(ZPOLY, {2: (0, 1), 3: (2,)}), 6)
 
 
 # ---------------------------------------------------------------------------
