@@ -140,19 +140,19 @@ class Ring:
     # -- euclidean protocol (for SNF) ------------------------------------
     def quo_rem(self, a, b):
         """(q, r) with a = q*b + r and r strictly 'smaller' than b (pivot key)."""
-        raise UnsupportedRingError(f"no division algorithm over {self.kind}")
+        raise UnsupportedRingError(f"no division algorithm over {self.describe()}")
 
     def pivot_key(self, a):
         """Well-founded size measure for SNF pivot selection (nonzero a)."""
-        raise UnsupportedRingError(f"no pivot measure over {self.kind}")
+        raise UnsupportedRingError(f"no pivot measure over {self.describe()}")
 
     # -- ideals -----------------------------------------------------------
     def in_jacobson_radical(self, a) -> bool:
-        raise UnsupportedRingError(f"no Jacobson-radical test over {self.kind}")
+        raise UnsupportedRingError(f"no Jacobson-radical test over {self.describe()}")
 
     def ideal_contains(self, gens, x) -> bool:
         """Whether x lies in the ideal generated by gens."""
-        raise UnsupportedRingError(f"no ideal membership over {self.kind}")
+        raise UnsupportedRingError(f"no ideal membership over {self.describe()}")
 
     def ideal_is_unit(self, gens) -> bool:
         return self.ideal_contains(gens, self.one())
@@ -409,12 +409,12 @@ class IntegersModRing(Ring):
 
     def quo_rem(self, a, b):
         if not self.is_field:
-            raise UnsupportedRingError("no division algorithm over Z/n, n composite")
+            raise UnsupportedRingError(f"no division algorithm over {self.describe()}")
         return self.mul(a, self.inv(b)), 0
 
     def pivot_key(self, a):
         if not self.is_field:
-            raise UnsupportedRingError("no pivot measure over Z/n, n composite")
+            raise UnsupportedRingError(f"no pivot measure over {self.describe()}")
         return 0
 
     def in_jacobson_radical(self, a):
@@ -1016,7 +1016,7 @@ def _factor_torsion(ring: Ring, t):
         return out
     if isinstance(ring, PLocalRing):
         return [(ring.p, ring.valuation(t))]
-    raise UnsupportedRingError(f"no torsion factorization over {ring.kind}")
+    raise UnsupportedRingError(f"no torsion factorization over {ring.describe()}")
 
 
 def invariants_from_factors(ring: Ring, free_rank: int, factors) -> ModuleInvariants:

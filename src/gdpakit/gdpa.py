@@ -38,16 +38,19 @@ class AlgebraContext:
     """A coefficient ring together with a pi-sequence: the algebra D(k, pi).
 
     Admissibility is verified to ``admissibility_horizon`` at construction
-    (or declared by family, e.g. the symbolic cyclotomic sequence).
+    and to the bound of each :meth:`dplus_generator_degrees` call (or
+    declared by family, e.g. the symbolic cyclotomic sequence).
     """
 
     def __init__(self, pi: PiSequence, admissibility_horizon: int = 24):
         self.ring = pi.ring
         self.pi = pi
-        if admissibility_horizon:
-            verdict, witness = admissible_check(pi, admissibility_horizon)
-            if verdict != "admissible":
-                raise PreconditionError(f"pi-sequence not admissible: pair {witness}")
+        self._require_admissible(admissibility_horizon)
+
+    def _require_admissible(self, up_to: int):
+        verdict, witness = admissible_check(self.pi, up_to)
+        if verdict != "admissible":
+            raise PreconditionError(f"pi-sequence not admissible: pair {witness}")
 
     def C(self, n: int, m: int):
         return c_binomial(self.pi, n, m)
@@ -67,7 +70,19 @@ class AlgebraContext:
         return DivisibleSequence([1] + self.pi.zero_degrees(horizon))
 
     def dplus_generator_degrees(self, up_to: int):
-        """Degrees of a generating set of the augmentation ideal D_+."""
+        """The degrees j <= up_to of a generating set of D_+: the j with
+        pi_j not a unit.  Raises PreconditionError when pi is not admissible
+        up to up_to, which the rule needs.
+
+        Every C(j, a), 0 < a < j, is a multiple of pi_j, as
+        eps_j(j - a, a) = 1, so a non-unit pi_j keeps x^[j] out of D_+^2.
+        Let pi_j be a unit and m a maximal ideal.  By admissibility
+        S = {k < j : pi_k in m} is a divisibility chain.  If S is not empty,
+        let K = max S: C(j, K) carries at no k in S, as K/k is an integer,
+        so C(j, K) is not in m; if S is empty, C(j, 1) is not in m.  So the
+        C(j, a) generate the unit ideal, and x^[j] is an R-combination of
+        the products x^[a] x^[j-a] = C(j, a) x^[j]."""
+        self._require_admissible(up_to)
         return self.pi.nonunit_degrees(up_to)
 
     def __repr__(self):

@@ -19,7 +19,6 @@ from .coeff_rings import (
     PLocalRing,
     PreconditionError,
     Ring,
-    UnsupportedRingError,
     ZZ,
     _kernel_heads,
     _quotient_generators,
@@ -654,49 +653,6 @@ class TorsionReport:
         }
 
 
-def _cut_degrees(ctx: AlgebraContext, cap: int) -> list:
-    """The j in [1, cap] whose condition x^[j] v in N (N the relation
-    submodule) the conditions for smaller j do not already imply.
-
-    N is a D-submodule, so x^[a] v in N gives x^[j-a] x^[a] v =
-    C(j, a) x^[j] v in N.  When the C(j, a), 0 < a < j, generate the unit
-    ideal, x^[j] v is an R-combination of them and lies in N too.  Every
-    C(j, a) is a multiple of pi_j (eps_j(j - a, a) = 1), so j is kept at
-    once when pi_j is not a unit, and otherwise when :func:`_implied` finds
-    no unit ideal.  Classical pi, cap 128: {1, 2, 4, ..., 128} over Z_(2)
-    and GF(2), {1} over Q, {1} and the prime powers over Z.
-
-    The pi_j test and the early return of :func:`_implied` change no answer;
-    they spare the binomials: without the pi_j test a Z[q] call builds the
-    q-binomials up to the cap before its ideal test is refused, and without
-    the early return a Z_(2) call at cap 128 takes over 10x as long."""
-    R, pi = ctx.ring, ctx.pi
-    out = []
-    for j in range(1, cap + 1):
-        if R.is_unit(pi.pi(j)) and _implied(ctx, j):
-            continue
-        out.append(j)
-    return out
-
-
-def _implied(ctx: AlgebraContext, j: int) -> bool:
-    """Whether the C(j, a), 0 < a < j, generate the unit ideal: at once when
-    one of them is a unit, otherwise by the ring's ideal test; a ring
-    without one (Z[q]) answers no.  C(j, a) = C(j, j - a), so a runs up to
-    j/2."""
-    R = ctx.ring
-    gens = []
-    for a in range(1, j // 2 + 1):
-        c = ctx.C(j, a)
-        if R.is_unit(c):
-            return True
-        gens.append(c)
-    try:
-        return R.ideal_is_unit(gens)
-    except UnsupportedRingError:
-        return False
-
-
 def _ideal_generator(R: Ring, x) -> int:
     """The canonical generator of the ideal that a nonzero x generates: 1
     over a field, the p-part of x (an int or a p-local Fraction) over
@@ -725,10 +681,10 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_rows, 
     kernel of a tiny matrix in the lattice coordinates, so large margins
     stay cheap), and return the cut window.  The relation submodule is a
     D-submodule, so a lattice that contains its degree-d slice keeps it.
-    Callers pass the degrees of :func:`_cut_degrees` in a window: a lattice
-    that meets the conditions for every j below the window meets them for
-    every j up to its top, as the skipped conditions follow from smaller
-    ones.
+    Callers pass the degrees of ``dplus_generator_degrees`` in a window: a
+    lattice that meets the conditions for every j below the window meets
+    them for every j up to its top, as the skipped x^[j] are R-combinations
+    of products of smaller ones (the proof is in that method's docstring).
 
     A window is ((rank, delta), B): B an independent basis (rows) of the
     lattice, delta the generator of the ideal of B's maximal minors
@@ -812,10 +768,11 @@ def torsion_submodule(
     so the search runs on past the margin, up to a cap that scales with the
     degree bound.  In every degree the lattice starts as all of F0_d and is
     cut through the windows [1, margin], [margin+1, cap/2] and
-    [cap/2+1, cap], at the j of :func:`_cut_degrees` only: when the C(j, a),
-    0 < a < j, generate the unit ideal, x^[a] v in N for every a < j gives
-    x^[j] v in N, since x^[j-a] x^[a] v = C(j, a) x^[j] v, so a cut at j
-    would not change a lattice already cut at every smaller degree.  The
+    [cap/2+1, cap], at the j of ``ctx.dplus_generator_degrees(cap)`` only:
+    for any other j the C(j, a), 0 < a < j, generate the unit ideal, so
+    x^[a] v in N for every a < j gives x^[j] v in N (N the relations),
+    since x^[j-a] x^[a] v = C(j, a) x^[j] v, and a cut at j would not
+    change a lattice already cut at every smaller degree.  The
     lattice always contains the relation span, because the relation
     submodule is a D-submodule, so the lattices after the three windows
     shrink and all contain the span.  Nested lattices of equal rank are
@@ -842,7 +799,7 @@ def torsion_submodule(
     stable = []
     shrank = False
     relation_rows = _relation_rows(M)
-    cuts = _cut_degrees(ctx, cap)
+    cuts = ctx.dplus_generator_degrees(cap)
     first = [j for j in cuts if j <= margin]
     middle = [j for j in cuts if margin < j <= cap // 2]
     last = [j for j in cuts if j > cap // 2]

@@ -273,8 +273,8 @@ class PiSequence:
     def nonunit_degrees(self, up_to: int):
         """Degrees j in [1, up_to] where pi_j is not a unit.
 
-        These are the degrees of a generating set of the augmentation ideal
-        D_+ (the degree-j piece of D_+/D_+^2 is k/(pi_j))."""
+        For admissible pi these are the degrees of a generating set of the
+        augmentation ideal D_+ (see AlgebraContext.dplus_generator_degrees)."""
         return [j for j in range(1, up_to + 1) if not self.ring.is_unit(self.pi(j))]
 
     def zero_degrees(self, up_to: int):
@@ -436,20 +436,18 @@ def admissible_check(pi: PiSequence, up_to: int):
     ("admissible", None) or ("violation", (n, m)) for the first pair whose
     values pi_n, pi_m do not generate the unit ideal.
 
-    The pair test asks whether either value is a unit before it asks the
-    ring for ideal membership, so over a ring without an ideal test (Z[q])
-    a sequence whose pairs all contain a unit (all ones) is admissible, and
-    a pair of non-units raises UnsupportedRingError."""
+    A pair that holds a unit generates the unit ideal, so only pairs of
+    non-unit values are scanned: the verdict and the first witness do not
+    change, and the check is cheap enough to run wherever admissibility is
+    used.  Over a ring without an ideal test (Z[q]) a pair of non-units
+    raises UnsupportedRingError."""
     if pi.admissible_by_fiat:
         return ("admissible", None)
     R = pi.ring
-    vals = {n: pi.pi(n) for n in range(2, up_to + 1)}
-    for n in range(2, up_to + 1):
-        for m in range(n + 1, up_to + 1):
-            if m % n == 0:
-                continue
-            a, b = vals[n], vals[m]
-            if not (R.is_unit(a) or R.is_unit(b) or R.ideal_is_unit([a, b])):
+    degs = pi.nonunit_degrees(up_to)[1:]  # pi_1 = 0 is in no pair
+    for i, n in enumerate(degs):
+        for m in degs[i + 1:]:
+            if m % n and not R.ideal_is_unit([pi.pi(n), pi.pi(m)]):
                 return ("violation", (n, m))
     return ("admissible", None)
 

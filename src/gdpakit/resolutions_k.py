@@ -214,9 +214,9 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     # F_t = I F_{t-1} with I = (x^[j] : h ∤ j), and F_{t-1} is a
     # D-submodule, so F_t(d) = sum_{j in G} x^[j] F_{t-1}(d - j) for any set
     # G of degrees j with h ∤ j whose x^[j] generate I.  The j with h ∤ j
-    # and pi_j not a unit do: if pi_j is a unit, the degree-j piece k/(pi_j)
-    # of D_+/D_+^2 is 0, so C(j, a) != 0 for some 0 < a < j and
-    # x^[j] = C(j, a)^-1 x^[a] x^[j-a].  One of a and j - a, call it b, has
+    # and pi_j not a unit do: if pi_j is a unit, some C(j, a), 0 < a < j,
+    # is not 0 (see AlgebraContext.dplus_generator_degrees for the proof)
+    # and x^[j] = C(j, a)^-1 x^[a] x^[j-a].  One of a and j - a, call it b, has
     # h ∤ b (else h | j), so x^[j] F_{t-1}(d - j) lies in x^[b] F_{t-1}(d - b)
     # with b < j, and by induction on j in the sum over G.  I F_{t-1} is a
     # D-submodule, so it needs no closure under x^[qh].  The spans, hence the

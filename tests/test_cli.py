@@ -77,6 +77,12 @@ class TestPiCommands:
             "admissible": False, "up_to": 10, "violation": [2, 3]}
         assert err == "error: not admissible up to 10: violation at pair (2, 3)\n"
 
+    def test_pi_check_names_the_ring_as_written(self, monkeypatch, capsys):
+        # a ring without an ideal test is named as the user wrote it
+        code, out, err = run_entry_point(
+            monkeypatch, capsys, ["pi-check", "--ring", "Z[q]", "--up-to", "4"])
+        assert (code, out, err) == (1, "", "error: no ideal membership over Z[q]\n")
+
     def test_pi_check_classical_ok(self, runner):
         res = invoke(runner, ["pi-check", "--up-to", "16"])
         assert res.exit_code == 0
@@ -214,6 +220,19 @@ class TestModuleCommands:
         assert res.exit_code == 0
         data = json.loads(res.output)
         assert data["r"] == 0
+
+    @pytest.mark.parametrize("command", [["special", "--horizon", "100"],
+                                         ["torsion", "--horizon", "40"]])
+    def test_pi_not_admissible_up_to_the_horizon_exits_one(self, monkeypatch, capsys, command):
+        # admissible to 24 but not at (30, 45): the user's input, not an
+        # internal fault (special exited 3, torsion reported torsion_free)
+        module = json.dumps({
+            "context": {"family": "custom", "ring": {"ring": "GF", "p": 2},
+                        "values": {"30": "0", "45": "0"}, "default": "1"},
+            "generators": [0], "relation_degrees": [1],
+            "relations": [{"0": {"terms": [[1, "1"]]}}]})
+        code, out, err = run_entry_point(monkeypatch, capsys, [*command, "--module", module])
+        assert (code, out, err) == (1, "", "error: pi-sequence not admissible: pair (30, 45)\n")
 
     @pytest.mark.parametrize("shift, shown", [(3, "[-3]"), (0, "[-0]"), (-3, "[3]")])
     def test_special_text_reads_shift_as_m_minus_s(self, runner, shift, shown):

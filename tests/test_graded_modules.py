@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import factorint, multiplicity
 
 from gdpakit.coeff_rings import (
     GF,
@@ -47,15 +47,14 @@ from gdpakit.graded_modules import (
 )
 from gdpakit import graded_modules
 from gdpakit.graded_modules import (
-    _cut_degrees,
     _degreewise_generators,
     _rank_and_delta,
     _refine_lattice,
     _relation_rows,
     _spans_row_kernel,
 )
-from gdpakit.pi_core import PiSequence
-from gdpakit.resolutions_k import minimal_image_generators
+from gdpakit.pi_core import PiSequence, fibonacci, h_transform, pi_from_gcd_morphic
+from gdpakit.resolutions_k import minimal_image_generators, special_resolve_field
 from references import solve, syzygy_generators_every_degree, torsion_submodule_every_j
 
 
@@ -484,7 +483,8 @@ def test_margin_lattice_matches_stacked_kernel(M, offset, margin):
     # the single stacked kernel it replaced, relation span included
     d = M.min_degree() + offset
     R = M.context.ring
-    _, B = _refine_lattice(M, d, None, _cut_degrees(M.context, margin), _relation_rows(M))
+    cuts = M.context.dplus_generator_degrees(margin)
+    _, B = _refine_lattice(M, d, None, cuts, _relation_rows(M))
     cut = Lattice(R, M.generators.rank(d), [[R.canon(x) for x in b] for b in B])
     assert cut.equals(stacked_margin_lattice(M, d, margin))
 
@@ -502,7 +502,8 @@ FRACTIONAL_CONTEXTS = [
 def test_margin_lattice_matches_stacked_kernel_with_denominators(M, offset, margin):
     d = M.min_degree() + offset
     R = M.context.ring
-    _, B = _refine_lattice(M, d, None, _cut_degrees(M.context, margin), _relation_rows(M))
+    cuts = M.context.dplus_generator_degrees(margin)
+    _, B = _refine_lattice(M, d, None, cuts, _relation_rows(M))
     cut = Lattice(R, M.generators.rank(d), [[R.canon(x) for x in b] for b in B])
     assert cut.equals(stacked_margin_lattice(M, d, margin))
 
@@ -591,8 +592,8 @@ TORSION_CONTEXTS = ORACLE_CONTEXTS + [
 
 
 def test_torsion_matches_the_every_j_reference():
-    # cutting only at the degrees of _cut_degrees, and stopping at the
-    # relation span, gives the same report as cutting at every j of every
+    # cutting only at the degrees of dplus_generator_degrees, and stopping at
+    # the relation span, gives the same report as cutting at every j of every
     # window; the fractional contexts have denominators prime to p
     rng = random.Random(14)
     verdicts = set()
@@ -630,7 +631,7 @@ def test_torsion_windows_stop_at_the_relation_span(monkeypatch):
         cap = max(4 * margin, 2 * (1 << (h + margin - 1).bit_length()))
         rows = _relation_rows(M)
         expected = 0
-        cuts = _cut_degrees(M.context, cap)
+        cuts = M.context.dplus_generator_degrees(cap)
         for d in range(M.min_degree(), h + 1):
             dim = M.generators.rank(d)
             span = Lattice(R, dim, M.relations.slice_columns(d))
@@ -697,7 +698,8 @@ def test_torsion_window_keeps_the_rank_and_delta_of_its_basis(M, offset, margin)
     R = M.context.ring
     d = M.min_degree() + offset
     dim = M.generators.rank(d)
-    pair, B = _refine_lattice(M, d, None, _cut_degrees(M.context, margin), _relation_rows(M))
+    cuts = M.context.dplus_generator_degrees(margin)
+    pair, B = _refine_lattice(M, d, None, cuts, _relation_rows(M))
     assert pair == _rank_and_delta(R, B, dim)
 
 
@@ -712,17 +714,46 @@ def test_torsion_over_zq_raises_the_smith_form_error(pi):
         torsion_submodule(M, 6)
 
 
+def random_admissible_contexts(seed, count):
+    """Contexts of random custom pi over ORACLE_RINGS, each with one to
+    three entries in [2, 128], kept when admissible up to 128."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        R = rng.choice(ORACLE_RINGS)
+        values = {rng.randint(2, 128): R.from_int(rng.choice([0, 2, 3, 4, 6, 9, -1, 5]))
+                  for _ in range(rng.randint(1, 3))}
+        try:
+            out.append(AlgebraContext(PiSequence.custom(R, values), admissibility_horizon=128))
+        except PreconditionError:
+            pass
+    return out
+
+
+# (context, degree bound); the q-integers at a fraction grow long, so the
+# fractional contexts stop at 64
+DPLUS_CONTEXTS = [(ctx, 64) for ctx in FRACTIONAL_CONTEXTS] + [
+    (ctx, 128) for ctx in TORSION_CONTEXTS + random_admissible_contexts(19, 40) + [
+        AlgebraContext(pi_from_gcd_morphic(fibonacci, up_to=128)),
+    ] + [
+        AlgebraContext(h_transform(PiSequence.classical(R), h))
+        for R in (ZZ, Zloc(2), GF(3)) for h in (2, 3, 4, 6)
+    ]
+]
+
+
 def test_cut_degrees_skip_exactly_the_unit_ideals():
-    # j is skipped exactly when the C(j, a), 0 < a < j, generate the unit
-    # ideal; C(j, a) is the product of the pi_k with a carry,
-    # floor(j/k) - floor(a/k) - floor((j-a)/k) = 1, and only pi_k != 1 count
-    for ctx in TORSION_CONTEXTS:
+    # dplus_generator_degrees skips j exactly when the C(j, a), 0 < a < j,
+    # generate the unit ideal; C(j, a) is the product of the pi_k with a
+    # carry, floor(j/k) - floor(a/k) - floor((j-a)/k) = 1, and only
+    # pi_k != 1 count; C(j, a) = C(j, j - a), so a runs up to j/2
+    for ctx, top in DPLUS_CONTEXTS:
         R = ctx.ring
-        factors = [(k, ctx.pi.pi(k)) for k in range(2, 129) if ctx.pi.pi(k) != R.one()]
-        cuts = set(_cut_degrees(ctx, 128))
-        for j in range(1, 129):
+        factors = [(k, ctx.pi.pi(k)) for k in range(2, top + 1) if ctx.pi.pi(k) != R.one()]
+        cuts = set(ctx.dplus_generator_degrees(top))
+        for j in range(1, top + 1):
             gens = []
-            for a in range(1, j):
+            for a in range(1, j // 2 + 1):
                 c = R.one()
                 for k, pk in factors:
                     if k > j:
@@ -730,18 +761,34 @@ def test_cut_degrees_skip_exactly_the_unit_ideals():
                     if j // k - a // k - (j - a) // k:
                         c = R.mul(c, pk)
                 gens.append(c)
-            assert (j not in cuts) == R.ideal_is_unit(gens), (ctx.pi.family, R.describe(), j)
+            assert (j not in cuts) == R.ideal_is_unit(gens), (ctx.pi, j)
 
 
 def test_classical_cut_degrees():
     # gcd of C(n, k), 0 < k < n, is p when n is a power of the prime p and 1
     # otherwise; localised at 2 only the powers of 2 keep a non-unit
     powers_of_2 = [1, 2, 4, 8, 16, 32, 64, 128]
-    assert _cut_degrees(ctx_classical(Zloc(2)), 128) == powers_of_2
-    assert _cut_degrees(ctx_classical(GF(2)), 128) == powers_of_2
-    assert _cut_degrees(ctx_classical(QQ), 128) == [1]
+    assert ctx_classical(Zloc(2)).dplus_generator_degrees(128) == powers_of_2
+    assert ctx_classical(GF(2)).dplus_generator_degrees(128) == powers_of_2
+    assert ctx_classical(QQ).dplus_generator_degrees(128) == [1]
     prime_powers = [n for n in range(2, 129) if len(factorint(n)) == 1]
-    assert _cut_degrees(ctx_classical(ZZ), 128) == [1] + prime_powers
+    assert ctx_classical(ZZ).dplus_generator_degrees(128) == [1] + prime_powers
+
+
+# admissible to 24 (AlgebraContext's default check) but not at (30, 45);
+# x^[60] and x^[90] are indecomposable there too, so the unit rule is wrong
+LATE_VIOLATION = PiSequence.custom(GF(2), {30: 0, 45: 0})
+
+
+def test_pi_not_admissible_up_to_the_bound_raises():
+    ctx = AlgebraContext(LATE_VIOLATION)
+    M = PresentedModule.from_columns(ctx, [0], [{0: ctx.x(1)}], [1])
+    message = r"^pi-sequence not admissible: pair \(30, 45\)$"
+    assert ctx.dplus_generator_degrees(44) == [1, 30]
+    for call in (lambda: ctx.dplus_generator_degrees(45), lambda: trivial_module(ctx, 100),
+                 lambda: torsion_submodule(M, 40), lambda: special_resolve_field(M, 100)):
+        with pytest.raises(PreconditionError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -1014,3 +1061,70 @@ class TestTruncate:
                 assert inv.is_zero, d
             else:
                 assert inv == ModuleInvariants(ring, 0, (Fraction(p**v),)), d
+
+
+# ---------------------------------------------------------------------------
+# change of rings: Z against Z_(p), Q and GF(p)
+# ---------------------------------------------------------------------------
+
+# Z-modules with classical pi and with the integer pi of CUSTOM_PI
+INTEGER_CONTEXTS = [ctx_classical(ZZ)] + [
+    AlgebraContext(PiSequence.custom(ZZ, values)) for values in CUSTOM_PI
+]
+BASE_CHANGE_HORIZON = 14
+
+
+def over(M, ring):
+    """M with its presentation read over another ring, through to_json()."""
+    obj = M.to_json()
+    obj["context"]["ring"] = ring.to_json()
+    return PresentedModule.from_json(AlgebraContext(PiSequence.from_json(obj["context"])), obj)
+
+
+def p_primary(inv, p):
+    """The p-power parts > 1 of the torsion factors of invariants over Z."""
+    return sorted(p ** e for e in (multiplicity(p, t) for t in inv.torsion_factors) if e)
+
+
+def invariants_by_degree(M, table):
+    """(i, d) -> invariants of Tor_i for i <= 2, and ("piece", d) -> M_d."""
+    R = M.context.ring
+    out = {(i, d): table.entry(i, d, R) for i in range(3)
+           for d in range(M.min_degree(), BASE_CHANGE_HORIZON + 1)}
+    out.update({("piece", d): M.piece_invariants(d) for d in range(BASE_CHANGE_HORIZON + 1)})
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_modules(INTEGER_CONTEXTS))
+def test_localization_commutes_with_tor_and_pieces(M):
+    # localization is exact: over Z_(p) Tor_i and M_d keep the free rank
+    # and the p-primary factors they have over Z; over Q the free rank
+    over_z = invariants_by_degree(M, tor(M, 2, BASE_CHANGE_HORIZON))
+    for ring in (Zloc(2), Zloc(3), QQ):
+        N = over(M, ring)
+        local = invariants_by_degree(N, tor(N, 2, BASE_CHANGE_HORIZON))
+        for key, inv in over_z.items():
+            got = local[key]
+            assert got.free_rank == inv.free_rank, (ring.describe(), key)
+            want = p_primary(inv, ring.p) if ring.kind == "Zloc" else []
+            assert sorted(int(t) for t in got.torsion_factors) == want, (ring.describe(), key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_modules(INTEGER_CONTEXTS))
+def test_universal_coefficients_on_z_free_modules(M):
+    # when every M_d is Z-free, a free resolution over Z reduces mod p to one
+    # of M/p, so dim Tor_i over GF(p) = free rank of Tor_i over Z + the
+    # p-divisible factors of Tor_i and of Tor_{i-1}
+    if any(M.piece_invariants(d).torsion_factors for d in range(BASE_CHANGE_HORIZON + 1)):
+        return
+    over_z = tor(M, 2, BASE_CHANGE_HORIZON)
+    for p in (2, 3):
+        table = tor(over(M, GF(p)), 2, BASE_CHANGE_HORIZON)
+        for i in range(3):
+            for d in range(M.min_degree(), BASE_CHANGE_HORIZON + 1):
+                # the entry of Tor_{-1} is 0
+                inv, below = over_z.entry(i, d, ZZ), over_z.entry(i - 1, d, ZZ)
+                want = inv.free_rank + len(p_primary(inv, p)) + len(p_primary(below, p))
+                assert table.entry(i, d, GF(p)).free_rank == want, (p, i, d)
