@@ -170,20 +170,26 @@ def context_from_flags(ring, family, values, default_, q0) -> AlgebraContext:
 
 
 def module_from_flags(ring, family, values, default_, q0, module, ideal, h,
-                      shift) -> PresentedModule:
-    """--module JSON (self-describing) or --ideal/--h building M(a, h)."""
+                      shift, horizon=None) -> PresentedModule:
+    """--module JSON (self-describing) or --ideal/--h building M(a, h).
+    With a horizon, pi must also be admissible up to it (a context checks
+    only up to 24 when built)."""
     if module is not None:
         obj = load_json(module)
-        return _parse("--module", lambda: PresentedModule.from_json(
+        M = _parse("--module", lambda: PresentedModule.from_json(
             AlgebraContext(PiSequence.from_json(obj["context"])), obj))
-    if ideal is None or h is None:
-        _fail("provide --module JSON or both --ideal and --h")
-    ctx = context_from_flags(ring, family, values, default_, q0)
-    from .resolutions_k import SpecialBlock, make_special
+    else:
+        if ideal is None or h is None:
+            _fail("provide --module JSON or both --ideal and --h")
+        ctx = context_from_flags(ring, family, values, default_, q0)
+        from .resolutions_k import SpecialBlock, make_special
 
-    obj = load_json(ideal)
-    gens = _parse("--ideal", lambda: [ctx.ring.from_str(str(g)) for g in obj])
-    return make_special(ctx, SpecialBlock(gens, h, shift=shift))
+        obj = load_json(ideal)
+        gens = _parse("--ideal", lambda: [ctx.ring.from_str(str(g)) for g in obj])
+        M = make_special(ctx, SpecialBlock(gens, h, shift=shift))
+    if horizon is not None:
+        M.context.require_admissible(horizon)
+    return M
 
 
 module_option = click.option("--module", default=None,
@@ -197,9 +203,11 @@ shift_option = click.option("--shift", type=int, default=0, show_default=True)
 
 def module_options(f):
     """The pi options and --module, --ideal, --h, --shift, in that order.
-    The command gets, in their place, ``load_module``: a function of no
-    arguments that builds the module when called, so a command may also
-    run without module flags."""
+    The command gets, in their place, ``load_module``: a function that
+    builds the module when called, so a command may also run without
+    module flags.  A command whose library call does not check
+    admissibility itself passes its horizon, up to which pi must then be
+    admissible."""
     @functools.wraps(f)
     def command(ring, family, values, default_, q0, module, ideal, h, shift, **kwargs):
         return f(functools.partial(module_from_flags, ring, family, values, default_, q0,
@@ -289,7 +297,7 @@ def pi_transform(ring, family, values, default_, q0, h, up_to, out):
 @out_option
 def hilbert(load_module, horizon, out):
     """Graded pieces and the rational fit of the Hilbert series."""
-    M = load_module()
+    M = load_module(horizon)
     H = rational_fit(hilbert_series(M, horizon))
     data = H.to_json()
     lines = [f"H_{d} = {H.pieces[d]!r}" for d in sorted(H.pieces)]
@@ -303,7 +311,7 @@ def hilbert(load_module, horizon, out):
 @out_option
 def syzygy(load_module, horizon, out):
     """Minimal syzygy generators of the presentation map, degree by degree."""
-    M = load_module()
+    M = load_module(horizon)
     syz = syzygy_generators(M.relations, horizon)
     data = {
         "degrees": syz.degrees(),
@@ -322,7 +330,7 @@ def syzygy(load_module, horizon, out):
 @out_option
 def tor_cmd(load_module, max_i, horizon, out):
     """The Tor table Tor_i(M, k)_d for i <= max-i, d <= horizon."""
-    M = load_module()
+    M = load_module(horizon)
     table = tor(M, max_i, horizon)
     data = {
         "max_i": max_i,
@@ -384,7 +392,7 @@ def kclass(load_module, horizon, out):
     """The H-invariant: the class of M in K(k) = Z, degree by degree."""
     from .resolutions_k import h_invariant
 
-    M = load_module()
+    M = load_module(horizon)
     H = h_invariant(M, horizon)
     data = H.to_json()
     lo = min(0, M.min_degree())
@@ -411,8 +419,9 @@ def l_invariant_cmd(load_module, horizon, max_i, demo_p, demo_h, out):
         text = report.pop("text")
         emit(report, out, text.splitlines())
         return
-    M = load_module()
-    L = l_invariant(M, 10 if horizon is None else horizon, max_i=max_i)
+    horizon = 10 if horizon is None else horizon
+    M = load_module(horizon)
+    L = l_invariant(M, horizon, max_i=max_i)
     data = L.to_json()
     emit(data, out, [f"L0: {data['l0']}", f"L: {data['l']}", f"fit: {data['fit']}"])
     if not L.complete:

@@ -45,9 +45,11 @@ class AlgebraContext:
     def __init__(self, pi: PiSequence, admissibility_horizon: int = 24):
         self.ring = pi.ring
         self.pi = pi
-        self._require_admissible(admissibility_horizon)
+        self.require_admissible(admissibility_horizon)
 
-    def _require_admissible(self, up_to: int):
+    def require_admissible(self, up_to: int):
+        """Raise PreconditionError naming the first violating pair unless pi
+        is admissible up to up_to."""
         verdict, witness = admissible_check(self.pi, up_to)
         if verdict != "admissible":
             raise PreconditionError(f"pi-sequence not admissible: pair {witness}")
@@ -82,7 +84,7 @@ class AlgebraContext:
         so C(j, K) is not in m; if S is empty, C(j, 1) is not in m.  So the
         C(j, a) generate the unit ideal, and x^[j] is an R-combination of
         the products x^[a] x^[j-a] = C(j, a) x^[j]."""
-        self._require_admissible(up_to)
+        self.require_admissible(up_to)
         return self.pi.nonunit_degrees(up_to)
 
     def __repr__(self):

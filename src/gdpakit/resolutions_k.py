@@ -111,16 +111,24 @@ class SpecialFiltrationCertificate:
 
 
 def verify_special_filtration(
-    M: PresentedModule, cert: SpecialFiltrationCertificate, horizon: int
+    M: PresentedModule, cert: SpecialFiltrationCertificate, horizon: int, slices=None
 ):
     """Degreewise check that the graded pieces of M match the direct sum of
     the declared principal special blocks; (True, None) or (False, witness
-    degree)."""
+    degree).  slices maps degrees to relation slices already built
+    (M.relations.slice_columns(d)); the pieces at the other degrees come from
+    M.piece_invariants."""
     R = M.context.ring
+    slices = slices or {}
     lo = min([M.min_degree()] + [b.shift for b in cert.blocks])
     degrees = range(lo, horizon + 1)
     for e, expected in zip(degrees, cert.expected_pieces(R, degrees)):
-        if M.piece_invariants(e) != expected:
+        if e in slices:
+            piece = cokernel_invariants(
+                ExactMatrix.from_columns(R, slices[e], M.generators.rank(e)))
+        else:
+            piece = M.piece_invariants(e)
+        if piece != expected:
             return False, e
     return True, None
 
@@ -160,18 +168,21 @@ _ZERO_SEARCH_DEGREE = 1024
 def special_resolve_field(M: PresentedModule, horizon: int = 40) -> SpecialResolution:
     """A special resolution of a finitely presented module over a field.
 
-    If some pi_h = 0 with h beyond all presentation degrees, M decomposes as
-    D^(h) tensor N; the adic filtration of N by the augmentation ideal of
-    D_{<h} has layers with trivial D_{<h}-action, i.e. direct sums of shifted
-    M((0), h): the module is itself special and r = 0.  The zero h is sought
-    up to degree max(horizon, 1024), past the horizon too: zeros of pi below
-    the presentation degrees can force syzygies within the horizon that only
+    If some pi_h = 0 with h beyond all presentation degrees, M is itself
+    special and r = 0: M = D^(h) tensor N with N a module over D_{<h}, and
+    the adic filtration of M by I = (x^[j] : h ∤ j) has layers that are
+    direct sums of shifted M((0), h).  The filtration is computed only up to
+    max(F0 degrees) + h - 1, the top degree of N, where every block lies
+    (see _special_resolve_adic for the proof).  The zero h is sought up to
+    degree max(horizon, 1024), past the horizon too: zeros of pi below the
+    presentation degrees can force syzygies within the horizon that only
     the split at h resolves.  Otherwise the free-kernel path takes one free
     cover and checks that its kernel is free, so r <= 1; that holds when pi
     has no zeros at all.  A pi whose zeros all lie at or below the
     presentation degrees can leave a kernel that is not free, and then
-    PreconditionError is raised although the module is valid.  Everything
-    is verified degreewise to the horizon."""
+    PreconditionError is raised although the module is valid.  Either way
+    the certificate is verified against M's own pieces at every degree up
+    to the horizon, and a failed check raises AssertionError."""
     ctx = M.context
     R = ctx.ring
     if not R.is_field:
@@ -185,11 +196,51 @@ def special_resolve_field(M: PresentedModule, horizon: int = 40) -> SpecialResol
 
 
 def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialResolution:
+    """The adic filtration F_t = I^t M, I = (x^[j] : h ∤ j), for a zero h of
+    pi past the presentation degrees of M over a field; r = 0.
+
+    The filtration runs only on the degrees dmin .. min(horizon, top).  When
+    every relation entry has degree below h, top = max(F0 degrees) + h - 1,
+    the top degree of N below; h lies past the presentation degrees, so
+    that holds unless some generator degree is negative, and otherwise
+    top = horizon.  Why the cut keeps the result:
+    - Only degrees of D up to horizon - dmin act within the horizon, and
+      dplus_generator_degrees checks admissibility up to there.  If h lies
+      beyond, top >= horizon and nothing is cut.  Otherwise, over a field,
+      admissibility makes the zeros of pi up to there a divisibility chain
+      through h: a zero z < h divides h, and h divides a zero z > h.
+    - So for 0 <= a < h, C(qh + a, a) carries at no zero: a zero k | h
+      divides qh, and a zero k = mh leaves a < h <= k and no multiple of
+      k between qh and qh + a.  So x^[a] x^[qh] is a unit multiple of
+      x^[qh + a].
+    - For a, b < h <= a + b, C(a + b, a) carries at h and pi_h = 0, so
+      x^[a] x^[b] = 0.
+    - So D = D_{<h} tensor D^(h) as algebras, D_{<h} spanned by the x^[a],
+      a < h, and D^(h) by the x^[qh].  Every relation entry lies in
+      D_{<h}, so M = D^(h) tensor N, N the module over D_{<h} with the same
+      presentation, which is 0 above top.
+    - Each x^[j] with h ∤ j is a unit multiple of x^[a] x^[qh] with
+      a = j mod h, so I = I'D, I' the augmentation ideal of D_{<h}, and
+      F_t(M) = D^(h) tensor I'^t N.
+    - So the layer multiplicity l_{t, d} = dim L_t(N)_d, which is 0 for
+      d > top: every block the whole horizon would give has its shift on
+      the prefix.
+    - F_t(M)_d is a sum of products into degree d from lower degrees, so
+      the loop on the prefix computes the same F_t(d) there as on the whole
+      horizon.  F_t(M) is 0 on the horizon exactly when I'^t N = 0, that is
+      when it is 0 on the prefix, so the depth T is the same too.
+    The certificate is still checked against M's own pieces at every degree
+    up to the horizon, so a slip in this argument raises AssertionError and
+    never yields a wrong certificate.  The same split of D at a zero is the
+    first half of the route to modules whose zeros of pi all lie at or
+    below the presentation degrees."""
     ctx = M.context
     R = ctx.ring
     F0 = M.generators
     dmin = M.min_degree()
-    degrees = range(dmin, horizon + 1)
+    entries = [e.degree() for col in M.relations.columns for e in col.values()]
+    top = max(F0.degrees, default=dmin) + h - 1 if max(entries, default=0) < h else horizon
+    degrees = range(dmin, min(horizon, top) + 1)
     # Per-degree maps, built once per call: the basis (i, s) of F0_d, the
     # column of each generator i in it, and the relation vectors.  x^[j]
     # sends x^[s] e_i at degree d - j to C(s + j, j) x^[s + j] e_i, which is
@@ -251,7 +302,7 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
                     if span.insert(w):
                         vt[d].append(w)
         vectors.append(vt)
-    T = t  # F_T = 0 in M on the whole horizon
+    T = t  # F_T = 0 in M on the prefix, hence on the whole horizon
 
     # layer multiplicities: dim L_t(d) = sum_{q >= 0} l_{t, d - qh}, so
     # l_{t, d} = dim L_t(d) - dim L_t(d - h)
@@ -265,7 +316,7 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
             if acc:
                 blocks.append(SpecialBlock([R.zero()], h, shift=d, multiplicity=acc))
     cert = SpecialFiltrationCertificate(blocks)
-    ok, witness = verify_special_filtration(M, cert, horizon)
+    ok, witness = verify_special_filtration(M, cert, horizon, rel_vectors)
     if not ok:
         raise AssertionError(f"special filtration verification failed at {witness}")
     return SpecialResolution(

@@ -1,4 +1,5 @@
-"""Reference algorithms the tests compare gdpakit against."""
+"""Reference algorithms the tests compare gdpakit against, and the input
+recipes that several test files draw from."""
 
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from gdpakit.coeff_rings import (
     smith_normal_form,
 )
 from gdpakit.graded_modules import (
+    PresentedModule,
     SubmoduleGenerators,
     TorsionReport,
     _relation_rows,
@@ -403,3 +405,27 @@ def syzygy_generators_every_degree(f, degree_bound: int, target_relations=None):
         for vec in quotient_generators(R, f.source.rank(d), kv, old):
             out.generators.append((d, _vector_to_column(f.source, d, vec)))
     return out
+
+
+def random_field_module(ctx, rng):
+    """The acceptance suite's test_10 recipe, which the special-gfp benchmark
+    also draws: 1-3 generators in degrees 0-6 and 0-3 relations up to
+    degree 6, each entry present with probability 0.7, coefficients in
+    1..4; rng is a random.Random."""
+    ngens = rng.randint(1, 3)
+    gdegs = sorted(rng.randint(0, 6) for _ in range(ngens))
+    nrels = rng.randint(0, 3)
+    cols, rdegs = [], []
+    for _ in range(nrels):
+        rdeg = rng.randint(min(gdegs), 6)
+        col = {}
+        for i, g in enumerate(gdegs):
+            if g <= rdeg and rng.random() < 0.7:
+                c = rng.randint(1, 4)
+                if ctx.ring.is_zero(ctx.ring.from_int(c)):
+                    continue
+                col[i] = ctx.x(rdeg - g, coeff=ctx.ring.from_int(c))
+        if col:
+            cols.append(col)
+            rdegs.append(rdeg)
+    return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)

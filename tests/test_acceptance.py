@@ -45,6 +45,7 @@ from gdpakit.resolutions_k import (
     make_special,
     special_resolve_field,
 )
+from references import random_field_module
 
 
 def random_never_zero_pi(ring, rng, up_to, choices):
@@ -276,32 +277,12 @@ def test_09_recovery_random_gf5_with_zeros():
 # --------------------------------------------------------------------------
 
 
-def _random_field_module(ctx, rng):
-    ngens = rng.randint(1, 3)
-    gdegs = sorted(rng.randint(0, 6) for _ in range(ngens))
-    nrels = rng.randint(0, 3)
-    cols, rdegs = [], []
-    for _ in range(nrels):
-        rdeg = rng.randint(min(gdegs), 6)
-        col = {}
-        for i, g in enumerate(gdegs):
-            if g <= rdeg and rng.random() < 0.7:
-                c = rng.randint(1, 4)
-                if ctx.ring.is_zero(ctx.ring.from_int(c)):
-                    continue
-                col[i] = ctx.x(rdeg - g, coeff=ctx.ring.from_int(c))
-        if col:
-            cols.append(col)
-            rdegs.append(rdeg)
-    return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
-
-
 def test_10_random_special_resolutions():
     rng = random.Random(40)
     for p in (2, 3):
         ctx = AlgebraContext(PiSequence.classical(GF(p)))
         for _ in range(10):
-            M = _random_field_module(ctx, rng)
+            M = random_field_module(ctx, rng)
             # internal degreewise verification to the horizon raises on any
             # mismatch; the certificate itself is re-checked in the resolver
             res = special_resolve_field(M, horizon=40)

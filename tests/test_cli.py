@@ -221,18 +221,32 @@ class TestModuleCommands:
         data = json.loads(res.output)
         assert data["r"] == 0
 
+    # admissible to 24 but not at (30, 45)
+    NOT_ADMISSIBLE_AT_45 = json.dumps({
+        "context": {"family": "custom", "ring": {"ring": "GF", "p": 2},
+                    "values": {"30": "0", "45": "0"}, "default": "1"},
+        "generators": [0], "relation_degrees": [1],
+        "relations": [{"0": {"terms": [[1, "1"]]}}]})
+
     @pytest.mark.parametrize("command", [["special", "--horizon", "100"],
-                                         ["torsion", "--horizon", "40"]])
+                                         ["torsion", "--horizon", "40"],
+                                         ["hilbert", "--horizon", "60"],
+                                         ["syzygy", "--horizon", "60"],
+                                         ["tor", "--max-i", "1", "--horizon", "60"],
+                                         ["kclass", "--horizon", "60"],
+                                         ["l-invariant", "--horizon", "60"]])
     def test_pi_not_admissible_up_to_the_horizon_exits_one(self, monkeypatch, capsys, command):
-        # admissible to 24 but not at (30, 45): the user's input, not an
-        # internal fault (special exited 3, torsion reported torsion_free)
-        module = json.dumps({
-            "context": {"family": "custom", "ring": {"ring": "GF", "p": 2},
-                        "values": {"30": "0", "45": "0"}, "default": "1"},
-            "generators": [0], "relation_degrees": [1],
-            "relations": [{"0": {"terms": [[1, "1"]]}}]})
-        code, out, err = run_entry_point(monkeypatch, capsys, [*command, "--module", module])
+        # the user's input, not an internal fault (special exited 3, torsion
+        # reported torsion_free, the others printed results)
+        code, out, err = run_entry_point(
+            monkeypatch, capsys, [*command, "--module", self.NOT_ADMISSIBLE_AT_45])
         assert (code, out, err) == (1, "", "error: pi-sequence not admissible: pair (30, 45)\n")
+
+    @pytest.mark.parametrize("command", ["hilbert", "syzygy", "tor", "kclass"])
+    def test_admissibility_is_checked_up_to_the_horizon_only(self, runner, command):
+        res = runner.invoke(main, [command, "--horizon", "44", "--module",
+                                   self.NOT_ADMISSIBLE_AT_45])
+        assert res.exit_code == 0, res.output
 
     @pytest.mark.parametrize("shift, shown", [(3, "[-3]"), (0, "[-0]"), (-3, "[3]")])
     def test_special_text_reads_shift_as_m_minus_s(self, runner, shift, shown):
@@ -380,7 +394,7 @@ class TestInputBoundary:
         # a certificate the resolver built that does not verify is a bug, not
         # a failed user-facing check: exit 3, not a traceback with exit 1
         monkeypatch.setattr(gdpakit.resolutions_k, "verify_special_filtration",
-                            lambda M, cert, horizon: (False, 5))
+                            lambda M, cert, horizon, slices: (False, 5))
         code, out, err = run_entry_point(
             monkeypatch, capsys,
             ["special", "--ring", "GF(2)", "--ideal", "[0]", "--h", "2", "--horizon", "8"])

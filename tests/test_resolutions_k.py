@@ -1,6 +1,8 @@
 """Tests for special modules, special resolutions, filtration certificates,
 and the H / L class invariants."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from gdpakit.resolutions_k import (
     special_resolve_field,
     verify_special_filtration,
 )
+from references import random_field_module
 
 
 def classical_ctx(ring):
@@ -252,15 +255,68 @@ def field_modules(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(field_modules(), st.integers(8, 24))
+@given(field_modules(), st.integers(8, 40))
 def test_adic_resolution_matches_reference(M, horizon):
     # the resolver takes the adic path when pi has a zero beyond the
-    # presentation degrees within the horizon
+    # presentation degrees within the horizon; in most draws the top degree
+    # of N, max g + h - 1, lies below the horizon, where the resolver stops
+    # its filtration and the reference does not
     maxpres = M.max_presentation_degree()
     h = next((z for z in M.context.pi.zero_degrees(horizon) if z > maxpres), None)
     assume(h is not None)
     res = special_resolve_field(M, horizon=horizon)
     assert res.to_json() == _reference_resolve_adic(M, h, horizon).to_json()
+
+
+def test_special_gfp_recipe_matches_reference_at_horizon_80():
+    # the benchmark's recipe and horizon: h is a power of p up to 9, so the
+    # filtration stops by degree 14 of 80
+    rng = random.Random(80)
+    for p in (2, 3):
+        ctx = classical_ctx(GF(p))
+        for _ in range(12):
+            M = random_field_module(ctx, rng)
+            res = special_resolve_field(M, horizon=80)
+            assert max(M.generators.degrees) + res.h - 1 <= 14
+            assert res.to_json() == _reference_resolve_adic(M, res.h, 80).to_json()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("horizon", [0, 1, 8, 40])
+def test_module_without_generators_resolves(p, horizon):
+    M = PresentedModule.free(classical_ctx(GF(p)), [])
+    res = special_resolve_field(M, horizon=horizon)
+    assert res.r == 0 and res.certificate.blocks == []
+    assert res.to_json() == _reference_resolve_adic(M, res.h, horizon).to_json()
+
+
+def test_relation_slices_built_once_and_no_span_above_the_top_of_n(monkeypatch):
+    # generators at 0 and 3, a relation at 5: over GF(2) h = 8, and N's top
+    # degree is 3 + 8 - 1 = 10.  The filtration spans degrees 0..10 only,
+    # and its relation slices serve the check at every degree up to 40.
+    import gdpakit.resolutions_k as rk
+
+    ctx = classical_ctx(GF(2))
+    M = PresentedModule.from_columns(ctx, [0, 3], [{0: ctx.x(5), 1: ctx.x(2)}], [5])
+    slice_degree, sliced, spans = {}, [], []
+    slice_columns = M.relations.slice_columns
+
+    def counted_slice(d):
+        cols = slice_columns(d)
+        slice_degree[id(cols)] = d
+        sliced.append(d)
+        return cols
+
+    def counted_span(R, dim, vectors=()):
+        spans.append(slice_degree[id(vectors)])
+        return Lattice(R, dim, vectors)
+
+    monkeypatch.setattr(M.relations, "slice_columns", counted_slice)
+    monkeypatch.setattr(rk, "Lattice", counted_span)
+    res = special_resolve_field(M, horizon=40)
+    assert res.h == 8
+    assert sorted(sliced) == list(range(41))
+    assert set(spans) == set(range(11))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
