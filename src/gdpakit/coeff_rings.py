@@ -1284,8 +1284,18 @@ def cokernel_invariants(m: ExactMatrix) -> ModuleInvariants:
     of the echelon basis of m's columns."""
     R = m.ring
     if R.is_field:
-        return ModuleInvariants(R, m.rows - Lattice(R, m.rows, zip(*m.entries)).rank)
+        return column_cokernel_invariants(R, zip(*m.entries), m.rows)
     return _diagonal_invariants(R, m.rows, _smith(m, "D"))
+
+
+def column_cokernel_invariants(ring: Ring, columns, rows: int) -> ModuleInvariants:
+    """cokernel_invariants of the rows x len(columns) matrix with these
+    columns of canonical ring elements.  Over a field it reads the rank of
+    the columns' echelon basis from the columns themselves, with no matrix
+    built and transposed back."""
+    if ring.is_field:
+        return ModuleInvariants(ring, rows - Lattice(ring, rows, columns).rank)
+    return cokernel_invariants(ExactMatrix.from_columns(ring, list(columns), rows))
 
 
 def kernel_basis(m: ExactMatrix):

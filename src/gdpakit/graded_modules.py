@@ -24,6 +24,7 @@ from .coeff_rings import (
     _quotient_generators,
     _smith,
     cokernel_invariants,
+    column_cokernel_invariants,
     homology_invariants,
     json_int_list,
     kernel_basis,
@@ -212,7 +213,8 @@ class PresentedModule:
         return max(degs, default=0)
 
     def piece_invariants(self, d: int) -> ModuleInvariants:
-        return cokernel_invariants(self.relations.slice(d))
+        return column_cokernel_invariants(
+            self.context.ring, self.relations.slice_columns(d), self.generators.rank(d))
 
     def to_json(self):
         return {
@@ -819,7 +821,7 @@ def torsion_submodule(
         # stable annihilated classes beyond the relation submodule (over Z/n
         # the basis rows are integer lifts)
         cols = [[R.canon(x) for x in v] for v in final[1]]
-        stable.append((d, cokernel_invariants(ExactMatrix.from_columns(R, cols, dim))))
+        stable.append((d, column_cokernel_invariants(R, cols, dim)))
     if stable:
         if certified:
             return TorsionReport(

@@ -18,6 +18,7 @@ from .coeff_rings import (
     PreconditionError,
     Ring,
     Zloc,
+    column_cokernel_invariants,
     cokernel_invariants,
     invariants_from_factors,
     quotient_generators,
@@ -95,16 +96,25 @@ class SpecialFiltrationCertificate:
 
     def expected_pieces(self, ring: Ring, degrees):
         """The invariants of the direct sum of the blocks at each degree in
-        degrees; each block's k/(ideal) is computed once, not per degree."""
-        ideals = [ideal_invariants(ring, b.ideal_generators) for b in self.blocks]
+        degrees.  Each block's k/(ideal) is computed once, and the block
+        steps once over its degrees shift, shift + h, ... up to the last one
+        asked for; the invariants are built once per distinct (free rank,
+        factors) within the call."""
+        degrees = list(degrees)
+        top = max(degrees, default=0)
+        free, factors = {}, {}
+        for b in self.blocks:
+            inv = ideal_invariants(ring, b.ideal_generators)
+            for e in range(b.shift, top + 1, b.h):
+                free[e] = free.get(e, 0) + inv.free_rank * b.multiplicity
+                if inv.torsion_factors:
+                    factors[e] = factors.get(e, ()) + inv.torsion_factors * b.multiplicity
+        built = {}
         for e in degrees:
-            free = 0
-            factors = []
-            for b, inv in zip(self.blocks, ideals):
-                if e >= b.shift and (e - b.shift) % b.h == 0:
-                    free += inv.free_rank * b.multiplicity
-                    factors += list(inv.torsion_factors) * b.multiplicity
-            yield invariants_from_factors(ring, free, factors)
+            key = (free.get(e, 0), factors.get(e, ()))
+            if key not in built:
+                built[key] = invariants_from_factors(ring, *key)
+            yield built[key]
 
     def to_json(self, ring: Ring):
         return {"blocks": [b.to_json(ring) for b in self.blocks]}
@@ -115,20 +125,24 @@ def verify_special_filtration(
 ):
     """Degreewise check that the graded pieces of M match the direct sum of
     the declared principal special blocks; (True, None) or (False, witness
-    degree).  slices maps degrees to relation slices already built
-    (M.relations.slice_columns(d)); the pieces at the other degrees come from
-    M.piece_invariants."""
+    degree).  M's relation slice is built at every degree from the lowest
+    generator or block degree up to the horizon, except where slices, a map
+    from degrees to relation slices already built
+    (M.relations.slice_columns(d)), holds it.  The piece is the cokernel of
+    the slice, so it is computed once per distinct (rank of F0_d, slice)
+    within the call, and compared with the certificate at every degree."""
     R = M.context.ring
+    F0 = M.generators
     slices = slices or {}
     lo = min([M.min_degree()] + [b.shift for b in cert.blocks])
     degrees = range(lo, horizon + 1)
+    pieces = {}
     for e, expected in zip(degrees, cert.expected_pieces(R, degrees)):
-        if e in slices:
-            piece = cokernel_invariants(
-                ExactMatrix.from_columns(R, slices[e], M.generators.rank(e)))
-        else:
-            piece = M.piece_invariants(e)
-        if piece != expected:
+        cols = slices[e] if e in slices else M.relations.slice_columns(e)
+        key = (F0.rank(e), tuple(map(tuple, cols)))
+        if key not in pieces:
+            pieces[key] = column_cokernel_invariants(R, cols, key[0])
+        if pieces[key] != expected:
             return False, e
     return True, None
 
@@ -160,7 +174,7 @@ class SpecialResolution:
         }
 
 
-# The highest degree, unless the horizon is higher, at which
+# The highest degree, unless the normalised horizon is higher, at which
 # special_resolve_field looks for a zero of pi past the presentation degrees.
 _ZERO_SEARCH_DEGREE = 1024
 
@@ -168,13 +182,16 @@ _ZERO_SEARCH_DEGREE = 1024
 def special_resolve_field(M: PresentedModule, horizon: int = 40) -> SpecialResolution:
     """A special resolution of a finitely presented module over a field.
 
-    If some pi_h = 0 with h beyond all presentation degrees, M is itself
-    special and r = 0: M = D^(h) tensor N with N a module over D_{<h}, and
-    the adic filtration of M by I = (x^[j] : h ∤ j) has layers that are
-    direct sums of shifted M((0), h).  The filtration is computed only up to
-    max(F0 degrees) + h - 1, the top degree of N, where every block lies
-    (see _special_resolve_adic for the proof).  The zero h is sought up to
-    degree max(horizon, 1024), past the horizon too: zeros of pi below the
+    D acts through degree differences, so degrees are read relative to
+    dmin, the lowest generator degree: M shifted by s, at horizon + s, gets
+    the same h and r and the certificate shifted by s.  If some pi_h = 0
+    with h past max(presentation degrees) - dmin, M is itself special and
+    r = 0: M = D^(h) tensor N with N a module over D_{<h}, and the adic
+    filtration of M by I = (x^[j] : h ∤ j) has layers that are direct sums
+    of shifted M((0), h).  The filtration is computed only up to max(F0
+    degrees) + h - 1, the top degree of N, where every block lies (see
+    _special_resolve_adic for the proof).  The zero h is sought up to
+    max(horizon - dmin, 1024), past the horizon too: zeros of pi below the
     presentation degrees can force syzygies within the horizon that only
     the split at h resolves.  Otherwise the free-kernel path takes one free
     cover and checks that its kernel is free, so r <= 1; that holds when pi
@@ -187,8 +204,9 @@ def special_resolve_field(M: PresentedModule, horizon: int = 40) -> SpecialResol
     R = ctx.ring
     if not R.is_field:
         raise PreconditionError("special_resolve_field requires a field")
-    first = max(2, M.max_presentation_degree() + 1)
-    last = max(horizon, _ZERO_SEARCH_DEGREE)
+    dmin = M.min_degree()
+    first = max(2, M.max_presentation_degree() - dmin + 1)
+    last = max(horizon - dmin, _ZERO_SEARCH_DEGREE)
     h = next((z for z in range(first, last + 1) if R.is_zero(ctx.pi.pi(z))), None)
     if h is not None:
         return _special_resolve_adic(M, h, horizon)
@@ -197,13 +215,15 @@ def special_resolve_field(M: PresentedModule, horizon: int = 40) -> SpecialResol
 
 def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialResolution:
     """The adic filtration F_t = I^t M, I = (x^[j] : h ∤ j), for a zero h of
-    pi past the presentation degrees of M over a field; r = 0.
+    pi past max(presentation degrees) - dmin over a field; r = 0.
 
-    The filtration runs only on the degrees dmin .. min(horizon, top).  When
-    every relation entry has degree below h, top = max(F0 degrees) + h - 1,
-    the top degree of N below; h lies past the presentation degrees, so
-    that holds unless some generator degree is negative, and otherwise
-    top = horizon.  Why the cut keeps the result:
+    Every step reads degrees only through their differences from dmin,
+    the lowest generator degree, so this is the computation on M shifted
+    to dmin = 0, at horizon - dmin, with the blocks shifted back.  An entry
+    at generator g of a relation of degree r has degree r - g <=
+    max(presentation degrees) - dmin < h.  The filtration runs only on the
+    degrees dmin .. min(horizon, top), top = max(F0 degrees) + h - 1, the
+    top degree of N below.  Why the cut keeps the result:
     - Only degrees of D up to horizon - dmin act within the horizon, and
       dplus_generator_degrees checks admissibility up to there.  If h lies
       beyond, top >= horizon and nothing is cut.  Otherwise, over a field,
@@ -228,7 +248,8 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     - F_t(M)_d is a sum of products into degree d from lower degrees, so
       the loop on the prefix computes the same F_t(d) there as on the whole
       horizon.  F_t(M) is 0 on the horizon exactly when I'^t N = 0, that is
-      when it is 0 on the prefix, so the depth T is the same too.
+      when it is 0 on the prefix, so the depth T is the same too.  F_t(d)
+      is 0 for t > d - dmin, so T <= horizon - dmin + 1.
     The certificate is still checked against M's own pieces at every degree
     up to the horizon, so a slip in this argument raises AssertionError and
     never yields a wrong certificate.  The same split of D at a zero is the
@@ -238,8 +259,7 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     R = ctx.ring
     F0 = M.generators
     dmin = M.min_degree()
-    entries = [e.degree() for col in M.relations.columns for e in col.values()]
-    top = max(F0.degrees, default=dmin) + h - 1 if max(entries, default=0) < h else horizon
+    top = max(F0.degrees, default=dmin) + h - 1
     degrees = range(dmin, min(horizon, top) + 1)
     # Per-degree maps, built once per call: the basis (i, s) of F0_d, the
     # column of each generator i in it, and the relation vectors.  x^[j]
@@ -280,7 +300,7 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     t = 0
     while any(vectors[t].values()):
         t += 1
-        if t > horizon + 1:
+        if t > horizon - dmin + 1:
             raise AssertionError("adic filtration failed to terminate")
         vt = {d: [] for d in degrees}
         for d in degrees:

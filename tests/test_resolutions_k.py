@@ -106,25 +106,42 @@ class TestFiltrationCertificates:
         assert witness is not None
 
     def test_block_ideals_computed_once_per_call(self, monkeypatch):
-        # k/(ideal) is computed once per block, while M's pieces are still
-        # computed by SNF at every degree
+        # k/(ideal) is computed once per block, and M's relation slice is
+        # built at every checked degree (1..20) that has no prefix slice
         import gdpakit.resolutions_k as rk
 
         ctx = classical_ctx(GF(3))
         I, cert = sp1_hand_filtration(ctx, 3)
-        calls = {"ideal": 0, "piece": 0}
-        ideal_invariants_, piece_invariants = rk.ideal_invariants, I.piece_invariants
+        prefix = {d: I.relations.slice_columns(d) for d in range(1, 8)}
+        for slices, built in ((None, list(range(1, 21))), (prefix, list(range(8, 21)))):
+            ideals, sliced = [], []
+            ideal_invariants_, slice_columns = rk.ideal_invariants, I.relations.slice_columns
 
-        def count(key, fn):
-            def wrapped(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapped
+            def counted_ideal(*args):
+                ideals.append(args)
+                return ideal_invariants_(*args)
 
-        monkeypatch.setattr(rk, "ideal_invariants", count("ideal", ideal_invariants_))
-        monkeypatch.setattr(I, "piece_invariants", count("piece", piece_invariants))
-        assert verify_special_filtration(I, cert, 20) == (True, None)
-        assert calls == {"ideal": len(cert.blocks), "piece": 20}
+            def counted_slice(d):
+                sliced.append(d)
+                return slice_columns(d)
+
+            with monkeypatch.context() as m:
+                m.setattr(rk, "ideal_invariants", counted_ideal)
+                m.setattr(I.relations, "slice_columns", counted_slice)
+                assert verify_special_filtration(I, cert, 20, slices) == (True, None)
+            assert len(ideals) == len(cert.blocks)
+            assert sliced == built
+
+    def test_repeated_slice_is_still_checked_against_its_own_degree(self):
+        # D free on one generator at 0 over GF(2): every slice is empty on a
+        # rank-1 F0_d, so each degree's piece comes from the memo of degree
+        # 0.  A certificate that misses only degree 5 must fail there.
+        ctx = classical_ctx(GF(2))
+        M = PresentedModule.free(ctx, [0])
+        blocks = [SpecialBlock([GF(2).zero()], 9, shift=s) for s in range(9)]
+        assert verify_special_filtration(M, SpecialFiltrationCertificate(blocks), 8) == (True, None)
+        bad = SpecialFiltrationCertificate([b for b in blocks if b.shift != 5])
+        assert verify_special_filtration(M, bad, 8) == (False, 5)
 
     def test_negative_control_wrong_shift(self):
         ctx = classical_ctx(GF(3))
@@ -134,6 +151,40 @@ class TestFiltrationCertificates:
         )
         ok, witness = verify_special_filtration(I, bad, 12)
         assert not ok
+
+
+@st.composite
+def certificates(draw):
+    """A ring among Z, Z/6, GF(3), Z_(2), a certificate of 0-4 blocks over
+    it (ideals with no generator, zero, unit or torsion generators; h 1-5,
+    shifts -4..6, multiplicities 1-3), and degrees from below the first
+    shift."""
+    ring = draw(st.sampled_from([ZZ, Zmod(6), GF(3), Zloc(2)]))
+    blocks = [
+        SpecialBlock(
+            [ring.from_int(c) for c in draw(st.lists(st.integers(0, 12), max_size=2))],
+            draw(st.integers(1, 5)), draw(st.integers(-4, 6)), draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    lo = min([b.shift for b in blocks], default=0) - draw(st.integers(0, 3))
+    return ring, SpecialFiltrationCertificate(blocks), range(lo, lo + draw(st.integers(0, 20)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificates())
+def test_expected_pieces_match_the_per_degree_sum(drawn):
+    # each degree's expected piece, summed the plain way: the direct sum of
+    # one k/(ideal) per copy of every block that sits at that degree
+    ring, cert, degrees = drawn
+    want = []
+    for e in degrees:
+        piece = ModuleInvariants(ring, 0, ())
+        for b in cert.blocks:
+            if e >= b.shift and (e - b.shift) % b.h == 0:
+                for _ in range(b.multiplicity):
+                    piece = piece.direct_sum(ideal_invariants(ring, b.ideal_generators))
+        want.append(piece)
+    assert list(cert.expected_pieces(ring, degrees)) == want
 
 
 def _mult_vector(ctx, F0, d_from, j, vec):
@@ -257,15 +308,42 @@ def field_modules(draw):
 @settings(max_examples=200, deadline=None)
 @given(field_modules(), st.integers(8, 40))
 def test_adic_resolution_matches_reference(M, horizon):
-    # the resolver takes the adic path when pi has a zero beyond the
-    # presentation degrees within the horizon; in most draws the top degree
-    # of N, max g + h - 1, lies below the horizon, where the resolver stops
-    # its filtration and the reference does not
-    maxpres = M.max_presentation_degree()
-    h = next((z for z in M.context.pi.zero_degrees(horizon) if z > maxpres), None)
+    # the resolver takes the adic path when pi has a zero h past the
+    # presentation degrees less the lowest generator degree, here sought
+    # within the horizon; in most draws the top degree of N, max g + h - 1,
+    # lies below the horizon, where the resolver stops its filtration and
+    # the reference does not
+    first = max(2, M.max_presentation_degree() - M.min_degree() + 1)
+    h = next((z for z in M.context.pi.zero_degrees(horizon) if z >= first), None)
     assume(h is not None)
     res = special_resolve_field(M, horizon=horizon)
     assert res.to_json() == _reference_resolve_adic(M, h, horizon).to_json()
+
+
+def _shifted(M, s):
+    """M with every generator and relation degree moved up by s."""
+    return PresentedModule.from_columns(
+        M.context, [g + s for g in M.generators.degrees], M.relations.columns,
+        [r + s for r in M.relations.source.degrees])
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_modules(), st.integers(8, 40), st.integers(-6, 6))
+def test_special_resolution_shifts_with_the_module(M, horizon, s):
+    # D acts through degree differences, so M shifted by s, at horizon + s,
+    # gets the same h and r, and the blocks and free parts shifted by s
+    try:
+        res = special_resolve_field(M, horizon)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            special_resolve_field(_shifted(M, s), horizon + s)
+        return
+    moved = special_resolve_field(_shifted(M, s), horizon + s)
+    assert (moved.r, moved.h) == (res.r, res.h)
+    assert moved.free_part == [[g + s for g in part] for part in res.free_part]
+    assert moved.certificate.blocks == [
+        SpecialBlock(b.ideal_generators, b.h, b.shift + s, b.multiplicity)
+        for b in res.certificate.blocks]
 
 
 def test_special_gfp_recipe_matches_reference_at_horizon_80():
