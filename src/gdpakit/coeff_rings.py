@@ -24,6 +24,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -175,6 +176,17 @@ class Ring:
 
     def describe(self) -> str:
         return self.kind
+
+    @cached_property
+    def _echelon(self):
+        """(base, mod, quo_rem) of a Lattice over this ring, read once per
+        ring.  base is the ring its rows live over (Z for the lift of a
+        composite Z/n), whose entries are ints or Fractions, so zero tests,
+        sub and mul are Python's operators, mod p when mod is p (GF(p));
+        quo_rem is None over Z, where Lattice runs divmod itself."""
+        base = ZZ if isinstance(self, IntegersModRing) and not self.is_field else self
+        mod = base.n if isinstance(base, IntegersModRing) else 0
+        return base, mod, None if isinstance(base, IntegerRing) else base.quo_rem
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.to_json() == other.to_json()
@@ -1328,16 +1340,12 @@ class Lattice:
     def __init__(self, ring: Ring, dim: int, vectors=()):
         self.dim = dim
         self.rows: dict[int, list] = {}  # pivot column -> row
-        self.base = ring  # the ring the rows live over
+        # the ring the rows live over, and how they reduce (Ring._echelon)
+        self.base, self._mod, self._quo_rem = ring._echelon
         self.lift_kernel = []  # generators of ker(Z^dim -> (Z/n)^dim)
-        if isinstance(ring, IntegersModRing) and not ring.is_field:
-            self.base = ZZ
+        if self.base is not ring:
             n = ring.n
             self.lift_kernel = [[n if t == i else 0 for t in range(dim)] for i in range(dim)]
-        # entries are ints or Fractions: the base's zero test, sub and mul are
-        # Python's operators (mod p over GF(p)), and over Z its quo_rem too
-        self._mod = self.base.n if isinstance(self.base, IntegersModRing) else 0
-        self._quo_rem = None if isinstance(self.base, IntegerRing) else self.base.quo_rem
         for v in self.lift_kernel:
             self.insert(v)
         for v in vectors:

@@ -53,6 +53,10 @@ class FreeGradedModule:
     def __init__(self, context: AlgebraContext, generator_degrees):
         self.context = context
         self.degrees = tuple(int(g) for g in generator_degrees)
+        # from the top generator degree on, every generator has a basis
+        # element, in generator order: basis column i is generator i
+        self._top = max(self.degrees, default=0)
+        self._all_columns = {i: i for i in range(len(self.degrees))}
 
     @property
     def n_gens(self) -> int:
@@ -63,6 +67,8 @@ class FreeGradedModule:
         return [(i, d - g) for i, g in enumerate(self.degrees) if g <= d]
 
     def rank(self, d: int) -> int:
+        if d >= self._top:
+            return len(self.degrees)
         return sum(1 for g in self.degrees if g <= d)
 
     def shifted(self, by: int) -> "FreeGradedModule":
@@ -89,7 +95,10 @@ class FreeGradedModule:
         ctx = self.context
         mul, pi = ctx.ring.mul, ctx.pi
         zero = ctx.ring.zero()
-        col_of = {i: c for c, (i, _) in enumerate(self.basis(d))}
+        if d >= self._top:
+            col_of = self._all_columns
+        else:
+            col_of = {i: c for c, (i, _) in enumerate(self.basis(d))}
         out = []
         for e, terms in generators:
             if e > d:
@@ -350,23 +359,25 @@ def syzygy_generators(
         and f.target.n_gens == 1
         and R.is_pid
     )
+    ideal_generator = _ideal_generator(R)
 
     def candidates(d, old):
         if one_row and f.target.rank(d):
             _, sub = old(d)
-            if _spans_row_kernel(R, [col[0] for col in f.slice_columns(d)], sub):
+            if _spans_row_kernel(ideal_generator, [col[0] for col in f.slice_columns(d)], sub):
                 return []
         return kernel_slice_vectors(f, d, target_relations)
 
     return _degreewise_generators(f.source, degree_bound, candidates)
 
 
-def _spans_row_kernel(R: Ring, r, sub: Lattice) -> bool:
+def _spans_row_kernel(ideal_generator, r, sub: Lattice) -> bool:
     """Whether sub, a lattice inside K = ker(r) for a row r in R^m over a
     field or a PID, is all of K: r != 0, sub has rank m - 1, and the
     product of sub's echelon pivots times content(r) generates the ideal of
     r[np], np being the one column without a pivot (equal absolute values
     over Z, equal valuations over Z_(p); over a field the rank decides).
+    ideal_generator is :func:`_ideal_generator` of R.
 
     Proof.  R^m / K embeds in R through r, so it is free and K is a direct
     summand of rank m - 1.  Let w_j be the maximal minor, signed by
@@ -391,7 +402,7 @@ def _spans_row_kernel(R: Ring, r, sub: Lattice) -> bool:
     # the numerators' gcd generates content(r): denominators are units
     content = math.gcd(*[x.numerator for x in r])
     pivots = math.prod(row[p] for p, row in sub.rows.items())
-    return _ideal_generator(R, pivots * content) == _ideal_generator(R, r[np])
+    return ideal_generator(pivots * content) == ideal_generator(r[np])
 
 
 def _degreewise_generators(ambient: FreeGradedModule, degree_bound: int, candidates):
@@ -655,15 +666,16 @@ class TorsionReport:
         }
 
 
-def _ideal_generator(R: Ring, x) -> int:
-    """The canonical generator of the ideal that a nonzero x generates: 1
-    over a field, the p-part of x (an int or a p-local Fraction) over
-    Z_(p), |x| over Z and over the Z lift of Z/n."""
+def _ideal_generator(R: Ring):
+    """x -> the canonical generator of the ideal that a nonzero x generates:
+    1 over a field, the p-part of x (an int or a p-local Fraction) over
+    Z_(p), |x| over Z and over the Z lift of Z/n.  The ring is read here,
+    once, so a scan calls the function it returns in every degree."""
     if R.is_field:
-        return 1
+        return lambda x: 1
     if isinstance(R, PLocalRing):
-        return R.p ** R.valuation(x)
-    return abs(x)
+        return lambda x: R.p ** R.valuation(x)
+    return abs
 
 
 def _rank_and_delta(R: Ring, vectors, dim: int):
@@ -674,7 +686,7 @@ def _rank_and_delta(R: Ring, vectors, dim: int):
     Z/n of the lift [A | nI], whose columns span the preimage in Z^dim)."""
     K = ZZ if isinstance(R, PLocalRing) else R
     diag = [x for x in _smith(ExactMatrix.from_columns(K, vectors, dim), "D") if x]
-    return len(diag), _ideal_generator(R, math.prod(diag))
+    return len(diag), _ideal_generator(R)(math.prod(diag))
 
 
 def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_rows, goal=None):
@@ -711,6 +723,7 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_rows, 
     dim = len(basis)
     p = R.p if isinstance(R, PLocalRing) else None
     K = ZZ if p else R
+    ideal_generator = _ideal_generator(R)
     (rank, delta), B = window or ((dim, 1), ExactMatrix.identity(K, dim).entries)
     for j in degrees:
         if not rank or (rank, delta) == goal:
@@ -733,7 +746,7 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_rows, 
         if p:
             B = [primitive_integer_vector(b, p) for b in B]
         if len(A) == rank:
-            delta = _ideal_generator(R, delta * math.prod(a[t] for t, a in enumerate(A)))
+            delta = ideal_generator(delta * math.prod(a[t] for t, a in enumerate(A)))
         else:
             rank, delta = _rank_and_delta(R, B, dim)
     return (rank, delta), B

@@ -365,10 +365,13 @@ def A_invariant(pi: PiSequence, n: int):
 
 def c_binomial(pi: PiSequence, n: int, m: int):
     """C(n, m) = prod over k in [2, n] of pi_k^{eps_k(n-m, m)} (carry product)."""
+    # no ring element is None, and an (n, m) out of range never enters the
+    # memo, so a hit needs no range check
+    acc = pi._c_memo.get((n, m))
+    if acc is not None:
+        return acc
     if not 0 <= m <= n:
         raise PreconditionError(f"c_binomial requires 0 <= m <= n, got ({n}, {m})")
-    if (n, m) in pi._c_memo:
-        return pi._c_memo[(n, m)]
     R = pi.ring
     acc = R.one()
     a, b = n - m, m

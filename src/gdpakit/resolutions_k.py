@@ -96,15 +96,19 @@ class SpecialFiltrationCertificate:
 
     def expected_pieces(self, ring: Ring, degrees):
         """The invariants of the direct sum of the blocks at each degree in
-        degrees.  Each block's k/(ideal) is computed once, and the block
-        steps once over its degrees shift, shift + h, ... up to the last one
-        asked for; the invariants are built once per distinct (free rank,
-        factors) within the call."""
+        degrees.  k/(ideal) is computed once per distinct ideal (as its
+        canonical generators) within the call, and each block steps once
+        over its degrees shift, shift + h, ... up to the last one asked for;
+        the invariants are built once per distinct (free rank, factors)
+        within the call."""
         degrees = list(degrees)
         top = max(degrees, default=0)
-        free, factors = {}, {}
+        free, factors, ideals = {}, {}, {}
         for b in self.blocks:
-            inv = ideal_invariants(ring, b.ideal_generators)
+            gens = tuple(ring.canon(g) for g in b.ideal_generators)
+            if gens not in ideals:
+                ideals[gens] = ideal_invariants(ring, gens)
+            inv = ideals[gens]
             for e in range(b.shift, top + 1, b.h):
                 free[e] = free.get(e, 0) + inv.free_rank * b.multiplicity
                 if inv.torsion_factors:

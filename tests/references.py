@@ -429,3 +429,10 @@ def random_field_module(ctx, rng):
             cols.append(col)
             rdegs.append(rdeg)
     return PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
+
+
+def shifted_module(M, s):
+    """M with every generator and relation degree moved up by s."""
+    return PresentedModule.from_columns(
+        M.context, [g + s for g in M.generators.degrees], M.relations.columns,
+        [r + s for r in M.relations.source.degrees])

@@ -1,11 +1,12 @@
 """Tests for the degree-bound harness, (A2) checks, and the bivariate
 counterexample."""
 
+import math
 import random
 
 import pytest
 
-from gdpakit import coeff_rings
+from gdpakit import coeff_rings, graded_modules
 from gdpakit.coeff_rings import GF, QQ, ZZ, PreconditionError, Zloc, Zmod
 from gdpakit.coherence_lab import (
     BivariateElement,
@@ -148,6 +149,43 @@ class TestT1BoundCheck:
         assert 0 < len(bits["V"]) <= 100 and len(bits["W"]) > 50
         assert max(bits["V"]) <= 64
         assert max(bits["W"]) <= 8
+
+
+def boundcheck_specs(count, seed):
+    """Specs as the boundcheck-zz benchmark draws them: a chain a_0,
+    gcd(a_0, r_1), ... over Z with r_i uniform in [0, 60], d = 1 + a_0 % 4,
+    each generator with a random sign."""
+    ctx = classical_ctx(ZZ)
+    rng = random.Random(seed)
+    specs = []
+    for a0 in rng.sample(range(61), count):
+        chain = [a0]
+        for _ in range(1 + a0 % 4):
+            chain.append(math.gcd(chain[-1], rng.randint(0, 60)))
+        specs.append(IdealSpec(ctx, [[rng.choice((1, -1)) * g] for g in chain], len(chain) - 1))
+    return specs
+
+
+def test_bound_check_scan_asks_every_degree(monkeypatch):
+    # no stopping rule is proved, so the syzygy scan of a bound check asks
+    # for candidates once in every degree from the lowest generator degree
+    # to bound + margin, past the last new syzygy too
+    degreewise = graded_modules._degreewise_generators
+    scans = []
+
+    def watched(ambient, degree_bound, candidates):
+        asked = []
+        scans.append((ambient.degrees, degree_bound, asked))
+        return degreewise(ambient, degree_bound, lambda d, old: asked.append(d) or candidates(d, old))
+
+    monkeypatch.setattr(graded_modules, "_degreewise_generators", watched)
+    for spec in boundcheck_specs(8, 22):
+        scans.clear()
+        report = t1_bound_check(spec)
+        assert report.passed and report.horizon == report.bound + 4
+        [(degrees, bound, asked)] = scans
+        assert list(degrees) == report.generator_degrees and bound == report.horizon
+        assert asked == list(range(min(degrees), report.horizon + 1))
 
 
 class TestA2Check:

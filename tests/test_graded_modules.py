@@ -48,6 +48,7 @@ from gdpakit.graded_modules import (
 from gdpakit import graded_modules
 from gdpakit.graded_modules import (
     _degreewise_generators,
+    _ideal_generator,
     _rank_and_delta,
     _refine_lattice,
     _relation_rows,
@@ -55,7 +56,12 @@ from gdpakit.graded_modules import (
 )
 from gdpakit.pi_core import PiSequence, fibonacci, h_transform, pi_from_gcd_morphic
 from gdpakit.resolutions_k import minimal_image_generators, special_resolve_field
-from references import solve, syzygy_generators_every_degree, torsion_submodule_every_j
+from references import (
+    shifted_module,
+    solve,
+    syzygy_generators_every_degree,
+    torsion_submodule_every_j,
+)
 
 
 def ctx_classical(ring):
@@ -615,6 +621,30 @@ def test_torsion_matches_the_every_j_reference_at_the_benchmark_horizon():
         assert torsion_submodule(M, 40).to_json() == torsion_submodule_every_j(M, 40).to_json()
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_modules(), st.integers(-6, 6), st.integers(1, 6), st.data())
+def test_pieces_and_torsion_shift_with_the_module(M, s, margin, data):
+    # D acts through degree differences, so M shifted by s, at horizon + s,
+    # has the same pieces and the same torsion report, degrees shifted by s.
+    # The search runs past the margin up to a cap, max(4 margin, 2^(b + 1))
+    # with b the bit length of horizon + margin - 1: horizon + margin - 1
+    # lies in [8, 15] on both sides, so the cap is 32 on both
+    base = data.draw(st.integers(8 + max(0, -s), 15 - max(0, s)))
+    horizon = base - margin + 1
+    moved = shifted_module(M, s)
+    pieces = hilbert_series(M, horizon).pieces
+    assert hilbert_series(moved, horizon + s).pieces == {d + s: p for d, p in pieces.items()}
+    rep = torsion_submodule(M, horizon, margin)
+    got = torsion_submodule(moved, horizon + s, margin)
+    assert (got.verdict, got.margin, got.horizon) == (rep.verdict, rep.margin, horizon + s)
+    assert got.candidates == [(d + s, inv) for d, inv in rep.candidates]
+    # a torsion-free certificate names the horizon, and the cap if it was used
+    def certificate(report, h):
+        return report.certificate and report.certificate.replace(f"degree {h}", "the horizon")
+
+    assert certificate(got, horizon + s) == certificate(rep, horizon)
+
+
 def test_torsion_windows_stop_at_the_relation_span(monkeypatch):
     # a degree makes one kernel per cut until its lattice equals the
     # relation span, and none after, in whichever window that happens
@@ -915,7 +945,7 @@ def test_row_kernel_index_test_decides_equality(case):
     R, r, S, K = case
     m = len(r)
     sub = Lattice(R, m, S)
-    assert _spans_row_kernel(R, r, sub) == sub.equals(Lattice(R, m, K))
+    assert _spans_row_kernel(_ideal_generator(R), r, sub) == sub.equals(Lattice(R, m, K))
 
 
 @settings(max_examples=80, deadline=None)
@@ -948,6 +978,48 @@ def test_minimal_image_generators_match_full_length_loop(M, past_top):
 def _fresh_images(F, generators, d):
     """F.images of generators whose columns are parsed afresh."""
     return F.images([(e, F._column_terms(e, col)) for e, col in generators], d)
+
+
+@st.composite
+def free_modules_with_columns(draw):
+    """A free module whose generator degrees may be unsorted, negative,
+    repeated or absent, and columns (e, {i: element of degree e - g_i}) on
+    it, with e at least the degree of every generator a column uses."""
+    ctx = draw(st.sampled_from(ORACLE_CONTEXTS))
+    degrees = draw(st.lists(st.integers(-4, 4), max_size=4))
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        e = draw(st.integers(-4, 7))
+        col = {}
+        for i, g in enumerate(degrees):
+            c = draw(st.integers(-3, 3))
+            if g <= e and c:
+                col[i] = ctx.x(e - g, coeff=ctx.ring.from_int(c))
+        columns.append((e, col))
+    return FreeGradedModule(ctx, degrees), columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(free_modules_with_columns())
+def test_images_and_rank_match_their_definitions(case):
+    # in every degree below, at and above the top generator degree: rank(d)
+    # counts the g <= d, and images puts x^[d - e] * column, as the algebra
+    # multiplies it, at the position of each generator in basis(d)
+    F, columns = case
+    ctx, R = F.context, F.context.ring
+    terms = [(e, F._column_terms(e, col)) for e, col in columns]
+    for d in range(min(F.degrees, default=0) - 2, max(F.degrees, default=0) + 3):
+        basis = F.basis(d)
+        assert F.rank(d) == sum(1 for g in F.degrees if g <= d) == len(basis)
+        column_of = {i: c for c, (i, _) in enumerate(basis)}
+        want = []
+        for e, col in columns:
+            if e <= d:
+                vec = [R.zero()] * len(basis)
+                for i, elem in col.items():
+                    vec[column_of[i]] = ctx.x(d - e).mul(elem).coeff(d - F.degrees[i])
+                want.append(vec)
+        assert F.images(terms, d) == want
 
 
 @settings(max_examples=100, deadline=None)

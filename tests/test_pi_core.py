@@ -199,6 +199,30 @@ def test_c_binomial_classical_small():
         c_binomial(pi, 3, 4)
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zloc(2), GF(3)])
+def test_c_binomial_memo_keeps_values_and_range_check(ring):
+    # a memo hit skips the range check, so an (n, m) with m < 0 or m > n
+    # must raise on a cold memo and on a warm one, and never enter it; every
+    # value read from the warm memo equals that of a fresh sequence
+    families = (PiSequence.classical, lambda R: PiSequence.custom(R, {2: 0, 6: 3}))
+    bad = [(3, -1), (3, 4), (0, 1), (0, -1), (-1, 0), (12, 13)]
+    for family in families:
+        pi = family(ring)
+        for n, m in bad:
+            with pytest.raises(PreconditionError):
+                c_binomial(pi, n, m)
+        for n in range(16):
+            for m in range(n + 1):
+                c_binomial(pi, n, m)
+        for n, m in bad:
+            with pytest.raises(PreconditionError):
+                c_binomial(pi, n, m)
+        assert all(0 <= m <= n for n, m in pi._c_memo)
+        for n in range(16):
+            for m in range(n + 1):
+                assert ring.eq(c_binomial(pi, n, m), c_binomial(family(ring), n, m))
+
+
 def test_c_binomial_gaussian():
     pi = PiSequence.cyclotomic_symbolic()
     assert c_binomial(pi, 2, 1) == (1, 1)  # 1 + q

@@ -32,7 +32,7 @@ from gdpakit.resolutions_k import (
     special_resolve_field,
     verify_special_filtration,
 )
-from references import random_field_module
+from references import random_field_module, shifted_module
 
 
 def classical_ctx(ring):
@@ -106,8 +106,9 @@ class TestFiltrationCertificates:
         assert witness is not None
 
     def test_block_ideals_computed_once_per_call(self, monkeypatch):
-        # k/(ideal) is computed once per block, and M's relation slice is
-        # built at every checked degree (1..20) that has no prefix slice
+        # k/(ideal) is computed once per distinct ideal, and M's relation
+        # slice is built at every checked degree (1..20) that has no prefix
+        # slice
         import gdpakit.resolutions_k as rk
 
         ctx = classical_ctx(GF(3))
@@ -129,7 +130,9 @@ class TestFiltrationCertificates:
                 m.setattr(rk, "ideal_invariants", counted_ideal)
                 m.setattr(I.relations, "slice_columns", counted_slice)
                 assert verify_special_filtration(I, cert, 20, slices) == (True, None)
-            assert len(ideals) == len(cert.blocks)
+            distinct = {tuple(GF(3).canon(g) for g in b.ideal_generators) for b in cert.blocks}
+            assert len(ideals) == len(distinct) < len(cert.blocks)
+            assert sorted(gens for _, gens in ideals) == sorted(distinct)
             assert sliced == built
 
     def test_repeated_slice_is_still_checked_against_its_own_degree(self):
@@ -320,13 +323,6 @@ def test_adic_resolution_matches_reference(M, horizon):
     assert res.to_json() == _reference_resolve_adic(M, h, horizon).to_json()
 
 
-def _shifted(M, s):
-    """M with every generator and relation degree moved up by s."""
-    return PresentedModule.from_columns(
-        M.context, [g + s for g in M.generators.degrees], M.relations.columns,
-        [r + s for r in M.relations.source.degrees])
-
-
 @settings(max_examples=200, deadline=None)
 @given(field_modules(), st.integers(8, 40), st.integers(-6, 6))
 def test_special_resolution_shifts_with_the_module(M, horizon, s):
@@ -336,9 +332,9 @@ def test_special_resolution_shifts_with_the_module(M, horizon, s):
         res = special_resolve_field(M, horizon)
     except PreconditionError:
         with pytest.raises(PreconditionError):
-            special_resolve_field(_shifted(M, s), horizon + s)
+            special_resolve_field(shifted_module(M, s), horizon + s)
         return
-    moved = special_resolve_field(_shifted(M, s), horizon + s)
+    moved = special_resolve_field(shifted_module(M, s), horizon + s)
     assert (moved.r, moved.h) == (res.r, res.h)
     assert moved.free_part == [[g + s for g in part] for part in res.free_part]
     assert moved.certificate.blocks == [
