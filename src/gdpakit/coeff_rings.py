@@ -1491,6 +1491,18 @@ def _quotient_generators(ring: Ring, vectors, sub_vectors, sub: Lattice) -> list
     return out
 
 
+def _quotient_invariants(ring: Ring, dim: int, vectors, sub_vectors) -> ModuleInvariants:
+    """Invariants of span(vectors) / span(sub_vectors), for vectors of
+    canonical elements with the sub_vectors inside their span: the cokernel
+    of the sub_vectors' coordinates in an echelon basis of span(vectors).
+    Over Z/n these are coordinates in the preimage in Z^dim, lift rows
+    included, so the quotient is an abelian group whose factors divide n,
+    read mod n.  _coordinates raises _NotInLatticeError when a sub_vector
+    is not in the span."""
+    X = _coordinates(Lattice(ring, dim, vectors), sub_vectors)
+    return _diagonal_invariants(ring, X.rows, _smith(X, "D"))
+
+
 def homology_invariants(A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
     """Invariants of ker(A)/im(B) for a complex C2 --B--> C1 --A--> C0.
 
@@ -1501,11 +1513,10 @@ def homology_invariants(A: ExactMatrix, B: ExactMatrix) -> ModuleInvariants:
     computed as an abelian group whose factors all divide n."""
     if A.cols != B.rows:
         raise ValueError("shape mismatch in homology")
-    kernel = Lattice(A.ring, A.cols, kernel_basis(A))
+    columns = [[row[j] for row in B.entries] for j in range(B.cols)]
     try:
-        X = _coordinates(kernel, [[row[j] for row in B.entries] for j in range(B.cols)])
+        return _quotient_invariants(A.ring, A.cols, kernel_basis(A), columns)
     except _NotInLatticeError:
         raise PreconditionError(
             "homology needs A*B = 0: a column of B is not in the kernel of A"
         ) from None
-    return _diagonal_invariants(A.ring, X.rows, _smith(X, "D"))

@@ -20,7 +20,7 @@ from .coeff_rings import (
 from .pi_core import (
     DivisibleSequence,
     PiSequence,
-    admissible_check,
+    _first_violation,
     base_rep,
     c_binomial,
 )
@@ -39,20 +39,22 @@ class AlgebraContext:
 
     Admissibility is verified to ``admissibility_horizon`` at construction
     and to the bound of each :meth:`dplus_generator_degrees` call (or
-    declared by family, e.g. the symbolic cyclotomic sequence).
+    declared by family, e.g. the symbolic cyclotomic sequence), once per
+    bound past the largest one verified, as the verdict depends on pi alone.
     """
 
     def __init__(self, pi: PiSequence, admissibility_horizon: int = 24):
         self.ring = pi.ring
         self.pi = pi
+        # the largest bound pi is known to be admissible up to: the verdict
+        # depends on pi alone, so no bound up to it is checked again
+        self._admissible_to = 0
         self.require_admissible(admissibility_horizon)
 
     def require_admissible(self, up_to: int):
         """Raise PreconditionError naming the first violating pair unless pi
-        is admissible up to up_to."""
-        verdict, witness = admissible_check(self.pi, up_to)
-        if verdict != "admissible":
-            raise PreconditionError(f"pi-sequence not admissible: pair {witness}")
+        is admissible up to up_to (dplus_generator_degrees checks it)."""
+        self.dplus_generator_degrees(up_to)
 
     def C(self, n: int, m: int):
         return c_binomial(self.pi, n, m)
@@ -84,8 +86,13 @@ class AlgebraContext:
         so C(j, K) is not in m; if S is empty, C(j, 1) is not in m.  So the
         C(j, a) generate the unit ideal, and x^[j] is an R-combination of
         the products x^[a] x^[j-a] = C(j, a) x^[j]."""
-        self.require_admissible(up_to)
-        return self.pi.nonunit_degrees(up_to)
+        nonunit = self.pi.nonunit_degrees(up_to)
+        if up_to > self._admissible_to and not self.pi.admissible_by_fiat:
+            witness = _first_violation(self.pi, nonunit)
+            if witness:
+                raise PreconditionError(f"pi-sequence not admissible: pair {witness}")
+            self._admissible_to = up_to
+        return nonunit
 
     def __repr__(self):
         return f"AlgebraContext({self.pi!r})"

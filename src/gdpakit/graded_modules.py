@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .coeff_rings import (
     ExactMatrix,
@@ -22,6 +23,7 @@ from .coeff_rings import (
     ZZ,
     _kernel_heads,
     _quotient_generators,
+    _quotient_invariants,
     _smith,
     cokernel_invariants,
     column_cokernel_invariants,
@@ -651,7 +653,7 @@ def minimal_generator_degrees(M: PresentedModule) -> list:
 @dataclass
 class TorsionReport:
     verdict: str  # "torsion_free" | "has_torsion" | "inconclusive"
-    candidates: list  # (degree, invariants of the candidate torsion slice)
+    candidates: list  # (degree, invariants of stable lattice / relation span)
     horizon: int
     margin: int
     certificate: str | None = None
@@ -689,29 +691,46 @@ def _rank_and_delta(R: Ring, vectors, dim: int):
     return len(diag), _ideal_generator(R)(math.prod(diag))
 
 
-def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_rows, goal=None):
+def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_columns, goal=None):
     """Cut a window of F0_d down to the vectors v with x^[j] v in
-    im(relations) for every j in degrees, one j at a time (each step is a
-    kernel of a tiny matrix in the lattice coordinates, so large margins
-    stay cheap), and return the cut window.  The relation submodule is a
-    D-submodule, so a lattice that contains its degree-d slice keeps it.
-    Callers pass the degrees of ``dplus_generator_degrees`` in a window: a
-    lattice that meets the conditions for every j below the window meets
-    them for every j up to its top, as the skipped x^[j] are R-combinations
-    of products of smaller ones (the proof is in that method's docstring).
+    im(relations) for every j in degrees, one j at a time (each step is one
+    echelon form of a tiny matrix, so large margins stay cheap), and return
+    the cut window.  The relation submodule is a D-submodule, so a lattice
+    that contains its degree-d slice keeps it.  Callers pass the degrees of
+    ``dplus_generator_degrees`` in a window: a lattice that meets the
+    conditions for every j below the window meets them for every j up to
+    its top, as the skipped x^[j] are R-combinations of products of smaller
+    ones (the proof is in that method's docstring).
 
     A window is ((rank, delta), B): B an independent basis (rows) of the
     lattice, delta the generator of the ideal of B's maximal minors
     (:func:`_ideal_generator`); None is all of F0_d.  Over Z_(p) the rows
     are primitive integer vectors, as a unit scale changes no span; over
-    Z/n they are integer rows of the preimage in Z^dim.  A step takes the
-    kernel of [x^[j] B | relation_rows(d + j)], over Z_(p) with the
-    binomials cleared the same way and over Z: Z_(p) is a localization of
-    Z, so a Z-basis of the kernel is a Z_(p)-basis of it.  The kernel's
-    B-coordinates go into a Lattice over the same ring, whose echelon basis
-    A gives B <- A B.  At an unchanged rank A is square and triangular, so
-    delta gains the product of its pivots; when the rank drops, one D-only
-    Smith form of B gives delta again.
+    Z/n they are integer rows whose residues generate the lattice.  The
+    rows live over K: Z for Z_(p), the ring itself otherwise.
+
+    A step for j is one Lattice over K (over Z/n, the preimage of its span,
+    with the lift rows Lattice adds) in K^(t + r + dim), t the rank of
+    F0_{d+j} and r that of the window, spanned by the rows [P_k | 0 | 0],
+    P_k the relation columns of degree d + j, and [x^[j] b_c | e_c | b_c],
+    b_c the rows of B.  Its vectors are (P z + x^[j] y B, y, y B), so the
+    ones that vanish on the top block are the (0, y, y B) with x^[j] y B
+    in the relation span.  In an echelon basis the rows whose pivot lies
+    past the top block span exactly the lattice's vectors that vanish
+    there: such a vector is a combination of the rows, and the first row
+    it uses, by pivot, has a pivot past the top block.  No such row has its
+    pivot in the bottom block, as y = 0 gives y B = 0 (over Z/n the lift
+    rows there are left out).  So the rows with pivot in the middle block
+    give, in their middle blocks, an echelon basis A of the coordinates
+    y, and in their bottom blocks B <- A B, the cut window (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 2.4).  Over Z_(p),
+    with the binomials cleared as the rows are, this is the same over Z:
+    Z_(p) is a localization of Z, so a Z-basis of the cut is a Z_(p)-basis
+    of it.  Over Z/n only the residues of B count, so B is read mod n: its
+    rows still generate the cut modulo n, and A's pivots still give the
+    index of the coordinate lattice.  At an unchanged rank A is square and
+    triangular, so delta gains the product of its pivots; when the rank
+    drops, one D-only Smith form of B gives delta again.
 
     With goal, the (rank, delta) of the relation span, the cuts stop once
     the window reaches it: the window contains the relation span, and
@@ -721,54 +740,50 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_rows, 
     F0 = M.generators
     basis = F0.basis(d)
     dim = len(basis)
-    p = R.p if isinstance(R, PLocalRing) else None
-    K = ZZ if p else R
+    K, read = _window_rows(R)
+    zero = K.zero()
     ideal_generator = _ideal_generator(R)
     (rank, delta), B = window or ((dim, 1), ExactMatrix.identity(K, dim).entries)
     for j in degrees:
         if not rank or (rank, delta) == goal:
             break
         row_of = {i: r for r, (i, _) in enumerate(F0.basis(d + j))}
-        coeffs = [ctx.C(s + j, j) for _, s in basis]
-        if p:
-            coeffs = primitive_integer_vector(coeffs, p)
-        # x^[j] sends x^[s] e_i to C(s + j, j) x^[s + j] e_i: one row per
-        # generator, so no two products land in the same entry
-        big = [[K.zero()] * rank + row for row in relation_rows(d + j)]
-        for col, b in enumerate(B):
-            for (i, _), c, x in zip(basis, coeffs, b):
-                big[row_of[i]][col] = K.mul(c, x)
-        kernel = kernel_basis(ExactMatrix._from_canonical(K, big, len(big), len(big[0])))
-        coords = Lattice(K, rank, [k[:rank] for k in kernel])
-        A = coords.basis()
-        B = ExactMatrix._from_canonical(coords.base, A, len(A), rank).matmul(
-            ExactMatrix._from_canonical(coords.base, B, rank, dim)).entries
-        if p:
-            B = [primitive_integer_vector(b, p) for b in B]
-        if len(A) == rank:
-            delta = ideal_generator(delta * math.prod(a[t] for t, a in enumerate(A)))
+        top = len(row_of)
+        coeffs = read([ctx.C(s + j, j) for _, s in basis])
+        vectors = [col + [zero] * (rank + dim) for col in relation_columns(d + j)]
+        for e, b in zip(ExactMatrix.identity(K, rank).entries, B):
+            v = [zero] * top + e + b
+            # x^[j] sends x^[s] e_i to C(s + j, j) x^[s + j] e_i: one row
+            # per generator, so no two products land in the same entry
+            for (i, _), coeff, x in zip(basis, coeffs, b):
+                v[row_of[i]] = K.mul(coeff, x)
+            vectors.append(v)
+        cut = Lattice(K, top + rank + dim, vectors).rows
+        middle = [t for t in range(top, top + rank) if t in cut]
+        B = [read(cut[t][top + rank:]) for t in middle]
+        if len(middle) == rank:
+            delta = ideal_generator(delta * math.prod(cut[t][t] for t in middle))
         else:
             rank, delta = _rank_and_delta(R, B, dim)
     return (rank, delta), B
 
 
-def _relation_rows(M: PresentedModule):
-    """e -> the rows of the relation slice at degree e, built once per
-    degree; over Z_(p) as ints, each column a primitive integer vector."""
-    R = M.context.ring
-    cache = {}
+def _window_rows(R: Ring):
+    """(K, read): the ring K that the torsion windows keep their rows over,
+    Z for Z_(p) and R otherwise, and v -> v as a row over K: over Z_(p)
+    the primitive integer vector that is a unit multiple of v (a unit
+    scale changes no span), otherwise v read in R (over Z/n, mod n).  The
+    ring is read here, once per call, like :func:`_ideal_generator`."""
+    if isinstance(R, PLocalRing):
+        return ZZ, lambda v: primitive_integer_vector(v, R.p)
+    return R, lambda v: [R.canon(x) for x in v]
 
-    def rows(e: int):
-        out = cache.get(e)
-        if out is None:
-            cols = M.relations.slice_columns(e)
-            if isinstance(R, PLocalRing):
-                cols = [primitive_integer_vector(col, R.p) for col in cols]
-            out = ExactMatrix.from_columns(R, cols, M.generators.rank(e)).entries
-            cache[e] = out
-        return out
 
-    return rows
+def _relation_columns(M: PresentedModule):
+    """e -> the columns of the relation slice at degree e as rows over the
+    windows' ring (:func:`_window_rows`), built once per degree."""
+    read = _window_rows(M.context.ring)[1]
+    return cache(lambda e: [read(col) for col in M.relations.slice_columns(e)])
 
 
 def torsion_submodule(
@@ -781,7 +796,12 @@ def torsion_submodule(
     margin artifacts are possible (e.g. over Z_(p), deep p-power multiples of
     free classes satisfy long windows and only escape at p-power-aligned j);
     so the search runs on past the margin, up to a cap that scales with the
-    degree bound.  In every degree the lattice starts as all of F0_d and is
+    degree bound.  D acts through degree differences, so both read degrees
+    relative to dmin, the lowest generator degree: the default margin is
+    max(4, top presentation degree - dmin + 1), and the cap is
+    max(4 margin, 2^(b + 1)), b the bit length of degree_bound - dmin +
+    margin - 1; a module and its shift get the same margin, cap and report.
+    In every degree the lattice starts as all of F0_d and is
     cut through the windows [1, margin], [margin+1, cap/2] and
     [cap/2+1, cap], at the j of ``ctx.dplus_generator_degrees(cap)`` only:
     for any other j the C(j, a), 0 < a < j, generate the unit ideal, so
@@ -803,17 +823,20 @@ def torsion_submodule(
       and x^[1]-annihilation persists), otherwise inconclusive;
     - still shrinking at the cap -> a margin artifact, no stable torsion.
 
+    A candidate is reported with the invariants of its torsion slice, the
+    stable lattice modulo the relation span: a submodule of M_d, never 0.
+
     Never claims torsion that was not certified; torsion_free is always
     qualified by the scanned bound and margins."""
     ctx = M.context
     R = ctx.ring
     if margin is None:
-        margin = max(4, M.max_presentation_degree() + 1)
-    cap = max(4 * margin, 2 * (1 << (degree_bound + margin - 1).bit_length()))
+        margin = max(4, M.max_presentation_degree() - M.min_degree() + 1)
+    cap = max(4 * margin, 2 * (1 << (degree_bound - M.min_degree() + margin - 1).bit_length()))
     certified = R.is_field and ctx.pi.is_never_zero(degree_bound + cap + 1)
     stable = []
     shrank = False
-    relation_rows = _relation_rows(M)
+    relation_columns = _relation_columns(M)
     cuts = ctx.dplus_generator_degrees(cap)
     first = [j for j in cuts if j <= margin]
     middle = [j for j in cuts if margin < j <= cap // 2]
@@ -822,19 +845,19 @@ def torsion_submodule(
         dim = M.generators.rank(d)
         if not dim:
             continue
-        goal = _rank_and_delta(R, list(zip(*relation_rows(d))), dim)
-        window = _refine_lattice(M, d, None, first, relation_rows, goal)
+        goal = _rank_and_delta(R, relation_columns(d), dim)
+        window = _refine_lattice(M, d, None, first, relation_columns, goal)
         if window[0] == goal:
             continue
-        half = _refine_lattice(M, d, window, middle, relation_rows, goal)
-        final = _refine_lattice(M, d, half, last, relation_rows, goal)
+        half = _refine_lattice(M, d, window, middle, relation_columns, goal)
+        final = _refine_lattice(M, d, half, last, relation_columns, goal)
         if final[0] == goal or half[0] != final[0]:
             shrank = True
             continue
-        # stable annihilated classes beyond the relation submodule (over Z/n
-        # the basis rows are integer lifts)
+        # stable annihilated classes beyond the relation submodule
         cols = [[R.canon(x) for x in v] for v in final[1]]
-        stable.append((d, column_cokernel_invariants(R, cols, dim)))
+        span = [[R.canon(x) for x in v] for v in relation_columns(d)]
+        stable.append((d, _quotient_invariants(R, dim, cols, span)))
     if stable:
         if certified:
             return TorsionReport(

@@ -444,15 +444,19 @@ def admissible_check(pi: PiSequence, up_to: int):
     change, and the check is cheap enough to run wherever admissibility is
     used.  Over a ring without an ideal test (Z[q]) a pair of non-units
     raises UnsupportedRingError."""
-    if pi.admissible_by_fiat:
-        return ("admissible", None)
-    R = pi.ring
-    degs = pi.nonunit_degrees(up_to)[1:]  # pi_1 = 0 is in no pair
+    witness = None if pi.admissible_by_fiat else _first_violation(pi, pi.nonunit_degrees(up_to))
+    return ("admissible", None) if witness is None else ("violation", witness)
+
+
+def _first_violation(pi: PiSequence, nonunit):
+    """The first pair of admissible_check's scan, (n, m) or None, given
+    nonunit = pi.nonunit_degrees(up_to)."""
+    degs = nonunit[1:]  # pi_1 = 0 is in no pair
     for i, n in enumerate(degs):
         for m in degs[i + 1:]:
-            if m % n and not R.ideal_is_unit([pi.pi(n), pi.pi(m)]):
-                return ("violation", (n, m))
-    return ("admissible", None)
+            if m % n and not pi.ring.ideal_is_unit([pi.pi(n), pi.pi(m)]):
+                return (n, m)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ from gdpakit.coeff_rings import (
     ExactMatrix,
     IntegersModRing,
     Lattice,
+    ModuleInvariants,
     PLocalRing,
     Ring,
     _coordinates,
     _lift_zmod,
     _identity,
-    cokernel_invariants,
     kernel_basis,
     primitive_integer_vector,
     quotient_generators,
@@ -23,7 +23,7 @@ from gdpakit.graded_modules import (
     PresentedModule,
     SubmoduleGenerators,
     TorsionReport,
-    _relation_rows,
+    _relation_columns,
     _vector_to_column,
     kernel_slice_vectors,
 )
@@ -305,7 +305,8 @@ def quotient_generators_two_snf(ring: Ring, dim: int, vectors, sub_vectors) -> l
     return out
 
 
-def refine_lattice_every_j(M, d: int, lattice: Lattice, j_start: int, j_end: int, relation_rows):
+def refine_lattice_every_j(M, d: int, lattice: Lattice, j_start: int, j_end: int,
+                           relation_columns):
     """Cut the lattice down to the vectors v with x^[j] v in im(relations)
     for every j in [j_start, j_end], one j at a time; over Z_(p) each step
     runs on primitive integer vectors, with kernels by the DVR elimination
@@ -325,7 +326,8 @@ def refine_lattice_every_j(M, d: int, lattice: Lattice, j_start: int, j_end: int
         if p:
             B = [primitive_integer_vector(b, p) for b in B]
             coeffs = primitive_integer_vector(coeffs, p)
-        big = [[0 if p else R.zero()] * len(B) + r for r in relation_rows(d + j)]
+        relations = ExactMatrix.from_columns(R, relation_columns(d + j), len(row_of)).entries
+        big = [[0 if p else R.zero()] * len(B) + r for r in relations]
         for col, b in enumerate(B):
             for (i, _), c, x in zip(basis, coeffs, b):
                 big[row_of[i]][col] = c * x if p else R.mul(c, x)
@@ -350,33 +352,48 @@ def refine_lattice_every_j(M, d: int, lattice: Lattice, j_start: int, j_end: int
     return lattice
 
 
+def lattice_quotient_invariants(R: Ring, whole: Lattice, sub: Lattice) -> ModuleInvariants:
+    """Invariants of whole / sub, for lattices sub inside whole over R: the
+    diagonal of the generic Smith form of sub's coordinates in whole's
+    basis, read in R (over Z/n the lattices are preimages in Z^dim, so the
+    coordinates include the lift rows and the diagonal is read mod n, a
+    factor n being a free summand)."""
+    X = _coordinates(whole, sub.basis())
+    diag = _diag(_snf_euclid(X)[1]) if X.cols else []
+    nonzero = [x for x in map(R.canon, diag) if not R.is_zero(x)]
+    return ModuleInvariants(R, X.rows - len(nonzero),
+                            tuple(x for x in nonzero if not R.is_unit(x)))
+
+
 def torsion_submodule_every_j(M, degree_bound: int) -> TorsionReport:
     """torsion_submodule with its windows [1, margin], [margin+1, cap/2] and
-    [cap/2+1, cap] cut at every j."""
+    [cap/2+1, cap] cut at every j; margin and cap read degrees relative to
+    the lowest generator degree, and a candidate's invariants are those of
+    the stable lattice modulo the relation span."""
     ctx = M.context
     R = ctx.ring
-    margin = max(4, M.max_presentation_degree() + 1)
-    cap = max(4 * margin, 2 * (1 << (degree_bound + margin - 1).bit_length()))
+    dmin = M.min_degree()
+    margin = max(4, M.max_presentation_degree() - dmin + 1)
+    cap = max(4 * margin, 2 * (1 << (degree_bound - dmin + margin - 1).bit_length()))
     certified = R.is_field and ctx.pi.is_never_zero(degree_bound + cap + 1)
     stable = []
     shrank = False
-    rows = _relation_rows(M)
-    for d in range(M.min_degree(), degree_bound + 1):
+    columns = _relation_columns(M)
+    for d in range(dmin, degree_bound + 1):
         dim = M.generators.rank(d)
         if not dim:
             continue
         pspan = Lattice(R, dim, M.relations.slice_columns(d))
         whole = Lattice(R, dim, ExactMatrix.identity(R, dim).entries)
-        window = refine_lattice_every_j(M, d, whole, 1, margin, rows)
+        window = refine_lattice_every_j(M, d, whole, 1, margin, columns)
         if window.equals(pspan):
             continue
-        half = refine_lattice_every_j(M, d, window, margin + 1, cap // 2, rows)
-        final = refine_lattice_every_j(M, d, half, cap // 2 + 1, cap, rows)
+        half = refine_lattice_every_j(M, d, window, margin + 1, cap // 2, columns)
+        final = refine_lattice_every_j(M, d, half, cap // 2 + 1, cap, columns)
         if half.equals(pspan) or final.equals(pspan) or not half.equals(final):
             shrank = True
             continue
-        cols = [[R.canon(x) for x in v] for v in final.basis()]
-        stable.append((d, cokernel_invariants(ExactMatrix.from_columns(R, cols, dim))))
+        stable.append((d, lattice_quotient_invariants(R, final, pspan)))
     if stable:
         if certified:
             return TorsionReport(

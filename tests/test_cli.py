@@ -211,6 +211,19 @@ class TestModuleCommands:
         assert data["verdict"] == "has_torsion"
         assert 0 in data["candidate_degrees"]
 
+    @pytest.mark.parametrize("g,horizon", [(0, 5), (5, 10)])
+    def test_torsion_of_a_shifted_module(self, runner, g, horizon):
+        # margin and cap read degrees relative to the lowest generator, so
+        # D/(-3 x^[2]) over Z_(3) is torsion-free with its generator at 0
+        # and at 5, with the same margin
+        ctx = AlgebraContext(PiSequence.classical(Zloc(3)))
+        M = PresentedModule.from_columns(ctx, [g], [{0: ctx.x(2, coeff=-3)}], [g + 2])
+        res = invoke(runner, ["torsion", "--module", json.dumps(M.to_json()),
+                              "--horizon", str(horizon), "--out", "json"])
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert (data["verdict"], data["margin"]) == ("torsion_free", 4)
+
     def test_special(self, runner):
         res = invoke(
             runner,

@@ -51,12 +51,13 @@ from gdpakit.graded_modules import (
     _ideal_generator,
     _rank_and_delta,
     _refine_lattice,
-    _relation_rows,
+    _relation_columns,
     _spans_row_kernel,
 )
 from gdpakit.pi_core import PiSequence, fibonacci, h_transform, pi_from_gcd_morphic
 from gdpakit.resolutions_k import minimal_image_generators, special_resolve_field
 from references import (
+    refine_lattice_every_j,
     shifted_module,
     solve,
     syzygy_generators_every_degree,
@@ -490,7 +491,7 @@ def test_margin_lattice_matches_stacked_kernel(M, offset, margin):
     d = M.min_degree() + offset
     R = M.context.ring
     cuts = M.context.dplus_generator_degrees(margin)
-    _, B = _refine_lattice(M, d, None, cuts, _relation_rows(M))
+    _, B = _refine_lattice(M, d, None, cuts, _relation_columns(M))
     cut = Lattice(R, M.generators.rank(d), [[R.canon(x) for x in b] for b in B])
     assert cut.equals(stacked_margin_lattice(M, d, margin))
 
@@ -509,7 +510,7 @@ def test_margin_lattice_matches_stacked_kernel_with_denominators(M, offset, marg
     d = M.min_degree() + offset
     R = M.context.ring
     cuts = M.context.dplus_generator_degrees(margin)
-    _, B = _refine_lattice(M, d, None, cuts, _relation_rows(M))
+    _, B = _refine_lattice(M, d, None, cuts, _relation_columns(M))
     cut = Lattice(R, M.generators.rank(d), [[R.canon(x) for x in b] for b in B])
     assert cut.equals(stacked_margin_lattice(M, d, margin))
 
@@ -537,35 +538,42 @@ def recipe_13_modules(seed, count):
     return out
 
 
+def watch_cuts(monkeypatch):
+    """Record each Lattice that graded_modules builds, one per torsion cut:
+    (ring, vectors, echelon rows) in the returned list."""
+    cuts = []
+
+    class Watched(Lattice):
+        def __init__(self, ring, dim, vectors=()):
+            vectors = list(vectors)
+            super().__init__(ring, dim, vectors)
+            cuts.append((ring, vectors, list(self.rows.values())))
+
+    monkeypatch.setattr(graded_modules, "Lattice", Watched)
+    return cuts
+
+
 def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
-    # Over Z_(2) at horizon 40 the torsion step's integer kernels see entries
-    # of at most 29 bits here (38 on the benchmark's modules): each row of
-    # binomials C(s + j, j), up to 94 bits, is divided by its content first.
-    # 128 bits leaves room for whole binomials times window entries (108
-    # bits) and flags growth in the window loop.  The cut degrees up to the
-    # cap 128 are the 8 powers of 2, so a degree makes at most 8 kernels
-    # (cutting at every j made up to 128).  The integer kernels are taken
-    # over Z, so they are the kernel_basis calls on ZZ matrices.  A window
-    # stops cutting once it reaches the relation span, so these 8 modules
-    # make 707 kernels (1,242 when every window ran every cut): the floor
-    # shows the watch is hooked, the ceiling that the early exit holds.
-    kernel = graded_modules.kernel_basis
-    bits = []
-
-    def watched(m):
-        out = kernel(m)
-        if m.ring == ZZ:
-            bits.append(max((abs(x).bit_length() for v in (*m.entries, *out) for x in v),
-                            default=0))
-        return out
-
-    monkeypatch.setattr(graded_modules, "kernel_basis", watched)
+    # Over Z_(2) at horizon 40 each cut of the torsion step is one echelon
+    # form over Z, whose vectors and rows have entries of at most 20 bits
+    # here (35 on the benchmark's modules): each row of binomials
+    # C(s + j, j), up to 94 bits, is divided by its content first.  128 bits
+    # leaves room for whole binomials times window entries (108 bits) and
+    # flags growth in the window loop.  The cut degrees up to the cap 128
+    # are the 8 powers of 2, so a degree makes at most 8 cuts (cutting at
+    # every j made up to 128).  A window stops cutting once it reaches the
+    # relation span, so these 8 modules make 707 cuts (1,242 when every
+    # window ran every cut): the floor shows the watch is hooked, the
+    # ceiling that the early exit holds.
+    cuts = watch_cuts(monkeypatch)
     for M in recipe_13_modules(40, 8):
-        before = len(bits)
+        before = len(cuts)
         assert torsion_submodule(M, 40).verdict == "torsion_free"
-        assert len(bits) - before <= 8 * (40 - M.min_degree() + 1)
-    assert 500 < len(bits) <= 900
-    assert max(bits) <= 128
+        assert len(cuts) - before <= 8 * (40 - M.min_degree() + 1)
+    assert all(ring == ZZ for ring, _, _ in cuts)
+    assert 500 < len(cuts) <= 900
+    assert max(abs(x).bit_length() for _, vectors, rows in cuts
+               for v in (*vectors, *rows) for x in v) <= 128
 
 
 def test_torsion_builds_each_relation_slice_once(monkeypatch):
@@ -622,15 +630,13 @@ def test_torsion_matches_the_every_j_reference_at_the_benchmark_horizon():
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_modules(), st.integers(-6, 6), st.integers(1, 6), st.data())
-def test_pieces_and_torsion_shift_with_the_module(M, s, margin, data):
+@given(small_modules(), st.integers(-6, 6), st.none() | st.integers(1, 6),
+       st.integers(0, 15))
+def test_pieces_and_torsion_shift_with_the_module(M, s, margin, horizon):
     # D acts through degree differences, so M shifted by s, at horizon + s,
-    # has the same pieces and the same torsion report, degrees shifted by s.
-    # The search runs past the margin up to a cap, max(4 margin, 2^(b + 1))
-    # with b the bit length of horizon + margin - 1: horizon + margin - 1
-    # lies in [8, 15] on both sides, so the cap is 32 on both
-    base = data.draw(st.integers(8 + max(0, -s), 15 - max(0, s)))
-    horizon = base - margin + 1
+    # has the same pieces and the same torsion report, degrees shifted by s;
+    # the default margin and the search cap read degrees relative to the
+    # lowest generator degree, so they are the same on both sides
     moved = shifted_module(M, s)
     pieces = hilbert_series(M, horizon).pieces
     assert hilbert_series(moved, horizon + s).pieces == {d + s: p for d, p in pieces.items()}
@@ -646,35 +652,81 @@ def test_pieces_and_torsion_shift_with_the_module(M, s, margin, data):
 
 
 def test_torsion_windows_stop_at_the_relation_span(monkeypatch):
-    # a degree makes one kernel per cut until its lattice equals the
-    # relation span, and none after, in whichever window that happens
-    kernel = graded_modules.kernel_basis
-    calls = []
-    monkeypatch.setattr(graded_modules, "kernel_basis", lambda m: calls.append(m) or kernel(m))
+    # a degree makes one cut, one echelon Lattice, per cut degree until its
+    # lattice equals the relation span, and none after, in whichever window
+    # that happens
+    cuts = watch_cuts(monkeypatch)
     rng = random.Random(16)
     modules = [(M, 40) for M in recipe_13_modules(5, 4)] + [
         (small_module(ctx, rng.randint), 12) for ctx in ORACLE_CONTEXTS + FRACTIONAL_CONTEXTS
     ]
     for M, h in modules:
         R = M.context.ring
-        margin = max(4, M.max_presentation_degree() + 1)
-        cap = max(4 * margin, 2 * (1 << (h + margin - 1).bit_length()))
-        rows = _relation_rows(M)
+        dmin = M.min_degree()
+        margin = max(4, M.max_presentation_degree() - dmin + 1)
+        cap = max(4 * margin, 2 * (1 << (h - dmin + margin - 1).bit_length()))
+        columns = _relation_columns(M)
         expected = 0
-        cuts = M.context.dplus_generator_degrees(cap)
-        for d in range(M.min_degree(), h + 1):
+        degrees = M.context.dplus_generator_degrees(cap)
+        for d in range(dmin, h + 1):
             dim = M.generators.rank(d)
             span = Lattice(R, dim, M.relations.slice_columns(d))
             window, basis = None, ExactMatrix.identity(R, dim).entries
-            for j in cuts:
+            for j in degrees:
                 if span.equals(Lattice(R, dim, [[R.canon(x) for x in b] for b in basis])):
                     break
-                window = _refine_lattice(M, d, window, [j], rows)
+                window = _refine_lattice(M, d, window, [j], columns)
                 basis = window[1]
                 expected += 1
-        calls.clear()
+        cuts.clear()
         torsion_submodule(M, h)
-        assert len(calls) == expected
+        assert len(cuts) == expected
+
+
+def window_lattice(R, dim, window):
+    """The Lattice over R that a torsion window's basis spans."""
+    return Lattice(R, dim, [[R.canon(x) for x in b] for b in window[1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_modules(ORACLE_CONTEXTS + FRACTIONAL_CONTEXTS), st.integers(0, 3),
+       st.lists(st.integers(1, 6), max_size=3), st.integers(1, 8))
+def test_one_torsion_cut_matches_the_every_j_reference(M, offset, before, j):
+    # one echelon per cut gives the lattice of the reference's kernel route,
+    # cut at j alone from a window that earlier cuts left (or from F0_d),
+    # and a window whose basis has rank rows and the (rank, delta) of its
+    # span; over Z/n the window's lattice is the preimage of its residues
+    R = M.context.ring
+    d = M.min_degree() + offset
+    dim = M.generators.rank(d)
+    columns = _relation_columns(M)
+    window = _refine_lattice(M, d, None, sorted(set(before)), columns) if before else None
+    start = window_lattice(R, dim, window) if window else Lattice(
+        R, dim, ExactMatrix.identity(R, dim).entries)
+    got = _refine_lattice(M, d, window, [j], columns)
+    assert window_lattice(R, dim, got).equals(refine_lattice_every_j(M, d, start, j, j, columns))
+    assert len(got[1]) == got[0][0]
+    assert got[0] == _rank_and_delta(R, got[1], dim)
+
+
+def test_torsion_candidates_are_the_annihilated_slices():
+    # a candidate's invariants are those of the stable lattice modulo the
+    # relation span, a nonzero submodule of M_d: over Q with all-ones pi,
+    # D/(x^[2]) has M_1 = Q, annihilated by every x^[j], j >= 1
+    ctx = ctx_all_ones(QQ)
+    M = PresentedModule.from_columns(ctx, [0], [{0: ctx.x(2)}], [2])
+    rep = torsion_submodule(M, 6)
+    assert rep.verdict == "has_torsion"
+    assert rep.candidates == [(1, M.piece_invariants(1))] == [(1, ModuleInvariants(QQ, 1))]
+    rng = random.Random(17)
+    contexts = TORSION_CONTEXTS + FRACTIONAL_CONTEXTS
+    found = 0
+    for n in range(120):
+        M = small_module(contexts[n % len(contexts)], rng.randint)
+        rep = torsion_submodule(M, rng.randint(3, 8))
+        assert all(not inv.is_zero for _, inv in rep.candidates)
+        found += len(rep.candidates)
+    assert found
 
 
 @st.composite
@@ -729,7 +781,7 @@ def test_torsion_window_keeps_the_rank_and_delta_of_its_basis(M, offset, margin)
     d = M.min_degree() + offset
     dim = M.generators.rank(d)
     cuts = M.context.dplus_generator_degrees(margin)
-    pair, B = _refine_lattice(M, d, None, cuts, _relation_rows(M))
+    pair, B = _refine_lattice(M, d, None, cuts, _relation_columns(M))
     assert pair == _rank_and_delta(R, B, dim)
 
 
