@@ -172,8 +172,8 @@ def context_from_flags(ring, family, values, default_, q0) -> AlgebraContext:
 def module_from_flags(ring, family, values, default_, q0, module, ideal, h,
                       shift, horizon=None) -> PresentedModule:
     """--module JSON (self-describing) or --ideal/--h building M(a, h).
-    With a horizon, pi must also be admissible up to it (a context checks
-    only up to 24 when built)."""
+    With a horizon, pi must also be admissible up to the D-degree reached,
+    horizon - (lowest generator degree); a context checks only up to 24."""
     if module is not None:
         obj = load_json(module)
         M = _parse("--module", lambda: PresentedModule.from_json(
@@ -188,7 +188,7 @@ def module_from_flags(ring, family, values, default_, q0, module, ideal, h,
         gens = _parse("--ideal", lambda: [ctx.ring.from_str(str(g)) for g in obj])
         M = make_special(ctx, SpecialBlock(gens, h, shift=shift))
     if horizon is not None:
-        M.context.require_admissible(horizon)
+        M.context.require_admissible(horizon - M.min_degree())
     return M
 
 
@@ -206,8 +206,8 @@ def module_options(f):
     The command gets, in their place, ``load_module``: a function that
     builds the module when called, so a command may also run without
     module flags.  A command whose library call does not check
-    admissibility itself passes its horizon, up to which pi must then be
-    admissible."""
+    admissibility itself passes its horizon, and pi must then be
+    admissible up to the D-degree that the horizon reaches."""
     @functools.wraps(f)
     def command(ring, family, values, default_, q0, module, ideal, h, shift, **kwargs):
         return f(functools.partial(module_from_flags, ring, family, values, default_, q0,

@@ -97,13 +97,14 @@ class BoundReport:
         }
 
 
-def torsion_bound_N(spec: IdealSpec, limit: int | None = None) -> int:
+def torsion_bound_N(spec: IdealSpec) -> int:
     """Smallest N such that a^[h](N) annihilates the torsion of k/a_i for all
     1 <= h <= 2d and 0 <= i <= 3d (the chain extended constantly by a_d).
 
     Over Z or Z_(p) with classical pi, a^[h](N) = N and the answer is the
     lcm of the torsion exponents.  Over Z/n or a field the relevant quotients
-    k/(a_i + T(k)) are torsion-free, so N = 1."""
+    k/(a_i + T(k)) are torsion-free, so N = 1.  The search stops at 4E + 16,
+    E the lcm of the torsion exponents."""
     R = spec.context.ring
     if R.is_field or isinstance(R, IntegersModRing):
         return 1
@@ -119,24 +120,26 @@ def torsion_bound_N(spec: IdealSpec, limit: int | None = None) -> int:
         for p, k in _factor_torsion(R, f):
             e = math.lcm(e, p**k)
         exps.append(e)
-    E = math.lcm(*exps)
-    if limit is None:
-        limit = 4 * E + 16
+    limit = 4 * math.lcm(*exps) + 16
     pi = spec.context.pi
     transforms = [pi if h == 1 else h_transform(pi, h) for h in range(1, 2 * max(spec.d, 1) + 1)]
-    for N in range(1, limit + 1):
-        ok = True
-        for tpi in transforms:
-            a_val = a_invariant(tpi, N)
-            if any(not ideal_contains(R, [f], a_val) for f in factors):
-                ok = False
-                break
-        if ok:
-            return N
-    raise UnboundedTorsionError(
-        f"no N <= {limit} with a^[h](N) annihilating the chain torsion: "
-        "unbounded verdict"
-    )
+    N = _least_annihilating_n(R, factors, transforms, limit)
+    if N is None:
+        raise UnboundedTorsionError(
+            f"no N <= {limit} with a^[h](N) annihilating the chain torsion: "
+            "unbounded verdict"
+        )
+    return N
+
+
+def _least_annihilating_n(ring: Ring, factors, transforms, limit: int) -> int | None:
+    """The least n <= limit with a(n) of every pi-sequence in transforms in
+    the ideal of every torsion factor; None if there is none."""
+    for n in range(1, limit + 1):
+        values = (a_invariant(tpi, n) for tpi in transforms)
+        if all(ideal_contains(ring, [f], a) for a in values for f in factors):
+            return n
+    return None
 
 
 def materialize_ideal(spec: IdealSpec, horizon: int) -> SubmoduleGenerators:
@@ -158,7 +161,7 @@ def materialize_ideal(spec: IdealSpec, horizon: int) -> SubmoduleGenerators:
     return minimal_image_generators(gmap, horizon)
 
 
-def t1_bound_check(spec: IdealSpec, margin: int = 4) -> BoundReport:
+def t1_bound_check(spec: IdealSpec) -> BoundReport:
     """Theorem-shaped check: t_1(I/T(I)) <= (2N+3)d for the graded ideal I.
 
     Over Z (and Z_(p)) the graded slices of I are subgroups of the free
@@ -166,7 +169,7 @@ def t1_bound_check(spec: IdealSpec, margin: int = 4) -> BoundReport:
     largest degree where the syzygies of a minimal generating set need a new
     generator (None when I is free on its generators).
 
-    The scan runs to horizon = bound + margin.  The generators map into D,
+    The scan runs to horizon = bound + 4.  The generators map into D,
     which has one generator, so every degree-d slice is one row, and
     :func:`syzygy_generators` takes no kernel in a degree where the
     syzygies found below already span the row's kernel (index 1, see
@@ -180,7 +183,7 @@ def t1_bound_check(spec: IdealSpec, margin: int = 4) -> BoundReport:
     R = ctx.ring
     N = torsion_bound_N(spec)
     bound = (2 * N + 3) * spec.d
-    horizon = bound + margin
+    horizon = bound + 4
     gens = materialize_ideal(spec, horizon)
     # T(I): submodule slices of the free module D are torsion-free over a
     # domain; verified structurally rather than recomputed
@@ -210,12 +213,9 @@ def random_ideal_spec(context: AlgebraContext, d: int, rng: random.Random) -> Id
     return IdealSpec(context, chain, d)
 
 
-def run_random_bound_checks(
-    seed: int, count: int, max_d: int = 4, ring: Ring | None = None
-):
+def run_random_bound_checks(seed: int, count: int, max_d: int = 4):
     """A batch of randomized t1_bound_check runs (classical pi over Z)."""
-    ring = ring or ZZ
-    ctx = AlgebraContext(PiSequence.classical(ring))
+    ctx = AlgebraContext(PiSequence.classical(ZZ))
     rng = random.Random(seed)
     reports = []
     for _ in range(count):
@@ -242,14 +242,13 @@ def a2_condition_check(ring: Ring, ideal_generators, h: int, limit: int = 256) -
     factors = ideal_invariants(ring, gens).torsion_factors
     if not factors:
         return {"verdict": "bounded", "n": 1, "reason": "no torsion"}
-    for n in range(1, limit + 1):
-        a_val = a_invariant(tpi, n)
-        if all(ideal_contains(ring, [f], a_val) for f in factors):
-            return {
-                "verdict": "bounded",
-                "n": n,
-                "annihilator": ring.to_str(a_val),
-            }
+    n = _least_annihilating_n(ring, factors, [tpi], limit)
+    if n is not None:
+        return {
+            "verdict": "bounded",
+            "n": n,
+            "annihilator": ring.to_str(a_invariant(tpi, n)),
+        }
     # over Z / Z_(p) classical, a^[h](n) realizes every exponent at some
     # factorial n, so exhausting the limit means the limit was too small
     return {"verdict": "inconclusive", "limit": limit}

@@ -73,9 +73,6 @@ class FreeGradedModule:
             return len(self.degrees)
         return sum(1 for g in self.degrees if g <= d)
 
-    def shifted(self, by: int) -> "FreeGradedModule":
-        return FreeGradedModule(self.context, [g + by for g in self.degrees])
-
     def _column_terms(self, e: int, col: dict) -> list:
         """A degree-e column {i: element} as its terms (i, g_i, t, c): the
         entry at generator i (degree g_i) read as c * x^[t], t = e - g_i, the
@@ -287,7 +284,6 @@ class SubmoduleGenerators:
     ambient: FreeGradedModule
     generators: list
     horizon: int
-    complete: bool = False
     # (degree, terms) of generators[:len(_terms)]: generators are only ever
     # appended, so each is parsed once, by the first call that needs it
     _terms: list = field(default_factory=list, init=False, compare=False, repr=False)
@@ -512,34 +508,23 @@ def hilbert_series(M: PresentedModule, horizon: int) -> HilbertSeries:
     return HilbertSeries(M, pieces, horizon)
 
 
-def rational_fit(H: HilbertSeries, max_period: int = 12) -> HilbertSeries:
+def rational_fit(H: HilbertSeries) -> HilbertSeries:
     """Fit H as  sum_{d < s} [M_d] t^d  +  (sum_{j<h} [M_{s+j}] t^{s+j}) / (1 - t^h)
-    by detecting the minimal eventual period h and preperiod s, then verifying
-    the fit by exact re-expansion over the horizon.  Requires at least two
-    full periods of data; otherwise the series is returned unfitted."""
-    dmin = H.module.min_degree()
-    fit = _periodic_fit(H.piece, dmin, H.horizon, max_period)
-    if fit is not None:
-        s, h, block = fit["block_start"], fit["period"], fit["block"]
-        zero = ModuleInvariants(H.module.context.ring, 0, ())
-        preperiod = dict(fit["preperiod"])
-        for d in range(dmin, H.horizon + 1):
-            expect = preperiod.get(d, zero) if d < s else block[(d - s) % h]
-            if expect != H.piece(d):
-                fit = None
-                break
-    H.fit = fit
+    with the least eventual period h and preperiod s of :func:`_periodic_fit`,
+    which re-expands to H on the horizon.  Requires at least two full periods
+    of data; otherwise the series is returned unfitted."""
+    H.fit = _periodic_fit(H.piece, H.module.min_degree(), H.horizon)
     return H
 
 
-def _periodic_fit(value, dmin: int, horizon: int, max_period: int = 12, zero=None):
+def _periodic_fit(value, dmin: int, horizon: int, zero=None):
     """Fit the stream value(dmin), ..., value(horizon) as a preperiod and a
-    block repeating with the least period h <= max_period; None if no h fits.
+    block repeating with the least period h <= 12; None if no h fits.
 
     Returns {"preperiod": [(d, value(d)) for d < s, leaving out values equal
     to zero], "period": h, "block_start": s, "block": [value(s + j) for
     j < h]}, where s is the least start of an h-periodic tail."""
-    for h in range(1, max_period + 1):
+    for h in range(1, 13):
         s = dmin
         for d in range(dmin, horizon - h + 1):
             if value(d) != value(d + h):
@@ -818,9 +803,10 @@ def torsion_submodule(
 
     - lattice equal to the relation span -> no candidate;
     - unchanged over the top half of the window [cap/2, cap] (stable) ->
-      reported torsion, certified when the ring is a field and pi is never
-      zero on the scanned range (then x^[j] is a unit multiple of x^[1]^j
-      and x^[1]-annihilation persists), otherwise inconclusive;
+      reported torsion, certified when the ring is a field and pi is
+      zero-free (:meth:`PiSequence.is_zero_free`: x^[j] is then a unit
+      multiple of x^[1]^j, and x^[1]-annihilation persists), otherwise
+      inconclusive, as a zero of pi past the cap may free the class;
     - still shrinking at the cap -> a margin artifact, no stable torsion.
 
     A candidate is reported with the invariants of its torsion slice, the
@@ -833,7 +819,7 @@ def torsion_submodule(
     if margin is None:
         margin = max(4, M.max_presentation_degree() - M.min_degree() + 1)
     cap = max(4 * margin, 2 * (1 << (degree_bound - M.min_degree() + margin - 1).bit_length()))
-    certified = R.is_field and ctx.pi.is_never_zero(degree_bound + cap + 1)
+    certified = R.is_field and ctx.pi.is_zero_free()
     stable = []
     shrank = False
     relation_columns = _relation_columns(M)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff_rings import (
+    NumberRing,
     PreconditionError,
     Ring,
     ZPOLY,
@@ -281,8 +282,19 @@ class PiSequence:
         """Degrees j in [2, up_to] with pi_j = 0."""
         return [j for j in range(2, up_to + 1) if self.ring.is_zero(self.pi(j))]
 
-    def is_never_zero(self, up_to: int) -> bool:
-        return not self.zero_degrees(up_to)
+    def is_zero_free(self) -> bool:
+        """True only when the family proves pi_n != 0 for every n >= 2 (no
+        scan up to a bound can): all-ones; classical over Z, Q or Z_(p);
+        custom with a nonzero default and nonzero values; cyclotomic_at at
+        q0 = 0, as Phi_n(0) = 1, or over Z, Q or Z_(p) at q0 != -1, as
+        Phi_n, n >= 2, has no rational root but -1 (for n = 2)."""
+        R, meta, family = self.ring, self.meta, self.family
+        if family == "custom":
+            return not any(R.is_zero(v) for v in [meta["default"], *meta["values"].values()])
+        if family == "cyclotomic_at":
+            q0 = meta["q0"]
+            return R.is_zero(q0) or isinstance(R, NumberRing) and not R.eq(q0, R.from_int(-1))
+        return family == "all_ones" or family == "classical" and isinstance(R, NumberRing)
 
     # -- serialization ----------------------------------------------------
     def to_json(self, value_horizon: int | None = None) -> dict:

@@ -31,6 +31,7 @@ from .graded_modules import (
     SubmoduleGenerators,
     _degreewise_generators,
     _periodic_fit,
+    hilbert_series,
     principal_special_module,
     syzygy_generators,
     tor,
@@ -468,14 +469,10 @@ def h_invariant(M: PresentedModule, horizon: int) -> KClassExpr:
     R = M.context.ring
     if not (R.is_field or R.is_pid):
         raise PreconditionError(f"no implemented class group for {R.describe()}")
-    coeffs = {}
-    dmin = M.min_degree()
-    for d in range(dmin, horizon + 1):
-        r = M.piece_invariants(d).free_rank
-        if r:
-            coeffs[d] = r
-    expr = KClassExpr(coeffs, dmin, horizon)
-    expr.fit = _periodic_fit(lambda d: coeffs.get(d, 0), dmin, horizon, zero=0)
+    pieces = hilbert_series(M, horizon).pieces
+    coeffs = {d: inv.free_rank for d, inv in pieces.items() if inv.free_rank}
+    expr = KClassExpr(coeffs, M.min_degree(), horizon)
+    expr.fit = _periodic_fit(lambda d: coeffs.get(d, 0), expr.dmin, horizon, zero=0)
     return expr
 
 
@@ -549,12 +546,14 @@ class LSeries:
 
 def l_invariant(M: PresentedModule, horizon: int, max_i: int | None = None) -> LSeries:
     """L0_M(t) = sum_i (-1)^i [Tor_i(M, k)]_+ per degree, and L = L0/(1-t),
-    with a periodic fit over (1 - t^h)."""
+    with a periodic fit over (1 - t^h).  The default max_i, horizon - dmin + 1
+    (dmin the lowest generator degree), is the same for M and its shifts."""
     R = M.context.ring
     if not R.is_pid or R.is_field:
         raise PreconditionError("L-invariant requires k in {Z, Z_(p)}")
+    dmin = M.min_degree()
     if max_i is None:
-        max_i = horizon + 1
+        max_i = horizon - dmin + 1
     table = tor(M, max_i, horizon)
     # if Tor at the top index is nonzero somewhere, the truncated alternating
     # sum may be missing contributions: flag the series as partial
@@ -565,7 +564,6 @@ def l_invariant(M: PresentedModule, horizon: int, max_i: int | None = None) -> L
         if t:
             l0[d] = _plus_add(l0.get(d, ()), t, sign=(-1) ** i)
     l0 = {d: v for d, v in l0.items() if v}
-    dmin = M.min_degree()
     l = {}
     acc = ()
     for d in range(dmin, horizon + 1):

@@ -375,7 +375,7 @@ def torsion_submodule_every_j(M, degree_bound: int) -> TorsionReport:
     dmin = M.min_degree()
     margin = max(4, M.max_presentation_degree() - dmin + 1)
     cap = max(4 * margin, 2 * (1 << (degree_bound - dmin + margin - 1).bit_length()))
-    certified = R.is_field and ctx.pi.is_never_zero(degree_bound + cap + 1)
+    certified = R.is_field and ctx.pi.is_zero_free()
     stable = []
     shrank = False
     columns = _relation_columns(M)

@@ -42,6 +42,21 @@ def run_entry_point(monkeypatch, capsys, args):
     return exc.value.code, out, err
 
 
+def x1_quotient(g, ring, values):
+    """D/(x^[1]) with its generator at degree g, as --module JSON, over the
+    ring (JSON) with custom pi: the values (JSON), default 1."""
+    return json.dumps({
+        "context": {"family": "custom", "ring": ring, "values": values, "default": "1"},
+        "generators": [g], "relation_degrees": [g + 1],
+        "relations": [{"0": {"terms": [[1, "1"]]}}]})
+
+
+def not_admissible_at_45(g):
+    """D/(x^[1]) over GF(2), generator at g, with pi admissible to 24 but
+    not at the pair (30, 45)."""
+    return x1_quotient(g, {"ring": "GF", "p": 2}, {"30": "0", "45": "0"})
+
+
 class TestPiCommands:
     def test_cbinom_classical(self, runner):
         res = invoke(runner, ["cbinom", "--n", "4", "--m", "2"])
@@ -234,12 +249,17 @@ class TestModuleCommands:
         data = json.loads(res.output)
         assert data["r"] == 0
 
+    def test_torsion_is_not_certified_before_a_late_zero_of_pi(self, monkeypatch, capsys):
+        # over Q with pi_40 = 0, x^[40] e != 0 in D/(x^[1]): the search up to
+        # its cap at horizon 4 cannot certify torsion
+        code, out, _ = run_entry_point(monkeypatch, capsys, [
+            "torsion", "--module", x1_quotient(0, {"ring": "Q"}, {"40": "0"}),
+            "--horizon", "4", "--out", "json"])
+        data = json.loads(out)
+        assert (code, data["verdict"], data["candidate_degrees"]) == (2, "inconclusive", [0])
+
     # admissible to 24 but not at (30, 45)
-    NOT_ADMISSIBLE_AT_45 = json.dumps({
-        "context": {"family": "custom", "ring": {"ring": "GF", "p": 2},
-                    "values": {"30": "0", "45": "0"}, "default": "1"},
-        "generators": [0], "relation_degrees": [1],
-        "relations": [{"0": {"terms": [[1, "1"]]}}]})
+    NOT_ADMISSIBLE_AT_45 = not_admissible_at_45(0)
 
     @pytest.mark.parametrize("command", [["special", "--horizon", "100"],
                                          ["torsion", "--horizon", "40"],
@@ -259,6 +279,20 @@ class TestModuleCommands:
     def test_admissibility_is_checked_up_to_the_horizon_only(self, runner, command):
         res = runner.invoke(main, [command, "--horizon", "44", "--module",
                                    self.NOT_ADMISSIBLE_AT_45])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("command", [["hilbert"], ["syzygy"], ["tor", "--max-i", "1"],
+                                         ["kclass"]])
+    def test_admissibility_reaches_the_horizon_less_the_lowest_generator(
+            self, runner, monkeypatch, capsys, command):
+        # D acts through degree differences: with its generator at -20,
+        # horizon 30 reaches D-degree 50, past (30, 45); at 20, horizon 60
+        # reaches only 40
+        code, out, err = run_entry_point(monkeypatch, capsys, [
+            *command, "--horizon", "30", "--module", not_admissible_at_45(-20)])
+        assert (code, out, err) == (1, "", "error: pi-sequence not admissible: pair (30, 45)\n")
+        res = runner.invoke(main, [*command, "--horizon", "60",
+                                   "--module", not_admissible_at_45(20)])
         assert res.exit_code == 0, res.output
 
     @pytest.mark.parametrize("shift, shown", [(3, "[-3]"), (0, "[-0]"), (-3, "[3]")])
@@ -297,6 +331,16 @@ class TestModuleCommands:
         assert res.exit_code in (0, 2)
         data = json.loads(res.output)
         assert data["l"]["0"] == [[2, 1]]
+
+    def test_l_invariant_of_a_shifted_module_is_complete(self, runner):
+        # the default --max-i reads the horizon from the lowest generator:
+        # M((2), 2) moved down by 4 at horizon 2 is M((2), 2) at horizon 6
+        res = invoke(runner, ["l-invariant", "--ring", "Z_(2)", "--ideal", "[2]", "--h", "2",
+                              "--shift", "-4", "--horizon", "2", "--out", "json"])
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert (data["max_i"], data["complete"], data["fit"]["period"]) == (7, True, 2)
+        assert data["l"] == {str(d): [[2, 1]] for d in (-4, -2, 0, 2)}
 
     @pytest.mark.parametrize("horizon", [9, 10, 11])
     def test_l_invariant_demo_explicit_horizon(self, runner, horizon):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import factorint, multiplicity
 
@@ -55,7 +55,14 @@ from gdpakit.graded_modules import (
     _spans_row_kernel,
 )
 from gdpakit.pi_core import PiSequence, fibonacci, h_transform, pi_from_gcd_morphic
-from gdpakit.resolutions_k import minimal_image_generators, special_resolve_field
+from gdpakit.resolutions_k import (
+    SpecialBlock,
+    h_invariant,
+    l_invariant,
+    make_special,
+    minimal_image_generators,
+    special_resolve_field,
+)
 from references import (
     refine_lattice_every_j,
     shifted_module,
@@ -649,6 +656,53 @@ def test_pieces_and_torsion_shift_with_the_module(M, s, margin, horizon):
         return report.certificate and report.certificate.replace(f"degree {h}", "the horizon")
 
     assert certificate(got, horizon + s) == certificate(rep, horizon)
+
+
+def shifted_fit(fit, s):
+    """A periodic fit with its preperiod degrees and block start moved by s."""
+    if fit is None:
+        return None
+    return {**fit, "preperiod": [(d + s, v) for d, v in fit["preperiod"]],
+            "block_start": fit["block_start"] + s}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_modules(), st.integers(-6, 6), st.integers(0, 15))
+@example(make_special(ctx_classical(Zloc(2)), SpecialBlock([2], 2)), -4, 6)
+def test_tor_and_k_classes_shift_with_the_module(M, s, horizon):
+    # as for the pieces and the torsion report: M shifted by s, at horizon
+    # + s, has the Tor table, the H and L series and their fits of M with
+    # every degree moved by s, and L's default max_i and completeness
+    moved = shifted_module(M, s)
+    R = M.context.ring
+    table = tor(moved, 2, horizon + s)
+    assert table.entries == {(i, d + s): inv for (i, d), inv in tor(M, 2, horizon).entries.items()}
+    if R.is_field or R.is_pid:
+        H, got = h_invariant(M, horizon), h_invariant(moved, horizon + s)
+        assert got.coeffs == {d + s: c for d, c in H.coeffs.items()}
+        assert got.fit == shifted_fit(H.fit, s)
+    if R.is_pid and not R.is_field:
+        L, got = l_invariant(M, horizon), l_invariant(moved, horizon + s)
+        assert (got.complete, got.max_i) == (L.complete, L.max_i)
+        assert got.l0 == {d + s: v for d, v in L.l0.items()}
+        assert got.l == {d + s: v for d, v in L.l.items()}
+        assert got.fit == shifted_fit(L.fit, s)
+
+
+def test_torsion_is_not_certified_before_a_late_zero_of_pi():
+    # over Q with pi_40 = 0, D/(x^[1]) has pieces Q at 0, 40, 80, 120: x^[40]
+    # e != 0, so e is not torsion, though x^[j] e = 0 for 0 < j < 40.  A
+    # search that stops below 40 must not certify it, at any shift
+    ctx = AlgebraContext(PiSequence.custom(QQ, {40: 0}))
+    M = PresentedModule.from_columns(ctx, [0], [{0: ctx.x(1)}], [1])
+    assert set(hilbert_series(M, 120).pieces) == {0, 40, 80, 120}
+    assert torsion_submodule(M, 45).verdict == "torsion_free"
+    rep = torsion_submodule(M, 4)
+    assert rep.verdict == "inconclusive"
+    for s in (30, -30):
+        got = torsion_submodule(shifted_module(M, s), 4 + s)
+        assert (got.verdict, got.certificate) == (rep.verdict, rep.certificate)
+        assert got.candidates == [(d + s, inv) for d, inv in rep.candidates]
 
 
 def test_torsion_windows_stop_at_the_relation_span(monkeypatch):

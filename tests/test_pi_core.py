@@ -451,3 +451,39 @@ def test_pi_json_round_trip():
         back = PiSequence.from_json(pi.to_json())
         for n in range(1, 13):
             assert pi.ring.eq(back.pi(n), pi.pi(n))
+
+
+# pi-sequences whose families vouch that pi_n != 0 for all n >= 2, and ones
+# that cannot: a zero past any scanned bound (pi_40), a zero of the family
+# (classical over GF(3), cyclotomic at -1 over Q or at 2 over GF(3)), or a
+# family that is not read (gcd-morphic, h-transforms)
+ZERO_FREE = [
+    PiSequence.all_ones(QQ),
+    PiSequence.all_ones(GF(2)),
+    PiSequence.classical(QQ),
+    PiSequence.classical(Zloc(3)),
+    PiSequence.custom(QQ, {2: 3, 5: 7}),
+    PiSequence.custom(GF(5), {3: 2}, default=4),
+    PiSequence.cyclotomic_at(QQ, 1),
+    PiSequence.cyclotomic_at(QQ, 2),
+    PiSequence.cyclotomic_at(QQ, Fraction(-1, 2)),
+    PiSequence.cyclotomic_at(GF(3), 0),
+]
+NOT_VOUCHED = [
+    PiSequence.classical(GF(3)),
+    PiSequence.custom(QQ, {40: 0}),
+    PiSequence.custom(GF(2), {}, default=0),
+    PiSequence.cyclotomic_at(QQ, -1),
+    PiSequence.cyclotomic_at(GF(3), 2),
+    PiSequence.cyclotomic_at(GF(5), 1),
+    pi_from_gcd_morphic(fibonacci, up_to=20),
+    h_transform(PiSequence.all_ones(QQ), 2),
+]
+
+
+@pytest.mark.parametrize("pi", ZERO_FREE + NOT_VOUCHED, ids=repr)
+def test_zero_free_is_read_from_the_family(pi):
+    assert pi.is_zero_free() == (pi in ZERO_FREE)
+    if pi.is_zero_free():
+        assert pi.zero_degrees(120) == []
+
