@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 
 class UnsupportedRingError(ValueError):
@@ -54,6 +55,21 @@ def _vp(n: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Elimination(NamedTuple):
+    """How the eliminations run over a ring, built once per ring by its
+    class (:attr:`Ring._echelon`).  Rows hold ints or Fractions, so zero
+    tests, sub and mul are Python's operators."""
+
+    base: Ring  # the ring Lattice rows live over (Z for the lift of a composite Z/n)
+    modulus: int  # p over GF(p), where row operations reduce mod p; 0 otherwise
+    quotient: Callable | None  # base's quo_rem; None over Z, where divmod is inlined
+    key: Callable  # the Smith pivot key
+    generator: Callable  # nonzero x -> the canonical generator of the ideal (x)
+    window: Ring  # the ring the torsion windows keep their rows over
+    read: Callable  # v -> v as a row over window
+    factor: Callable  # a torsion invariant -> its (prime, exponent) pairs
+
+
 class Ring:
     """Base class for exact coefficient rings.
 
@@ -64,11 +80,8 @@ class Ring:
 
     kind: str = "?"
     is_field = False
-    is_domain = False
     is_pid = False
     is_local = False
-    #: whether smith_normal_form works directly over this ring
-    supports_snf = False
 
     # -- arithmetic -------------------------------------------------------
     def canon(self, x):
@@ -178,15 +191,21 @@ class Ring:
         return self.kind
 
     @cached_property
-    def _echelon(self):
-        """(base, mod, quo_rem) of a Lattice over this ring, read once per
-        ring.  base is the ring its rows live over (Z for the lift of a
-        composite Z/n), whose entries are ints or Fractions, so zero tests,
-        sub and mul are Python's operators, mod p when mod is p (GF(p));
-        quo_rem is None over Z, where Lattice runs divmod itself."""
-        base = ZZ if isinstance(self, IntegersModRing) and not self.is_field else self
-        mod = base.n if isinstance(base, IntegersModRing) else 0
-        return base, mod, None if isinstance(base, IntegerRing) else base.quo_rem
+    def _echelon(self) -> _Elimination:
+        """The ring's :class:`_Elimination`.  Q and Z[q] keep this default:
+        over the ring itself by its quo_rem, pivot_key and canonical
+        associates, with no torsion factorization."""
+        return _Elimination(
+            self, 0, self.quo_rem, self.pivot_key, self.canonical_associate, self,
+            self._read, self._factor,
+        )
+
+    def _read(self, v) -> list:
+        """v as a row over this ring."""
+        return [self.canon(x) for x in v]
+
+    def _factor(self, t):
+        raise UnsupportedRingError(f"no torsion factorization over {self.describe()}")
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.to_json() == other.to_json()
@@ -226,9 +245,7 @@ class NumberRing(Ring):
 
 class IntegerRing(NumberRing):
     kind = "Z"
-    is_domain = True
     is_pid = True
-    supports_snf = True
 
     def canon(self, x):
         if isinstance(x, Fraction):
@@ -273,6 +290,11 @@ class IntegerRing(NumberRing):
     def pivot_key(self, a):
         return abs(a)
 
+    @cached_property
+    def _echelon(self):
+        # quotient None: the eliminations inline the symmetric quo_rem
+        return _Elimination(self, 0, None, abs, abs, self, self._read, _factor_integer)
+
     def in_jacobson_radical(self, a):
         return a == 0
 
@@ -294,9 +316,7 @@ class RationalField(NumberRing):
     _zero = _FRACTION_ZERO
     _one = _FRACTION_ONE
     is_field = True
-    is_domain = True
     is_pid = True
-    supports_snf = True
 
     def canon(self, x):
         return Fraction(x)
@@ -354,9 +374,7 @@ class IntegersModRing(Ring):
             raise PreconditionError("IntegersMod requires n >= 2")
         self.n = n
         self.is_field = _is_prime(n)
-        self.is_domain = self.is_field
         self.is_pid = self.is_field
-        self.supports_snf = self.is_field
         self.is_local = _is_prime_power(n)
         self.kind = "GF" if self.is_field else "Zmod"
 
@@ -429,6 +447,19 @@ class IntegersModRing(Ring):
             raise UnsupportedRingError(f"no pivot measure over {self.describe()}")
         return 0
 
+    @cached_property
+    def _echelon(self):
+        if self.is_field:
+            return _Elimination(
+                self, self.n, self.quo_rem, self.pivot_key, lambda x: 1, self, self._read,
+                self._factor,
+            )
+        # composite n: the rows are integers, whose residues mod n count
+        return ZZ._echelon._replace(window=self, read=self._read, factor=self._factor)
+
+    def _factor(self, t):
+        return _factor_integer(t % self.n)
+
     def in_jacobson_radical(self, a):
         # J(Z/n) = (rad n) is the set of nilpotents, and every prime divides
         # n fewer than bit_length times, so a nilpotent a has a^bit_length = 0
@@ -458,10 +489,8 @@ class PLocalRing(NumberRing):
     kind = "Zloc"
     _zero = _FRACTION_ZERO
     _one = _FRACTION_ONE
-    is_domain = True
     is_pid = True
     is_local = True
-    supports_snf = True
 
     def __init__(self, p: int):
         p = int(p)
@@ -515,6 +544,15 @@ class PLocalRing(NumberRing):
     def pivot_key(self, a):
         return self.valuation(a)
 
+    @cached_property
+    def _echelon(self):
+        # the windows keep primitive integer rows: a unit scale changes no span
+        p, v = self.p, self.valuation
+        return _Elimination(
+            self, 0, self.quo_rem, self.pivot_key, lambda x: p ** v(x), ZZ,
+            lambda row: primitive_integer_vector(row, p), lambda t: [(p, v(t))],
+        )
+
     def in_jacobson_radical(self, a):
         return a == 0 or self.valuation(a) >= 1
 
@@ -538,9 +576,7 @@ class IntPolyRing(Ring):
     """Z[q]: integer polynomials in one variable.  Ring arithmetic only."""
 
     kind = "ZPoly"
-    is_domain = True
     is_pid = False
-    supports_snf = False
 
     def canon(self, x):
         if isinstance(x, (int, Fraction)):
@@ -994,7 +1030,7 @@ class ModuleInvariants:
         """Per-prime lengths of the torsion part (Z, Z_(p), Z/n rings)."""
         out: dict[int, int] = {}
         for t in self.torsion_factors:
-            for p, e in _factor_torsion(self.ring, t):
+            for p, e in self.ring._echelon.factor(t):
                 out[p] = out.get(p, 0) + e
         return out
 
@@ -1017,18 +1053,10 @@ class ModuleInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _factor_torsion(ring: Ring, t):
-    """Factor a torsion invariant into (prime, exponent) pairs."""
-    if isinstance(ring, IntegerRing) or isinstance(ring, IntegersModRing):
-        n = int(t if not isinstance(ring, IntegersModRing) else t % ring.n)
-        n = abs(n)
-        out = []
-        for p in _prime_factors(n):
-            out.append((p, _vp(n, p)))
-        return out
-    if isinstance(ring, PLocalRing):
-        return [(ring.p, ring.valuation(t))]
-    raise UnsupportedRingError(f"no torsion factorization over {ring.describe()}")
+def _factor_integer(n: int) -> list:
+    """The (prime, exponent) pairs of a nonzero integer n."""
+    n = abs(n)
+    return [(p, _vp(n, p)) for p in _prime_factors(n)]
 
 
 def invariants_from_factors(ring: Ring, free_rank: int, factors) -> ModuleInvariants:
@@ -1075,31 +1103,33 @@ def _smith(m: ExactMatrix, want: str):
     - "W": (the diagonal of D, the columns of U^-1), for
       :func:`quotient_generators`.
 
-    Every request over Z, Q, GF(p) and Z_(p) runs :func:`_euclid`: on ints
-    over Z and GF(p), on Fractions over Q and Z_(p), whose pivots of least
-    valuation already form the divisibility chain.  Unless only V is wanted,
-    a violation of the chain (over Z) then mixes the two columns and
-    eliminates again (the least pivot pulls in the gcd), and each pivot is
-    scaled to its canonical associate, its row of U by the inverse unit and
-    its column of U^-1 by the unit.  Neither step touches the columns of V
-    past the rank: the repair only adds pivot columns to pivot columns, and
-    a zero column never becomes a pivot.  Over Z/n (n composite), "D" and
-    "V" run over Z on the lift [A | nI] and read the result mod n; every
-    other request there, and every request over Z[q], raises.
+    Every request over Z, Q, GF(p) and Z_(p) runs :func:`_euclid` as the
+    ring's record (Ring._echelon) says: on ints over Z and GF(p), on
+    Fractions over Q and Z_(p), whose pivots of least valuation already form
+    the divisibility chain.  Unless only V is wanted, a violation of the
+    chain (over Z) then mixes the two columns and eliminates again (the
+    least pivot pulls in the gcd), and each pivot is scaled to its canonical
+    associate, its row of U by the inverse unit and its column of U^-1 by
+    the unit.  Neither step touches the columns of V past the rank: the
+    repair only adds pivot columns to pivot columns, and a zero column never
+    becomes a pivot.  Where the record's base is not the ring (Z/n, n
+    composite), "D" and "V" run over Z on the lift [A | nI] and read the
+    result mod n; every other request there, and every request over Z[q],
+    raises.
     """
     R, nr, nc = m.ring, m.rows, m.cols
-    if isinstance(R, IntegersModRing) and not R.is_field and want in ("D", "V"):
+    elim = R._echelon
+    if elim.base is not R and want in ("D", "V"):
         out = _smith(_lift_zmod(m), want)
         return out if want == "D" else _kernel_heads(R, out, nc)
-    if not R.supports_snf:
+    if not R.is_pid:
         raise UnsupportedRingError(f"smith_normal_form unsupported over {R.describe()}")
     A = [row[:] for row in m.entries]
     one, zero = R.one(), R.zero()
     U = _identity(nr, one, zero) if "U" in want else None
     V = _identity(nc, one, zero) if "V" in want else None
     W = _identity(nr, one, zero) if want == "W" else None
-    key, quo_rem = (abs, None) if isinstance(R, IntegerRing) else (R.pivot_key, R.quo_rem)
-    p = R.n if isinstance(R, IntegersModRing) else 0
+    key, quo_rem, p = elim.key, elim.quotient, elim.modulus
     rank = _euclid(A, nc, key, quo_rem, p, U, V, W)
     if want == "V":
         return V[rank:]
@@ -1341,7 +1371,7 @@ class Lattice:
         self.dim = dim
         self.rows: dict[int, list] = {}  # pivot column -> row
         # the ring the rows live over, and how they reduce (Ring._echelon)
-        self.base, self._mod, self._quo_rem = ring._echelon
+        self.base, self._mod, self._quo_rem = ring._echelon[:3]
         self.lift_kernel = []  # generators of ker(Z^dim -> (Z/n)^dim)
         if self.base is not ring:
             n = ring.n

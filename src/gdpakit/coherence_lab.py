@@ -16,7 +16,6 @@ from .coeff_rings import (
     PreconditionError,
     Ring,
     Zloc,
-    _factor_torsion,
     kernel_basis,
     quotient_generators,
 )
@@ -106,21 +105,15 @@ def torsion_bound_N(spec: IdealSpec) -> int:
     k/(a_i + T(k)) are torsion-free, so N = 1.  The search stops at 4E + 16,
     E the lcm of the torsion exponents."""
     R = spec.context.ring
-    if R.is_field or isinstance(R, IntegersModRing):
+    if _torsion_free_mod_t(R):
         return 1
     factors = []
     for i in range(3 * spec.d + 1):
         factors += ideal_invariants(R, spec.ideal_at(i)).torsion_factors
     if not factors:
         return 1
-    # exponent as an integer: lcm of the prime-power contents of the factors
-    exps = []
-    for f in factors:
-        e = 1
-        for p, k in _factor_torsion(R, f):
-            e = math.lcm(e, p**k)
-        exps.append(e)
-    limit = 4 * math.lcm(*exps) + 16
+    # a canonical factor over Z or Z_(p) is the integer exponent it gives
+    limit = 4 * math.lcm(*map(int, factors)) + 16
     pi = spec.context.pi
     transforms = [pi if h == 1 else h_transform(pi, h) for h in range(1, 2 * max(spec.d, 1) + 1)]
     N = _least_annihilating_n(R, factors, transforms, limit)
@@ -130,6 +123,11 @@ def torsion_bound_N(spec: IdealSpec) -> int:
             "unbounded verdict"
         )
     return N
+
+
+def _torsion_free_mod_t(R: Ring) -> bool:
+    """Whether every quotient k/(a + T(k)) is torsion-free: over a field or Z/n."""
+    return R.is_field or isinstance(R, IntegersModRing)
 
 
 def _least_annihilating_n(ring: Ring, factors, transforms, limit: int) -> int | None:
@@ -237,7 +235,7 @@ def a2_condition_check(ring: Ring, ideal_generators, h: int, limit: int = 256) -
     gens = [ring.canon(g) for g in ideal_generators]
     pi = PiSequence.classical(ring)
     tpi = pi if h == 1 else h_transform(pi, h)
-    if ring.is_field or isinstance(ring, IntegersModRing):
+    if _torsion_free_mod_t(ring):
         return {"verdict": "bounded", "n": 1, "reason": "quotient is torsion-free mod T(k)"}
     factors = ideal_invariants(ring, gens).torsion_factors
     if not factors:

@@ -17,10 +17,8 @@ from .coeff_rings import (
     ExactMatrix,
     Lattice,
     ModuleInvariants,
-    PLocalRing,
     PreconditionError,
     Ring,
-    ZZ,
     _kernel_heads,
     _quotient_generators,
     _quotient_invariants,
@@ -30,7 +28,6 @@ from .coeff_rings import (
     homology_invariants,
     json_int_list,
     kernel_basis,
-    primitive_integer_vector,
 )
 from .gdpa import AlgebraContext, GdpaElement
 from .pi_core import c_binomial
@@ -357,7 +354,7 @@ def syzygy_generators(
         and f.target.n_gens == 1
         and R.is_pid
     )
-    ideal_generator = _ideal_generator(R)
+    ideal_generator = R._echelon.generator
 
     def candidates(d, old):
         if one_row and f.target.rank(d):
@@ -375,7 +372,7 @@ def _spans_row_kernel(ideal_generator, r, sub: Lattice) -> bool:
     product of sub's echelon pivots times content(r) generates the ideal of
     r[np], np being the one column without a pivot (equal absolute values
     over Z, equal valuations over Z_(p); over a field the rank decides).
-    ideal_generator is :func:`_ideal_generator` of R.
+    ideal_generator is the generator of R's record (Ring._echelon).
 
     Proof.  R^m / K embeds in R through r, so it is free and K is a direct
     summand of rank m - 1.  Let w_j be the maximal minor, signed by
@@ -653,27 +650,15 @@ class TorsionReport:
         }
 
 
-def _ideal_generator(R: Ring):
-    """x -> the canonical generator of the ideal that a nonzero x generates:
-    1 over a field, the p-part of x (an int or a p-local Fraction) over
-    Z_(p), |x| over Z and over the Z lift of Z/n.  The ring is read here,
-    once, so a scan calls the function it returns in every degree."""
-    if R.is_field:
-        return lambda x: 1
-    if isinstance(R, PLocalRing):
-        return lambda x: R.p ** R.valuation(x)
-    return abs
-
-
 def _rank_and_delta(R: Ring, vectors, dim: int):
     """(rank, delta) of the span of the vectors in R^dim, integer vectors
     over Z_(p): delta generates the ideal of the maximal nonzero minors of
     the matrix with the vectors as columns, the product of the nonzero
-    diagonal of its D-only Smith form (taken over Z for Z_(p), and over
-    Z/n of the lift [A | nI], whose columns span the preimage in Z^dim)."""
-    K = ZZ if isinstance(R, PLocalRing) else R
-    diag = [x for x in _smith(ExactMatrix.from_columns(K, vectors, dim), "D") if x]
-    return len(diag), _ideal_generator(R)(math.prod(diag))
+    diagonal of its D-only Smith form over the record's window ring (Z for
+    Z_(p); over Z/n, of the lift [A | nI], spanning the preimage in Z^dim)."""
+    elim = R._echelon
+    diag = [x for x in _smith(ExactMatrix.from_columns(elim.window, vectors, dim), "D") if x]
+    return len(diag), elim.generator(math.prod(diag))
 
 
 def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_columns, goal=None):
@@ -688,11 +673,11 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     ones (the proof is in that method's docstring).
 
     A window is ((rank, delta), B): B an independent basis (rows) of the
-    lattice, delta the generator of the ideal of B's maximal minors
-    (:func:`_ideal_generator`); None is all of F0_d.  Over Z_(p) the rows
-    are primitive integer vectors, as a unit scale changes no span; over
-    Z/n they are integer rows whose residues generate the lattice.  The
-    rows live over K: Z for Z_(p), the ring itself otherwise.
+    lattice, delta the generator of the ideal of B's maximal minors; None
+    is all of F0_d.  The ring's record (Ring._echelon) gives the generator,
+    the ring K of the rows and their reader: over Z_(p) the rows are
+    primitive integer vectors over Z, as a unit scale changes no span; over
+    Z/n, integer rows whose residues generate the lattice.
 
     A step for j is one Lattice over K (over Z/n, the preimage of its span,
     with the lift rows Lattice adds) in K^(t + r + dim), t the rank of
@@ -725,9 +710,9 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     F0 = M.generators
     basis = F0.basis(d)
     dim = len(basis)
-    K, read = _window_rows(R)
+    elim = R._echelon
+    K, read, ideal_generator = elim.window, elim.read, elim.generator
     zero = K.zero()
-    ideal_generator = _ideal_generator(R)
     (rank, delta), B = window or ((dim, 1), ExactMatrix.identity(K, dim).entries)
     for j in degrees:
         if not rank or (rank, delta) == goal:
@@ -753,21 +738,10 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     return (rank, delta), B
 
 
-def _window_rows(R: Ring):
-    """(K, read): the ring K that the torsion windows keep their rows over,
-    Z for Z_(p) and R otherwise, and v -> v as a row over K: over Z_(p)
-    the primitive integer vector that is a unit multiple of v (a unit
-    scale changes no span), otherwise v read in R (over Z/n, mod n).  The
-    ring is read here, once per call, like :func:`_ideal_generator`."""
-    if isinstance(R, PLocalRing):
-        return ZZ, lambda v: primitive_integer_vector(v, R.p)
-    return R, lambda v: [R.canon(x) for x in v]
-
-
 def _relation_columns(M: PresentedModule):
     """e -> the columns of the relation slice at degree e as rows over the
-    windows' ring (:func:`_window_rows`), built once per degree."""
-    read = _window_rows(M.context.ring)[1]
+    windows' ring (Ring._echelon), built once per degree."""
+    read = M.context.ring._echelon.read
     return cache(lambda e: [read(col) for col in M.relations.slice_columns(e)])
 
 

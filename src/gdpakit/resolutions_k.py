@@ -373,32 +373,29 @@ def minimal_image_generators(g: ModuleMap, degree_bound: int) -> SubmoduleGenera
 
 
 def _special_resolve_free_kernel(M: PresentedModule, horizon: int) -> SpecialResolution:
+    """r = 0 when the relations have no image generators (M is free), else
+    r = 1 when the free cover's kernel is free; blocks M((0), 1) certify."""
     ctx = M.context
     R = ctx.ring
-    if M.n_relations == 0:
-        cert = SpecialFiltrationCertificate(
-            [SpecialBlock([R.zero()], 1, shift=g) for g in M.generators.degrees]
-        )
-        ok, witness = verify_special_filtration(M, cert, horizon)
-        if not ok:
-            raise AssertionError(f"free module certificate failed at {witness}")
-        return SpecialResolution(M, 0, [], cert, horizon, h=1, notes="already free")
     kgens = minimal_image_generators(M.relations, horizon)
     incl = kgens.as_map()
-    second = syzygy_generators(incl, horizon)
-    if second.generators:
-        raise PreconditionError(
-            "kernel of the free cover is not free on its minimal generators; "
-            f"syzygies at degrees {second.degrees()}"
-        )
+    free = M
+    if kgens.generators:
+        second = syzygy_generators(incl, horizon)
+        if second.generators:
+            raise PreconditionError(
+                "kernel of the free cover is not free on its minimal generators; "
+                f"syzygies at degrees {second.degrees()}"
+            )
+        free = PresentedModule(incl.source, ModuleMap.zero(FreeGradedModule(ctx, []), incl.source))
     cert = SpecialFiltrationCertificate(
-        [SpecialBlock([R.zero()], 1, shift=d) for d in kgens.degrees()]
+        [SpecialBlock([R.zero()], 1, shift=g) for g in free.generators.degrees]
     )
-    K = PresentedModule(incl.source, ModuleMap.zero(
-        FreeGradedModule(ctx, []), incl.source))
-    ok, witness = verify_special_filtration(K, cert, horizon)
+    ok, witness = verify_special_filtration(free, cert, horizon)
     if not ok:
-        raise AssertionError(f"free kernel certificate failed at {witness}")
+        raise AssertionError(f"free module certificate failed at {witness}")
+    if free is M:
+        return SpecialResolution(M, 0, [], cert, horizon, h=1, notes="already free")
     # exactness check: dim F0_d = dim M_d + dim K_d degreewise
     for d in range(M.min_degree(), horizon + 1):
         lhs = M.generators.rank(d)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -48,7 +49,6 @@ from gdpakit.graded_modules import (
 from gdpakit import graded_modules
 from gdpakit.graded_modules import (
     _degreewise_generators,
-    _ideal_generator,
     _rank_and_delta,
     _refine_lattice,
     _relation_columns,
@@ -1051,7 +1051,50 @@ def test_row_kernel_index_test_decides_equality(case):
     R, r, S, K = case
     m = len(r)
     sub = Lattice(R, m, S)
-    assert _spans_row_kernel(_ideal_generator(R), r, sub) == sub.equals(Lattice(R, m, K))
+    assert _spans_row_kernel(R._echelon.generator, r, sub) == sub.equals(Lattice(R, m, K))
+
+
+# every ring of the oracle contexts (Z/6 among them) and of the fractional ones
+RECORD_RINGS = list(dict.fromkeys(ctx.ring for ctx in ORACLE_CONTEXTS + FRACTIONAL_CONTEXTS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RECORD_RINGS), st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+       st.lists(st.sampled_from([1, 3, 5, 7]), min_size=4, max_size=4))
+def test_elimination_record_meets_its_definitions(R, numerators, denominators):
+    # the generator, row reader and torsion factorization of Ring._echelon,
+    # each against what it stands for; v is a row of ints, or of Fractions
+    # with denominators prime to p (any over Q)
+    elim, B = R._echelon, R._echelon.base
+    fractional = R.kind in ("Zloc", "Q")
+    v = [Fraction(n, q if q % getattr(R, "p", 2) else 1) if fractional else n
+         for n, q in zip(numerators, denominators)]
+    xs = [x for x in map(B.canon, v) if not B.is_zero(x)]
+    for x in xs:
+        g = elim.generator(x)
+        assert B.divides(g, x) and B.divides(x, g), (x, g)
+        assert elim.generator(g) == g
+    # canonical: equal exactly on elements that generate the same ideal
+    assert all((elim.generator(x) == elim.generator(y)) == B.associate(x, y)
+               for x in xs for y in xs)
+    w = elim.read(v)
+    if R.kind != "Zloc":
+        assert w == [R.canon(x) for x in v]
+    elif any(v):
+        # a unit multiple of v with integer entries whose content is a power of p
+        assert all(type(x) is int for x in w)
+        u = next(Fraction(a) / b for a, b in zip(w, v) if b)
+        assert R.is_unit(u) and w == [u * x for x in v]
+        content = math.gcd(*w)
+        assert content == R.p ** multiplicity(R.p, content)
+    for t in (R.canon(x) for x in v):
+        if R.is_zero(t):
+            continue
+        if R == QQ:
+            with pytest.raises(UnsupportedRingError):
+                elim.factor(t)
+            continue
+        assert R.associate(R.canon(math.prod(p**e for p, e in elim.factor(t))), t), t
 
 
 @settings(max_examples=80, deadline=None)
@@ -1277,8 +1320,12 @@ def invariants_by_degree(M, table):
 @given(small_modules(INTEGER_CONTEXTS))
 def test_localization_commutes_with_tor_and_pieces(M):
     # localization is exact: over Z_(p) Tor_i and M_d keep the free rank
-    # and the p-primary factors they have over Z; over Q the free rank
+    # and the p-primary factors they have over Z; over Q the free rank.
+    # So L0 and L over Z_(p) are the p-parts of those over Z, and L is
+    # complete over Z_(p) when it is over Z (not conversely: a q-torsion
+    # Tor entry at max_i vanishes over Z_(p))
     over_z = invariants_by_degree(M, tor(M, 2, BASE_CHANGE_HORIZON))
+    l_over_z = l_invariant(M, 10, max_i=3)
     for ring in (Zloc(2), Zloc(3), QQ):
         N = over(M, ring)
         local = invariants_by_degree(N, tor(N, 2, BASE_CHANGE_HORIZON))
@@ -1287,6 +1334,14 @@ def test_localization_commutes_with_tor_and_pieces(M):
             assert got.free_rank == inv.free_rank, (ring.describe(), key)
             want = p_primary(inv, ring.p) if ring.kind == "Zloc" else []
             assert sorted(int(t) for t in got.torsion_factors) == want, (ring.describe(), key)
+        if ring.kind == "Zloc":
+            L = l_invariant(N, 10, max_i=3)
+            for series in ("l0", "l"):
+                p_part = {d: tuple(e for e in v if e[0] == ring.p)
+                          for d, v in getattr(l_over_z, series).items()}
+                want = {d: v for d, v in p_part.items() if v}
+                assert getattr(L, series) == want, (ring.describe(), series)
+            assert L.complete or not l_over_z.complete, ring.describe()
 
 
 @settings(max_examples=300, deadline=None)

@@ -484,6 +484,19 @@ class TestSpecialResolveFreeKernel:
         res = special_resolve_field(PresentedModule.free(ctx, [0, 2]), horizon=16)
         assert res.r == 0
         assert sorted(b.shift for b in res.certificate.blocks) == [0, 2]
+        # a zero relation leaves the module free on its generators: D with
+        # 0 e over Q (the CLI's --ideal '[0]' --h 1), and generators 0, 2
+        # with 0 at degree 3 over GF(5), resolve as without it
+        gf5 = all_ones_ctx(GF(5))
+        for M, free in (
+            (make_special(classical_ctx(QQ), SpecialBlock([QQ.zero()], 1)),
+             PresentedModule.free(classical_ctx(QQ), [0])),
+            (PresentedModule.from_columns(gf5, [0, 2], [{}], [3]),
+             PresentedModule.free(gf5, [0, 2])),
+        ):
+            assert M.n_relations == 1
+            want = special_resolve_field(free, horizon=16).to_json()
+            assert special_resolve_field(M, horizon=16).to_json() == want
 
     def test_requires_field(self):
         ctx = classical_ctx(ZZ)
