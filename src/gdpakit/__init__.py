@@ -3,7 +3,7 @@
 Subpackages:
 
 - :mod:`gdpakit.coeff_rings` -- exact coefficient rings and linear algebra (SNF).
-- :mod:`gdpakit.pi_core` -- divisible sequences, carries, pi-sequences and invariants.
+- :mod:`gdpakit.pi_core` -- carries, pi-sequences and invariants.
 - :mod:`gdpakit.gdpa` -- the algebra D(k, pi): arithmetic, regrading, recovery.
 - :mod:`gdpakit.graded_modules` -- finitely presented graded modules, Tor, Hilbert.
 - :mod:`gdpakit.resolutions_k` -- special modules/resolutions, H and L invariants.

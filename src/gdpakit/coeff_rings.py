@@ -659,19 +659,6 @@ class IntPolyRing(Ring):
             return (-1,), self.neg(a)
         return (1,), a
 
-    def content(self, a) -> int:
-        g = 0
-        for c in a:
-            g = math.gcd(g, c)
-        return g
-
-    def primitive_part(self, a):
-        g = self.content(a)
-        if g == 0:
-            return ()
-        sign = -1 if a[-1] < 0 else 1
-        return tuple(c // (sign * g) for c in a)
-
     def evaluate(self, a, ring: Ring, q0):
         """Evaluate the polynomial at q0 in another ring."""
         acc = ring.zero()
@@ -943,38 +930,6 @@ class ExactMatrix:
     def identity(cls, ring: Ring, n: int) -> "ExactMatrix":
         return cls._from_canonical(ring, _identity(n, ring.one(), ring.zero()), n, n)
 
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        R = self.ring
-        out = ExactMatrix.zero(R, self.rows, other.cols)
-        for i in range(self.rows):
-            rowi = self.entries[i]
-            outi = out.entries[i]
-            for k in range(self.cols):
-                a = rowi[k]
-                if R.is_zero(a):
-                    continue
-                rowk = other.entries[k]
-                for j in range(other.cols):
-                    b = rowk[j]
-                    if not R.is_zero(b):
-                        outi[j] = R.add(outi[j], R.mul(a, b))
-        return out
-
-    def apply_vector(self, v):
-        """Matrix times column vector (a list)."""
-        R = self.ring
-        out = [R.zero()] * self.rows
-        for i in range(self.rows):
-            acc = R.zero()
-            rowi = self.entries[i]
-            for j, x in enumerate(v):
-                if not R.is_zero(x):
-                    acc = R.add(acc, R.mul(rowi[j], x))
-            out[i] = acc
-        return out
-
     def eq(self, other: "ExactMatrix") -> bool:
         return (
             self.rows == other.rows
@@ -1018,13 +973,6 @@ class ModuleInvariants:
     @property
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion_factors
-
-    def direct_sum(self, other: "ModuleInvariants") -> "ModuleInvariants":
-        return invariants_from_factors(
-            self.ring,
-            self.free_rank + other.free_rank,
-            list(self.torsion_factors) + list(other.torsion_factors),
-        )
 
     def torsion_lengths(self) -> dict:
         """Per-prime lengths of the torsion part (Z, Z_(p), Z/n rings)."""
@@ -1088,7 +1036,9 @@ def smith_normal_form(m: ExactMatrix):
     The elimination is :func:`_euclid` (through :func:`_smith`), which
     :func:`cokernel_invariants`, :func:`kernel_basis` and
     :func:`quotient_generators` run too, each building only the factors it
-    reads: none of them calls this.
+    reads: none of them calls this.  It is the one entry that returns U and
+    the whole V, so it is where _euclid's row and column moves can be
+    checked, through U*m*V = D.
     """
     return _smith(m, "UDV")
 
@@ -1453,11 +1403,6 @@ class Lattice:
     def basis(self) -> list:
         """The rows in pivot order (over Z/n, integer rows)."""
         return [self.rows[p][:] for p in sorted(self.rows)]
-
-    def equals(self, other: "Lattice") -> bool:
-        return all(other.contains(r) for r in self.rows.values()) and all(
-            self.contains(r) for r in other.rows.values()
-        )
 
     @property
     def rank(self) -> int:

@@ -1,9 +1,7 @@
-"""The algebra D(k, pi): element arithmetic, carries, regrading, recovery.
+"""The algebra D(k, pi): element arithmetic, regrading, recovery.
 
 D(k, pi) is the free k-module on basis x^[0], x^[1], ... with multiplication
-x^[a] x^[b] = C(a+b, b) x^[a+b].  Over a field with zero locus recorded by a
-divisible sequence b, multiplication is the carry rule: x^[a] x^[b] equals
-x^[a+b] if adding a and b in base b produces no carry, and 0 otherwise.
+x^[a] x^[b] = C(a+b, b) x^[a+b].
 """
 
 from __future__ import annotations
@@ -11,19 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff_rings import (
-    ModuleInvariants,
     PreconditionError,
     Ring,
     UnsupportedRingError,
     json_int,
 )
-from .pi_core import (
-    DivisibleSequence,
-    PiSequence,
-    _first_violation,
-    base_rep,
-    c_binomial,
-)
+from .pi_core import PiSequence, _first_violation, c_binomial
 
 
 class NotAGdpaError(ValueError):
@@ -65,13 +56,6 @@ class AlgebraContext:
     def x(self, n: int, coeff=None) -> "GdpaElement":
         c = self.ring.one() if coeff is None else self.ring.canon(coeff)
         return GdpaElement(self, {n: c})
-
-    def element(self, terms: dict) -> "GdpaElement":
-        return GdpaElement(self, terms)
-
-    def zero_locus(self, horizon: int) -> DivisibleSequence:
-        """The divisible sequence (1, zeros of pi up to horizon)."""
-        return DivisibleSequence([1] + self.pi.zero_degrees(horizon))
 
     def dplus_generator_degrees(self, up_to: int):
         """The degrees j <= up_to of a generating set of D_+: the j with
@@ -122,10 +106,6 @@ class GdpaElement:
 
     def degrees(self):
         return sorted(self.terms)
-
-    def degree(self):
-        """Top degree, or None for 0."""
-        return max(self.terms) if self.terms else None
 
     def coeff(self, n: int):
         return self.terms.get(n, self.context.ring.zero())
@@ -188,58 +168,11 @@ class GdpaElement:
         )
 
 
-def multiply(e1: GdpaElement, e2: GdpaElement) -> GdpaElement:
-    """Bilinear extension of x^[a] x^[b] = C(a+b, b) x^[a+b]."""
-    return e1.mul(e2)
-
-
-def field_multiply_by_carries(
-    e1: GdpaElement, e2: GdpaElement, b: DivisibleSequence
-) -> GdpaElement:
-    """Field-case multiplication: x^[n] x^[m] = x^[n+m] if adding n and m in
-    base b produces no carry, else 0.  Must agree with :func:`multiply` when b
-    is the zero locus of pi."""
-    ctx = e1.context
-    R = ctx.ring
-    if not R.is_field:
-        raise PreconditionError("carry multiplication requires a field")
-    out: dict[int, object] = {}
-    for n, cn in e1.terms.items():
-        for m, cm in e2.terms.items():
-            if base_carry_count(n, m, b) == 0:
-                d = n + m
-                out[d] = R.add(out.get(d, R.zero()), R.mul(cn, cm))
-    return GdpaElement(ctx, out)
-
-
-def base_carry_count(n: int, m: int, b: DivisibleSequence) -> int:
-    """Number of carries when adding n and m in base b (0 means digitwise)."""
-    dn = base_rep(n, b)
-    dm = base_rep(m, b)
-    ds = base_rep(n + m, b)
-    k = max(len(dn), len(dm), len(ds))
-    dn += [0] * (k - len(dn))
-    dm += [0] * (k - len(dm))
-    ds += [0] * (k - len(ds))
-    carries = 0
-    for i in range(k):
-        if dn[i] + dm[i] != ds[i]:
-            carries += 1
-    # digitwise addition holds iff no carries occurred anywhere
-    return carries
-
-
-def veronese_decompose(e: GdpaElement, h: int, k: int) -> GdpaElement:
-    """The D^(h;k) component of e: terms with degree congruent to k mod h."""
-    if not 0 <= k < h:
-        raise PreconditionError("veronese_decompose requires 0 <= k < h")
-    return GdpaElement(
-        e.context, {n: c for n, c in e.terms.items() if n % h == k}
-    )
-
-
 # ---------------------------------------------------------------------------
-# regrading units and associate scalings
+# regrading units and associate scalings: the isomorphism lemmas of GDPAs.
+# D^(h), spanned by the x^[nh], is isomorphic to D(k, pi') with
+# pi'_n = pi_{nh} through y^[n] -> u_n x^[nh]: the factor of
+# D = D_{<h} (x) D^(h) that _special_resolve_adic's proof uses
 # ---------------------------------------------------------------------------
 
 
@@ -451,32 +384,4 @@ def recover_pi(sc: StructureConstants, normalize: bool = False) -> PiSequence:
         values = {n: R.canonical_associate(v) for n, v in values.items()}
     out = PiSequence.custom(R, values, default=R.one())
     out.meta["recovered_up_to"] = sc.N
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Tor_1(k, k) closed form
-# ---------------------------------------------------------------------------
-
-
-def cyclic_module_invariants(ring: Ring, x) -> ModuleInvariants:
-    """Invariants of the cyclic module k/(x)."""
-    x = ring.canon(x)
-    if ring.is_unit(x):
-        return ModuleInvariants(ring, 0, ())
-    if ring.is_zero(x):
-        return ModuleInvariants(ring, 1, ())
-    return ModuleInvariants(ring, 0, (ring.canonical_associate(x),))
-
-
-def tor1_closed_form(pi: PiSequence, degree_range) -> list:
-    """Predicted graded pieces of Tor_1(k, k): degree n gives k/(pi_n).
-
-    Returns a list of (n, ModuleInvariants) for n in degree_range, skipping
-    zero pieces."""
-    out = []
-    for n in degree_range:
-        inv = cyclic_module_invariants(pi.ring, pi.pi(n))
-        if not inv.is_zero:
-            out.append((n, inv))
     return out

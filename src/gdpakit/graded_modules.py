@@ -33,10 +33,6 @@ from .gdpa import AlgebraContext, GdpaElement
 from .pi_core import c_binomial
 
 
-def default_horizon(max_relation_degree: int) -> int:
-    return 4 * (max_relation_degree + 1)
-
-
 # ---------------------------------------------------------------------------
 # free modules, homogeneous maps, presentations
 # ---------------------------------------------------------------------------
@@ -205,10 +201,6 @@ class PresentedModule:
         f0 = FreeGradedModule(context, gen_degrees)
         f1 = FreeGradedModule(context, [])
         return cls(f0, ModuleMap(f1, f0, []))
-
-    @property
-    def n_relations(self) -> int:
-        return self.relations.source.n_gens
 
     def min_degree(self) -> int:
         return min(self.generators.degrees, default=0)
@@ -428,41 +420,6 @@ def _degreewise_generators(ambient: FreeGradedModule, degree_bound: int, candida
     return out
 
 
-@dataclass
-class KernelPresentation:
-    module: PresentedModule  # presentation of the kernel itself
-    inclusion: ModuleMap  # kernel generators into the source of f
-    generator_degrees: list
-    horizon: int
-    provably_complete: bool
-
-
-def kernel_presentation(
-    f: ModuleMap,
-    degree_bound: int,
-    target_relations: ModuleMap | None = None,
-    certificate_bound: int | None = None,
-) -> KernelPresentation:
-    """Present ker(f) up to degree_bound: generators via degreewise extraction,
-    relations as the second syzygies among them (same bound).
-
-    certificate_bound: a degree t such that the generator list is provably
-    complete once the scan reaches it (e.g. the (2N+3)d bound for ideals with
-    torsion-free quotient); sets provably_complete when degree_bound >= t."""
-    gens = syzygy_generators(f, degree_bound, target_relations)
-    incl = gens.as_map()
-    second = syzygy_generators(incl, degree_bound)
-    module = PresentedModule(incl.source, second.as_map())
-    complete = certificate_bound is not None and degree_bound >= certificate_bound
-    return KernelPresentation(
-        module=module,
-        inclusion=incl,
-        generator_degrees=gens.degrees(),
-        horizon=degree_bound,
-        provably_complete=complete,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hilbert series
 # ---------------------------------------------------------------------------
@@ -564,9 +521,6 @@ class TorTable:
     max_i: int
     horizon: int
 
-    def entry(self, i: int, d: int, ring: Ring) -> ModuleInvariants:
-        return self.entries.get((i, d), ModuleInvariants(ring, 0, ()))
-
     def t(self, i: int):
         """t_i = max degree with Tor_i nonzero (None if all zero)."""
         degs = [d for (j, d) in self.entries if j == i]
@@ -614,17 +568,6 @@ def tor(M: PresentedModule, max_i: int, degree_bound: int) -> TorTable:
             if not inv.is_zero:
                 entries[(i, d)] = inv
     return TorTable(entries, max_i, degree_bound)
-
-
-def minimal_generator_degrees(M: PresentedModule) -> list:
-    """Degrees of a minimal generating set, via M / D_+ M = Tor_0(M, k):
-    the degree-d count is the size of coker of the scalar relation slice."""
-    out = []
-    for d in sorted(set(M.generators.degrees)):
-        inv = cokernel_invariants(M.relations.constant_slice(d))
-        count = inv.free_rank + len(inv.torsion_factors)
-        out.extend([d] * count)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -831,73 +774,3 @@ def torsion_submodule(
     if shrank:
         note += f" (margin artifacts eliminated within extended window {cap})"
     return TorsionReport("torsion_free", [], degree_bound, margin, certificate=note)
-
-
-# ---------------------------------------------------------------------------
-# truncations
-# ---------------------------------------------------------------------------
-
-
-def truncate_at_most(M: PresentedModule, n: int, horizon: int | None = None) -> PresentedModule:
-    """tau^{<=n}: add relations killing the monomials of degree > n.
-
-    Horizon-limited: the added relations certify vanishing on (n, horizon];
-    over coefficient rings where D_{>n} is not finitely generated (e.g.
-    classical pi over Z) no finite presentation kills all higher degrees."""
-    ctx = M.context
-    R = ctx.ring
-    if horizon is None:
-        horizon = default_horizon(max(n, M.max_presentation_degree()))
-    new_cols = list(M.relations.columns)
-    new_degs = list(M.relations.source.degrees)
-    for i, g in enumerate(M.generators.degrees):
-        kept = []
-        for t in range(max(n + 1 - g, 0), horizon - g + 1):
-            if any(R.is_unit(ctx.C(t, t2)) for t2 in kept):
-                continue
-            kept.append(t)
-            new_cols.append({i: ctx.x(t)})
-            new_degs.append(g + t)
-    return PresentedModule.from_columns(
-        ctx, list(M.generators.degrees), new_cols, new_degs
-    )
-
-
-def truncate_at_least(M: PresentedModule, n: int, horizon: int | None = None) -> PresentedModule:
-    """tau_{>=n}: the submodule of degrees >= n, presented by the monomial
-    classes in a generation window [n, n + gap] with induced relations found
-    degreewise (horizon-limited); pieces verified against M on [n, horizon]."""
-    ctx = M.context
-    if horizon is None:
-        horizon = default_horizon(max(n, M.max_presentation_degree()))
-    gap = 0
-    while True:
-        gen_degs = []
-        gen_cols = []
-        for i, g in enumerate(M.generators.degrees):
-            for d in range(max(n, g), n + gap + 1):
-                gen_degs.append(d)
-                gen_cols.append({i: ctx.x(d - g)})
-        F = FreeGradedModule(ctx, gen_degs)
-        to_M = ModuleMap(F, M.generators, gen_cols)
-        if _generates_range(to_M, M, n, horizon):
-            break
-        gap += 1
-        if n + gap > horizon:
-            raise PreconditionError(
-                f"cannot generate degrees [{n}, {horizon}] within the horizon"
-            )
-    rels = syzygy_generators(to_M, horizon, target_relations=M.relations)
-    out = PresentedModule(F, rels.as_map())
-    for d in range(n, horizon + 1):
-        if out.piece_invariants(d) != M.piece_invariants(d):
-            raise AssertionError(f"truncation pieces disagree at degree {d}")
-    return out
-
-
-def _generates_range(to_M: ModuleMap, M: PresentedModule, n: int, horizon: int) -> bool:
-    """Whether the image of to_M spans M_d (modulo relations) for n <= d <= horizon."""
-    return all(
-        cokernel_invariants(_side_by_side(to_M, M.relations, d)).is_zero
-        for d in range(n, horizon + 1)
-    )

@@ -1,4 +1,4 @@
-"""Divisible sequences, carries, pi-sequences and their invariants.
+"""Carries, pi-sequences and their invariants.
 
 A pi-sequence assigns elements pi_2, pi_3, ... of a coefficient ring (always
 with pi_1 = 0 by convention).  From it derive:
@@ -63,98 +63,6 @@ def prime_power_base(n: int):
     """Return p if n = p^s with s >= 1, else None."""
     primes = _prime_factors(n) if n >= 2 else []
     return primes[0] if len(primes) == 1 else None
-
-
-# ---------------------------------------------------------------------------
-# divisible sequences and base-b digits
-# ---------------------------------------------------------------------------
-
-
-class DivisibleSequence:
-    """A sequence 1 = b_0 | b_1 | b_2 | ... with proper divisibility.
-
-    Either finite (a tuple of terms) or extended lazily by a rule mapping the
-    previous term to the next one (or None to stop).
-    """
-
-    def __init__(self, terms, rule=None):
-        terms = [int(t) for t in terms]
-        if not terms or terms[0] != 1:
-            raise PreconditionError("divisible sequence must start with b_0 = 1")
-        for a, b in zip(terms, terms[1:]):
-            if b % a != 0 or b == a:
-                raise PreconditionError(
-                    f"b_i must properly divide b_(i+1): got {a}, {b}"
-                )
-        self._terms = terms
-        self._rule = rule
-
-    @classmethod
-    def from_powers(cls, base: int) -> "DivisibleSequence":
-        """The sequence (1, base, base^2, ...)."""
-        if base < 2:
-            raise PreconditionError("base must be >= 2")
-        return cls([1], rule=lambda prev: prev * base)
-
-    def term(self, i: int):
-        """b_i, or None if the sequence has ended before index i."""
-        while len(self._terms) <= i:
-            if self._rule is None:
-                return None
-            nxt = self._rule(self._terms[-1])
-            if nxt is None:
-                self._rule = None
-                return None
-            nxt = int(nxt)
-            if nxt % self._terms[-1] != 0 or nxt == self._terms[-1]:
-                raise PreconditionError("rule violated proper divisibility")
-            self._terms.append(nxt)
-        return self._terms[i]
-
-    def terms_up_to(self, bound: int):
-        """All terms <= bound (list)."""
-        out = []
-        i = 0
-        while True:
-            t = self.term(i)
-            if t is None or t > bound:
-                break
-            out.append(t)
-            i += 1
-        return out
-
-    def known_terms(self):
-        return tuple(self._terms)
-
-    def __repr__(self):
-        tail = ", ..." if self._rule is not None else ""
-        return f"DivisibleSequence({self._terms}{tail})"
-
-
-def base_rep(n: int, b: DivisibleSequence):
-    """Greedy base-b_bullet digits (d_0, d_1, ...) of n >= 0.
-
-    0 <= d_i < b_(i+1)/b_i, the last defined digit being unbounded when the
-    sequence is finite; sum of d_i * b_i reconstructs n.
-    """
-    if n < 0:
-        raise PreconditionError("n must be nonnegative")
-    if n == 0:
-        return []
-    terms = b.terms_up_to(n)
-    if not terms:
-        # finite sequence whose largest term exceeds n is impossible (b_0=1)
-        terms = [1]
-    k = len(terms)
-    # if the sequence continues beyond n, larger places get digit 0; if it is
-    # finite, the top digit absorbs the rest (unbounded last digit)
-    digits = [0] * k
-    rem = n
-    for i in range(k - 1, -1, -1):
-        digits[i] = rem // terms[i]
-        rem -= digits[i] * terms[i]
-    assert rem == 0
-    return digits
 
 
 def carry(k: int, n: int, m: int) -> int:
@@ -426,21 +334,6 @@ def h_transform(pi: PiSequence, h: int) -> PiSequence:
     return out
 
 
-def divisor_factorization_unique(n: int, h: int) -> bool:
-    """Check: every divisor m of n*h factors uniquely as m = d*d' with
-    d | n, d' | h and gcd(h/d', d) = 1."""
-    for m in divisors(n * h):
-        count = 0
-        for d in divisors(n):
-            if m % d == 0:
-                dp = m // d
-                if h % dp == 0 and math.gcd(h // dp, d) == 1:
-                    count += 1
-        if count != 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
@@ -533,27 +426,3 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
-
-
-# ---------------------------------------------------------------------------
-# b-sequences of ideals
-# ---------------------------------------------------------------------------
-
-
-def b_sequence_for_ideal(pi: PiSequence, ideal_generators, limit: int) -> DivisibleSequence:
-    """b_{a,0} = 1; b_{a,i+1} = the smallest n <= limit with pi_n in the ideal
-    exceeding b_{a,i}.  Verifies the divisibility invariant."""
-    R = pi.ring
-    gens = [R.canon(g) for g in ideal_generators]
-    terms = [1]
-    if R.ideal_is_unit(gens):
-        return DivisibleSequence(terms)
-    for n in range(2, limit + 1):
-        if R.ideal_contains(gens, pi.pi(n)):
-            if n % terms[-1] != 0:
-                raise PreconditionError(
-                    f"b-sequence divisibility fails at {terms[-1]}, {n}: "
-                    "pi-sequence not admissible for this ideal"
-                )
-            terms.append(n)
-    return DivisibleSequence(terms)

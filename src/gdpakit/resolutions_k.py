@@ -413,28 +413,6 @@ def _special_resolve_free_kernel(M: PresentedModule, horizon: int) -> SpecialRes
     )
 
 
-def sp1_hand_filtration(context: AlgebraContext, s: int) -> tuple:
-    """The ideal (x^[1], ..., x^[s-1]) inside D over a field with pi_s = 0,
-    filtered by D^(s)-translates: blocks M((0), s)[-j], j = 1..s-1.
-
-    Returns (ideal module, certificate)."""
-    R = context.ring
-    if not R.is_field or not R.is_zero(context.pi.pi(s)):
-        raise PreconditionError("requires a field with pi_s = 0")
-    cols = [{0: context.x(j)} for j in range(1, s)]
-    degs = list(range(1, s))
-    f0 = FreeGradedModule(context, degs)
-    # present the ideal as a module: generators x^[j], syzygies among them
-    gmap = ModuleMap(f0, FreeGradedModule(context, [0]), cols)
-    horizon = 4 * s
-    syz = syzygy_generators(gmap, horizon)
-    I = PresentedModule(f0, syz.as_map())
-    cert = SpecialFiltrationCertificate(
-        [SpecialBlock([R.zero()], s, shift=j) for j in range(1, s)]
-    )
-    return I, cert
-
-
 # ---------------------------------------------------------------------------
 # Grothendieck-class invariants: H (rank classes) and L (torsion classes)
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from gdpakit.coeff_rings import (
     Lattice,
     ModuleInvariants,
     PLocalRing,
+    PreconditionError,
     Ring,
     _coordinates,
     _lift_zmod,
@@ -19,18 +20,57 @@ from gdpakit.coeff_rings import (
     quotient_generators,
     smith_normal_form,
 )
+from gdpakit.gdpa import GdpaElement
 from gdpakit.graded_modules import (
+    FreeGradedModule,
+    ModuleMap,
     PresentedModule,
     SubmoduleGenerators,
     TorsionReport,
     _relation_columns,
     _vector_to_column,
     kernel_slice_vectors,
+    syzygy_generators,
 )
+from gdpakit.resolutions_k import SpecialBlock, SpecialFiltrationCertificate
 
 
 def _diag(D: ExactMatrix):
     return [D.entries[i][i] for i in range(min(D.rows, D.cols))]
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product a b."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    R = a.ring
+    out = ExactMatrix.zero(R, a.rows, b.cols)
+    for rowi, outi in zip(a.entries, out.entries):
+        for x, rowk in zip(rowi, b.entries):
+            if not R.is_zero(x):
+                for j, y in enumerate(rowk):
+                    if not R.is_zero(y):
+                        outi[j] = R.add(outi[j], R.mul(x, y))
+    return out
+
+
+def apply_vector(m: ExactMatrix, v) -> list:
+    """m times the column vector v (a list)."""
+    R = m.ring
+    out = []
+    for row in m.entries:
+        acc = R.zero()
+        for a, x in zip(row, v):
+            if not R.is_zero(x):
+                acc = R.add(acc, R.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def lattice_equals(a: Lattice, b: Lattice) -> bool:
+    """Whether the lattices a and b hold the same vectors."""
+    return all(b.contains(r) for r in a.rows.values()) and all(
+        a.contains(r) for r in b.rows.values())
 
 
 def solve(m: ExactMatrix, b):
@@ -44,7 +84,7 @@ def solve(m: ExactMatrix, b):
             return None
         return [R.canon(v) for v in x[: m.cols]]
     U, D, V = smith_normal_form(m)
-    c = U.apply_vector([R.canon(x) for x in b])
+    c = apply_vector(U, [R.canon(x) for x in b])
     diag = _diag(D)
     y = [R.zero()] * m.cols
     for i in range(m.rows):
@@ -60,7 +100,7 @@ def solve(m: ExactMatrix, b):
                 y[i] = R.exact_div(ci, di)
             elif not R.is_zero(ci):
                 return None
-    return V.apply_vector(y)
+    return apply_vector(V, y)
 
 
 def _snf_euclid(m: ExactMatrix):
@@ -286,7 +326,7 @@ def quotient_generators_two_snf(ring: Ring, dim: int, vectors, sub_vectors) -> l
         return basis
     U, D, _ = _snf_euclid(X)
     P, _, Q = _snf_euclid(U)
-    Uinv = Q.matmul(P)
+    Uinv = matmul(Q, P)
     diag = _diag(D)
     out = []
     r = len(basis)
@@ -386,11 +426,12 @@ def torsion_submodule_every_j(M, degree_bound: int) -> TorsionReport:
         pspan = Lattice(R, dim, M.relations.slice_columns(d))
         whole = Lattice(R, dim, ExactMatrix.identity(R, dim).entries)
         window = refine_lattice_every_j(M, d, whole, 1, margin, columns)
-        if window.equals(pspan):
+        if lattice_equals(window, pspan):
             continue
         half = refine_lattice_every_j(M, d, window, margin + 1, cap // 2, columns)
         final = refine_lattice_every_j(M, d, half, cap // 2 + 1, cap, columns)
-        if half.equals(pspan) or final.equals(pspan) or not half.equals(final):
+        if lattice_equals(half, pspan) or lattice_equals(final, pspan) \
+                or not lattice_equals(half, final):
             shrank = True
             continue
         stable.append((d, lattice_quotient_invariants(R, final, pspan)))
@@ -422,6 +463,169 @@ def syzygy_generators_every_degree(f, degree_bound: int, target_relations=None):
         for vec in quotient_generators(R, f.source.rank(d), kv, old):
             out.generators.append((d, _vector_to_column(f.source, d, vec)))
     return out
+
+
+def tor_entry(table, i: int, d: int, ring: Ring) -> ModuleInvariants:
+    """Tor_i(M, k)_d of a TorTable, 0 where the table holds no entry."""
+    return table.entries.get((i, d), ModuleInvariants(ring, 0, ()))
+
+
+def cyclic_module_invariants(ring: Ring, x) -> ModuleInvariants:
+    """Invariants of the cyclic module k/(x)."""
+    x = ring.canon(x)
+    if ring.is_unit(x):
+        return ModuleInvariants(ring, 0, ())
+    if ring.is_zero(x):
+        return ModuleInvariants(ring, 1, ())
+    return ModuleInvariants(ring, 0, (ring.canonical_associate(x),))
+
+
+def tor1_closed_form(pi, degree_range) -> list:
+    """Predicted graded pieces of Tor_1(k, k): degree n gives k/(pi_n).
+
+    Returns a list of (n, ModuleInvariants) for n in degree_range, skipping
+    zero pieces."""
+    out = []
+    for n in degree_range:
+        inv = cyclic_module_invariants(pi.ring, pi.pi(n))
+        if not inv.is_zero:
+            out.append((n, inv))
+    return out
+
+
+def sp1_hand_filtration(context, s: int) -> tuple:
+    """The ideal (x^[1], ..., x^[s-1]) inside D over a field with pi_s = 0,
+    filtered by D^(s)-translates: blocks M((0), s)[-j], j = 1..s-1.
+
+    Returns (ideal module, certificate)."""
+    R = context.ring
+    if not R.is_field or not R.is_zero(context.pi.pi(s)):
+        raise PreconditionError("requires a field with pi_s = 0")
+    cols = [{0: context.x(j)} for j in range(1, s)]
+    degs = list(range(1, s))
+    f0 = FreeGradedModule(context, degs)
+    # present the ideal as a module: generators x^[j], syzygies among them
+    gmap = ModuleMap(f0, FreeGradedModule(context, [0]), cols)
+    syz = syzygy_generators(gmap, 4 * s)
+    I = PresentedModule(f0, syz.as_map())
+    cert = SpecialFiltrationCertificate(
+        [SpecialBlock([R.zero()], s, shift=j) for j in range(1, s)]
+    )
+    return I, cert
+
+
+# ---------------------------------------------------------------------------
+# the carry rule over a field
+# ---------------------------------------------------------------------------
+
+
+class DivisibleSequence:
+    """A sequence 1 = b_0 | b_1 | b_2 | ... with proper divisibility.
+
+    Either finite (a tuple of terms) or extended lazily by a rule mapping the
+    previous term to the next one (or None to stop).
+    """
+
+    def __init__(self, terms, rule=None):
+        terms = [int(t) for t in terms]
+        if not terms or terms[0] != 1:
+            raise PreconditionError("divisible sequence must start with b_0 = 1")
+        for a, b in zip(terms, terms[1:]):
+            if b % a != 0 or b == a:
+                raise PreconditionError(
+                    f"b_i must properly divide b_(i+1): got {a}, {b}"
+                )
+        self._terms = terms
+        self._rule = rule
+
+    def term(self, i: int):
+        """b_i, or None if the sequence has ended before index i."""
+        while len(self._terms) <= i:
+            if self._rule is None:
+                return None
+            nxt = self._rule(self._terms[-1])
+            if nxt is None:
+                self._rule = None
+                return None
+            nxt = int(nxt)
+            if nxt % self._terms[-1] != 0 or nxt == self._terms[-1]:
+                raise PreconditionError("rule violated proper divisibility")
+            self._terms.append(nxt)
+        return self._terms[i]
+
+    def terms_up_to(self, bound: int):
+        """All terms <= bound (list)."""
+        out = []
+        i = 0
+        while True:
+            t = self.term(i)
+            if t is None or t > bound:
+                break
+            out.append(t)
+            i += 1
+        return out
+
+    def __repr__(self):
+        tail = ", ..." if self._rule is not None else ""
+        return f"DivisibleSequence({self._terms}{tail})"
+
+
+def base_rep(n: int, b: DivisibleSequence):
+    """Greedy base-b_bullet digits (d_0, d_1, ...) of n >= 0.
+
+    0 <= d_i < b_(i+1)/b_i, the last defined digit being unbounded when the
+    sequence is finite; sum of d_i * b_i reconstructs n.
+    """
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
+    if n == 0:
+        return []
+    terms = b.terms_up_to(n)
+    # if the sequence continues beyond n, larger places get digit 0; if it is
+    # finite, the top digit absorbs the rest (unbounded last digit)
+    digits = [0] * len(terms)
+    rem = n
+    for i in range(len(terms) - 1, -1, -1):
+        digits[i] = rem // terms[i]
+        rem -= digits[i] * terms[i]
+    assert rem == 0
+    return digits
+
+
+def base_carry_count(n: int, m: int, b: DivisibleSequence) -> int:
+    """Number of places where the base-b digits of n and m do not add up to
+    those of n + m (0 means the addition carries nowhere)."""
+    dn, dm, ds = base_rep(n, b), base_rep(m, b), base_rep(n + m, b)
+    k = max(len(dn), len(dm), len(ds))
+
+    def pad(digits):
+        return digits + [0] * (k - len(digits))
+
+    return sum(x + y != z for x, y, z in zip(pad(dn), pad(dm), pad(ds)))
+
+
+def field_multiply_by_carries(e1: GdpaElement, e2: GdpaElement) -> GdpaElement:
+    """The product e1 e2 over a field by the carry rule.
+
+    Over a field the zeros of an admissible pi form a divisible sequence b
+    (1, then the n with pi_n = 0), and x^[n] x^[m] = x^[n+m] if adding n
+    and m in base b produces no carry, and 0 otherwise.  b is read up to
+    the top degree of the product, the largest term base_rep can use.  Must
+    agree with GdpaElement.mul up to units, and exactly when pi takes
+    values in {0, 1}."""
+    ctx = e1.context
+    R = ctx.ring
+    if not R.is_field:
+        raise PreconditionError("carry multiplication requires a field")
+    top = max(e1.terms, default=0) + max(e2.terms, default=0)
+    b = DivisibleSequence([1] + ctx.pi.zero_degrees(top))
+    out: dict[int, object] = {}
+    for n, cn in e1.terms.items():
+        for m, cm in e2.terms.items():
+            if base_carry_count(n, m, b) == 0:
+                d = n + m
+                out[d] = R.add(out.get(d, R.zero()), R.mul(cn, cm))
+    return GdpaElement(ctx, out)
 
 
 def random_field_module(ctx, rng):

