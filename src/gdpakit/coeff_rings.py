@@ -96,9 +96,6 @@ class Ring:
     def add(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def neg(self, a):
         raise NotImplementedError
 
@@ -229,9 +226,6 @@ class NumberRing(Ring):
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def neg(self, a):
         return -a
@@ -389,9 +383,6 @@ class IntegersModRing(Ring):
 
     def add(self, a, b):
         return (a + b) % self.n
-
-    def sub(self, a, b):
-        return (a - b) % self.n
 
     def neg(self, a):
         return (-a) % self.n

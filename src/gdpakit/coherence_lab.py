@@ -314,9 +314,8 @@ class BivariateElement:
         )
 
 
-def bi_monomial(context: AlgebraContext, a: int, b: int, coeff=None) -> BivariateElement:
-    c = coeff if coeff is not None else context.ring.one()
-    return BivariateElement(context, {(a, b): c})
+def bi_monomial(context: AlgebraContext, a: int, b: int) -> BivariateElement:
+    return BivariateElement(context, {(a, b): context.ring.one()})
 
 
 def bivariate_xy_syzygy_generators(context: AlgebraContext, box: int):

@@ -28,19 +28,19 @@ class NotAGdpaError(ValueError):
 class AlgebraContext:
     """A coefficient ring together with a pi-sequence: the algebra D(k, pi).
 
-    Admissibility is verified to ``admissibility_horizon`` at construction
-    and to the bound of each :meth:`dplus_generator_degrees` call (or
-    declared by family, e.g. the symbolic cyclotomic sequence), once per
-    bound past the largest one verified, as the verdict depends on pi alone.
+    Admissibility is verified to 24 at construction and to the bound of
+    each :meth:`dplus_generator_degrees` call (or declared by family, e.g.
+    the symbolic cyclotomic sequence), once per bound past the largest one
+    verified, as the verdict depends on pi alone.
     """
 
-    def __init__(self, pi: PiSequence, admissibility_horizon: int = 24):
+    def __init__(self, pi: PiSequence):
         self.ring = pi.ring
         self.pi = pi
         # the largest bound pi is known to be admissible up to: the verdict
         # depends on pi alone, so no bound up to it is checked again
         self._admissible_to = 0
-        self.require_admissible(admissibility_horizon)
+        self.require_admissible(24)
 
     def require_admissible(self, up_to: int):
         """Raise PreconditionError naming the first violating pair unless pi
@@ -117,9 +117,6 @@ class GdpaElement:
         for n, c in other.terms.items():
             out[n] = R.add(out.get(n, R.zero()), c)
         return GdpaElement(self.context, out)
-
-    def sub(self, other: "GdpaElement") -> "GdpaElement":
-        return self.add(other.scale(self.context.ring.from_int(-1)))
 
     def scale(self, c) -> "GdpaElement":
         R = self.context.ring

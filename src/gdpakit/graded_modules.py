@@ -19,7 +19,6 @@ from .coeff_rings import (
     ModuleInvariants,
     PreconditionError,
     Ring,
-    _kernel_heads,
     _quotient_generators,
     _quotient_invariants,
     _smith,
@@ -121,6 +120,8 @@ class ModuleMap:
             clean = {}
             for i, e in col.items():
                 i = int(i)
+                if not 0 <= i < target.n_gens:
+                    raise PreconditionError(f"entry ({i},{j}): no target generator {i}")
                 if e.is_zero:
                     continue
                 t = source.degrees[j] - target.degrees[i]
@@ -195,12 +196,6 @@ class PresentedModule:
         f0 = FreeGradedModule(context, gen_degrees)
         f1 = FreeGradedModule(context, relation_degrees)
         return cls(f0, ModuleMap(f1, f0, relation_columns))
-
-    @classmethod
-    def free(cls, context, gen_degrees) -> "PresentedModule":
-        f0 = FreeGradedModule(context, gen_degrees)
-        f1 = FreeGradedModule(context, [])
-        return cls(f0, ModuleMap(f1, f0, []))
 
     def min_degree(self) -> int:
         return min(self.generators.degrees, default=0)
@@ -306,46 +301,21 @@ def _vector_to_column(ambient: FreeGradedModule, d: int, vec) -> dict:
     return col
 
 
-def kernel_slice_vectors(f: ModuleMap, d: int, target_relations: ModuleMap | None = None):
-    """Generating vectors (source coordinates at degree d) of the kernel of
-    the degree-d slice of f, into the target modulo target_relations."""
-    if target_relations is None or not target_relations.source.n_gens:
-        return kernel_basis(f.slice(d))
-    kernel = kernel_basis(_side_by_side(f, target_relations, d))
-    return _kernel_heads(f.context.ring, kernel, f.source.rank(d))
-
-
-def _side_by_side(f: ModuleMap, g: ModuleMap, d: int) -> ExactMatrix:
-    """[f_d | g_d]: the degree-d slices of two maps into one target."""
-    columns = f.slice_columns(d) + g.slice_columns(d)
-    return ExactMatrix.from_columns(f.context.ring, columns, f.target.rank(d))
-
-
-def syzygy_generators(
-    f: ModuleMap, degree_bound: int, target_relations: ModuleMap | None = None
-) -> SubmoduleGenerators:
+def syzygy_generators(f: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
     """Minimal generators (over fields and PIDs; a generating set over Z/n)
     of ker(f) up to degree_bound, degree by degree.
 
-    With target_relations, computes the kernel of the induced map into the
-    presented quotient of the target (the result then contains the source
-    classes mapping into the relation submodule).
-
-    Without them, over a field or a PID (Z, Z_(p), Q, GF(p)), and with one
-    target generator, each degree-d slice of f is one row r in R^m.  The
-    images S of the generators found below lie in K = ker(r), as x^[j]
-    times a syzygy is a syzygy, and a degree is skipped, with no kernel and
-    no quotient, when :func:`_spans_row_kernel` finds S = K by an index
-    test on the echelon basis of S, with its proof.  This changes no
-    output: the quotient K / S is then 0, so no generator would be found.
-    Every other case (Z/n, several target generators, target_relations)
-    takes the kernel in every degree."""
+    Over a field or a PID (Z, Z_(p), Q, GF(p)), and with one target
+    generator, each degree-d slice of f is one row r in R^m.  The images S
+    of the generators found below lie in K = ker(r), as x^[j] times a
+    syzygy is a syzygy, and a degree is skipped, with no kernel and no
+    quotient, when :func:`_spans_row_kernel` finds S = K by an index test
+    on the echelon basis of S, with its proof.  This changes no output: the
+    quotient K / S is then 0, so no generator would be found.  Every other
+    case (Z/n, several target generators) takes the kernel of the slice in
+    every degree."""
     R = f.context.ring
-    one_row = (
-        (target_relations is None or not target_relations.source.n_gens)
-        and f.target.n_gens == 1
-        and R.is_pid
-    )
+    one_row = f.target.n_gens == 1 and R.is_pid
     ideal_generator = R._echelon.generator
 
     def candidates(d, old):
@@ -353,7 +323,7 @@ def syzygy_generators(
             _, sub = old(d)
             if _spans_row_kernel(ideal_generator, [col[0] for col in f.slice_columns(d)], sub):
                 return []
-        return kernel_slice_vectors(f, d, target_relations)
+        return kernel_basis(f.slice(d))
 
     return _degreewise_generators(f.source, degree_bound, candidates)
 
@@ -521,11 +491,6 @@ class TorTable:
     max_i: int
     horizon: int
 
-    def t(self, i: int):
-        """t_i = max degree with Tor_i nonzero (None if all zero)."""
-        degs = [d for (j, d) in self.entries if j == i]
-        return max(degs, default=None)
-
     def to_json(self):
         return {
             "max_i": self.max_i,
@@ -688,9 +653,7 @@ def _relation_columns(M: PresentedModule):
     return cache(lambda e: [read(col) for col in M.relations.slice_columns(e)])
 
 
-def torsion_submodule(
-    M: PresentedModule, degree_bound: int, margin: int | None = None
-) -> TorsionReport:
+def torsion_submodule(M: PresentedModule, degree_bound: int) -> TorsionReport:
     """Detect classes m with x^[j] m = 0 for all large j (torsion), degreewise.
 
     A degree-d class is a candidate when x^[j] m lies in the relation
@@ -699,7 +662,7 @@ def torsion_submodule(
     free classes satisfy long windows and only escape at p-power-aligned j);
     so the search runs on past the margin, up to a cap that scales with the
     degree bound.  D acts through degree differences, so both read degrees
-    relative to dmin, the lowest generator degree: the default margin is
+    relative to dmin, the lowest generator degree: the margin is
     max(4, top presentation degree - dmin + 1), and the cap is
     max(4 margin, 2^(b + 1)), b the bit length of degree_bound - dmin +
     margin - 1; a module and its shift get the same margin, cap and report.
@@ -733,8 +696,7 @@ def torsion_submodule(
     qualified by the scanned bound and margins."""
     ctx = M.context
     R = ctx.ring
-    if margin is None:
-        margin = max(4, M.max_presentation_degree() - M.min_degree() + 1)
+    margin = max(4, M.max_presentation_degree() - M.min_degree() + 1)
     cap = max(4 * margin, 2 * (1 << (degree_bound - M.min_degree() + margin - 1).bit_length()))
     certified = R.is_field and ctx.pi.is_zero_free()
     stable = []

@@ -29,7 +29,6 @@ from gdpakit.graded_modules import (
     TorsionReport,
     _relation_columns,
     _vector_to_column,
-    kernel_slice_vectors,
     syzygy_generators,
 )
 from gdpakit.resolutions_k import SpecialBlock, SpecialFiltrationCertificate
@@ -116,17 +115,17 @@ def _snf_euclid(m: ExactMatrix):
         if R.is_zero(q):
             return
         for t in range(nc):
-            A[i][t] = R.sub(A[i][t], R.mul(q, A[j][t]))
+            A[i][t] = R.add(A[i][t], R.neg(R.mul(q, A[j][t])))
         for t in range(nr):
-            U[i][t] = R.sub(U[i][t], R.mul(q, U[j][t]))
+            U[i][t] = R.add(U[i][t], R.neg(R.mul(q, U[j][t])))
 
     def col_sub(i, j, q):  # col_i -= q * col_j  (on A and V)
         if R.is_zero(q):
             return
         for t in range(nr):
-            A[t][i] = R.sub(A[t][i], R.mul(q, A[t][j]))
+            A[t][i] = R.add(A[t][i], R.neg(R.mul(q, A[t][j])))
         for t in range(nc):
-            V[t][i] = R.sub(V[t][i], R.mul(q, V[t][j]))
+            V[t][i] = R.add(V[t][i], R.neg(R.mul(q, V[t][j])))
 
     def swap_rows(i, j):
         if i != j:
@@ -448,21 +447,45 @@ def torsion_submodule_every_j(M, degree_bound: int) -> TorsionReport:
     return TorsionReport("torsion_free", [], degree_bound, margin, certificate=note)
 
 
-def syzygy_generators_every_degree(f, degree_bound: int, target_relations=None):
+def syzygy_generators_every_degree(f, degree_bound: int):
     """gdpakit's syzygy_generators as it was before one-row slices stopped
     at index 1: in every degree, the kernel of the slice and the quotient of
     it by the images of the generators found below."""
     R = f.context.ring
     out = SubmoduleGenerators(f.source, [], degree_bound)
     for d in range(min(f.source.degrees, default=0), degree_bound + 1):
-        kv = [v for v in kernel_slice_vectors(f, d, target_relations)
-              if any(not R.is_zero(x) for x in v)]
+        kv = [v for v in kernel_basis(f.slice(d)) if any(not R.is_zero(x) for x in v)]
         if not kv:
             continue
         old = out.generator_slice_vectors(d)
         for vec in quotient_generators(R, f.source.rank(d), kv, old):
             out.generators.append((d, _vector_to_column(f.source, d, vec)))
     return out
+
+
+def piece_order_by_closure(M, d: int) -> int:
+    """|M_d| for M over Z/n (GF(p) included), counted with no Smith form, no
+    Lattice and no slice: n^rank / |R_d|, R_d the subgroup of (Z/n)^rank
+    generated by x^[d - r] * rel over the relations rel of degree r <= d
+    (D_s has rank 1), found by closure under addition.  The products are
+    GdpaElement products, and coordinate i is the coefficient of
+    x^[d - g_i] in entry i."""
+    n = M.context.ring.n
+    gens = [i for i, g in enumerate(M.generators.degrees) if g <= d]
+    step = M.context.x
+    group = {(0,) * len(gens)}
+    for r, col in zip(M.relations.source.degrees, M.relations.columns):
+        if r > d:
+            continue
+        image = {i: step(d - r).mul(e) for i, e in col.items()}
+        v = tuple(image[i].coeff(d - M.generators.degrees[i]) if i in image else 0
+                  for i in gens)
+        new = list(group)
+        while new:
+            new = [w for w in {tuple((a + b) % n for a, b in zip(u, v)) for u in new}
+                   if w not in group]
+            group.update(new)
+    return n ** len(gens) // len(group)
 
 
 def tor_entry(table, i: int, d: int, ring: Ring) -> ModuleInvariants:

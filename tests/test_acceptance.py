@@ -15,12 +15,9 @@ from gdpakit.coherence_lab import (
 )
 from gdpakit.gdpa import AlgebraContext, StructureConstants, recover_pi
 from gdpakit.graded_modules import (
-    FreeGradedModule,
-    ModuleMap,
     PresentedModule,
     fit_matches_principal_special,
     hilbert_series,
-    principal_special_module,
     rational_fit,
     tor,
     torsion_submodule,
@@ -39,9 +36,7 @@ from gdpakit.pi_core import (
 from gdpakit.resolutions_k import (
     SpecialBlock,
     check_mah_relation,
-    h_invariant,
     ktors_demo,
-    l_invariant,
     make_special,
     special_resolve_field,
 )

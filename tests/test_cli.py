@@ -155,6 +155,14 @@ MALFORMED_INT_MODULES = [
     _module_json_with(relations=[{"0": {"terms": [[1.9, "2"]]}, "1": {"terms": [[0, "1"]]}}]),
     _module_json_with(context={"family": "gcd_morphic", "a": [1.5, 2.7, 3]}),
 ]
+# a relation entry at a generator index the module does not have: "5" used
+# to end in an IndexError traceback, and "-1" wrapped to the last generator
+# and ended in a KeyError traceback at slice time
+OUT_OF_RANGE_MODULES = [
+    json.dumps({"context": {"family": "classical", "ring": {"ring": "Z"}}, "generators": [0],
+                "relation_degrees": [1], "relations": [{key: {"terms": [[1, "1"]]}}]})
+    for key in ("5", "-1")
+]
 MALFORMED_INT_SPECS = ['{"chain": [[2], [1]], "d": 1.9}', '{"chain": [[2], [1]], "d": true}']
 
 
@@ -461,13 +469,15 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize(
         "module",
-        ['{"foo": 1}', "[1]", '{"context": {"ring": {"ring": "Z"}}}', *MALFORMED_INT_MODULES],
+        ['{"foo": 1}', "[1]", '{"context": {"ring": {"ring": "Z"}}}', *MALFORMED_INT_MODULES,
+         *OUT_OF_RANGE_MODULES],
     )
     def test_malformed_module_json_rejected(self, runner, module):
         res = runner.invoke(main, ["torsion", "--module", module])
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("error: malformed --module: ")
+        assert res.stderr.count("\n") == 1
 
     def test_malformed_module_relations_rejected(self, runner):
         ctx = AlgebraContext(PiSequence.all_ones(QQ))

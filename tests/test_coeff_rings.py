@@ -234,29 +234,22 @@ def test_plocal_elements():
     ],
 )
 def test_number_ring_fast_paths_match_generic(ring, elts):
-    # zero/one/is_zero/sub of Z, Q, Z_(p) agree with the Ring definitions,
-    # which canonicalize 0 and 1 and subtract through add and neg
+    # zero/one/is_zero of Z, Q, Z_(p) agree with the Ring definitions,
+    # which canonicalize 0 and 1
     for fast, generic in ((ring.zero(), Ring.zero(ring)), (ring.one(), Ring.one(ring))):
         assert fast == generic and type(fast) is type(generic)
     for a in elts:
         a = ring.canon(a)
         assert ring.is_zero(a) == (a == Ring.zero(ring))
-        for b in elts:
-            b = ring.canon(b)
-            fast, generic = ring.sub(a, b), Ring.sub(ring, a, b)
-            assert fast == generic and type(fast) is type(generic)
 
 
 @pytest.mark.parametrize("ring", [GF(3), Zmod(4), Zmod(6)])
 def test_zmod_fast_paths_match_generic(ring):
-    # zero/one/is_zero/sub of Z/n agree with the Ring definitions
+    # zero/one/is_zero of Z/n agree with the Ring definitions
     for fast, generic in ((ring.zero(), Ring.zero(ring)), (ring.one(), Ring.one(ring))):
         assert fast == generic and type(fast) is type(generic)
     for a in range(ring.n):
         assert ring.is_zero(a) == Ring.is_zero(ring, a)
-        for b in range(ring.n):
-            fast, generic = ring.sub(a, b), Ring.sub(ring, a, b)
-            assert fast == generic and type(fast) is type(generic)
 
 
 def test_matrix_zero_rows_are_distinct_and_constructor_canonicalizes():
@@ -925,7 +918,7 @@ class _RingOpLattice(Lattice):
                 q, v[p] = R.quo_rem(v[p], r[p])
                 if not R.is_zero(q):
                     for t in range(p + 1, dim):
-                        v[t] = R.sub(v[t], R.mul(q, r[t]))
+                        v[t] = R.add(v[t], R.neg(R.mul(q, r[t])))
                 if R.is_zero(v[p]):
                     break
                 rows[p], v, r = v, r, v
@@ -947,7 +940,7 @@ class _RingOpLattice(Lattice):
                 return None
             out[p] = q
             for t in range(p + 1, dim):
-                v[t] = R.sub(v[t], R.mul(q, r[t]))
+                v[t] = R.add(v[t], R.neg(R.mul(q, r[t])))
         return out
 
 

@@ -149,7 +149,7 @@ class TestFiltrationCertificates:
         # rank-1 F0_d, so each degree's piece comes from the memo of degree
         # 0.  A certificate that misses only degree 5 must fail there.
         ctx = classical_ctx(GF(2))
-        M = PresentedModule.free(ctx, [0])
+        M = PresentedModule.from_columns(ctx, [0], [], [])
         blocks = [SpecialBlock([GF(2).zero()], 9, shift=s) for s in range(9)]
         assert verify_special_filtration(M, SpecialFiltrationCertificate(blocks), 8) == (True, None)
         bad = SpecialFiltrationCertificate([b for b in blocks if b.shift != 5])
@@ -368,7 +368,7 @@ def test_special_gfp_recipe_matches_reference_at_horizon_80():
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("horizon", [0, 1, 8, 40])
 def test_module_without_generators_resolves(p, horizon):
-    M = PresentedModule.free(classical_ctx(GF(p)), [])
+    M = PresentedModule.from_columns(classical_ctx(GF(p)), [], [], [])
     res = special_resolve_field(M, horizon=horizon)
     assert res.r == 0 and res.certificate.blocks == []
     assert res.to_json() == _reference_resolve_adic(M, res.h, horizon).to_json()
@@ -432,7 +432,7 @@ class TestSpecialResolveAdic:
     def test_free_module_decomposes(self):
         # D = D^(2) tensor D_{<2} over GF(2): blocks M((0),2) at shifts 0, 1
         ctx = classical_ctx(GF(2))
-        res = special_resolve_field(PresentedModule.free(ctx, [0]), horizon=20)
+        res = special_resolve_field(PresentedModule.from_columns(ctx, [0], [], []), horizon=20)
         assert res.r == 0
         assert sorted(b.shift for b in res.certificate.blocks) == [0, 1]
         assert all(b.h == 2 and b.multiplicity == 1 for b in res.certificate.blocks)
@@ -491,7 +491,7 @@ class TestSpecialResolveFreeKernel:
 
     def test_already_free(self):
         ctx = all_ones_ctx(QQ)
-        res = special_resolve_field(PresentedModule.free(ctx, [0, 2]), horizon=16)
+        res = special_resolve_field(PresentedModule.from_columns(ctx, [0, 2], [], []), horizon=16)
         assert res.r == 0
         assert sorted(b.shift for b in res.certificate.blocks) == [0, 2]
         # a zero relation leaves the module free on its generators: D with
@@ -500,9 +500,9 @@ class TestSpecialResolveFreeKernel:
         gf5 = all_ones_ctx(GF(5))
         for M, free in (
             (make_special(classical_ctx(QQ), SpecialBlock([QQ.zero()], 1)),
-             PresentedModule.free(classical_ctx(QQ), [0])),
+             PresentedModule.from_columns(classical_ctx(QQ), [0], [], [])),
             (PresentedModule.from_columns(gf5, [0, 2], [{}], [3]),
-             PresentedModule.free(gf5, [0, 2])),
+             PresentedModule.from_columns(gf5, [0, 2], [], [])),
         ):
             assert M.relations.source.n_gens == 1
             want = special_resolve_field(free, horizon=16).to_json()
@@ -511,7 +511,7 @@ class TestSpecialResolveFreeKernel:
     def test_requires_field(self):
         ctx = classical_ctx(ZZ)
         with pytest.raises(PreconditionError):
-            special_resolve_field(PresentedModule.free(ctx, [0]), horizon=10)
+            special_resolve_field(PresentedModule.from_columns(ctx, [0], [], []), horizon=10)
 
 
 class TestMinimalImageGenerators:
@@ -529,7 +529,7 @@ class TestMinimalImageGenerators:
 class TestHInvariant:
     def test_free_rank_stream(self):
         ctx = classical_ctx(ZZ)
-        H = h_invariant(PresentedModule.free(ctx, [0]), 20)
+        H = h_invariant(PresentedModule.from_columns(ctx, [0], [], []), 20)
         assert all(H.coeff(d) == 1 for d in range(0, 21))
         assert H.fit is not None and H.fit["period"] == 1 and H.fit["block"] == [1]
 
@@ -560,7 +560,7 @@ class TestHInvariant:
 class TestLInvariant:
     def test_free_module_has_zero_l(self):
         ctx = classical_ctx(Zloc(2))
-        L = l_invariant(PresentedModule.free(ctx, [0]), horizon=8)
+        L = l_invariant(PresentedModule.from_columns(ctx, [0], [], []), horizon=8)
         assert L.is_zero()
         assert L.complete
 
@@ -599,7 +599,7 @@ class TestLInvariant:
     def test_requires_z_or_local(self):
         ctx = classical_ctx(GF(2))
         with pytest.raises(PreconditionError):
-            l_invariant(PresentedModule.free(ctx, [0]), horizon=6)
+            l_invariant(PresentedModule.from_columns(ctx, [0], [], []), horizon=6)
 
 
 class TestKtorsDemo:
