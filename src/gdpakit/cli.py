@@ -338,8 +338,8 @@ def tor_cmd(load_module, max_i, horizon, out):
         "entries": {f"{i},{d}": inv.to_json()
                     for (i, d), inv in sorted(table.entries.items())},
     }
-    emit(data, out, [f"Tor_{i}(M,k)_{d} = {inv!r}"
-                     for (i, d), inv in sorted(table.entries.items())])
+    lines = [f"Tor_{i}(M,k)_{d} = {inv!r}" for (i, d), inv in sorted(table.entries.items())]
+    emit(data, out, lines or [f"Tor_i(M,k)_d = 0 for i <= {max_i}, d <= {horizon}"])
 
 
 @main.command()

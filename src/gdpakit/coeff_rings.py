@@ -75,7 +75,8 @@ class Ring:
 
     Subclasses define canonical value representations and the arithmetic /
     divisibility protocol used by the linear algebra layer. Instances are
-    immutable and hashable; all operations are pure functions.
+    immutable and hashable; all operations are pure functions.  Exact
+    division is not in the protocol: it is Z[q]'s alone (IntPolyRing).
     """
 
     kind: str = "?"
@@ -129,10 +130,6 @@ class Ring:
 
     def divides(self, a, b) -> bool:
         """Whether a | b."""
-        raise NotImplementedError
-
-    def exact_div(self, b, a):
-        """b / a, assuming a | b (raises if not)."""
         raise NotImplementedError
 
     def unit_and_canonical(self, a):
@@ -261,11 +258,6 @@ class IntegerRing(NumberRing):
             return b == 0
         return b % a == 0
 
-    def exact_div(self, b, a):
-        if not self.divides(a, b):
-            raise ValueError(f"{a} does not divide {b} in Z")
-        return 0 if b == 0 else b // a
-
     def unit_and_canonical(self, a):
         if a < 0:
             return -1, -a
@@ -325,13 +317,6 @@ class RationalField(NumberRing):
 
     def divides(self, a, b):
         return a != 0 or b == 0
-
-    def exact_div(self, b, a):
-        if a == 0:
-            if b == 0:
-                return _FRACTION_ZERO
-            raise ValueError("0 does not divide a nonzero element")
-        return Fraction(b) / a
 
     def unit_and_canonical(self, a):
         if a == 0:
@@ -402,16 +387,6 @@ class IntegersModRing(Ring):
     def divides(self, a, b):
         g = math.gcd(a % self.n, self.n)
         return (b % self.n) % g == 0
-
-    def exact_div(self, b, a):
-        a %= self.n
-        b %= self.n
-        g = math.gcd(a, self.n)
-        if b % g:
-            raise ValueError(f"{a} does not divide {b} in Z/{self.n}")
-        m = self.n // g
-        c = (b // g) * pow(a // g, -1, m) % m
-        return c
 
     def unit_and_canonical(self, a):
         a %= self.n
@@ -516,11 +491,6 @@ class PLocalRing(NumberRing):
             return True
         return self.valuation(a) <= self.valuation(b)
 
-    def exact_div(self, b, a):
-        if not self.divides(a, b):
-            raise ValueError(f"{a} does not divide {b} in Z_({self.p})")
-        return _FRACTION_ZERO if b == 0 else Fraction(b) / a
-
     def unit_and_canonical(self, a):
         if a == 0:
             return _FRACTION_ONE, _FRACTION_ZERO
@@ -564,7 +534,8 @@ class PLocalRing(NumberRing):
 
 
 class IntPolyRing(Ring):
-    """Z[q]: integer polynomials in one variable.  Ring arithmetic only."""
+    """Z[q]: integer polynomials in one variable.  Ring arithmetic only, and
+    exact division, for the quotients of :func:`cyclotomic_poly`."""
 
     kind = "ZPoly"
     is_pid = False
@@ -920,24 +891,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "ExactMatrix":
         return cls._from_canonical(ring, _identity(n, ring.one(), ring.zero()), n, n)
-
-    def eq(self, other: "ExactMatrix") -> bool:
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.ring.eq(self.entries[i][j], other.entries[i][j])
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
-
-    def to_json(self):
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[self.ring.to_str(x) for x in row] for row in self.entries],
-        }
 
     def __repr__(self):
         return f"ExactMatrix({self.ring.describe()}, {self.entries})"

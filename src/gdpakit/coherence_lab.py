@@ -302,9 +302,6 @@ class BivariateElement:
                 out[key] = R.add(out.get(key, R.zero()), coeff)
         return BivariateElement(ctx, out)
 
-    def eq(self, other: "BivariateElement") -> bool:
-        return self.add(other.scale(self.context.ring.from_int(-1))).is_zero
-
     def __repr__(self):
         R = self.context.ring
         if self.is_zero:

@@ -50,9 +50,6 @@ class AlgebraContext:
     def C(self, n: int, m: int):
         return c_binomial(self.pi, n, m)
 
-    def one(self) -> "GdpaElement":
-        return GdpaElement(self, {0: self.ring.one()})
-
     def x(self, n: int, coeff=None) -> "GdpaElement":
         c = self.ring.one() if coeff is None else self.ring.canon(coeff)
         return GdpaElement(self, {n: c})

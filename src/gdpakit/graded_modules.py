@@ -170,15 +170,6 @@ class ModuleMap:
                     m.entries[r][c] = e.coeff(0)
         return m
 
-    def to_json(self):
-        return {
-            "source_degrees": list(self.source.degrees),
-            "target_degrees": list(self.target.degrees),
-            "columns": [
-                {str(i): e.to_json() for i, e in col.items()} for col in self.columns
-            ],
-        }
-
 
 class PresentedModule:
     """A finitely presented graded module F0 / im(F1 -> F0)."""
@@ -491,28 +482,13 @@ class TorTable:
     max_i: int
     horizon: int
 
-    def to_json(self):
-        return {
-            "max_i": self.max_i,
-            "horizon": self.horizon,
-            "entries": [
-                [i, d, inv.to_json()] for (i, d), inv in sorted(self.entries.items())
-            ],
-        }
-
 
 def free_resolution(M: PresentedModule, steps: int, degree_bound: int):
     """Maps d_1, ..., d_steps of a degreewise free resolution of M, built by
     repeated syzygy extraction (exact in all degrees <= degree_bound)."""
     maps = [M.relations]
     for _ in range(1, steps):
-        prev = maps[-1]
-        if prev.source.n_gens == 0:
-            zero_src = FreeGradedModule(M.context, [])
-            maps.append(ModuleMap.zero(zero_src, prev.source))
-            continue
-        syz = syzygy_generators(prev, degree_bound)
-        maps.append(syz.as_map())
+        maps.append(syzygy_generators(maps[-1], degree_bound).as_map())
     return maps
 
 
@@ -547,15 +523,6 @@ class TorsionReport:
     horizon: int
     margin: int
     certificate: str | None = None
-
-    def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "candidates": [[d, inv.to_json()] for d, inv in self.candidates],
-            "horizon": self.horizon,
-            "margin": self.margin,
-            "certificate": self.certificate,
-        }
 
 
 def _rank_and_delta(R: Ring, vectors, dim: int):

@@ -122,7 +122,6 @@ class PiSequence:
         self._memo: dict[int, object] = {}
         self._c_memo: dict[tuple, object] = {}
         self._a_memo: dict[int, object] = {}
-        self._A_memo: dict[int, object] = {}
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -272,14 +271,9 @@ def A_invariant(pi: PiSequence, n: int):
     if n < 0:
         raise PreconditionError("A(n) requires n >= 0")
     R = pi.ring
-    known = max((k for k in pi._A_memo if k <= n), default=None)
-    acc = pi._A_memo[known] if known is not None else R.one()
-    start = (known or 0) + 1
-    for k in range(start, n + 1):
+    acc = R.one()
+    for k in range(1, n + 1):
         acc = R.mul(acc, a_invariant(pi, k))
-        pi._A_memo[k] = acc
-    if n == 0:
-        return R.one()
     return acc
 
 

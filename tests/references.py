@@ -1,8 +1,12 @@
 """Reference algorithms the tests compare gdpakit against, and the input
 recipes that several test files draw from."""
 
+import itertools
 import math
 from fractions import Fraction
+
+import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from gdpakit.coeff_rings import (
     ExactMatrix,
@@ -96,7 +100,7 @@ def solve(m: ExactMatrix, b):
             if i < m.cols:
                 if not R.divides(di, ci):
                     return None
-                y[i] = R.exact_div(ci, di)
+                y[i] = R.quo_rem(ci, di)[0]
             elif not R.is_zero(ci):
                 return None
     return apply_vector(V, y)
@@ -463,13 +467,15 @@ def syzygy_generators_every_degree(f, degree_bound: int):
     return out
 
 
-def piece_order_by_closure(M, d: int) -> int:
-    """|M_d| for M over Z/n (GF(p) included), counted with no Smith form, no
-    Lattice and no slice: n^rank / |R_d|, R_d the subgroup of (Z/n)^rank
-    generated by x^[d - r] * rel over the relations rel of degree r <= d
-    (D_s has rank 1), found by closure under addition.  The products are
-    GdpaElement products, and coordinate i is the coefficient of
-    x^[d - g_i] in entry i."""
+def piece_torsion_counts_by_closure(M, d: int) -> dict:
+    """{m: |M_d[m]|} for M over Z/n (GF(p) included) and each divisor m of
+    n, M_d[m] the classes that m kills, counted with no Smith form, no
+    Lattice and no slice.  R_d is the subgroup of (Z/n)^rank generated by
+    x^[d - r] * rel over the relations rel of degree r <= d (D_s has rank
+    1), found by closure under addition; the products are GdpaElement
+    products, and coordinate i is the coefficient of x^[d - g_i] in entry i.
+    A class v + R_d is killed by m when m * v lies in R_d, so |M_d[m]| is
+    the number of such v over |R_d|, and |M_d[n]| = |M_d|."""
     n = M.context.ring.n
     gens = [i for i, g in enumerate(M.generators.degrees) if g <= d]
     step = M.context.x
@@ -485,7 +491,52 @@ def piece_order_by_closure(M, d: int) -> int:
             new = [w for w in {tuple((a + b) % n for a, b in zip(u, v)) for u in new}
                    if w not in group]
             group.update(new)
-    return n ** len(gens) // len(group)
+    space = list(itertools.product(range(n), repeat=len(gens)))
+    return {m: sum(tuple(m * a % n for a in v) in group for v in space) // len(group)
+            for m in range(1, n + 1) if n % m == 0}
+
+
+def invariants_from_torsion_counts(n: int, counts: dict) -> tuple:
+    """(free rank, divisor chain) of the Z/n-module whose m-torsion has
+    counts[m] elements for each divisor m of n.  For a prime p with p^e | n,
+    |M[p^j]| / |M[p^(j-1)]| = p^(r_j), r_j the number of cyclic summands
+    of order divisible by p^j; the i-th largest summand has the order
+    prod_p p^(#{j : r_j >= i}).  Summands of order n are free, the others
+    are the chain, ascending (the canonical form of ModuleInvariants)."""
+    orders = {}
+    for p, e in sympy.factorint(n).items():
+        for j in range(1, e + 1):
+            ratio, r = counts[p ** j] // counts[p ** (j - 1)], 0
+            while ratio > 1:
+                ratio //= p
+                r += 1
+            for i in range(r):
+                orders[i] = orders.get(i, 1) * p
+    return (sum(1 for o in orders.values() if o == n),
+            tuple(sorted(o for o in orders.values() if o != n)))
+
+
+def kx_invariant_factors(M) -> list:
+    """The nonzero invariant factors of M as a module over k[x], by sympy.
+    Over a field where pi has no zero, x^[1]^t = c_t x^[t] with c_t != 0
+    (c_t read off GdpaElement products), so D = k[x] with x^[t] = x^t / c_t,
+    and M is the cokernel of the matrix whose column j has the entry
+    (a / c_t) x^t at generator i for a relation entry a x^[t]."""
+    ctx, R = M.context, M.context.ring
+    x = sympy.Symbol("x")
+    domain = (sympy.QQ if R.kind == "Q" else sympy.GF(R.n))[x]
+    top = M.max_presentation_degree() - M.min_degree()
+    power, c = ctx.x(0), []
+    for t in range(top + 1):
+        c.append(power.coeff(t))
+        power = power.mul(ctx.x(1))
+    A = sympy.zeros(M.generators.n_gens, len(M.relations.columns))
+    for j, (r, col) in enumerate(zip(M.relations.source.degrees, M.relations.columns)):
+        for i, e in col.items():
+            t = r - M.generators.degrees[i]
+            a = R.mul(e.coeff(t), R.inv(c[t]))
+            A[i, j] = sympy.Rational(a.numerator, a.denominator) * x ** t
+    return [f for f in invariant_factors(A, domain=domain) if f != 0]
 
 
 def tor_entry(table, i: int, d: int, ring: Ring) -> ModuleInvariants:

@@ -219,6 +219,17 @@ class TestModuleCommands:
         data = json.loads(res.output)
         assert any(k.startswith("0,") for k in data["entries"])
 
+    def test_tor_of_the_zero_module_prints_one_line(self, runner):
+        # a table with no nonzero entry says so in text, and JSON is unchanged
+        module = json.dumps({
+            "context": {"family": "classical", "ring": {"ring": "Z"}},
+            "generators": [], "relation_degrees": [], "relations": []})
+        res = invoke(runner, ["tor", "--module", module, "--horizon", "4"])
+        assert res.exit_code == 0
+        assert res.output == "Tor_i(M,k)_d = 0 for i <= 3, d <= 4\n"
+        res = invoke(runner, ["tor", "--module", module, "--horizon", "4", "--out", "json"])
+        assert json.loads(res.output) == {"entries": {}, "horizon": 4, "max_i": 3}
+
     def test_torsion_on_module_json(self, runner):
         ctx = AlgebraContext(PiSequence.all_ones(QQ))
         f0 = FreeGradedModule(ctx, [0])

@@ -16,6 +16,12 @@ An option is a public parameter with a default, of a public function or
 method or of a public class's ``__init__``.  It is used when a call in a
 reached body, in the acceptance suite or in a README code span passes it,
 by keyword or by position; calls, too, are matched by spelling.
+
+Matching by spelling over-approximates: a method stays reached whenever a
+served class has a method of the same name, though only tests dispatch to
+it (``exact_div`` on the number rings, once, because Z[q] has one).  Such
+methods are found by tracing the served calls, the README examples, the
+acceptance suite and the benchmark workloads, not by this test.
 """
 
 import ast
