@@ -66,7 +66,7 @@ class _Elimination(NamedTuple):
     key: Callable  # the Smith pivot key
     generator: Callable  # nonzero x -> the canonical generator of the ideal (x)
     window: Ring  # the ring the torsion windows keep their rows over
-    read: Callable  # v -> v as a row over window
+    read: Callable  # (v, w=None) -> v, or the products v_i w_i, as a row over window
     factor: Callable  # a torsion invariant -> its (prime, exponent) pairs
 
 
@@ -194,9 +194,11 @@ class Ring:
             self._read, self._factor,
         )
 
-    def _read(self, v) -> list:
-        """v as a row over this ring."""
-        return [self.canon(x) for x in v]
+    def _read(self, v, w=None) -> list:
+        """v, or the products v_i w_i when w is given, as a row over this ring."""
+        if w is None:
+            return [self.canon(x) for x in v]
+        return [self.canon(self.mul(x, y)) for x, y in zip(v, w)]
 
     def _factor(self, t):
         raise UnsupportedRingError(f"no torsion factorization over {self.describe()}")
@@ -511,7 +513,7 @@ class PLocalRing(NumberRing):
         p, v = self.p, self.valuation
         return _Elimination(
             self, 0, self.quo_rem, self.pivot_key, lambda x: p ** v(x), ZZ,
-            lambda row: primitive_integer_vector(row, p), lambda t: [(p, v(t))],
+            lambda row, w=None: primitive_integer_vector(row, p, w), lambda t: [(p, v(t))],
         )
 
     def in_jacobson_radical(self, a):
@@ -888,10 +890,6 @@ class ExactMatrix:
         z = ring.zero()
         return cls._from_canonical(ring, [[z] * cols for _ in range(rows)], rows, cols)
 
-    @classmethod
-    def identity(cls, ring: Ring, n: int) -> "ExactMatrix":
-        return cls._from_canonical(ring, _identity(n, ring.one(), ring.zero()), n, n)
-
     def __repr__(self):
         return f"ExactMatrix({self.ring.describe()}, {self.entries})"
 
@@ -1166,17 +1164,27 @@ def _minus(x: list, q, y: list, p: int) -> list:
     return [a - q * b for a, b in zip(x, y)]
 
 
-def primitive_integer_vector(v, p: int) -> list:
-    """The integer vector that is a unit multiple of v over Z_(p) and whose
-    content is a power of p: v's denominators (prime to p) are cleared and
-    the part of its content prime to p is divided out.  v holds ints or
-    p-local Fractions."""
-    l = math.lcm(*[x.denominator for x in v])
-    w = [x.numerator * (l // x.denominator) for x in v]
-    g = math.gcd(*w)
+def primitive_integer_vector(v, p: int, w=None) -> list:
+    """The integer vector that is a unit multiple of v over Z_(p), or of the
+    products v_i w_i when w is given, and whose content is a power of p: the
+    denominators (prime to p) are cleared and the part of the content prime
+    to p is divided out.  v and w hold ints or p-local Fractions; products
+    are taken on numerators and denominators as ints, so no Fraction is
+    built.  It is the only such vector that is a positive multiple of v, so
+    it does not depend on how the denominators are cleared."""
+    if w is None:
+        nums = [x.numerator for x in v]
+        dens = [x.denominator for x in v]
+    else:
+        nums = [x.numerator * y.numerator for x, y in zip(v, w)]
+        dens = [x.denominator * y.denominator for x, y in zip(v, w)]
+    l = math.lcm(*dens)
+    if l > 1:
+        nums = [a * (l // b) for a, b in zip(nums, dens)]
+    g = math.gcd(*nums)
     while g and not g % p:
         g //= p
-    return [x // g for x in w] if g > 1 else w
+    return [x // g for x in nums] if g > 1 else nums
 
 
 def _kernel_heads(R: Ring, kernel, n: int) -> list:
@@ -1190,6 +1198,14 @@ def _kernel_heads(R: Ring, kernel, n: int) -> list:
             seen.add(w)
             heads.append(list(w))
     return heads
+
+
+def _lift_rows(ring: Ring, dim: int) -> list:
+    """The rows n e_i, generators of ker(Z^dim -> (Z/n)^dim), where the
+    ring's record (Ring._echelon) lifts Z/n to Z; none over any other ring."""
+    if ring._echelon.base is ring:
+        return []
+    return [[ring.n if t == i else 0 for t in range(dim)] for i in range(dim)]
 
 
 def _lift_zmod(m: ExactMatrix) -> ExactMatrix:
@@ -1266,10 +1282,7 @@ class Lattice:
         self.rows: dict[int, list] = {}  # pivot column -> row
         # the ring the rows live over, and how they reduce (Ring._echelon)
         self.base, self._mod, self._quo_rem = ring._echelon[:3]
-        self.lift_kernel = []  # generators of ker(Z^dim -> (Z/n)^dim)
-        if self.base is not ring:
-            n = ring.n
-            self.lift_kernel = [[n if t == i else 0 for t in range(dim)] for i in range(dim)]
+        self.lift_kernel = _lift_rows(ring, dim)  # generators of ker(Z^dim -> (Z/n)^dim)
         for v in self.lift_kernel:
             self.insert(v)
         for v in vectors:

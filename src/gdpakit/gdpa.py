@@ -31,7 +31,8 @@ class AlgebraContext:
     Admissibility is verified to 24 at construction and to the bound of
     each :meth:`dplus_generator_degrees` call (or declared by family, e.g.
     the symbolic cyclotomic sequence), once per bound past the largest one
-    verified, as the verdict depends on pi alone.
+    verified, as the verdict depends on pi alone.  The non-unit degrees are
+    kept per bound, as they too depend on pi alone.
     """
 
     def __init__(self, pi: PiSequence):
@@ -40,6 +41,8 @@ class AlgebraContext:
         # the largest bound pi is known to be admissible up to: the verdict
         # depends on pi alone, so no bound up to it is checked again
         self._admissible_to = 0
+        # bound -> the tuple dplus_generator_degrees returns, once verified
+        self._nonunit = {}
         self.require_admissible(24)
 
     def require_admissible(self, up_to: int):
@@ -54,10 +57,11 @@ class AlgebraContext:
         c = self.ring.one() if coeff is None else self.ring.canon(coeff)
         return GdpaElement(self, {n: c})
 
-    def dplus_generator_degrees(self, up_to: int):
+    def dplus_generator_degrees(self, up_to: int) -> tuple:
         """The degrees j <= up_to of a generating set of D_+: the j with
-        pi_j not a unit.  Raises PreconditionError when pi is not admissible
-        up to up_to, which the rule needs.
+        pi_j not a unit, as a tuple kept per bound.  Raises
+        PreconditionError when pi is not admissible up to up_to, which the
+        rule needs.
 
         Every C(j, a), 0 < a < j, is a multiple of pi_j, as
         eps_j(j - a, a) = 1, so a non-unit pi_j keeps x^[j] out of D_+^2.
@@ -67,12 +71,15 @@ class AlgebraContext:
         so C(j, K) is not in m; if S is empty, C(j, 1) is not in m.  So the
         C(j, a) generate the unit ideal, and x^[j] is an R-combination of
         the products x^[a] x^[j-a] = C(j, a) x^[j]."""
-        nonunit = self.pi.nonunit_degrees(up_to)
-        if up_to > self._admissible_to and not self.pi.admissible_by_fiat:
-            witness = _first_violation(self.pi, nonunit)
-            if witness:
-                raise PreconditionError(f"pi-sequence not admissible: pair {witness}")
-            self._admissible_to = up_to
+        nonunit = self._nonunit.get(up_to)
+        if nonunit is None:
+            nonunit = tuple(self.pi.nonunit_degrees(up_to))
+            if up_to > self._admissible_to and not self.pi.admissible_by_fiat:
+                witness = _first_violation(self.pi, nonunit)
+                if witness:
+                    raise PreconditionError(f"pi-sequence not admissible: pair {witness}")
+                self._admissible_to = up_to
+            self._nonunit[up_to] = nonunit
         return nonunit
 
     def __repr__(self):

@@ -19,9 +19,12 @@ from .coeff_rings import (
     ModuleInvariants,
     PreconditionError,
     Ring,
+    UnsupportedRingError,
+    _euclid,
+    _identity,
+    _lift_rows,
     _quotient_generators,
     _quotient_invariants,
-    _smith,
     cokernel_invariants,
     column_cokernel_invariants,
     homology_invariants,
@@ -65,6 +68,12 @@ class FreeGradedModule:
             return len(self.degrees)
         return sum(1 for g in self.degrees if g <= d)
 
+    def _columns(self, d: int) -> dict:
+        """{generator index: its column on the degree-d basis}."""
+        if d >= self._top:
+            return self._all_columns
+        return {i: c for c, (i, _) in enumerate(self.basis(d))}
+
     def _column_terms(self, e: int, col: dict) -> list:
         """A degree-e column {i: element} as its terms (i, g_i, t, c): the
         entry at generator i (degree g_i) read as c * x^[t], t = e - g_i, the
@@ -78,25 +87,34 @@ class FreeGradedModule:
                 out.append((i, g, e - g, c))
         return out
 
-    def images(self, generators, d: int):
+    def images(self, generators, d: int, read=None):
         """For each (degree e, terms) in generators with e <= d, the
         coordinate vector of x^[d - e] * column on the degree-d basis, terms
         being the column as _column_terms parses it: a term (i, g_i, t, c)
-        gives c * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1)."""
+        gives c * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1).
+
+        With read, a row reader of Ring._echelon, each vector is read(c, b)
+        instead, c and b the vectors of the coefficients and the binomials
+        (zero where no term lands): the reader takes the products itself, so
+        over Z_(p) they are integer rows with no Fraction built."""
         ctx = self.context
         mul, pi = ctx.ring.mul, ctx.pi
         zero = ctx.ring.zero()
-        if d >= self._top:
-            col_of = self._all_columns
-        else:
-            col_of = {i: c for c, (i, _) in enumerate(self.basis(d))}
+        col_of = self._columns(d)
         out = []
         for e, terms in generators:
             if e > d:
                 continue
             vec = [zero] * len(col_of)
-            for i, g, t, c in terms:
-                vec[col_of[i]] = mul(c, c_binomial(pi, d - g, t))
+            if read is None:
+                for i, g, t, c in terms:
+                    vec[col_of[i]] = mul(c, c_binomial(pi, d - g, t))
+            else:
+                binomials = [zero] * len(col_of)
+                for i, g, t, c in terms:
+                    vec[col_of[i]] = c
+                    binomials[col_of[i]] = c_binomial(pi, d - g, t)
+                vec = read(vec, binomials)
             out.append(vec)
         return out
 
@@ -146,6 +164,13 @@ class ModuleMap:
         """The columns of slice(d): the images of the source basis at degree
         d, x^[d - e_j] e_j mapping to x^[d - e_j] * column j."""
         return self.target.images(zip(self.source.degrees, self._terms), d)
+
+    def slice_rows(self, d: int) -> list:
+        """The columns of slice(d) as rows over the torsion windows' ring,
+        read by the ring's record (Ring._echelon) from the terms: over
+        Z_(p), primitive integer rows."""
+        read = self.context.ring._echelon.read
+        return self.target.images(zip(self.source.degrees, self._terms), d, read)
 
     def slice(self, d: int) -> ExactMatrix:
         """The degree-d piece as a matrix over the coefficient ring: rows are
@@ -526,14 +551,22 @@ class TorsionReport:
 
 
 def _rank_and_delta(R: Ring, vectors, dim: int):
-    """(rank, delta) of the span of the vectors in R^dim, integer vectors
-    over Z_(p): delta generates the ideal of the maximal nonzero minors of
-    the matrix with the vectors as columns, the product of the nonzero
-    diagonal of its D-only Smith form over the record's window ring (Z for
-    Z_(p); over Z/n, of the lift [A | nI], spanning the preimage in Z^dim)."""
-    elim = R._echelon
-    diag = [x for x in _smith(ExactMatrix.from_columns(elim.window, vectors, dim), "D") if x]
-    return len(diag), elim.generator(math.prod(diag))
+    """(rank, delta) of the span of the vectors in R^dim, given as rows over
+    the window ring of R's record (Ring._echelon; integer rows over Z_(p)):
+    delta generates the ideal of the maximal nonzero minors of the matrix
+    with the vectors as rows (over Z/n, with the lift rows n e_i appended,
+    so that it spans the preimage in Z^dim).  _euclid diagonalizes the rows
+    by unimodular moves over the window's record, which keep that ideal,
+    so delta generates the product of the diagonal; no divisibility chain
+    is needed.  The transpose, with the vectors as columns, has the same
+    rank and the same maximal minors."""
+    K = R._echelon.window
+    elim = K._echelon
+    if not elim.base.is_pid:
+        raise UnsupportedRingError(f"smith_normal_form unsupported over {K.describe()}")
+    rows = [list(v) for v in vectors] + _lift_rows(K, dim)
+    rank = _euclid(rows, dim, elim.key, elim.quotient, elim.modulus)
+    return rank, R._echelon.generator(math.prod(rows[t][t] for t in range(rank)))
 
 
 def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_columns, goal=None):
@@ -575,7 +608,7 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     rows still generate the cut modulo n, and A's pivots still give the
     index of the coordinate lattice.  At an unchanged rank A is square and
     triangular, so delta gains the product of its pivots; when the rank
-    drops, one D-only Smith form of B gives delta again.
+    drops, :func:`_rank_and_delta` of B gives delta again.
 
     With goal, the (rank, delta) of the relation span, the cuts stop once
     the window reaches it: the window contains the relation span, and
@@ -587,21 +620,22 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     dim = len(basis)
     elim = R._echelon
     K, read, ideal_generator = elim.window, elim.read, elim.generator
-    zero = K.zero()
-    (rank, delta), B = window or ((dim, 1), ExactMatrix.identity(K, dim).entries)
+    zero, one, mul = K.zero(), K.one(), K.mul
+    (rank, delta), B = window or ((dim, 1), _identity(dim, one, zero))
     for j in degrees:
         if not rank or (rank, delta) == goal:
             break
-        row_of = {i: r for r, (i, _) in enumerate(F0.basis(d + j))}
+        row_of = F0._columns(d + j)
         top = len(row_of)
         coeffs = read([ctx.C(s + j, j) for _, s in basis])
         vectors = [col + [zero] * (rank + dim) for col in relation_columns(d + j)]
-        for e, b in zip(ExactMatrix.identity(K, rank).entries, B):
-            v = [zero] * top + e + b
+        for c, b in enumerate(B):
+            v = [zero] * (top + rank) + b
+            v[top + c] = one
             # x^[j] sends x^[s] e_i to C(s + j, j) x^[s + j] e_i: one row
             # per generator, so no two products land in the same entry
             for (i, _), coeff, x in zip(basis, coeffs, b):
-                v[row_of[i]] = K.mul(coeff, x)
+                v[row_of[i]] = mul(coeff, x)
             vectors.append(v)
         cut = Lattice(K, top + rank + dim, vectors).rows
         middle = [t for t in range(top, top + rank) if t in cut]
@@ -615,9 +649,8 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
 
 def _relation_columns(M: PresentedModule):
     """e -> the columns of the relation slice at degree e as rows over the
-    windows' ring (Ring._echelon), built once per degree."""
-    read = M.context.ring._echelon.read
-    return cache(lambda e: [read(col) for col in M.relations.slice_columns(e)])
+    windows' ring (:meth:`ModuleMap.slice_rows`), built once per degree."""
+    return cache(M.relations.slice_rows)
 
 
 def torsion_submodule(M: PresentedModule, degree_bound: int) -> TorsionReport:

@@ -18,6 +18,7 @@ from .coeff_rings import (
     PreconditionError,
     Ring,
     Zloc,
+    _identity,
     column_cokernel_invariants,
     cokernel_invariants,
     invariants_from_factors,
@@ -282,7 +283,7 @@ def _special_resolve_adic(M: PresentedModule, h: int, horizon: int) -> SpecialRe
     # number.  F_0 = M: everything
     vectors = [{
         d: quotient_generators(
-            R, len(basis[d]), ExactMatrix.identity(R, len(basis[d])).entries, rel_vectors[d]
+            R, len(basis[d]), _identity(len(basis[d]), R.one(), R.zero()), rel_vectors[d]
         )
         for d in degrees
     }]

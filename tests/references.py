@@ -427,7 +427,7 @@ def torsion_submodule_every_j(M, degree_bound: int) -> TorsionReport:
         if not dim:
             continue
         pspan = Lattice(R, dim, M.relations.slice_columns(d))
-        whole = Lattice(R, dim, ExactMatrix.identity(R, dim).entries)
+        whole = Lattice(R, dim, _identity(dim, R.one(), R.zero()))
         window = refine_lattice_every_j(M, d, whole, 1, margin, columns)
         if lattice_equals(window, pspan):
             continue

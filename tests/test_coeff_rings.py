@@ -36,6 +36,7 @@ from gdpakit.coeff_rings import (
     Lattice,
     quotient_generators,
     _MR_BOUND,
+    _identity,
     _is_prime,
     _prime_factors,
     _lift_zmod,
@@ -310,12 +311,12 @@ def test_intpoly_matrix_unsupported():
 
 def test_snf_identity_and_zero():
     # identity and zero matrices
-    I = ExactMatrix.identity(ZZ, 2)
+    I = ExactMatrix(ZZ, _identity(2))
     U, D, V = smith_normal_form(I)
     assert D.entries == U.entries == V.entries == I.entries
     Z = ExactMatrix.zero(ZZ, 2, 3)
     U, D, V = smith_normal_form(Z)
-    assert D.entries == Z.entries and U.entries == ExactMatrix.identity(ZZ, 2).entries
+    assert D.entries == Z.entries and U.entries == _identity(2)
 
 
 def test_snf_2448():

@@ -50,6 +50,7 @@ from gdpakit.graded_modules import (
     _relation_columns,
     _spans_row_kernel,
 )
+from gdpakit.coeff_rings import _identity, _smith
 from gdpakit.pi_core import PiSequence, fibonacci, h_transform, pi_from_gcd_morphic
 from gdpakit.resolutions_k import (
     SpecialBlock,
@@ -650,15 +651,16 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
 
 def test_torsion_builds_each_relation_slice_once(monkeypatch):
     # the relation span of degree d and the torsion windows read the same
-    # slices: one torsion_submodule call builds each (map, degree) slice once
-    slice_columns = ModuleMap.slice_columns
+    # slices, as rows over the windows' ring: one torsion_submodule call
+    # builds each (map, degree) slice once
+    slice_rows = ModuleMap.slice_rows
     built = []
 
     def watched(f, d):
         built.append((id(f), d))
-        return slice_columns(f, d)
+        return slice_rows(f, d)
 
-    monkeypatch.setattr(ModuleMap, "slice_columns", watched)
+    monkeypatch.setattr(ModuleMap, "slice_rows", watched)
     rng = random.Random(15)
     modules = recipe_13_modules(5, 4) + [
         small_module(ctx, rng.randint) for ctx in ORACLE_CONTEXTS for _ in range(3)
@@ -789,7 +791,7 @@ def test_torsion_windows_stop_at_the_relation_span(monkeypatch):
         for d in range(dmin, h + 1):
             dim = M.generators.rank(d)
             span = Lattice(R, dim, M.relations.slice_columns(d))
-            window, basis = None, ExactMatrix.identity(R, dim).entries
+            window, basis = None, _identity(dim, R.one(), R.zero())
             for j in degrees:
                 if lattice_equals(span, Lattice(R, dim, [[R.canon(x) for x in b] for b in basis])):
                     break
@@ -820,7 +822,7 @@ def test_one_torsion_cut_matches_the_every_j_reference(M, offset, before, j):
     columns = _relation_columns(M)
     window = _refine_lattice(M, d, None, sorted(set(before)), columns) if before else None
     start = window_lattice(R, dim, window) if window else Lattice(
-        R, dim, ExactMatrix.identity(R, dim).entries)
+        R, dim, _identity(dim, R.one(), R.zero()))
     got = _refine_lattice(M, d, window, [j], columns)
     want = refine_lattice_every_j(M, d, start, j, j, columns)
     assert lattice_equals(window_lattice(R, dim, got), want)
@@ -904,6 +906,126 @@ def test_torsion_window_keeps_the_rank_and_delta_of_its_basis(M, offset, margin)
     assert pair == _rank_and_delta(R, B, dim)
 
 
+# Z_(2), Z_(3) and Z_(5) with classical, all-ones and q-integer pi at a
+# p-local fraction, whose binomials have denominators prime to p
+PLOCAL_CONTEXTS = FRACTIONAL_CONTEXTS + [
+    AlgebraContext(family(Zloc(p)))
+    for p in (2, 3, 5)
+    for family in (PiSequence.classical, PiSequence.all_ones)
+]
+
+
+@st.composite
+def plocal_modules(draw):
+    """small_module over PLOCAL_CONTEXTS with coefficients n / q, q prime to p."""
+    ctx = draw(st.sampled_from(PLOCAL_CONTEXTS))
+    p = ctx.ring.p
+    M = small_module(ctx, lambda a, b: draw(st.integers(a, b)))
+    denominators = st.sampled_from([q for q in (1, 3, 7, 10, 11) if q % p])
+    cols = [{i: e.scale(Fraction(1, draw(denominators))) for i, e in col.items()}
+            for col in M.relations.columns]
+    return PresentedModule.from_columns(ctx, M.generators.degrees, cols,
+                                        M.relations.source.degrees)
+
+
+def assert_primitive_multiple(w, v, p):
+    """w is the integer vector of primitive_integer_vector(v, p), checked by
+    its definition: the positive p-unit multiple of v whose content is a
+    power of p (zero when v is)."""
+    assert all(type(x) is int for x in w) and len(w) == len(v)
+    if not any(v):
+        assert not any(w)
+        return
+    i = next(k for k, x in enumerate(v) if x)
+    r = Fraction(w[i]) / v[i]
+    assert r > 0 and r.numerator % p and r.denominator % p
+    assert all(x == r * y for x, y in zip(w, v))
+    g = math.gcd(*w)
+    assert g == p ** multiplicity(p, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plocal_modules(), st.integers(0, 6), st.integers(1, 9))
+def test_integer_rows_are_the_primitive_rows_of_the_fraction_products(M, offset, j):
+    # the relation slices and a cut's binomial row C(s + j, j), read as
+    # integer rows from numerators and denominators, are the primitive
+    # integer vectors of the Fraction products that slice_columns builds
+    ctx = M.context
+    p = ctx.ring.p
+    d = M.min_degree() + offset
+    rows = M.relations.slice_rows(d)
+    columns = M.relations.slice_columns(d)
+    assert rows == [primitive_integer_vector(col, p) for col in columns]
+    for w, v in zip(rows, columns):
+        assert_primitive_multiple(w, v, p)
+    binomials = [ctx.C(s + j, j) for _, s in M.generators.basis(d)]
+    assert_primitive_multiple(ctx.ring._echelon.read(binomials), binomials, p)
+
+
+@st.composite
+def window_rows(draw):
+    """(R, vectors, dim): rows over the window ring of R's record, some of
+    them zero, with some coordinates zero in every row."""
+    R = draw(st.sampled_from([ZZ, Zloc(2), Zloc(3), GF(2), GF(3), QQ, Zmod(4), Zmod(6)]))
+    K = R._echelon.window
+    dim = draw(st.integers(0, 4))
+    zero_rows = draw(st.sets(st.integers(0, 3)))
+    vectors = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            vectors.append([K.zero()] * dim)
+            continue
+        v = [K.canon(draw(st.integers(-12, 12))) for _ in range(dim)]
+        if K == QQ:
+            v = [x / draw(st.sampled_from([1, 2, 3])) for x in v]
+        vectors.append([K.zero() if t in zero_rows else x for t, x in enumerate(v)])
+    return R, vectors, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_rows())
+@example((Zmod(4), [], 2))
+@example((Zmod(6), [[0, 0]], 2))
+@example((Zloc(2), [[0, 4], [0, 6]], 2))
+@example((ZZ, [], 0))
+def test_rank_and_delta_match_the_smith_diagonal(case):
+    # _euclid on the vectors as rows (with the lift rows over Z/n) gives the
+    # rank and delta of the D-only Smith form of the vectors as columns
+    R, vectors, dim = case
+    K = R._echelon.window
+    diag = [x for x in _smith(ExactMatrix.from_columns(K, vectors, dim), "D") if x]
+    assert _rank_and_delta(R, vectors, dim) == (len(diag), R._echelon.generator(math.prod(diag)))
+
+
+def test_warm_zloc_torsion_pass_builds_almost_no_fractions(monkeypatch):
+    # over Z_(2) a warm pass (pi's memo tables filled) runs on ints from the
+    # presentation to the verdict: Fraction products in the relation slices
+    # made 1,361 Fractions on these modules.  Python 3.12 builds products
+    # through _from_coprime_ints, past __new__, so both are counted
+    modules = recipe_13_modules(40, 8)
+    for M in modules:
+        torsion_submodule(M, 40)
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            made.append(cls)
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    for M in modules:
+        assert torsion_submodule(M, 40).verdict == "torsion_free"
+    assert len(made) <= 50
+
+
 @pytest.mark.parametrize("pi", [PiSequence.cyclotomic_symbolic(), PiSequence.all_ones(ZPOLY)],
                          ids=lambda pi: pi.family)
 def test_torsion_over_zq_raises_the_smith_form_error(pi):
@@ -971,11 +1093,11 @@ def test_classical_cut_degrees():
     # gcd of C(n, k), 0 < k < n, is p when n is a power of the prime p and 1
     # otherwise; localised at 2 only the powers of 2 keep a non-unit
     powers_of_2 = [1, 2, 4, 8, 16, 32, 64, 128]
-    assert ctx_classical(Zloc(2)).dplus_generator_degrees(128) == powers_of_2
-    assert ctx_classical(GF(2)).dplus_generator_degrees(128) == powers_of_2
-    assert ctx_classical(QQ).dplus_generator_degrees(128) == [1]
+    assert ctx_classical(Zloc(2)).dplus_generator_degrees(128) == tuple(powers_of_2)
+    assert ctx_classical(GF(2)).dplus_generator_degrees(128) == tuple(powers_of_2)
+    assert ctx_classical(QQ).dplus_generator_degrees(128) == (1,)
     prime_powers = [n for n in range(2, 129) if len(factorint(n)) == 1]
-    assert ctx_classical(ZZ).dplus_generator_degrees(128) == [1] + prime_powers
+    assert ctx_classical(ZZ).dplus_generator_degrees(128) == (1, *prime_powers)
 
 
 # admissible to 24 (AlgebraContext's default check) but not at (30, 45);
@@ -987,7 +1109,9 @@ def test_pi_not_admissible_up_to_the_bound_raises():
     ctx = AlgebraContext(LATE_VIOLATION)
     M = PresentedModule.from_columns(ctx, [0], [{0: ctx.x(1)}], [1])
     message = r"^pi-sequence not admissible: pair \(30, 45\)$"
-    assert ctx.dplus_generator_degrees(44) == [1, 30]
+    assert ctx.dplus_generator_degrees(44) == (1, 30)
+    # the degrees are kept per bound, so a second call builds nothing
+    assert ctx.dplus_generator_degrees(44) is ctx.dplus_generator_degrees(44)
     for call in (lambda: ctx.dplus_generator_degrees(45), lambda: trivial_module(ctx, 100),
                  lambda: torsion_submodule(M, 40), lambda: special_resolve_field(M, 100)):
         with pytest.raises(PreconditionError, match=message):
