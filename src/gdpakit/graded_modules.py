@@ -582,15 +582,18 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
 
     A window is ((rank, delta), B): B an independent basis (rows) of the
     lattice, delta the generator of the ideal of B's maximal minors; None
-    is all of F0_d.  The ring's record (Ring._echelon) gives the generator,
-    the ring K of the rows and their reader: over Z_(p) the rows are
-    primitive integer vectors over Z, as a unit scale changes no span; over
-    Z/n, integer rows whose residues generate the lattice.
+    is all of F0_d.  The ring's record (Ring._echelon) gives the generator
+    and the ring K of the rows: over Z_(p), K is Z, and integer rows span
+    the lattice, as a unit scale changes no span; over Z/n, the rows are
+    integers whose residues generate the lattice.  relation_columns(e) is
+    the echelon basis over K of the relation slice of degree e
+    (:func:`_relation_columns`), already reduced, so a cut does not reduce
+    it again.
 
     A step for j is one Lattice over K (over Z/n, the preimage of its span,
     with the lift rows Lattice adds) in K^(t + r + dim), t the rank of
     F0_{d+j} and r that of the window, spanned by the rows [P_k | 0 | 0],
-    P_k the relation columns of degree d + j, and [x^[j] b_c | e_c | b_c],
+    P_k the relation rows of degree d + j, and [x^[j] b_c | e_c | b_c],
     b_c the rows of B.  Its vectors are (P z + x^[j] y B, y, y B), so the
     ones that vanish on the top block are the (0, y, y B) with x^[j] y B
     in the relation span.  In an echelon basis the rows whose pivot lies
@@ -601,14 +604,15 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     rows there are left out).  So the rows with pivot in the middle block
     give, in their middle blocks, an echelon basis A of the coordinates
     y, and in their bottom blocks B <- A B, the cut window (Cohen, *A
-    Course in Computational Algebraic Number Theory*, 2.4).  Over Z_(p),
-    with the binomials cleared as the rows are, this is the same over Z:
-    Z_(p) is a localization of Z, so a Z-basis of the cut is a Z_(p)-basis
-    of it.  Over Z/n only the residues of B count, so B is read mod n: its
-    rows still generate the cut modulo n, and A's pivots still give the
-    index of the coordinate lattice.  At an unchanged rank A is square and
-    triangular, so delta gains the product of its pivots; when the rank
-    drops, :func:`_rank_and_delta` of B gives delta again.
+    Course in Computational Algebraic Number Theory*, 2.4), kept as the
+    echelon form leaves it: already rows over K.  Over Z_(p), with the
+    binomials cleared as the rows are, this is the same over Z: Z_(p) is a
+    localization of Z, so a Z-basis of the cut is a Z_(p)-basis of it.
+    Over Z/n only the residues of B count: its rows generate the cut
+    modulo n, and A's pivots give the index of the coordinate lattice.  At
+    an unchanged rank A is square and triangular, so delta gains the
+    product of its pivots; when the rank drops, :func:`_rank_and_delta` of
+    B gives delta again.
 
     With goal, the (rank, delta) of the relation span, the cuts stop once
     the window reaches it: the window contains the relation span, and
@@ -619,7 +623,7 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     basis = F0.basis(d)
     dim = len(basis)
     elim = R._echelon
-    K, read, ideal_generator = elim.window, elim.read, elim.generator
+    K, ideal_generator = elim.window, elim.generator
     zero, one, mul = K.zero(), K.one(), K.mul
     (rank, delta), B = window or ((dim, 1), _identity(dim, one, zero))
     for j in degrees:
@@ -627,7 +631,7 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
             break
         row_of = F0._columns(d + j)
         top = len(row_of)
-        coeffs = read([ctx.C(s + j, j) for _, s in basis])
+        coeffs = elim.read([ctx.C(s + j, j) for _, s in basis])
         vectors = [col + [zero] * (rank + dim) for col in relation_columns(d + j)]
         for c, b in enumerate(B):
             v = [zero] * (top + rank) + b
@@ -639,7 +643,7 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
             vectors.append(v)
         cut = Lattice(K, top + rank + dim, vectors).rows
         middle = [t for t in range(top, top + rank) if t in cut]
-        B = [read(cut[t][top + rank:]) for t in middle]
+        B = [cut[t][top + rank:] for t in middle]
         if len(middle) == rank:
             delta = ideal_generator(delta * math.prod(cut[t][t] for t in middle))
         else:
@@ -648,9 +652,29 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
 
 
 def _relation_columns(M: PresentedModule):
-    """e -> the columns of the relation slice at degree e as rows over the
-    windows' ring (:meth:`ModuleMap.slice_rows`), built once per degree."""
-    return cache(M.relations.slice_rows)
+    """e -> an echelon basis of the relation slice at degree e, as rows over
+    the windows' ring (Ring._echelon): one Lattice of the rows of
+    :meth:`ModuleMap.slice_rows`, built once per degree.  It spans the
+    slice's lattice (over Z/n, its preimage in Z^t, lift rows included), so
+    the cuts, the goal and a candidate's span all read it in its place."""
+    K = M.context.ring._echelon.window
+    rank, slice_rows = M.generators.rank, M.relations.slice_rows
+
+    @cache
+    def echelon_rows(e: int) -> list:
+        return Lattice(K, rank(e), slice_rows(e)).basis()
+
+    return echelon_rows
+
+
+def _relation_goal(R: Ring, rows: list, dim: int):
+    """(rank, delta) of the span of rows, an echelon basis over the windows'
+    ring in R^dim: with dim rows it is square and triangular, so delta
+    generates the product of its pivots (always so over Z/n, whose lift
+    rows are in it); otherwise :func:`_rank_and_delta` of the rows."""
+    if len(rows) < dim:
+        return _rank_and_delta(R, rows, dim)
+    return dim, R._echelon.generator(math.prod(row[t] for t, row in enumerate(rows)))
 
 
 def torsion_submodule(M: PresentedModule, degree_bound: int) -> TorsionReport:
@@ -679,7 +703,9 @@ def torsion_submodule(M: PresentedModule, degree_bound: int) -> TorsionReport:
     equal exactly when their determinant ideals agree, so each is compared
     with the span, and the last with the middle one, by (rank, delta) (see
     :func:`_refine_lattice`); a window that reaches the span stops cutting,
-    as every later cut would keep it.  After a window:
+    as every later cut would keep it.  The span's pair, the goal, is read
+    from the echelon basis of the relation slice that the cuts also use
+    (:func:`_relation_columns`, :func:`_relation_goal`).  After a window:
 
     - lattice equal to the relation span -> no candidate;
     - unchanged over the top half of the window [cap/2, cap] (stable) ->
@@ -710,7 +736,7 @@ def torsion_submodule(M: PresentedModule, degree_bound: int) -> TorsionReport:
         dim = M.generators.rank(d)
         if not dim:
             continue
-        goal = _rank_and_delta(R, relation_columns(d), dim)
+        goal = _relation_goal(R, relation_columns(d), dim)
         window = _refine_lattice(M, d, None, first, relation_columns, goal)
         if window[0] == goal:
             continue

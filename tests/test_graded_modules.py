@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,7 @@ from gdpakit.graded_modules import (
     _rank_and_delta,
     _refine_lattice,
     _relation_columns,
+    _relation_goal,
     _spans_row_kernel,
 )
 from gdpakit.coeff_rings import _identity, _smith
@@ -612,18 +614,24 @@ def recipe_13_modules(seed, count):
 
 
 def watch_cuts(monkeypatch):
-    """Record each Lattice that graded_modules builds, one per torsion cut:
-    (ring, vectors, echelon rows) in the returned list."""
-    cuts = []
+    """Record each Lattice that graded_modules builds, as (cuts, relations):
+    a relation slice's echelon basis, built by _relation_columns's
+    echelon_rows, as its degree in relations, and every other Lattice, one
+    per torsion cut, as (ring, vectors, echelon rows) in cuts."""
+    cuts, relations = [], []
 
     class Watched(Lattice):
         def __init__(self, ring, dim, vectors=()):
             vectors = list(vectors)
             super().__init__(ring, dim, vectors)
-            cuts.append((ring, vectors, list(self.rows.values())))
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "echelon_rows":
+                relations.append(caller.f_locals["e"])
+            else:
+                cuts.append((ring, vectors, list(self.rows.values())))
 
     monkeypatch.setattr(graded_modules, "Lattice", Watched)
-    return cuts
+    return cuts, relations
 
 
 def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
@@ -637,16 +645,48 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
     # every j made up to 128).  A window stops cutting once it reaches the
     # relation span, so these 8 modules make 707 cuts (1,242 when every
     # window ran every cut): the floor shows the watch is hooked, the
-    # ceiling that the early exit holds.
-    cuts = watch_cuts(monkeypatch)
+    # ceiling that the early exit holds.  Each degree's relation slice is
+    # reduced to its echelon basis once per call, apart from the cuts.
+    cuts, relations = watch_cuts(monkeypatch)
     for M in recipe_13_modules(40, 8):
         before = len(cuts)
+        relations.clear()
         assert torsion_submodule(M, 40).verdict == "torsion_free"
         assert len(cuts) - before <= 8 * (40 - M.min_degree() + 1)
+        assert relations and len(relations) == len(set(relations))
     assert all(ring == ZZ for ring, _, _ in cuts)
     assert 500 < len(cuts) <= 900
     assert max(abs(x).bit_length() for _, vectors, rows in cuts
                for v in (*vectors, *rows) for x in v) <= 128
+
+
+# the largest entry bits of a cut, vectors and echelon rows, that
+# test_torsion_cut_entries_stay_bounded_on_every_window_ring allows; its
+# modules reach 6 (Z/4), 8 (Z/6), 11 (Z_(3)) and 334 (q-integers at a
+# p-local fraction, whose binomial rows alone are that wide) bits
+CUT_ENTRY_BITS = {"Z/4": 16, "Z/6": 20, "Z_(3)": 32, "cyclotomic_at": 512}
+
+
+def test_torsion_cut_entries_stay_bounded_on_every_window_ring(monkeypatch):
+    # a cut keeps the window rows as its echelon form leaves them, not read
+    # again mod n or divided by their content, so the entries of the later
+    # cuts must still stay small: over Z/n the lift rows n e_i reduce each
+    # pivot, and over Z_(p) the rows are Z-rows of a Z_(p)-basis.  Each
+    # bound is at least 10 bits and half again above what was measured
+    cuts, _ = watch_cuts(monkeypatch)
+    contexts = [ctx for ctx in TORSION_CONTEXTS + FRACTIONAL_CONTEXTS
+                if ctx.ring in (Zmod(4), Zmod(6), Zloc(3)) or ctx.pi.family == "cyclotomic_at"]
+    rng = random.Random(18)
+    widest = {}
+    for n in range(5 * len(contexts)):
+        ctx = contexts[n % len(contexts)]
+        key = "cyclotomic_at" if ctx.pi.family == "cyclotomic_at" else ctx.ring.describe()
+        cuts.clear()
+        torsion_submodule(small_module(ctx, rng.randint), 12)
+        bits = [abs(x).bit_length() for _, vectors, rows in cuts for v in (*vectors, *rows) for x in v]
+        widest[key] = max(widest.get(key, 0), *bits, 0)
+    assert set(widest) == set(CUT_ENTRY_BITS)
+    assert all(widest[key] <= bound for key, bound in CUT_ENTRY_BITS.items()), widest
 
 
 def test_torsion_builds_each_relation_slice_once(monkeypatch):
@@ -775,7 +815,7 @@ def test_torsion_windows_stop_at_the_relation_span(monkeypatch):
     # a degree makes one cut, one echelon Lattice, per cut degree until its
     # lattice equals the relation span, and none after, in whichever window
     # that happens
-    cuts = watch_cuts(monkeypatch)
+    cuts, relations = watch_cuts(monkeypatch)
     rng = random.Random(16)
     modules = [(M, 40) for M in recipe_13_modules(5, 4)] + [
         (small_module(ctx, rng.randint), 12) for ctx in ORACLE_CONTEXTS + FRACTIONAL_CONTEXTS
@@ -799,8 +839,10 @@ def test_torsion_windows_stop_at_the_relation_span(monkeypatch):
                 basis = window[1]
                 expected += 1
         cuts.clear()
+        relations.clear()
         torsion_submodule(M, h)
         assert len(cuts) == expected
+        assert len(relations) == len(set(relations))
 
 
 def window_lattice(R, dim, window):
@@ -904,6 +946,25 @@ def test_torsion_window_keeps_the_rank_and_delta_of_its_basis(M, offset, margin)
     cuts = M.context.dplus_generator_degrees(margin)
     pair, B = _refine_lattice(M, d, None, cuts, _relation_columns(M))
     assert pair == _rank_and_delta(R, B, dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_modules(ORACLE_CONTEXTS + FRACTIONAL_CONTEXTS), st.integers(0, 8))
+def test_relation_echelon_rows_give_the_goal(M, offset):
+    # the cuts, the goal and a candidate's span read the echelon basis of a
+    # relation slice in place of its rows: pivots strictly increasing, the
+    # same lattice over the windows' ring (over Z/n, the preimage), and the
+    # (rank, delta) of the rows, read from the pivots when the basis is square
+    R = M.context.ring
+    K = R._echelon.window
+    e = M.min_degree() + offset
+    dim = M.generators.rank(e)
+    rows = _relation_columns(M)(e)
+    raw = M.relations.slice_rows(e)
+    pivots = [next(t for t, x in enumerate(row) if x) for row in rows]
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    assert lattice_equals(Lattice(K, dim, rows), Lattice(K, dim, raw))
+    assert _relation_goal(R, rows, dim) == _rank_and_delta(R, raw, dim)
 
 
 # Z_(2), Z_(3) and Z_(5) with classical, all-ones and q-integer pi at a
