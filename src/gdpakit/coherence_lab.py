@@ -172,10 +172,12 @@ def t1_bound_check(spec: IdealSpec) -> BoundReport:
     :func:`syzygy_generators` takes no kernel in a degree where the
     syzygies found below already span the row's kernel (index 1, see
     :func:`~gdpakit.graded_modules._spans_row_kernel`): past the last new
-    syzygy each degree costs the images of the old syzygies and of the
-    generators, their echelon basis and one index test, and rebuilds
-    nothing that depends only on the module or the ring: past the top
-    generator degree a free module's column map and rank are fixed, a
+    syzygy each degree costs the row, the images of the generators, and
+    the images of the old syzygies inserted one at a time into an echelon
+    basis only until it passes the index test, which runs where that basis
+    has the kernel's rank; the images after it are never built.  It
+    rebuilds nothing that depends only on the module or the ring: past the
+    top generator degree a free module's column map and rank are fixed, a
     binomial met before is one memo lookup, and the ring is read once."""
     ctx = spec.context
     R = ctx.ring

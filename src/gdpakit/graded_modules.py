@@ -10,7 +10,7 @@ horizon and tag their results with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .coeff_rings import (
@@ -54,6 +54,8 @@ class FreeGradedModule:
         # element, in generator order: basis column i is generator i
         self._top = max(self.degrees, default=0)
         self._all_columns = {i: i for i in range(len(self.degrees))}
+        # read by images on every call
+        self._mul, self._zero = context.ring.mul, context.ring.zero()
 
     @property
     def n_gens(self) -> int:
@@ -88,35 +90,34 @@ class FreeGradedModule:
         return out
 
     def images(self, generators, d: int, read=None):
-        """For each (degree e, terms) in generators with e <= d, the
+        """For each (degree e, terms) in generators with e <= d, yield the
         coordinate vector of x^[d - e] * column on the degree-d basis, terms
         being the column as _column_terms parses it: a term (i, g_i, t, c)
-        gives c * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1).
+        gives c * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1).  Each
+        vector is built when it is asked for, so a caller that stops early
+        builds no more.
 
         With read, a row reader of Ring._echelon, each vector is read(c, b)
         instead, c and b the vectors of the coefficients and the binomials
         (zero where no term lands): the reader takes the products itself, so
         over Z_(p) they are integer rows with no Fraction built."""
-        ctx = self.context
-        mul, pi = ctx.ring.mul, ctx.pi
-        zero = ctx.ring.zero()
+        mul, pi, zero = self._mul, self.context.pi, self._zero
         col_of = self._columns(d)
-        out = []
+        n = len(col_of)
         for e, terms in generators:
             if e > d:
                 continue
-            vec = [zero] * len(col_of)
+            vec = [zero] * n
             if read is None:
                 for i, g, t, c in terms:
                     vec[col_of[i]] = mul(c, c_binomial(pi, d - g, t))
             else:
-                binomials = [zero] * len(col_of)
+                binomials = [zero] * n
                 for i, g, t, c in terms:
                     vec[col_of[i]] = c
                     binomials[col_of[i]] = c_binomial(pi, d - g, t)
                 vec = read(vec, binomials)
-            out.append(vec)
-        return out
+            yield vec
 
 
 class ModuleMap:
@@ -153,7 +154,7 @@ class ModuleMap:
             raise PreconditionError("one column per source generator required")
         # the columns are never changed, so each is parsed into terms once
         self._terms = [
-            target._column_terms(e, col) for e, col in zip(source.degrees, self.columns)
+            (e, target._column_terms(e, col)) for e, col in zip(source.degrees, self.columns)
         ]
 
     @classmethod
@@ -163,14 +164,14 @@ class ModuleMap:
     def slice_columns(self, d: int) -> list:
         """The columns of slice(d): the images of the source basis at degree
         d, x^[d - e_j] e_j mapping to x^[d - e_j] * column j."""
-        return self.target.images(zip(self.source.degrees, self._terms), d)
+        return list(self.target.images(self._terms, d))
 
     def slice_rows(self, d: int) -> list:
         """The columns of slice(d) as rows over the torsion windows' ring,
         read by the ring's record (Ring._echelon) from the terms: over
         Z_(p), primitive integer rows."""
         read = self.context.ring._echelon.read
-        return self.target.images(zip(self.source.degrees, self._terms), d, read)
+        return list(self.target.images(self._terms, d, read))
 
     def slice(self, d: int) -> ExactMatrix:
         """The degree-d piece as a matrix over the coefficient ring: rows are
@@ -284,9 +285,6 @@ class SubmoduleGenerators:
     ambient: FreeGradedModule
     generators: list
     horizon: int
-    # (degree, terms) of generators[:len(_terms)]: generators are only ever
-    # appended, so each is parsed once, by the first call that needs it
-    _terms: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def degrees(self):
         return [d for d, _ in self.generators]
@@ -294,15 +292,6 @@ class SubmoduleGenerators:
     def as_map(self) -> ModuleMap:
         src = FreeGradedModule(self.ambient.context, self.degrees())
         return ModuleMap(src, self.ambient, [c for _, c in self.generators])
-
-    def generator_slice_vectors(self, d: int):
-        """For each generator of degree e <= d, the coordinate vector of
-        x^[d-e] * g on the ambient basis at degree d (spans the degree-d
-        piece of the generated submodule: D_s has rank 1)."""
-        F = self.ambient
-        for e, col in self.generators[len(self._terms):]:
-            self._terms.append((e, F._column_terms(e, col)))
-        return F.images(self._terms, d)
 
 
 def _vector_to_column(ambient: FreeGradedModule, d: int, vec) -> dict:
@@ -322,35 +311,34 @@ def syzygy_generators(f: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
     of ker(f) up to degree_bound, degree by degree.
 
     Over a field or a PID (Z, Z_(p), Q, GF(p)), and with one target
-    generator, each degree-d slice of f is one row r in R^m.  The images S
-    of the generators found below lie in K = ker(r), as x^[j] times a
-    syzygy is a syzygy, and a degree is skipped, with no kernel and no
-    quotient, when :func:`_spans_row_kernel` finds S = K by an index test
-    on the echelon basis of S, with its proof.  This changes no output: the
-    quotient K / S is then 0, so no generator would be found.  Every other
-    case (Z/n, several target generators) takes the kernel of the slice in
-    every degree."""
-    R = f.context.ring
-    one_row = f.target.n_gens == 1 and R.is_pid
-    ideal_generator = R._echelon.generator
+    generator, each degree-d slice of f is one row r in R^m, handed to
+    :func:`_degreewise_generators` as its row.  The images S of the
+    generators found below lie in K = ker(r), as x^[j] times a syzygy is a
+    syzygy, and a degree is skipped, with no kernel and no quotient, once
+    the images built so far span K by :func:`_spans_row_kernel`'s index
+    test; the images after them are never built.  This changes no output:
+    the quotient K / S is then 0, so no generator would be found.  Every
+    other case (Z/n, several target generators) has no row and takes the
+    kernel of the slice in every degree."""
+    one_row = f.target.n_gens == 1 and f.context.ring.is_pid
 
-    def candidates(d, old):
-        if one_row and f.target.rank(d):
-            _, sub = old(d)
-            if _spans_row_kernel(ideal_generator, [col[0] for col in f.slice_columns(d)], sub):
-                return []
-        return kernel_basis(f.slice(d))
+    def row(d):
+        return [col[0] for col in f.slice_columns(d)] if f.target.rank(d) else None
 
-    return _degreewise_generators(f.source, degree_bound, candidates)
+    return _degreewise_generators(
+        f.source, degree_bound, lambda d: kernel_basis(f.slice(d)), row if one_row else None
+    )
 
 
-def _spans_row_kernel(ideal_generator, r, sub: Lattice) -> bool:
-    """Whether sub, a lattice inside K = ker(r) for a row r in R^m over a
-    field or a PID, is all of K: r != 0, sub has rank m - 1, and the
-    product of sub's echelon pivots times content(r) generates the ideal of
-    r[np], np being the one column without a pivot (equal absolute values
-    over Z, equal valuations over Z_(p); over a field the rank decides).
-    ideal_generator is the generator of R's record (Ring._echelon).
+def _spans_row_kernel(ideal_generator, r):
+    """The index test of a row r in R^m over a field or a PID: a function
+    that says of a lattice sub inside K = ker(r) whether it is all of K.
+    It holds when r != 0, sub has rank m - 1, and the product of sub's
+    echelon pivots times content(r) generates the ideal of r[np], np being
+    the last column where r is nonzero (equal absolute values over Z, equal
+    valuations over Z_(p); over a field the rank decides).  What depends
+    on r alone is read once.  ideal_generator is the generator of R's
+    record (Ring._echelon).
 
     Proof.  R^m / K embeds in R through r, so it is free and K is a direct
     summand of rank m - 1.  Let w_j be the maximal minor, signed by
@@ -360,50 +348,90 @@ def _spans_row_kernel(ideal_generator, r, sub: Lattice) -> bool:
     primitive vector on that line, so w = u r / content(r) for a unit u.
     The minors of sub's basis are det T times those of K's, T the matrix of
     sub's basis in K's, and det T generates the index ideal [K : sub],
-    which is the unit ideal exactly when sub = K.  sub's echelon basis
-    without column np is triangular, so its minor there is the product of
-    its pivots.  And r[np] != 0: otherwise e_np would lie in K over the
-    fraction field, which equals sub's span there (same rank), and no
-    vector of that span has its first nonzero entry at np, not a pivot.
-    So det T generates the ideal of (product of pivots) * content(r) /
-    r[np] (Cohen, *A Course in Computational Algebraic Number Theory*,
-    2.4), and sub = K exactly when the test holds."""
-    m = len(r)
-    if sub.rank != m - 1 or not any(r):
-        return False
-    np = next(j for j in range(m) if j not in sub.rows)
+    which is the unit ideal exactly when sub = K.  Over the fraction field
+    sub spans K (same rank), so sub's pivots are the columns where some
+    vector of K has its first nonzero entry.  np is not one: such a v has
+    r . v = r[np] v[np], as r is zero past np, so v[np] = 0.  sub's
+    echelon basis without column np is thus triangular, and its minor there
+    is the product of its pivots.  So det T generates the ideal of (product
+    of pivots) * content(r) / r[np] (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4), and sub = K exactly when the test
+    holds.  A sub spanned by some of a set S of vectors in K thus settles
+    all of S: when the test holds, sub <= span(S) <= K = sub."""
+    m = np = len(r)
+    while np and not r[np - 1]:
+        np -= 1
+    if not np:
+        return lambda sub: False  # r = 0: K = R^m
     # the numerators' gcd generates content(r): denominators are units
     content = math.gcd(*[x.numerator for x in r])
-    pivots = math.prod(row[p] for p, row in sub.rows.items())
-    return ideal_generator(pivots * content) == ideal_generator(r[np])
+    want = ideal_generator(r[np - 1])
+
+    def spans(sub: Lattice) -> bool:
+        rows = sub.rows
+        if len(rows) != m - 1:
+            return False
+        return ideal_generator(content * math.prod([row[p] for p, row in rows.items()])) == want
+
+    return spans
 
 
-def _degreewise_generators(ambient: FreeGradedModule, degree_bound: int, candidates):
+def _degreewise_generators(ambient: FreeGradedModule, degree_bound: int, candidates, row=None):
     """Generators of the graded submodule of ambient whose degree-d slice is
-    spanned by the vectors candidates(d, old): in each degree, those that
-    the generators found below do not already generate.  old(d) gives the
-    degree-d images of the generators found below and the Lattice they
-    span, built on its first call in each degree, so candidates can read
-    it (and return [] when it already spans the slice) and the quotient
-    reuses it."""
+    spanned by the vectors candidates(d): in each degree, those that the
+    generators found below do not already generate, the quotient of the
+    candidates by the degree-d images of the old generators and the
+    Lattice they span.
+
+    row(d), when given, is the degree-d slice as one row r of a map over a
+    field or a PID whose kernel K the candidates span, or None.  With a
+    row, the old images, which lie in K, are built and inserted one at a
+    time, and the degree is skipped as soon as they span K
+    (:func:`_row_kernel_images`), before candidates is asked.  Without
+    one, candidates(d) comes first, and the images are built only when it
+    gives a nonzero vector."""
     R = ambient.context.ring
     out = SubmoduleGenerators(ambient, [], degree_bound)
-    built = {}
-
-    def old(d: int):
-        if d not in built:
-            vectors = out.generator_slice_vectors(d)
-            built[d] = vectors, Lattice(R, ambient.rank(d), vectors)
-        return built[d]
-
+    terms = []  # (degree, terms) of each generator found, parsed once
     for d in range(min(ambient.degrees, default=0), degree_bound + 1):
-        built.clear()
-        kv = [v for v in candidates(d, old) if any(not R.is_zero(x) for x in v)]
+        r = None if row is None else row(d)
+        if r is not None:
+            old = _row_kernel_images(ambient, terms, d, r)
+            if old is None:
+                continue
+        kv = [v for v in candidates(d) if any(not R.is_zero(x) for x in v)]
         if not kv:
             continue
-        for vec in _quotient_generators(R, kv, *old(d)):
-            out.generators.append((d, _vector_to_column(ambient, d, vec)))
+        if r is None:
+            vectors = list(ambient.images(terms, d))
+            old = vectors, Lattice(R, ambient.rank(d), vectors)
+        for vec in _quotient_generators(R, kv, *old):
+            col = _vector_to_column(ambient, d, vec)
+            out.generators.append((d, col))
+            terms.append((d, ambient._column_terms(d, col)))
     return out
+
+
+def _row_kernel_images(ambient: FreeGradedModule, terms, d: int, r):
+    """The degree-d images of the generators (degree, terms) and the
+    Lattice they span, or None once that Lattice spans K = ker(r).
+
+    K has rank m - 1, m = len(r), so the index test of
+    :func:`_spans_row_kernel` runs only where the Lattice has that rank:
+    before the first insert when m = 1 (K = 0 is spanned by nothing), and
+    after each insert that grows it to, or within, rank m - 1.  The images
+    after the one that passes are never built."""
+    R = ambient.context.ring
+    spans = _spans_row_kernel(R._echelon.generator, r)
+    rank = len(r) - 1  # of K
+    vectors, sub = [], Lattice(R, len(r))
+    if not rank and spans(sub):
+        return None
+    for v in ambient.images(terms, d):
+        vectors.append(v)
+        if sub.insert(v) and len(sub.rows) == rank and spans(sub):
+            return None
+    return vectors, sub
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +619,8 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     it again.
 
     A step for j is one Lattice over K (over Z/n, the preimage of its span,
-    with the lift rows Lattice adds) in K^(t + r + dim), t the rank of
+    with the lift rows Lattice adds; the relation rows among them are not
+    inserted again) in K^(t + r + dim), t the rank of
     F0_{d+j} and r that of the window, spanned by the rows [P_k | 0 | 0],
     P_k the relation rows of degree d + j, and [x^[j] b_c | e_c | b_c],
     b_c the rows of B.  Its vectors are (P z + x^[j] y B, y, y B), so the
@@ -632,7 +661,12 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
         row_of = F0._columns(d + j)
         top = len(row_of)
         coeffs = elim.read([ctx.C(s + j, j) for _, s in basis])
-        vectors = [col + [zero] * (rank + dim) for col in relation_columns(d + j)]
+        lattice = Lattice(K, top + rank + dim)
+        for col in relation_columns(d + j):
+            v = col + [zero] * (rank + dim)
+            # over Z/n the cut holds its lift rows n e_i from the start
+            if v not in lattice.lift_kernel:
+                lattice.insert(v)
         for c, b in enumerate(B):
             v = [zero] * (top + rank) + b
             v[top + c] = one
@@ -640,8 +674,8 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
             # per generator, so no two products land in the same entry
             for (i, _), coeff, x in zip(basis, coeffs, b):
                 v[row_of[i]] = mul(coeff, x)
-            vectors.append(v)
-        cut = Lattice(K, top + rank + dim, vectors).rows
+            lattice.insert(v)
+        cut = lattice.rows
         middle = [t for t in range(top, top + rank) if t in cut]
         B = [cut[t][top + rank:] for t in middle]
         if len(middle) == rank:

@@ -368,7 +368,7 @@ def minimal_image_generators(g: ModuleMap, degree_bound: int) -> SubmoduleGenera
     lies in the span of the old generators' images, and quotient_generators
     returns [] there, over every ring (Z/n included)."""
     top = min(degree_bound, max(g.source.degrees, default=degree_bound))
-    gens = _degreewise_generators(g.target, top, lambda d, old: g.slice_columns(d))
+    gens = _degreewise_generators(g.target, top, g.slice_columns)
     gens.horizon = degree_bound
     return gens
 

@@ -451,6 +451,12 @@ def torsion_submodule_every_j(M, degree_bound: int) -> TorsionReport:
     return TorsionReport("torsion_free", [], degree_bound, margin, certificate=note)
 
 
+def fresh_images(F, generators, d):
+    """The list of F.images of the (degree, column) generators, their
+    columns parsed afresh."""
+    return list(F.images([(e, F._column_terms(e, col)) for e, col in generators], d))
+
+
 def syzygy_generators_every_degree(f, degree_bound: int):
     """gdpakit's syzygy_generators as it was before one-row slices stopped
     at index 1: in every degree, the kernel of the slice and the quotient of
@@ -461,7 +467,7 @@ def syzygy_generators_every_degree(f, degree_bound: int):
         kv = [v for v in kernel_basis(f.slice(d)) if any(not R.is_zero(x) for x in v)]
         if not kv:
             continue
-        old = out.generator_slice_vectors(d)
+        old = fresh_images(f.source, out.generators, d)
         for vec in quotient_generators(R, f.source.rank(d), kv, old):
             out.generators.append((d, _vector_to_column(f.source, d, vec)))
     return out

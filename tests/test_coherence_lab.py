@@ -3,6 +3,7 @@ counterexample."""
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -168,15 +169,15 @@ def boundcheck_specs(count, seed):
 
 def test_bound_check_scan_asks_every_degree(monkeypatch):
     # no stopping rule is proved, so the syzygy scan of a bound check asks
-    # for candidates once in every degree from the lowest generator degree
-    # to bound + margin, past the last new syzygy too
+    # for the slice's row once in every degree from the lowest generator
+    # degree to bound + margin, past the last new syzygy too
     degreewise = graded_modules._degreewise_generators
     scans = []
 
-    def watched(ambient, degree_bound, candidates):
+    def watched(ambient, degree_bound, candidates, row=None):
         asked = []
         scans.append((ambient.degrees, degree_bound, asked))
-        return degreewise(ambient, degree_bound, lambda d, old: asked.append(d) or candidates(d, old))
+        return degreewise(ambient, degree_bound, candidates, lambda d: asked.append(d) or row(d))
 
     monkeypatch.setattr(graded_modules, "_degreewise_generators", watched)
     for spec in boundcheck_specs(8, 22):
@@ -186,6 +187,33 @@ def test_bound_check_scan_asks_every_degree(monkeypatch):
         [(degrees, bound, asked)] = scans
         assert list(degrees) == report.generator_degrees and bound == report.horizon
         assert asked == list(range(min(degrees), report.horizon + 1))
+
+
+def test_bound_check_scan_stops_building_images_once_they_span(monkeypatch):
+    # a degree whose row has one entry (m = 1) has kernel 0, which the empty
+    # lattice spans, so it takes no kernel; in the others the old syzygies'
+    # images are built one at a time and stop once they span the row's
+    # kernel, so fewer are built than the every-degree scan builds
+    kernel_basis, images = graded_modules.kernel_basis, graded_modules.FreeGradedModule.images
+    widths, offered, built = [], [], []
+
+    def watched_kernel(A):
+        widths.append(A.cols)
+        return kernel_basis(A)
+
+    def watched_images(F, generators, d, read=None):
+        if sys._getframe(1).f_code.co_name == "_row_kernel_images":
+            generators = list(generators)
+            offered.append(len(generators))
+            return (built.append(d) or v for v in images(F, generators, d, read))
+        return images(F, generators, d, read)
+
+    monkeypatch.setattr(graded_modules, "kernel_basis", watched_kernel)
+    monkeypatch.setattr(graded_modules.FreeGradedModule, "images", watched_images)
+    for spec in boundcheck_specs(12, 5):
+        assert t1_bound_check(spec).passed
+    assert widths and 1 not in widths
+    assert 0 < len(built) < sum(offered)
 
 
 class TestA2Check:

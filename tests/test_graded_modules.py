@@ -32,7 +32,6 @@ from gdpakit.graded_modules import (
     HilbertSeries,
     ModuleMap,
     PresentedModule,
-    SubmoduleGenerators,
     fit_matches_principal_special,
     free_resolution,
     hilbert_series,
@@ -64,6 +63,7 @@ from gdpakit.resolutions_k import (
 )
 from references import (
     apply_vector,
+    fresh_images,
     lattice_equals,
     matmul,
     invariants_from_torsion_counts,
@@ -316,7 +316,7 @@ class TestKernels:
         assert col[0].degrees() == [1]  # the generator x^[1] e
         # re-span check: K_d nonzero exactly at even d, dimension 1
         for d in range(1, 21):
-            vecs = gens.generator_slice_vectors(d)
+            vecs = fresh_images(gens.ambient, gens.generators, d)
             nonzero = [v for v in vecs if any(x != 0 for x in v)]
             import gdpakit.coeff_rings as cr
 
@@ -617,18 +617,25 @@ def watch_cuts(monkeypatch):
     """Record each Lattice that graded_modules builds, as (cuts, relations):
     a relation slice's echelon basis, built by _relation_columns's
     echelon_rows, as its degree in relations, and every other Lattice, one
-    per torsion cut, as (ring, vectors, echelon rows) in cuts."""
+    per torsion cut, as (ring, vectors, echelon rows) in cuts.  A cut is
+    fed its vectors by inserts after it is built, so its vectors are
+    recorded as _refine_lattice inserts them, and its rows are read live."""
     cuts, relations = [], []
 
     class Watched(Lattice):
         def __init__(self, ring, dim, vectors=()):
-            vectors = list(vectors)
-            super().__init__(ring, dim, vectors)
+            self.fed = list(vectors)
+            super().__init__(ring, dim, self.fed)
             caller = sys._getframe(1)
             if caller.f_code.co_name == "echelon_rows":
                 relations.append(caller.f_locals["e"])
             else:
-                cuts.append((ring, vectors, list(self.rows.values())))
+                cuts.append((ring, self.fed, self.rows.values()))
+
+        def insert(self, v):
+            if sys._getframe(1).f_code.co_name == "_refine_lattice":
+                self.fed.append(list(v))
+            return super().insert(v)
 
     monkeypatch.setattr(graded_modules, "Lattice", Watched)
     return cuts, relations
@@ -1224,7 +1231,7 @@ def _check_degreewise(gens, bound, slice_spanners, in_slice):
     R = ambient.context.ring
     for d in range(min(ambient.degrees), bound + 1):
         dim = ambient.rank(d)
-        vectors = gens.generator_slice_vectors(d)
+        vectors = fresh_images(ambient, gens.generators, d)
         for v in vectors:
             assert in_slice(d, v)
         spanners = slice_spanners(d)
@@ -1232,7 +1239,7 @@ def _check_degreewise(gens, bound, slice_spanners, in_slice):
             assert _in_column_span(R, dim, vectors, v)
         if R.is_field:
             lower = [g for g in gens.generators if g[0] < d]
-            below = SubmoduleGenerators(ambient, lower, bound).generator_slice_vectors(d)
+            below = fresh_images(ambient, lower, d)
             new = sum(1 for e, _ in gens.generators if e == d)
             assert new == _field_rank(R, dim, spanners) - _field_rank(R, dim, below)
 
@@ -1309,7 +1316,14 @@ def test_row_kernel_index_test_decides_equality(case):
     R, r, S, K = case
     m = len(r)
     sub = Lattice(R, m, S)
-    assert _spans_row_kernel(R._echelon.generator, r, sub) == lattice_equals(sub, Lattice(R, m, K))
+    spans = lattice_equals(sub, Lattice(R, m, K))
+    test = _spans_row_kernel(R._echelon.generator, r)
+    assert test(sub) == spans
+    # the degree loop inserts S in order and stops at the first prefix that
+    # passes: a passing prefix proves that all of S spans ker(r)
+    for n in range(len(S) + 1):
+        if test(Lattice(R, m, S[:n])):
+            assert spans
 
 
 # every ring of the oracle contexts (Z/6 among them) and of the fractional ones
@@ -1376,15 +1390,10 @@ def test_minimal_image_generators_match_full_length_loop(M, past_top):
     # degree it can find no new generator, so stopping there changes nothing
     g = M.relations
     bound = max(g.source.degrees) + past_top
-    ref = _degreewise_generators(g.target, bound, lambda d, old: g.slice_columns(d))
+    ref = _degreewise_generators(g.target, bound, g.slice_columns)
     got = minimal_image_generators(g, bound)
     assert generator_terms(got) == generator_terms(ref)
     assert got.horizon == ref.horizon == bound
-
-
-def _fresh_images(F, generators, d):
-    """F.images of generators whose columns are parsed afresh."""
-    return F.images([(e, F._column_terms(e, col)) for e, col in generators], d)
 
 
 @st.composite
@@ -1426,18 +1435,36 @@ def test_images_and_rank_match_their_definitions(case):
                 for i, elem in col.items():
                     vec[column_of[i]] = ctx.x(d - e).mul(elem).coeff(d - F.degrees[i])
                 want.append(vec)
-        assert F.images(terms, d) == want
+        assert list(F.images(terms, d)) == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_modules())
 def test_generator_terms_cache_matches_fresh_images(M):
+    # the degree loop parses each generator's column once, and hands the
+    # parsed terms of every generator found below d to images in degree d:
+    # they give the images of those columns parsed afresh
     f = M.relations
     bound = M.max_presentation_degree() + 3
-    for gens in (syzygy_generators(f, bound), minimal_image_generators(f, bound)):
-        F = gens.ambient
-        for d in range(min(F.degrees), bound + 1):
-            assert gens.generator_slice_vectors(d) == _fresh_images(F, gens.generators, d)
+    images = FreeGradedModule.images
+    loop = ("_degreewise_generators", "_row_kernel_images")
+    asked = []
+
+    def watched(F, generators, d, read=None):
+        if sys._getframe(1).f_code.co_name in loop:
+            generators = list(generators)
+            asked.append((generators, d))
+        return images(F, generators, d, read)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FreeGradedModule, "images", watched)
+        for scan in (syzygy_generators, minimal_image_generators):
+            asked.clear()
+            gens = scan(f, bound)
+            F = gens.ambient
+            for terms, d in asked:
+                below = [g for g in gens.generators if g[0] < d]
+                assert list(images(F, terms, d)) == fresh_images(F, below, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1464,16 +1491,7 @@ def test_slice_entries_match_algebra_multiplication(M, offset):
             want = R.zero() if entry is None else ctx.x(s).mul(entry).coeff(shift)
             assert R.eq(A.entries[r][c], want)
     assert f.slice_columns(d) == _columns(A)
-    gens = SubmoduleGenerators(f.target, list(zip(f.source.degrees, f.columns)), d)
-    assert gens.generator_slice_vectors(d) == _columns(A)
-    # generators appended after a first call are read too: the cache of
-    # parsed columns must not go stale as the list grows
-    pairs = list(zip(f.source.degrees, f.columns))
-    half = len(pairs) // 2
-    grown = SubmoduleGenerators(f.target, pairs[:half], d)
-    grown.generator_slice_vectors(d)
-    grown.generators.extend(pairs[half:])
-    assert grown.generator_slice_vectors(d) == _columns(A)
+    assert fresh_images(f.target, list(zip(f.source.degrees, f.columns)), d) == _columns(A)
 
 
 EULER_CONTEXTS = [
