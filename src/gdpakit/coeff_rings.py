@@ -1012,7 +1012,9 @@ def _smith(m: ExactMatrix, want: str):
     R, nr, nc = m.ring, m.rows, m.cols
     elim = R._echelon
     if elim.base is not R and want in ("D", "V"):
-        out = _smith(_lift_zmod(m), want)
+        # [A | nI] over Z: its kernel and cokernel are those of A over Z/n
+        lift = [row + n_row for row, n_row in zip(m.entries, _lift_rows(R, nr))]
+        out = _smith(ExactMatrix._from_canonical(elim.base, lift, nr, nc + nr), want)
         return out if want == "D" else _kernel_heads(R, out, nc)
     if not R.is_pid:
         raise UnsupportedRingError(f"smith_normal_form unsupported over {R.describe()}")
@@ -1202,22 +1204,12 @@ def _kernel_heads(R: Ring, kernel, n: int) -> list:
 
 def _lift_rows(ring: Ring, dim: int) -> list:
     """The rows n e_i, generators of ker(Z^dim -> (Z/n)^dim), where the
-    ring's record (Ring._echelon) lifts Z/n to Z; none over any other ring."""
+    ring's record (Ring._echelon) lifts Z/n to Z; none over any other ring.
+    Lattice.__init__ tests the same rule inline, to skip the call for each
+    of the many small lattices built over Z, Z_(p) and fields."""
     if ring._echelon.base is ring:
         return []
     return [[ring.n if t == i else 0 for t in range(dim)] for i in range(dim)]
-
-
-def _lift_zmod(m: ExactMatrix) -> ExactMatrix:
-    """[A | nI] over Z, for kernel/cokernel computations over Z/n."""
-    R = m.ring
-    assert isinstance(R, IntegersModRing)
-    ents = [
-        [m.entries[i][j] for j in range(m.cols)]
-        + [R.n if k == i else 0 for k in range(m.rows)]
-        for i in range(m.rows)
-    ]
-    return ExactMatrix(ZZ, ents, m.rows, m.cols + m.rows)
 
 
 def _diagonal_invariants(R: Ring, rows: int, diag) -> ModuleInvariants:
@@ -1282,7 +1274,9 @@ class Lattice:
         self.rows: dict[int, list] = {}  # pivot column -> row
         # the ring the rows live over, and how they reduce (Ring._echelon)
         self.base, self._mod, self._quo_rem = ring._echelon[:3]
-        self.lift_kernel = _lift_rows(ring, dim)  # generators of ker(Z^dim -> (Z/n)^dim)
+        # generators of ker(Z^dim -> (Z/n)^dim); none where the rows live
+        # over the ring itself (the rule of _lift_rows, tested here)
+        self.lift_kernel = [] if self.base is ring else _lift_rows(ring, dim)
         for v in self.lift_kernel:
             self.insert(v)
         for v in vectors:

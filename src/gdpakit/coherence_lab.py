@@ -60,9 +60,6 @@ class IdealSpec:
                         f"chain condition fails: a_{i} is not inside a_{i + 1}"
                     )
 
-    def ideal_at(self, n: int):
-        return self.chain[min(n, self.d)]
-
     def to_json(self):
         R = self.context.ring
         return {
@@ -103,13 +100,17 @@ def torsion_bound_N(spec: IdealSpec) -> int:
     Over Z or Z_(p) with classical pi, a^[h](N) = N and the answer is the
     lcm of the torsion exponents.  Over Z/n or a field the relevant quotients
     k/(a_i + T(k)) are torsion-free, so N = 1.  The search stops at 4E + 16,
-    E the lcm of the torsion exponents."""
+    E the lcm of the torsion exponents.  As a_i = a_d for i >= d, the
+    invariants of a_0, ..., a_d are taken once each, and a repeated factor
+    is kept once: neither E nor the annihilation test depends on how often
+    a factor is listed."""
     R = spec.context.ring
     if _torsion_free_mod_t(R):
         return 1
     factors = []
-    for i in range(3 * spec.d + 1):
-        factors += ideal_invariants(R, spec.ideal_at(i)).torsion_factors
+    for gens in spec.chain:
+        factors += ideal_invariants(R, gens).torsion_factors
+    factors = list(dict.fromkeys(factors))
     if not factors:
         return 1
     # a canonical factor over Z or Z_(p) is the integer exponent it gives

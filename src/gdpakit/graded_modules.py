@@ -54,8 +54,9 @@ class FreeGradedModule:
         # element, in generator order: basis column i is generator i
         self._top = max(self.degrees, default=0)
         self._all_columns = {i: i for i in range(len(self.degrees))}
-        # read by images on every call
+        # read by images on every call; the binomials are pi's own memo table
         self._mul, self._zero = context.ring.mul, context.ring.zero()
+        self._binomials = context.pi._c_memo
 
     @property
     def n_gens(self) -> int:
@@ -95,13 +96,15 @@ class FreeGradedModule:
         being the column as _column_terms parses it: a term (i, g_i, t, c)
         gives c * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1).  Each
         vector is built when it is asked for, so a caller that stops early
-        builds no more.
+        builds no more.  Without read, C(d - g_i, t) is read from pi's memo
+        table (PiSequence._c_memo), and c_binomial is called only for a
+        binomial not met before.
 
         With read, a row reader of Ring._echelon, each vector is read(c, b)
         instead, c and b the vectors of the coefficients and the binomials
         (zero where no term lands): the reader takes the products itself, so
         over Z_(p) they are integer rows with no Fraction built."""
-        mul, pi, zero = self._mul, self.context.pi, self._zero
+        mul, pi, zero, memo = self._mul, self.context.pi, self._zero, self._binomials
         col_of = self._columns(d)
         n = len(col_of)
         for e, terms in generators:
@@ -110,7 +113,10 @@ class FreeGradedModule:
             vec = [zero] * n
             if read is None:
                 for i, g, t, c in terms:
-                    vec[col_of[i]] = mul(c, c_binomial(pi, d - g, t))
+                    b = memo.get((d - g, t))
+                    if b is None:
+                        b = c_binomial(pi, d - g, t)
+                    vec[col_of[i]] = mul(c, b)
             else:
                 binomials = [zero] * n
                 for i, g, t, c in terms:
@@ -321,9 +327,10 @@ def syzygy_generators(f: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
     other case (Z/n, several target generators) has no row and takes the
     kernel of the slice in every degree."""
     one_row = f.target.n_gens == 1 and f.context.ring.is_pid
+    target, terms = f.target, f._terms
 
     def row(d):
-        return [col[0] for col in f.slice_columns(d)] if f.target.rank(d) else None
+        return [v[0] for v in target.images(terms, d)] if target.rank(d) else None
 
     return _degreewise_generators(
         f.source, degree_bound, lambda d: kernel_basis(f.slice(d)), row if one_row else None
@@ -331,14 +338,12 @@ def syzygy_generators(f: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
 
 
 def _spans_row_kernel(ideal_generator, r):
-    """The index test of a row r in R^m over a field or a PID: a function
-    that says of a lattice sub inside K = ker(r) whether it is all of K.
-    It holds when r != 0, sub has rank m - 1, and the product of sub's
-    echelon pivots times content(r) generates the ideal of r[np], np being
-    the last column where r is nonzero (equal absolute values over Z, equal
-    valuations over Z_(p); over a field the rank decides).  What depends
-    on r alone is read once.  ideal_generator is the generator of R's
-    record (Ring._echelon).
+    """What the index test of :func:`_row_kernel_images` reads of a row r
+    in R^m over a field or a PID: (content(r), the generator of the ideal
+    of r[np]), or None when r = 0.  np is the last column where r is
+    nonzero, and ideal_generator is the generator of R's record
+    (Ring._echelon).  The test says of a lattice sub inside K = ker(r)
+    whether it is all of K.
 
     Proof.  R^m / K embeds in R through r, so it is free and K is a direct
     summand of rank m - 1.  Let w_j be the maximal minor, signed by
@@ -358,22 +363,13 @@ def _spans_row_kernel(ideal_generator, r):
     Algebraic Number Theory*, 2.4), and sub = K exactly when the test
     holds.  A sub spanned by some of a set S of vectors in K thus settles
     all of S: when the test holds, sub <= span(S) <= K = sub."""
-    m = np = len(r)
+    np = len(r)
     while np and not r[np - 1]:
         np -= 1
     if not np:
-        return lambda sub: False  # r = 0: K = R^m
+        return None  # K = R^m
     # the numerators' gcd generates content(r): denominators are units
-    content = math.gcd(*[x.numerator for x in r])
-    want = ideal_generator(r[np - 1])
-
-    def spans(sub: Lattice) -> bool:
-        rows = sub.rows
-        if len(rows) != m - 1:
-            return False
-        return ideal_generator(content * math.prod([row[p] for p, row in rows.items()])) == want
-
-    return spans
+    return math.gcd(*[x.numerator for x in r]), ideal_generator(r[np - 1])
 
 
 def _degreewise_generators(ambient: FreeGradedModule, degree_bound: int, candidates, row=None):
@@ -416,22 +412,36 @@ def _row_kernel_images(ambient: FreeGradedModule, terms, d: int, r):
     """The degree-d images of the generators (degree, terms) and the
     Lattice they span, or None once that Lattice spans K = ker(r).
 
-    K has rank m - 1, m = len(r), so the index test of
-    :func:`_spans_row_kernel` runs only where the Lattice has that rank:
-    before the first insert when m = 1 (K = 0 is spanned by nothing), and
-    after each insert that grows it to, or within, rank m - 1.  The images
-    after the one that passes are never built."""
+    The index test: the Lattice is all of K exactly when it has rank
+    m - 1, m = len(r), and the product of its echelon pivots times
+    content(r) generates the ideal of r[np] (equal absolute values over Z,
+    equal valuations over Z_(p); over a field the rank decides).
+    :func:`_spans_row_kernel` reads content(r) and the generator of r[np]
+    once per degree, and proves the test.  It runs only where the Lattice
+    has rank m - 1: on the empty Lattice when m = 1 (K = 0, and the
+    product of no pivots is 1), and after each insert that grows it to, or
+    within, rank m - 1.  The images after the one that passes are never
+    built.  When r = 0 no test applies, and every image is built."""
     R = ambient.context.ring
-    spans = _spans_row_kernel(R._echelon.generator, r)
+    generator = R._echelon.generator
+    read = _spans_row_kernel(generator, r)
+    if read is None:
+        vectors = list(ambient.images(terms, d))
+        return vectors, Lattice(R, len(r), vectors)
+    content, want = read
     rank = len(r) - 1  # of K
     vectors, sub = [], Lattice(R, len(r))
-    if not rank and spans(sub):
-        return None
-    for v in ambient.images(terms, d):
-        vectors.append(v)
-        if sub.insert(v) and len(sub.rows) == rank and spans(sub):
+    rows, images = sub.rows, ambient.images(terms, d)
+    while True:  # test, then insert images up to the next one that grows sub
+        if len(rows) == rank and generator(
+                content * math.prod([row[p] for p, row in rows.items()])) == want:
             return None
-    return vectors, sub
+        for v in images:
+            vectors.append(v)
+            if sub.insert(v):
+                break
+        else:
+            return vectors, sub
 
 
 # ---------------------------------------------------------------------------

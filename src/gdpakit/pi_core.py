@@ -120,6 +120,10 @@ class PiSequence:
         self.meta = meta or {}
         self.admissible_by_fiat = admissible_by_fiat
         self._memo: dict[int, object] = {}
+        # C(n, m) as c_binomial computes it, keyed (n, m).  Only pairs with
+        # 0 <= m <= n enter, and no value is None, so a reader may take
+        # .get((n, m)) is None as a miss and skip the range check.
+        # c_binomial writes it; FreeGradedModule.images also reads it.
         self._c_memo: dict[tuple, object] = {}
         self._a_memo: dict[int, object] = {}
 
@@ -278,9 +282,13 @@ def A_invariant(pi: PiSequence, n: int):
 
 
 def c_binomial(pi: PiSequence, n: int, m: int):
-    """C(n, m) = prod over k in [2, n] of pi_k^{eps_k(n-m, m)} (carry product)."""
-    # no ring element is None, and an (n, m) out of range never enters the
-    # memo, so a hit needs no range check
+    """C(n, m) = prod over k in [2, n] of pi_k^{eps_k(n-m, m)} (carry product).
+
+    eps_k(a, b) = floor((a mod k + b mod k) / k), so the carry test is
+    inlined as a mod k + b mod k >= k.  pi_k is evaluated only where a carry
+    occurs, in increasing k, and the loop stops once the product is zero:
+    no pi_k is asked for that the product does not use."""
+    # a hit needs no range check (PiSequence._c_memo)
     acc = pi._c_memo.get((n, m))
     if acc is not None:
         return acc
@@ -290,7 +298,7 @@ def c_binomial(pi: PiSequence, n: int, m: int):
     acc = R.one()
     a, b = n - m, m
     for k in range(2, n + 1):
-        if carry(k, a, b):
+        if a % k + b % k >= k:
             acc = R.mul(acc, pi.pi(k))
             if R.is_zero(acc):
                 break

@@ -9,6 +9,11 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from gdpakit.coeff_rings import (
+    GF,
+    QQ,
+    ZZ,
+    Zloc,
+    Zmod,
     ExactMatrix,
     IntegersModRing,
     Lattice,
@@ -17,14 +22,14 @@ from gdpakit.coeff_rings import (
     PreconditionError,
     Ring,
     _coordinates,
-    _lift_zmod,
     _identity,
     kernel_basis,
     primitive_integer_vector,
     quotient_generators,
     smith_normal_form,
 )
-from gdpakit.gdpa import GdpaElement
+from gdpakit.coherence_lab import UnboundedTorsionError, _least_annihilating_n
+from gdpakit.gdpa import AlgebraContext, GdpaElement
 from gdpakit.graded_modules import (
     FreeGradedModule,
     ModuleMap,
@@ -35,7 +40,17 @@ from gdpakit.graded_modules import (
     _vector_to_column,
     syzygy_generators,
 )
-from gdpakit.resolutions_k import SpecialBlock, SpecialFiltrationCertificate
+from gdpakit.pi_core import PiSequence, h_transform
+from gdpakit.resolutions_k import SpecialBlock, SpecialFiltrationCertificate, ideal_invariants
+
+
+# the rings and pi of the oracle tests: classical and all-ones pi
+ORACLE_RINGS = [Zloc(2), Zloc(3), ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6)]
+ORACLE_CONTEXTS = [
+    AlgebraContext(family(R))
+    for R in ORACLE_RINGS
+    for family in (PiSequence.classical, PiSequence.all_ones)
+]
 
 
 def _diag(D: ExactMatrix):
@@ -76,12 +91,24 @@ def lattice_equals(a: Lattice, b: Lattice) -> bool:
         a.contains(r) for r in b.rows.values())
 
 
+def lift_zmod(m: ExactMatrix) -> ExactMatrix:
+    """[A | nI] over Z, for kernel/cokernel computations over Z/n."""
+    R = m.ring
+    assert isinstance(R, IntegersModRing)
+    ents = [
+        [m.entries[i][j] for j in range(m.cols)]
+        + [R.n if k == i else 0 for k in range(m.rows)]
+        for i in range(m.rows)
+    ]
+    return ExactMatrix(ZZ, ents, m.rows, m.cols + m.rows)
+
+
 def solve(m: ExactMatrix, b):
     """Solve m x = b exactly (b a list) through the Smith form U m V = D;
     returns x or None if unsolvable.  Over Z/n it solves [m | nI] over Z."""
     R = m.ring
     if isinstance(R, IntegersModRing) and not R.is_field:
-        lifted = _lift_zmod(m)
+        lifted = lift_zmod(m)
         x = solve(lifted, [int(v) for v in b])
         if x is None:
             return None
@@ -592,6 +619,40 @@ def sp1_hand_filtration(context, s: int) -> tuple:
         [SpecialBlock([R.zero()], s, shift=j) for j in range(1, s)]
     )
     return I, cert
+
+
+def c_binomial_by_carries(pi, n: int, m: int):
+    """C(n, m) read off its definition: the product, in increasing k, of
+    pi_k over every k in [2, n] with eps_k(n - m, m) = floor(n/k) -
+    floor((n - m)/k) - floor(m/k) = 1, with no memo and no early stop at
+    a zero product."""
+    R = pi.ring
+    acc = R.one()
+    for k in range(2, n + 1):
+        if n // k - (n - m) // k - m // k:
+            acc = R.mul(acc, pi.pi(k))
+    return acc
+
+
+def torsion_bound_N_every_index(spec) -> int:
+    """gdpakit's torsion_bound_N as it was before it read each chain ideal
+    once: the torsion factors of k/a_i for every 0 <= i <= 3d, the chain
+    extended constantly by a_d, repeats kept."""
+    R = spec.context.ring
+    if R.is_field or isinstance(R, IntegersModRing):
+        return 1
+    factors = []
+    for i in range(3 * spec.d + 1):
+        factors += ideal_invariants(R, spec.chain[min(i, spec.d)]).torsion_factors
+    if not factors:
+        return 1
+    limit = 4 * math.lcm(*map(int, factors)) + 16
+    pi = spec.context.pi
+    transforms = [pi if h == 1 else h_transform(pi, h) for h in range(1, 2 * max(spec.d, 1) + 1)]
+    N = _least_annihilating_n(R, factors, transforms, limit)
+    if N is None:
+        raise UnboundedTorsionError(f"no N <= {limit}")
+    return N
 
 
 # ---------------------------------------------------------------------------

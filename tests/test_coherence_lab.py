@@ -25,6 +25,7 @@ from gdpakit.coherence_lab import (
 )
 from gdpakit.gdpa import AlgebraContext
 from gdpakit.pi_core import PiSequence
+from references import torsion_bound_N_every_index
 
 
 def classical_ctx(ring):
@@ -73,6 +74,17 @@ class TestTorsionBoundN:
         spec = IdealSpec(ctx, [[ring.from_int(12)]], 0)
         # Z_(2)/12 = Z/4: exponent 4
         assert torsion_bound_N(spec) == 4
+
+    def test_matches_the_every_index_loop(self):
+        # a_i = a_d for i >= d, so the ideals a_0 .. a_d, each read once,
+        # give the N of the 3d + 1 ideals a_0 .. a_3d
+        specs = [spec for seed in (5, 6) for spec in boundcheck_specs(61, seed)]
+        for ring in (ZZ, Zloc(2), Zloc(3)):
+            ctx, rng = classical_ctx(ring), random.Random(31)
+            specs += [random_ideal_spec(ctx, rng.randint(0, 5), rng) for _ in range(60)]
+        Ns = [torsion_bound_N(spec) for spec in specs]
+        assert Ns == [torsion_bound_N_every_index(spec) for spec in specs]
+        assert len(set(Ns)) > 3
 
 
 class TestT1BoundCheck:

@@ -49,6 +49,7 @@ from gdpakit.graded_modules import (
     _refine_lattice,
     _relation_columns,
     _relation_goal,
+    _row_kernel_images,
     _spans_row_kernel,
 )
 from gdpakit.coeff_rings import _identity, _smith
@@ -62,6 +63,8 @@ from gdpakit.resolutions_k import (
     special_resolve_field,
 )
 from references import (
+    ORACLE_CONTEXTS,
+    ORACLE_RINGS,
     apply_vector,
     fresh_images,
     lattice_equals,
@@ -494,14 +497,6 @@ class TestTorsion:
         rep = torsion_submodule(M, 8)
         assert rep.verdict == "has_torsion"
         assert rep.certificate is not None
-
-
-ORACLE_RINGS = [Zloc(2), Zloc(3), ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6)]
-ORACLE_CONTEXTS = [
-    AlgebraContext(family(R))
-    for R in ORACLE_RINGS
-    for family in (PiSequence.classical, PiSequence.all_ones)
-]
 
 
 def stacked_margin_lattice(M, d, margin):
@@ -1280,12 +1275,18 @@ def test_syzygy_generators_match_the_every_degree_reference():
     assert target_gens == {1, 2, 3}
 
 
+# all-ones pi, so that C(0, 0) = 1 and degree-0 images are the vectors themselves
+ROW_KERNEL_CONTEXTS = {
+    R: AlgebraContext(PiSequence.all_ones(R)) for R in (ZZ, Zloc(2), Zloc(3), QQ, GF(2), GF(3))
+}
+
+
 @st.composite
 def row_kernel_sublattices(draw):
     """(R, r, S, K): a nonzero row r in R^m, m <= 4, a basis K of ker(r),
     and vectors S, small combinations of K, so that S spans ker(r) in many
     draws and not in many others; over Z_(p) with denominators prime to p."""
-    R = draw(st.sampled_from([ZZ, Zloc(2), Zloc(3), QQ, GF(2), GF(3)]))
+    R = draw(st.sampled_from(list(ROW_KERNEL_CONTEXTS)))
     m = draw(st.integers(1, 4))
 
     def element(lo, hi):
@@ -1315,15 +1316,34 @@ def test_row_kernel_index_test_decides_equality(case):
     # and r at the column without a pivot; it holds exactly when S = ker(r)
     R, r, S, K = case
     m = len(r)
+    generator = R._echelon.generator
+    assert _spans_row_kernel(generator, [R.zero()] * m) is None
+    content, want = _spans_row_kernel(generator, r)
+
+    def test(sub):
+        pivots = math.prod([row[p] for p, row in sub.rows.items()])
+        return len(sub.rows) == m - 1 and generator(content * pivots) == want
+
     sub = Lattice(R, m, S)
     spans = lattice_equals(sub, Lattice(R, m, K))
-    test = _spans_row_kernel(R._echelon.generator, r)
     assert test(sub) == spans
     # the degree loop inserts S in order and stops at the first prefix that
     # passes: a passing prefix proves that all of S spans ker(r)
     for n in range(len(S) + 1):
         if test(Lattice(R, m, S[:n])):
             assert spans
+    # the loop itself, on S as the degree-0 images of generators at degree
+    # 0: it stops exactly when S spans ker(r), and otherwise returns S and
+    # their lattice
+    ambient = FreeGradedModule(ROW_KERNEL_CONTEXTS[R], [0] * m)
+    terms = [(0, [(i, 0, 0, x) for i, x in enumerate(v)]) for v in S]
+    old = _row_kernel_images(ambient, terms, 0, r)
+    assert (old is None) == spans
+    if old is not None:
+        assert old[0] == S and lattice_equals(old[1], sub)
+    # r = 0: K = R^m, and no test applies
+    vectors, lattice = _row_kernel_images(ambient, terms, 0, [R.zero()] * m)
+    assert vectors == S and lattice_equals(lattice, sub)
 
 
 # every ring of the oracle contexts (Z/6 among them) and of the fractional ones

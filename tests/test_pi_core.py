@@ -35,7 +35,7 @@ from gdpakit.pi_core import (
     pi_from_gcd_morphic,
     prime_power_base,
 )
-from references import DivisibleSequence, base_rep
+from references import ORACLE_CONTEXTS, DivisibleSequence, base_rep, c_binomial_by_carries
 
 
 def random_never_zero_pi(rng, up_to=30, lo=1, hi=9):
@@ -223,6 +223,32 @@ def test_c_binomial_memo_keeps_values_and_range_check(ring):
         for n in range(16):
             for m in range(n + 1):
                 assert ring.eq(c_binomial(pi, n, m), c_binomial(family(ring), n, m))
+
+
+def test_c_binomial_matches_the_carry_loop():
+    # value and type, each pair computed cold: fresh copies of the oracle
+    # contexts' pi, custom pi with zeros (where the loop stops early) and
+    # the cyclotomic pi over Z[q]
+    zeros = [{2: 0, 6: 0}, {3: 0, 9: 0}, {2: 2, 3: 0, 25: 0}]
+    fresh = [PiSequence.from_json(ctx.pi.to_json()) for ctx in ORACLE_CONTEXTS]
+    fresh += [PiSequence.custom(R, values) for R in (ZZ, Zloc(3), Zmod(6)) for values in zeros]
+    cases = [(pi, 90) for pi in fresh] + [(PiSequence.cyclotomic_symbolic(), 24)]
+    pairs = 0
+    for pi, top in cases:
+        for n in range(top + 1):
+            for m in range(n + 1):
+                got, want = c_binomial(pi, n, m), c_binomial_by_carries(pi, n, m)
+                assert type(got) is type(want) and got == want, (pi, n, m)
+                pairs += 1
+    assert pairs > 100_000
+
+
+def test_c_binomial_classical_over_z_is_the_binomial():
+    # Kummer: over Z with classical pi, C(n, m) is the ordinary binomial
+    pi = PiSequence.classical(ZZ)
+    for n in range(161):
+        for m in range(n + 1):
+            assert c_binomial(pi, n, m) == math.comb(n, m), (n, m)
 
 
 def test_c_binomial_gaussian():
