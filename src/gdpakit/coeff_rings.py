@@ -66,7 +66,8 @@ class _Elimination(NamedTuple):
     key: Callable  # the Smith pivot key
     generator: Callable  # nonzero x -> the canonical generator of the ideal (x)
     window: Ring  # the ring the torsion windows keep their rows over
-    read: Callable  # (v, w=None) -> v, or the products v_i w_i, as a row over window
+    clear: Callable  # a row of ring elements -> a unit multiple of it over window
+    primitive: Callable  # a row of products over window -> the one row the windows keep for it
     factor: Callable  # a torsion invariant -> its (prime, exponent) pairs
 
 
@@ -191,14 +192,13 @@ class Ring:
         associates, with no torsion factorization."""
         return _Elimination(
             self, 0, self.quo_rem, self.pivot_key, self.canonical_associate, self,
-            self._read, self._factor,
+            list, self._canon_row, self._factor,
         )
 
-    def _read(self, v, w=None) -> list:
-        """v, or the products v_i w_i when w is given, as a row over this ring."""
-        if w is None:
-            return [self.canon(x) for x in v]
-        return [self.canon(self.mul(x, y)) for x, y in zip(v, w)]
+    def _canon_row(self, v) -> list:
+        """v, a row of products taken with Python's operators, as canonical
+        elements of this ring (over Z/n and GF(p), read mod n)."""
+        return [self.canon(x) for x in v]
 
     def _factor(self, t):
         raise UnsupportedRingError(f"no torsion factorization over {self.describe()}")
@@ -281,7 +281,8 @@ class IntegerRing(NumberRing):
     @cached_property
     def _echelon(self):
         # quotient None: the eliminations inline the symmetric quo_rem
-        return _Elimination(self, 0, None, abs, abs, self, self._read, _factor_integer)
+        # ints are rows' entries as they are: clear and primitive copy the row
+        return _Elimination(self, 0, None, abs, abs, self, list, list, _factor_integer)
 
     def in_jacobson_radical(self, a):
         return a == 0
@@ -419,11 +420,11 @@ class IntegersModRing(Ring):
     def _echelon(self):
         if self.is_field:
             return _Elimination(
-                self, self.n, self.quo_rem, self.pivot_key, lambda x: 1, self, self._read,
-                self._factor,
+                self, self.n, self.quo_rem, self.pivot_key, lambda x: 1, self, list,
+                self._canon_row, self._factor,
             )
         # composite n: the rows are integers, whose residues mod n count
-        return ZZ._echelon._replace(window=self, read=self._read, factor=self._factor)
+        return ZZ._echelon._replace(window=self, primitive=self._canon_row, factor=self._factor)
 
     def _factor(self, t):
         return _factor_integer(t % self.n)
@@ -511,9 +512,29 @@ class PLocalRing(NumberRing):
     def _echelon(self):
         # the windows keep primitive integer rows: a unit scale changes no span
         p, v = self.p, self.valuation
+
+        def generator(x) -> int:
+            """p^v(x), the canonical generator of (x), x a nonzero int or Fraction."""
+            n, g = x.numerator, 1
+            if not n:
+                raise ValueError("valuation of zero")
+            while not n % p:
+                n //= p
+                g *= p
+            return g
+
+        def primitive(row: list) -> list:
+            """The integer row divided by the part of its content prime to p:
+            the one positive unit multiple of it whose content is a power of
+            p, the same for every unit multiple of the row."""
+            g = math.gcd(*row)
+            while g and not g % p:
+                g //= p
+            return [x // g for x in row] if g > 1 else row
+
         return _Elimination(
-            self, 0, self.quo_rem, self.pivot_key, lambda x: p ** v(x), ZZ,
-            lambda row, w=None: primitive_integer_vector(row, p, w), lambda t: [(p, v(t))],
+            self, 0, self.quo_rem, self.pivot_key, generator, ZZ, _cleared, primitive,
+            lambda t: [(p, v(t))],
         )
 
     def in_jacobson_radical(self, a):
@@ -1166,27 +1187,17 @@ def _minus(x: list, q, y: list, p: int) -> list:
     return [a - q * b for a, b in zip(x, y)]
 
 
-def primitive_integer_vector(v, p: int, w=None) -> list:
-    """The integer vector that is a unit multiple of v over Z_(p), or of the
-    products v_i w_i when w is given, and whose content is a power of p: the
-    denominators (prime to p) are cleared and the part of the content prime
-    to p is divided out.  v and w hold ints or p-local Fractions; products
-    are taken on numerators and denominators as ints, so no Fraction is
-    built.  It is the only such vector that is a positive multiple of v, so
-    it does not depend on how the denominators are cleared."""
-    if w is None:
-        nums = [x.numerator for x in v]
-        dens = [x.denominator for x in v]
-    else:
-        nums = [x.numerator * y.numerator for x, y in zip(v, w)]
-        dens = [x.denominator * y.denominator for x, y in zip(v, w)]
-    l = math.lcm(*dens)
-    if l > 1:
-        nums = [a * (l // b) for a, b in zip(nums, dens)]
-    g = math.gcd(*nums)
-    while g and not g % p:
-        g //= p
-    return [x // g for x in nums] if g > 1 else nums
+def _cleared(v) -> list:
+    """Over Z_(p), the ints that are v times the lcm of its denominators, for
+    v a row of ints or p-local Fractions: a positive unit multiple of v, as
+    the denominators are prime to p."""
+    l = 1
+    for x in v:
+        if x.denominator != 1:
+            l = math.lcm(l, x.denominator)
+    if l == 1:
+        return [x.numerator for x in v]
+    return [x.numerator * (l // x.denominator) for x in v]
 
 
 def _kernel_heads(R: Ring, kernel, n: int) -> list:

@@ -90,20 +90,15 @@ class FreeGradedModule:
                 out.append((i, g, e - g, c))
         return out
 
-    def images(self, generators, d: int, read=None):
+    def images(self, generators, d: int):
         """For each (degree e, terms) in generators with e <= d, yield the
         coordinate vector of x^[d - e] * column on the degree-d basis, terms
         being the column as _column_terms parses it: a term (i, g_i, t, c)
         gives c * C(d - g_i, t) at x^[d - g_i] e_i (D_s has rank 1).  Each
         vector is built when it is asked for, so a caller that stops early
-        builds no more.  Without read, C(d - g_i, t) is read from pi's memo
-        table (PiSequence._c_memo), and c_binomial is called only for a
-        binomial not met before.
-
-        With read, a row reader of Ring._echelon, each vector is read(c, b)
-        instead, c and b the vectors of the coefficients and the binomials
-        (zero where no term lands): the reader takes the products itself, so
-        over Z_(p) they are integer rows with no Fraction built."""
+        builds no more.  C(d - g_i, t) is read from pi's memo table
+        (PiSequence._c_memo), and c_binomial is called only for a binomial
+        not met before."""
         mul, pi, zero, memo = self._mul, self.context.pi, self._zero, self._binomials
         col_of = self._columns(d)
         n = len(col_of)
@@ -111,18 +106,11 @@ class FreeGradedModule:
             if e > d:
                 continue
             vec = [zero] * n
-            if read is None:
-                for i, g, t, c in terms:
-                    b = memo.get((d - g, t))
-                    if b is None:
-                        b = c_binomial(pi, d - g, t)
-                    vec[col_of[i]] = mul(c, b)
-            else:
-                binomials = [zero] * n
-                for i, g, t, c in terms:
-                    vec[col_of[i]] = c
-                    binomials[col_of[i]] = c_binomial(pi, d - g, t)
-                vec = read(vec, binomials)
+            for i, g, t, c in terms:
+                b = memo.get((d - g, t))
+                if b is None:
+                    b = c_binomial(pi, d - g, t)
+                vec[col_of[i]] = mul(c, b)
             yield vec
 
 
@@ -171,13 +159,6 @@ class ModuleMap:
         """The columns of slice(d): the images of the source basis at degree
         d, x^[d - e_j] e_j mapping to x^[d - e_j] * column j."""
         return list(self.target.images(self._terms, d))
-
-    def slice_rows(self, d: int) -> list:
-        """The columns of slice(d) as rows over the torsion windows' ring,
-        read by the ring's record (Ring._echelon) from the terms: over
-        Z_(p), primitive integer rows."""
-        read = self.context.ring._echelon.read
-        return list(self.target.images(self._terms, d, read))
 
     def slice(self, d: int) -> ExactMatrix:
         """The degree-d piece as a matrix over the coefficient ring: rows are
@@ -624,16 +605,18 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     and the ring K of the rows: over Z_(p), K is Z, and integer rows span
     the lattice, as a unit scale changes no span; over Z/n, the rows are
     integers whose residues generate the lattice.  relation_columns(e) is
-    the echelon basis over K of the relation slice of degree e
-    (:func:`_relation_columns`), already reduced, so a cut does not reduce
-    it again.
+    the echelon basis over K of the relation slice of degree e, keyed by
+    pivot (:func:`_relation_columns`): already reduced, so a cut sets each
+    of its rows at its pivot, with no insert.  Over Z/n, whose cut holds
+    the lift rows n e_i from the start, the rows that are not among them
+    are inserted.
 
-    A step for j is one Lattice over K (over Z/n, the preimage of its span,
-    with the lift rows Lattice adds; the relation rows among them are not
-    inserted again) in K^(t + r + dim), t the rank of
-    F0_{d+j} and r that of the window, spanned by the rows [P_k | 0 | 0],
-    P_k the relation rows of degree d + j, and [x^[j] b_c | e_c | b_c],
-    b_c the rows of B.  Its vectors are (P z + x^[j] y B, y, y B), so the
+    A step for j is one Lattice over K (over Z/n, the preimage of its span)
+    in K^(t + r + dim), t the rank of F0_{d+j} and r that of the window,
+    spanned by the rows [P_k | 0 | 0], P_k the relation rows of degree
+    d + j, and [x^[j] b_c | e_c | b_c], b_c the rows of B, x^[j] taking
+    x^[s] e_i to C(s + j, j) x^[s + j] e_i by the row of
+    :func:`_times_row`.  Its vectors are (P z + x^[j] y B, y, y B), so the
     ones that vanish on the top block are the (0, y, y B) with x^[j] y B
     in the relation span.  In an echelon basis the rows whose pivot lies
     past the top block span exactly the lattice's vectors that vanish
@@ -645,8 +628,10 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     y, and in their bottom blocks B <- A B, the cut window (Cohen, *A
     Course in Computational Algebraic Number Theory*, 2.4), kept as the
     echelon form leaves it: already rows over K.  Over Z_(p), with the
-    binomials cleared as the rows are, this is the same over Z: Z_(p) is a
-    localization of Z, so a Z-basis of the cut is a Z_(p)-basis of it.
+    binomial row a primitive integer row, a unit multiple of the binomials
+    (a unit scale of x^[j] changes no condition), this is the same over Z:
+    Z_(p) is a localization of Z, so a Z-basis of the cut is a
+    Z_(p)-basis of it.
     Over Z/n only the residues of B count: its rows generate the cut
     modulo n, and A's pivots give the index of the coordinate lattice.  At
     an unchanged rank A is square and triangular, so delta gains the
@@ -665,17 +650,21 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     K, ideal_generator = elim.window, elim.generator
     zero, one, mul = K.zero(), K.one(), K.mul
     (rank, delta), B = window or ((dim, 1), _identity(dim, one, zero))
+    shifts = [s for _, s in basis]
     for j in degrees:
         if not rank or (rank, delta) == goal:
             break
         row_of = F0._columns(d + j)
         top = len(row_of)
-        coeffs = elim.read([ctx.C(s + j, j) for _, s in basis])
+        coeffs = _times_row(ctx, shifts, j)
         lattice = Lattice(K, top + rank + dim)
-        for col in relation_columns(d + j):
-            v = col + [zero] * (rank + dim)
-            # over Z/n the cut holds its lift rows n e_i from the start
-            if v not in lattice.lift_kernel:
+        rows, pad = lattice.rows, [zero] * (rank + dim)
+        for p, row in relation_columns(d + j).items():
+            v = row + pad
+            if p not in rows:
+                rows[p] = v  # an echelon basis: each row goes straight to its pivot
+            elif v not in lattice.lift_kernel:
+                # over Z/n the cut holds its lift rows n e_i from the start
                 lattice.insert(v)
         for c, b in enumerate(B):
             v = [zero] * (top + rank) + b
@@ -695,30 +684,93 @@ def _refine_lattice(M: PresentedModule, d: int, window, degrees, relation_column
     return (rank, delta), B
 
 
+def _relation_rows(M: PresentedModule):
+    """e -> the rows of the relation slice at degree e over the windows'
+    ring, one per relation of degree <= e: its columns, each read by the
+    ring's record (Ring._echelon) as the one row its primitive gives, over
+    Z_(p) the positive unit multiple with integer entries whose content is
+    a power of p, over any other ring the canonical entries.
+
+    Each relation column is read once per call of this function, its
+    coefficients cleared to one unit multiple over the windows' ring (over
+    Z_(p), times the lcm of their denominators).  A degree's rows then read
+    each term's binomial C(e - g_i, t) from pi's memo table, all cleared as
+    one row, and take one product per term and one primitive per row."""
+    ctx = M.context
+    elim = ctx.ring._echelon
+    clear, primitive, zero = elim.clear, elim.primitive, elim.window.zero()
+    F0, pi, memo = M.generators, ctx.pi, ctx.pi._c_memo
+    relations = []
+    for f, terms in M.relations._terms:
+        coeffs = clear([c for *_, c in terms])
+        relations.append((f, [(i, g, t, a) for (i, g, t, _), a in zip(terms, coeffs)]))
+
+    def rows(e: int) -> list:
+        col_of = F0._columns(e)
+        live = [terms for f, terms in relations if f <= e]
+        try:
+            binomials = [memo[e - g, t] for terms in live for _, g, t, _ in terms]
+        except KeyError:  # c_binomial computes the binomials not met before, and keeps them
+            binomials = [c_binomial(pi, e - g, t) for terms in live for _, g, t, _ in terms]
+        # one unit multiple clears every binomial of the degree: each row is
+        # then a unit multiple of its column, and primitive makes it the row
+        # that the column stands for
+        binomials = iter(clear(binomials))
+        out = []
+        for terms in live:
+            row = [zero] * len(col_of)
+            # zip stops at the end of terms, before it takes another binomial
+            for (i, _, _, a), b in zip(terms, binomials):
+                row[col_of[i]] = a * b
+            out.append(primitive(row))
+        return out
+
+    return rows
+
+
+def _times_row(ctx: AlgebraContext, shifts, j: int) -> list:
+    """The binomials C(s + j, j), s in shifts, by which x^[j] multiplies a
+    degree's basis elements x^[s] e_i, as one row over the windows' ring,
+    read by the ring's record (Ring._echelon) as :func:`_relation_rows`
+    reads a relation's column: cleared, then made primitive."""
+    pi, memo = ctx.pi, ctx.pi._c_memo
+    try:
+        binomials = [memo[s + j, j] for s in shifts]
+    except KeyError:  # c_binomial computes the binomials not met before, and keeps them
+        binomials = [c_binomial(pi, s + j, j) for s in shifts]
+    elim = ctx.ring._echelon
+    return elim.primitive(elim.clear(binomials))
+
+
 def _relation_columns(M: PresentedModule):
     """e -> an echelon basis of the relation slice at degree e, as rows over
-    the windows' ring (Ring._echelon): one Lattice of the rows of
-    :meth:`ModuleMap.slice_rows`, built once per degree.  It spans the
-    slice's lattice (over Z/n, its preimage in Z^t, lift rows included), so
-    the cuts, the goal and a candidate's span all read it in its place."""
+    the windows' ring (Ring._echelon) keyed by their pivots, in pivot order:
+    one Lattice of the rows of :func:`_relation_rows`, built once per
+    degree and call, so each relation column is read once per call and
+    each degree's rows once.  It spans the slice's lattice (over Z/n, its
+    preimage in Z^t, lift rows included), so the cuts, the goal and a
+    candidate's span all read it in its place, and a cut sets its rows at
+    their pivots."""
     K = M.context.ring._echelon.window
-    rank, slice_rows = M.generators.rank, M.relations.slice_rows
+    rank, rows = M.generators.rank, _relation_rows(M)
 
     @cache
-    def echelon_rows(e: int) -> list:
-        return Lattice(K, rank(e), slice_rows(e)).basis()
+    def echelon_rows(e: int) -> dict:
+        basis = Lattice(K, rank(e), rows(e)).rows
+        return {p: basis[p] for p in sorted(basis)}
 
     return echelon_rows
 
 
-def _relation_goal(R: Ring, rows: list, dim: int):
+def _relation_goal(R: Ring, rows: dict, dim: int):
     """(rank, delta) of the span of rows, an echelon basis over the windows'
-    ring in R^dim: with dim rows it is square and triangular, so delta
-    generates the product of its pivots (always so over Z/n, whose lift
-    rows are in it); otherwise :func:`_rank_and_delta` of the rows."""
+    ring in R^dim keyed by pivot: with dim rows it is square and
+    triangular, so delta generates the product of its pivots (always so
+    over Z/n, whose lift rows are in it); otherwise :func:`_rank_and_delta`
+    of the rows."""
     if len(rows) < dim:
-        return _rank_and_delta(R, rows, dim)
-    return dim, R._echelon.generator(math.prod(row[t] for t, row in enumerate(rows)))
+        return _rank_and_delta(R, rows.values(), dim)
+    return dim, R._echelon.generator(math.prod(row[p] for p, row in rows.items()))
 
 
 def torsion_submodule(M: PresentedModule, degree_bound: int) -> TorsionReport:
@@ -791,7 +843,7 @@ def torsion_submodule(M: PresentedModule, degree_bound: int) -> TorsionReport:
             continue
         # stable annihilated classes beyond the relation submodule
         cols = [[R.canon(x) for x in v] for v in final[1]]
-        span = [[R.canon(x) for x in v] for v in relation_columns(d)]
+        span = [[R.canon(x) for x in v] for v in relation_columns(d).values()]
         stable.append((d, _quotient_invariants(R, dim, cols, span)))
     if stable:
         if certified:

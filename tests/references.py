@@ -24,7 +24,6 @@ from gdpakit.coeff_rings import (
     _coordinates,
     _identity,
     kernel_basis,
-    primitive_integer_vector,
     quotient_generators,
     smith_normal_form,
 )
@@ -51,6 +50,19 @@ ORACLE_CONTEXTS = [
     for R in ORACLE_RINGS
     for family in (PiSequence.classical, PiSequence.all_ones)
 ]
+
+
+def primitive_integer_vector(v, p: int) -> list:
+    """The integer vector that is a unit multiple of v over Z_(p) and whose
+    content is a power of p, by its definition: v times the lcm of its
+    denominators (prime to p), divided by the part of its content prime to
+    p.  It is the only such vector that is a positive multiple of v."""
+    l = math.lcm(*[Fraction(x).denominator for x in v])
+    nums = [int(x * l) for x in v]
+    g = math.gcd(*nums)
+    while g and not g % p:
+        g //= p
+    return [x // g for x in nums] if g > 1 else nums
 
 
 def _diag(D: ExactMatrix):
@@ -396,7 +408,8 @@ def refine_lattice_every_j(M, d: int, lattice: Lattice, j_start: int, j_end: int
         if p:
             B = [primitive_integer_vector(b, p) for b in B]
             coeffs = primitive_integer_vector(coeffs, p)
-        relations = ExactMatrix.from_columns(R, relation_columns(d + j), len(row_of)).entries
+        relations = ExactMatrix.from_columns(
+            R, list(relation_columns(d + j).values()), len(row_of)).entries
         big = [[0 if p else R.zero()] * len(B) + r for r in relations]
         for col, b in enumerate(B):
             for (i, _), c, x in zip(basis, coeffs, b):

@@ -213,12 +213,12 @@ def test_bound_check_scan_stops_building_images_once_they_span(monkeypatch):
         widths.append(A.cols)
         return kernel_basis(A)
 
-    def watched_images(F, generators, d, read=None):
+    def watched_images(F, generators, d):
         if sys._getframe(1).f_code.co_name == "_row_kernel_images":
             generators = list(generators)
             offered.append(len(generators))
-            return (built.append(d) or v for v in images(F, generators, d, read))
-        return images(F, generators, d, read)
+            return (built.append(d) or v for v in images(F, generators, d))
+        return images(F, generators, d)
 
     monkeypatch.setattr(graded_modules, "kernel_basis", watched_kernel)
     monkeypatch.setattr(graded_modules.FreeGradedModule, "images", watched_images)

@@ -23,7 +23,6 @@ from gdpakit.coeff_rings import (
     UnsupportedRingError,
     cokernel_invariants,
     kernel_basis,
-    primitive_integer_vector,
 )
 from gdpakit.coherence_lab import materialize_ideal, random_ideal_spec
 from gdpakit.gdpa import AlgebraContext
@@ -49,8 +48,10 @@ from gdpakit.graded_modules import (
     _refine_lattice,
     _relation_columns,
     _relation_goal,
+    _relation_rows,
     _row_kernel_images,
     _spans_row_kernel,
+    _times_row,
 )
 from gdpakit.coeff_rings import _identity, _smith
 from gdpakit.pi_core import PiSequence, fibonacci, h_transform, pi_from_gcd_morphic
@@ -70,6 +71,7 @@ from references import (
     lattice_equals,
     matmul,
     invariants_from_torsion_counts,
+    primitive_integer_vector,
     kx_invariant_factors,
     piece_torsion_counts_by_closure,
     random_field_module,
@@ -610,29 +612,43 @@ def recipe_13_modules(seed, count):
 
 def watch_cuts(monkeypatch):
     """Record each Lattice that graded_modules builds, as (cuts, relations):
-    a relation slice's echelon basis, built by _relation_columns's
-    echelon_rows, as its degree in relations, and every other Lattice, one
-    per torsion cut, as (ring, vectors, echelon rows) in cuts.  A cut is
-    fed its vectors by inserts after it is built, so its vectors are
-    recorded as _refine_lattice inserts them, and its rows are read live."""
-    cuts, relations = [], []
+    a relation slice's echelon basis, built while the function that
+    _relation_columns returns reads degree e, as (e, its echelon rows) in
+    relations, and every other Lattice, one per torsion cut, as (ring,
+    vectors, echelon rows) in cuts.  A cut's vectors are those inserted
+    into it, and its rows, read live, include the relation rows it sets at
+    their pivots."""
+    cuts, relations, reading = [], [], []
 
     class Watched(Lattice):
         def __init__(self, ring, dim, vectors=()):
-            self.fed = list(vectors)
-            super().__init__(ring, dim, self.fed)
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "echelon_rows":
-                relations.append(caller.f_locals["e"])
+            self.fed = []
+            super().__init__(ring, dim, vectors)
+            if reading:
+                relations.append((reading[-1], self.rows.values()))
             else:
                 cuts.append((ring, self.fed, self.rows.values()))
 
         def insert(self, v):
-            if sys._getframe(1).f_code.co_name == "_refine_lattice":
-                self.fed.append(list(v))
+            self.fed.append(list(v))
             return super().insert(v)
 
+    relation_columns = graded_modules._relation_columns
+
+    def watched(M):
+        echelon_rows = relation_columns(M)
+
+        def read(e):
+            reading.append(e)
+            try:
+                return echelon_rows(e)
+            finally:
+                reading.pop()
+
+        return read
+
     monkeypatch.setattr(graded_modules, "Lattice", Watched)
+    monkeypatch.setattr(graded_modules, "_relation_columns", watched)
     return cuts, relations
 
 
@@ -650,16 +666,21 @@ def test_torsion_integer_kernel_entries_stay_below_128_bits(monkeypatch):
     # ceiling that the early exit holds.  Each degree's relation slice is
     # reduced to its echelon basis once per call, apart from the cuts.
     cuts, relations = watch_cuts(monkeypatch)
+    slices = []
     for M in recipe_13_modules(40, 8):
         before = len(cuts)
         relations.clear()
         assert torsion_submodule(M, 40).verdict == "torsion_free"
         assert len(cuts) - before <= 8 * (40 - M.min_degree() + 1)
-        assert relations and len(relations) == len(set(relations))
+        degrees = [e for e, _ in relations]
+        assert degrees and len(degrees) == len(set(degrees))
+        slices += [rows for _, rows in relations]
     assert all(ring == ZZ for ring, _, _ in cuts)
     assert 500 < len(cuts) <= 900
+    # the relation rows a cut sets at their pivots are the slices' rows
     assert max(abs(x).bit_length() for _, vectors, rows in cuts
                for v in (*vectors, *rows) for x in v) <= 128
+    assert max(abs(x).bit_length() for rows in slices for v in rows for x in v) <= 128
 
 
 # the largest entry bits of a cut, vectors and echelon rows, that
@@ -675,7 +696,7 @@ def test_torsion_cut_entries_stay_bounded_on_every_window_ring(monkeypatch):
     # cuts must still stay small: over Z/n the lift rows n e_i reduce each
     # pivot, and over Z_(p) the rows are Z-rows of a Z_(p)-basis.  Each
     # bound is at least 10 bits and half again above what was measured
-    cuts, _ = watch_cuts(monkeypatch)
+    cuts, relations = watch_cuts(monkeypatch)
     contexts = [ctx for ctx in TORSION_CONTEXTS + FRACTIONAL_CONTEXTS
                 if ctx.ring in (Zmod(4), Zmod(6), Zloc(3)) or ctx.pi.family == "cyclotomic_at"]
     rng = random.Random(18)
@@ -684,8 +705,11 @@ def test_torsion_cut_entries_stay_bounded_on_every_window_ring(monkeypatch):
         ctx = contexts[n % len(contexts)]
         key = "cyclotomic_at" if ctx.pi.family == "cyclotomic_at" else ctx.ring.describe()
         cuts.clear()
+        relations.clear()
         torsion_submodule(small_module(ctx, rng.randint), 12)
+        # a cut's rows include the relation rows it sets at their pivots
         bits = [abs(x).bit_length() for _, vectors, rows in cuts for v in (*vectors, *rows) for x in v]
+        bits += [abs(x).bit_length() for _, rows in relations for v in rows for x in v]
         widest[key] = max(widest.get(key, 0), *bits, 0)
     assert set(widest) == set(CUT_ENTRY_BITS)
     assert all(widest[key] <= bound for key, bound in CUT_ENTRY_BITS.items()), widest
@@ -694,22 +718,16 @@ def test_torsion_cut_entries_stay_bounded_on_every_window_ring(monkeypatch):
 def test_torsion_builds_each_relation_slice_once(monkeypatch):
     # the relation span of degree d and the torsion windows read the same
     # slices, as rows over the windows' ring: one torsion_submodule call
-    # builds each (map, degree) slice once
-    slice_rows = ModuleMap.slice_rows
-    built = []
-
-    def watched(f, d):
-        built.append((id(f), d))
-        return slice_rows(f, d)
-
-    monkeypatch.setattr(ModuleMap, "slice_rows", watched)
+    # builds each degree's slice, and its echelon basis, once
+    _, relations = watch_cuts(monkeypatch)
     rng = random.Random(15)
     modules = recipe_13_modules(5, 4) + [
         small_module(ctx, rng.randint) for ctx in ORACLE_CONTEXTS for _ in range(3)
     ]
     for M in modules:
-        built.clear()
+        relations.clear()
         torsion_submodule(M, 12)
+        built = [e for e, _ in relations]
         assert built and len(built) == len(set(built))
 
 
@@ -844,7 +862,8 @@ def test_torsion_windows_stop_at_the_relation_span(monkeypatch):
         relations.clear()
         torsion_submodule(M, h)
         assert len(cuts) == expected
-        assert len(relations) == len(set(relations))
+        built = [e for e, _ in relations]
+        assert len(built) == len(set(built))
 
 
 def window_lattice(R, dim, window):
@@ -962,10 +981,11 @@ def test_relation_echelon_rows_give_the_goal(M, offset):
     e = M.min_degree() + offset
     dim = M.generators.rank(e)
     rows = _relation_columns(M)(e)
-    raw = M.relations.slice_rows(e)
-    pivots = [next(t for t, x in enumerate(row) if x) for row in rows]
-    assert all(a < b for a, b in zip(pivots, pivots[1:]))
-    assert lattice_equals(Lattice(K, dim, rows), Lattice(K, dim, raw))
+    raw = _relation_rows(M)(e)
+    # keyed by pivot, in pivot order, so that a cut can set each row there
+    assert list(rows) == [next(t for t, x in enumerate(row) if x) for row in rows.values()]
+    assert all(a < b for a, b in zip(rows, list(rows)[1:]))
+    assert lattice_equals(Lattice(K, dim, list(rows.values())), Lattice(K, dim, raw))
     assert _relation_goal(R, rows, dim) == _rank_and_delta(R, raw, dim)
 
 
@@ -991,6 +1011,72 @@ def plocal_modules(draw):
                                         M.relations.source.degrees)
 
 
+# unit multiples of relations: each ring keeps those of these that it reads
+# as units (over Z only -1; over Z_(3), 3/5 is not one)
+UNIT_CANDIDATES = [-1, 5, 7, Fraction(3, 5), Fraction(-5, 7)]
+
+
+def ring_units(R) -> list:
+    units = []
+    for x in UNIT_CANDIDATES:
+        try:
+            u = R.canon(x)
+        except ValueError:
+            continue
+        if R.is_unit(u):
+            units.append(u)
+    return units
+
+
+@st.composite
+def presented_twice(draw):
+    """(M, N): a module over TORSION_CONTEXTS + PLOCAL_CONTEXTS, with 1-3
+    generators in degrees 0-3 and 1-3 relations from the lowest generator
+    degree to 3 above the top one (a relation below a generator's degree
+    has no entry there), and the same module presented another way.  x^[k]
+    times a relation j is added as a relation of degree at most the top
+    presentation degree (so the margin stays), one relation is scaled by a
+    unit, the relations are permuted, and the generators are permuted
+    (generator i becomes sigma[i], so their degrees need not be sorted)."""
+    ctx = draw(st.sampled_from(TORSION_CONTEXTS + PLOCAL_CONTEXTS))
+    number = st.integers(-4, 4)
+    gdegs = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    cols, rdegs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        rdegs.append(draw(st.integers(gdegs[0], gdegs[-1] + 3)))
+        cols.append({i: ctx.x(rdegs[-1] - g, coeff=ctx.ring.from_int(draw(number)))
+                     for i, g in enumerate(gdegs) if g <= rdegs[-1]})
+    M = PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
+    cols = list(M.relations.columns)
+    j = draw(st.integers(0, len(cols) - 1))
+    k = draw(st.integers(0, M.max_presentation_degree() - rdegs[j]))
+    cols.append({i: ctx.x(k).mul(e) for i, e in cols[j].items()})
+    rdegs.append(rdegs[j] + k)
+    j = draw(st.integers(0, len(cols) - 1))
+    u = draw(st.sampled_from(ring_units(ctx.ring)))
+    cols[j] = {i: e.scale(u) for i, e in cols[j].items()}
+    order = draw(st.permutations(range(len(cols))))
+    cols, rdegs = [cols[t] for t in order], [rdegs[t] for t in order]
+    sigma = draw(st.permutations(range(M.generators.n_gens)))
+    gdegs = [0] * len(sigma)
+    for i, g in enumerate(M.generators.degrees):
+        gdegs[sigma[i]] = g
+    cols = [{sigma[i]: e for i, e in col.items()} for col in cols]
+    return M, PresentedModule.from_columns(ctx, gdegs, cols, rdegs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presented_twice(), st.integers(0, 8))
+def test_torsion_report_does_not_depend_on_the_presentation(pair, horizon):
+    # the same module presented another way has the same torsion report:
+    # verdict, margin, candidates (degree, invariants) and certificate.
+    # Below the top generator degree a permuted module's basis leaves out
+    # generators in the middle of its order, so a row that writes generator
+    # i's term at column i, not at col_of[i], breaks the equality
+    M, N = pair
+    assert torsion_submodule(N, horizon) == torsion_submodule(M, horizon)
+
+
 def assert_primitive_multiple(w, v, p):
     """w is the integer vector of primitive_integer_vector(v, p), checked by
     its definition: the positive p-unit multiple of v whose content is a
@@ -1010,19 +1096,44 @@ def assert_primitive_multiple(w, v, p):
 @settings(max_examples=200, deadline=None)
 @given(plocal_modules(), st.integers(0, 6), st.integers(1, 9))
 def test_integer_rows_are_the_primitive_rows_of_the_fraction_products(M, offset, j):
-    # the relation slices and a cut's binomial row C(s + j, j), read as
-    # integer rows from numerators and denominators, are the primitive
-    # integer vectors of the Fraction products that slice_columns builds
+    # the relation slices, read with each column's coefficients cleared once
+    # for every degree, and a cut's binomial row C(s + j, j), both built as
+    # ints from pi's memo, are the primitive integer vectors of the
+    # Fraction products that slice_columns builds (the definition, in
+    # tests/references.py), row for row
     ctx = M.context
     p = ctx.ring.p
-    d = M.min_degree() + offset
-    rows = M.relations.slice_rows(d)
-    columns = M.relations.slice_columns(d)
-    assert rows == [primitive_integer_vector(col, p) for col in columns]
-    for w, v in zip(rows, columns):
-        assert_primitive_multiple(w, v, p)
-    binomials = [ctx.C(s + j, j) for _, s in M.generators.basis(d)]
-    assert_primitive_multiple(ctx.ring._echelon.read(binomials), binomials, p)
+    rows = _relation_rows(M)
+    for d in range(M.min_degree() + offset, M.min_degree() + offset + 4):
+        columns = M.relations.slice_columns(d)
+        assert rows(d) == [primitive_integer_vector(col, p) for col in columns]
+        for w, v in zip(rows(d), columns):
+            assert_primitive_multiple(w, v, p)
+        shifts = [s for _, s in M.generators.basis(d)]
+        binomials = [ctx.C(s + j, j) for s in shifts]
+        assert _times_row(ctx, shifts, j) == primitive_integer_vector(binomials, p)
+        assert_primitive_multiple(_times_row(ctx, shifts, j), binomials, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_modules([ctx for ctx in TORSION_CONTEXTS if ctx.ring.kind != "Zloc"]),
+       st.integers(0, 6), st.integers(1, 9))
+def test_window_rows_are_the_canonical_entries_off_z_p(M, offset, j):
+    # over Z, Z/n, GF(p) and Q the windows keep the ring's own elements: a
+    # relation row is its column of slice_columns, and a cut's binomial row
+    # the binomials, entry for entry and type for type
+    ctx = M.context
+    R = ctx.ring
+    rows = _relation_rows(M)
+    for d in range(M.min_degree() + offset, M.min_degree() + offset + 4):
+        want = [[R.canon(x) for x in col] for col in M.relations.slice_columns(d)]
+        got = rows(d)
+        assert got == want
+        assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+        shifts = [s for _, s in M.generators.basis(d)]
+        binomials = [R.canon(ctx.C(s + j, j)) for s in shifts]
+        assert _times_row(ctx, shifts, j) == binomials
+        assert list(map(type, _times_row(ctx, shifts, j))) == list(map(type, binomials))
 
 
 @st.composite
@@ -1354,9 +1465,9 @@ RECORD_RINGS = list(dict.fromkeys(ctx.ring for ctx in ORACLE_CONTEXTS + FRACTION
 @given(st.sampled_from(RECORD_RINGS), st.lists(st.integers(-40, 40), min_size=1, max_size=4),
        st.lists(st.sampled_from([1, 3, 5, 7]), min_size=4, max_size=4))
 def test_elimination_record_meets_its_definitions(R, numerators, denominators):
-    # the generator, row reader and torsion factorization of Ring._echelon,
-    # each against what it stands for; v is a row of ints, or of Fractions
-    # with denominators prime to p (any over Q)
+    # the generator, row reading (clear, then primitive) and torsion
+    # factorization of Ring._echelon, each against what it stands for; v is
+    # a row of ints, or of Fractions with denominators prime to p (any over Q)
     elim, B = R._echelon, R._echelon.base
     fractional = R.kind in ("Zloc", "Q")
     v = [Fraction(n, q if q % getattr(R, "p", 2) else 1) if fractional else n
@@ -1369,7 +1480,7 @@ def test_elimination_record_meets_its_definitions(R, numerators, denominators):
     # canonical: equal exactly on elements that generate the same ideal
     assert all((elim.generator(x) == elim.generator(y)) == B.associate(x, y)
                for x in xs for y in xs)
-    w = elim.read(v)
+    w = elim.primitive(elim.clear(v))
     if R.kind != "Zloc":
         assert w == [R.canon(x) for x in v]
     elif any(v):
@@ -1470,11 +1581,11 @@ def test_generator_terms_cache_matches_fresh_images(M):
     loop = ("_degreewise_generators", "_row_kernel_images")
     asked = []
 
-    def watched(F, generators, d, read=None):
+    def watched(F, generators, d):
         if sys._getframe(1).f_code.co_name in loop:
             generators = list(generators)
             asked.append((generators, d))
-        return images(F, generators, d, read)
+        return images(F, generators, d)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FreeGradedModule, "images", watched)
