@@ -282,3 +282,53 @@ class TestBivariate:
         gens = bivariate_xy_syzygy_generators(ctx, 4)
         degs = [(a, b) for a, b, _ in gens]
         assert sorted(degs) == [(0, 2), (1, 1), (2, 0)]
+
+
+# what the two-variable syzygy scan answers, pinned over every ring kind for
+# boxes 1-10: the Z_(p) diagonal corners (p^k, p^k), the GF(p) syzygies at
+# (0, p) and (p, 0) (y^[1] y^[p-1] = 0 there), the single Koszul relation of
+# the polynomial ring, and the symmetry of swapping x and y
+SCAN_RINGS = [ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Zloc(2), Zloc(3), Zloc(5)]
+SCAN_BOXES = range(1, 11)
+
+
+def scan_bidegrees(ring, family, box):
+    gens = bivariate_xy_syzygy_generators(AlgebraContext(family(ring)), box)
+    return [(a, b) for a, b, _ in gens]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scan_over_z_p_finds_the_diagonal_corners(p):
+    for box in SCAN_BOXES:
+        corners = [(1, 1)] + [(p**k, p**k) for k in range(1, 4) if p**k <= box]
+        assert sorted(scan_bidegrees(Zloc(p), PiSequence.classical, box)) == corners
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_scan_over_gf_p_finds_the_axis_syzygies(p):
+    for box in SCAN_BOXES:
+        want = [(1, 1)] + ([(0, p), (p, 0)] if p <= box else [])
+        assert sorted(scan_bidegrees(GF(p), PiSequence.classical, box)) == sorted(want)
+
+
+def test_scan_with_all_ones_pi_finds_only_the_koszul_relation():
+    for ring in SCAN_RINGS:
+        for box in SCAN_BOXES:
+            assert scan_bidegrees(ring, PiSequence.all_ones, box) == [(1, 1)]
+
+
+def test_scan_bidegrees_are_symmetric_and_each_generator_is_a_syzygy():
+    for ring in SCAN_RINGS:
+        for family in (PiSequence.classical, PiSequence.all_ones):
+            ctx = AlgebraContext(family(ring))
+            y1, x1 = bi_monomial(ctx, 0, 1), bi_monomial(ctx, 1, 0)
+            for box in SCAN_BOXES:
+                gens = bivariate_xy_syzygy_generators(ctx, box)
+                degs = sorted((a, b) for a, b, _ in gens)
+                assert degs == sorted((b, a) for a, b in degs), (ring, family, box)
+                for a, b, (alpha, beta) in gens:
+                    assert (b or ring.is_zero(alpha)) and (a or ring.is_zero(beta))
+                    u = BivariateElement(ctx, {(a, b - 1): alpha} if b else {})
+                    v = BivariateElement(ctx, {(a - 1, b): beta} if a else {})
+                    assert not (u.is_zero and v.is_zero)
+                    assert u.mul(y1).add(v.mul(x1)).is_zero, (ring, a, b)
