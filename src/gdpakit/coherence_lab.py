@@ -323,50 +323,43 @@ def bivariate_xy_syzygy_generators(context: AlgebraContext, box: int):
     bivariate algebra, scanned over bidegrees (a, b) with a, b <= box.
 
     A syzygy at (a, b) is (u, v) with u in D_(a, b-1), v in D_(a-1, b) and
-    u y^[1] + v x^[1] = 0; both bigraded slices have rank <= 1, so the slice
-    is the kernel of the 1 x 2 row [C(b,1), C(a,1)] (columns absent when the
-    corresponding component has negative bidegree)."""
-    R = context.ring
-    C = context.C
+    u y^[1] + v x^[1] = 0; both bigraded slices have rank <= 1, so the
+    syzygies there are the kernel of the row [C(b,1), C(a,1)].  Each
+    bidegree takes the three steps of
+    :func:`graded_modules._degreewise_generators`: that kernel, the images
+    of the generators found below, and one quotient.
+
+    The row has a column only for a coordinate that exists: u needs b >= 1
+    and v needs a >= 1.  An absent coordinate is dropped, not given a zero
+    column, as a zero column would put its unit vector in the kernel, a
+    syzygy with a component in a bidegree where the algebra is 0; kernel
+    vectors get a zero there afterwards.
+
+    Only generators of lower total degree give old images: x^[i] y^[j]
+    times the generator at (a0, b0) lies at (a0 + i, b0 + j), so one of
+    the same total a + b reaches (a, b) only if it is (a, b) itself, which
+    is not yet found.  The scan runs by total, so the found generators
+    with a0 <= a and b0 <= b are exactly those."""
+    R, C = context.ring, context.C
     gens = []  # (a, b, (alpha, beta)) with alpha the u-, beta the v-coordinate
-    for total in range(0, 2 * box + 1):
-        for a in range(0, box + 1):
+    for total in range(1, 2 * box + 1):
+        for a in range(max(0, total - box), min(box, total) + 1):
             b = total - a
-            if b < 0 or b > box:
-                continue
-            cols = []
-            if b >= 1:
-                cols.append(C(b, 1))
-            if a >= 1:
-                cols.append(C(a, 1))
-            if not cols:
-                continue
-            row = ExactMatrix(R, [cols], 1, len(cols))
-            kvecs = []
-            for vec in kernel_basis(row):
-                full = [R.zero(), R.zero()]
-                idx = 0
-                if b >= 1:
-                    full[0] = vec[idx]
-                    idx += 1
-                if a >= 1:
-                    full[1] = vec[idx]
-                kvecs.append(full)
-            kvecs = [v for v in kvecs if any(not R.is_zero(x) for x in v)]
-            if not kvecs:
-                continue
-            old = []
-            for (a0, b0, (al, be)) in gens:
-                if a0 <= a and b0 <= b and (a0, b0) != (a, b):
-                    u = R.zero()
-                    v = R.zero()
-                    if b0 >= 1 and not R.is_zero(al):
-                        u = R.mul(al, R.mul(C(a, a0), C(b - 1, b0 - 1)))
-                    if a0 >= 1 and not R.is_zero(be):
-                        v = R.mul(be, R.mul(C(a - 1, a0 - 1), C(b, b0)))
-                    old.append([u, v])
-            for vec in quotient_generators(R, 2, kvecs, old):
-                gens.append((a, b, (vec[0], vec[1])))
+            coords = [i for i, n in enumerate((b, a)) if n >= 1]
+            row = [C((b, a)[i], 1) for i in coords]
+            kernel = [
+                [dict(zip(coords, vec)).get(i, R.zero()) for i in (0, 1)]
+                for vec in kernel_basis(ExactMatrix(R, [row], 1, len(row)))
+            ]
+            old = [
+                [
+                    R.mul(al, R.mul(C(a, a0), C(b - 1, b0 - 1))) if b0 >= 1 else R.zero(),
+                    R.mul(be, R.mul(C(a - 1, a0 - 1), C(b, b0))) if a0 >= 1 else R.zero(),
+                ]
+                for a0, b0, (al, be) in gens
+                if a0 <= a and b0 <= b
+            ]
+            gens += [(a, b, (u, v)) for u, v in quotient_generators(R, 2, kernel, old)]
     return gens
 
 

@@ -26,6 +26,7 @@ from .coeff_rings import (
     ZPOLY,
     ZZ,
     _prime_factors,
+    json_int,
     json_int_list,
     ring_from_json,
 )
@@ -110,7 +111,8 @@ class PiSequence:
 
     Families: all_ones, classical, cyclotomic (symbolic, over Z[q]),
     cyclotomic_at (evaluated at q0), gcd_morphic (derived by Moebius
-    inversion from a GCD-morphic integer sequence), custom.
+    inversion from a GCD-morphic integer sequence), custom, and transform
+    (h_transform of a base sequence).
     """
 
     def __init__(self, ring: Ring, family: str, fn, *, meta=None, admissible_by_fiat=False):
@@ -219,6 +221,8 @@ class PiSequence:
             out["q0"] = self.ring.to_str(self.meta["q0"])
         elif self.family == "gcd_morphic":
             out["a"] = list(self.meta["a"])
+        elif self.family == "transform":
+            out["base"], out["h"] = self.meta["base"].to_json(), self.meta["h"]
         if value_horizon is not None:
             out["values_preview"] = {
                 str(n): self.ring.to_str(self.pi(n)) for n in range(2, value_horizon + 1)
@@ -244,6 +248,8 @@ class PiSequence:
             values = {int(k): ring.from_str(str(v)) for k, v in obj.get("values", {}).items()}
             default = ring.from_str(str(obj["default"])) if "default" in obj else None
             return cls.custom(ring, values, default)
+        if family == "transform":
+            return h_transform(cls.from_json(obj["base"]), json_int(obj["h"]))
         raise ValueError(f"unknown pi family {family!r}")
 
     def __repr__(self):

@@ -20,7 +20,7 @@ from gdpakit.cli import main, run
 from gdpakit.coeff_rings import QQ, Zloc
 from gdpakit.gdpa import AlgebraContext, StructureConstants
 from gdpakit.graded_modules import FreeGradedModule, ModuleMap, PresentedModule
-from gdpakit.pi_core import PiSequence, fibonacci
+from gdpakit.pi_core import PiSequence, fibonacci, h_transform
 
 
 @pytest.fixture
@@ -244,6 +244,23 @@ class TestModuleCommands:
         data = json.loads(res.output)
         assert data["verdict"] == "has_torsion"
         assert 0 in data["candidate_degrees"]
+
+    def test_module_over_a_transformed_algebra(self, runner):
+        # D/(2 x^[2]) over the 2-transform of classical pi over Z_(2) reads
+        # back through --module, and gives the graded pieces of the same
+        # module over custom pi with the transform's values
+        tpi = h_transform(PiSequence.classical(Zloc(2)), 2)
+        custom = PiSequence.custom(tpi.ring, {n: tpi.pi(n) for n in range(2, 41)})
+        outs = []
+        for pi in (tpi, custom):
+            ctx = AlgebraContext(pi)
+            M = PresentedModule.from_columns(ctx, [0], [{0: ctx.x(2, coeff=2)}], [2])
+            res = invoke(runner, ["hilbert", "--module", json.dumps(M.to_json()),
+                                  "--horizon", "8", "--out", "json"])
+            assert res.exit_code == 0
+            outs.append(json.loads(res.output))
+        assert outs[0] == outs[1]
+        assert outs[0]["pieces"]["8"]["torsion_factors"] == ["8"]
 
     @pytest.mark.parametrize("g,horizon", [(0, 5), (5, 10)])
     def test_torsion_of_a_shifted_module(self, runner, g, horizon):

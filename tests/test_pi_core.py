@@ -1,5 +1,6 @@
 """Tests for divisible sequences, carries, pi-sequences and invariants."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -435,6 +436,8 @@ def test_gcd_morphic_rejects():
 
 
 def test_pi_json_round_trip():
+    # every family, h-transforms included: a module over a transformed
+    # algebra is read back through the same JSON
     seqs = [
         PiSequence.classical(ZZ),
         PiSequence.all_ones(QQ),
@@ -442,9 +445,12 @@ def test_pi_json_round_trip():
         PiSequence.cyclotomic_at(GF(3), 2),
         PiSequence.custom(ZZ, {2: 5, 3: 7}, default=1),
         pi_from_gcd_morphic(fibonacci, up_to=12),
+        h_transform(PiSequence.classical(Zloc(2)), 2),
+        h_transform(PiSequence.cyclotomic_at(QQ, 2), 6),
     ]
     for pi in seqs:
-        back = PiSequence.from_json(pi.to_json())
+        back = PiSequence.from_json(json.loads(json.dumps(pi.to_json())))
+        assert back.family == pi.family
         for n in range(1, 13):
             assert pi.ring.eq(back.pi(n), pi.pi(n))
 
