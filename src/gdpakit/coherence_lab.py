@@ -103,7 +103,9 @@ def torsion_bound_N(spec: IdealSpec) -> int:
     E the lcm of the torsion exponents.  As a_i = a_d for i >= d, the
     invariants of a_0, ..., a_d are taken once each, and a repeated factor
     is kept once: neither E nor the annihilation test depends on how often
-    a factor is listed."""
+    a factor is listed.  h_transform returns the one transform it keeps per
+    (pi, h), so a(n) of each is computed once per algebra, not once per
+    spec."""
     R = spec.context.ring
     if _torsion_free_mod_t(R):
         return 1
@@ -116,7 +118,7 @@ def torsion_bound_N(spec: IdealSpec) -> int:
     # a canonical factor over Z or Z_(p) is the integer exponent it gives
     limit = 4 * math.lcm(*map(int, factors)) + 16
     pi = spec.context.pi
-    transforms = [pi if h == 1 else h_transform(pi, h) for h in range(1, 2 * max(spec.d, 1) + 1)]
+    transforms = [h_transform(pi, h) for h in range(1, 2 * max(spec.d, 1) + 1)]
     N = _least_annihilating_n(R, factors, transforms, limit)
     if N is None:
         raise UnboundedTorsionError(
@@ -173,13 +175,15 @@ def t1_bound_check(spec: IdealSpec) -> BoundReport:
     :func:`syzygy_generators` takes no kernel in a degree where the
     syzygies found below already span the row's kernel (index 1, see
     :func:`~gdpakit.graded_modules._spans_row_kernel`): past the last new
-    syzygy each degree costs the row, the images of the generators, and
-    the images of the old syzygies inserted one at a time into an echelon
-    basis only until it passes the index test, which runs where that basis
-    has the kernel's rank; the images after it are never built.  It
-    rebuilds nothing that depends only on the module or the ring: past the
-    top generator degree a free module's column map and rank are fixed, a
-    binomial met before is one memo lookup, and the ring is read once."""
+    syzygy each degree costs the row, one entry per generator read from the
+    parsed columns (:meth:`~gdpakit.graded_modules.FreeGradedModule.row`),
+    and the images of the old syzygies inserted one at a time into an
+    echelon basis only until it passes the index test, which runs where
+    that basis has the kernel's rank; the images after it are never built.
+    It rebuilds nothing that depends only on the module, the ring or pi:
+    past the top generator degree a free module's column map and rank are
+    fixed, a binomial met before is one memo lookup, the ring is read once,
+    and N reads the h-transforms that pi keeps."""
     ctx = spec.context
     R = ctx.ring
     N = torsion_bound_N(spec)
@@ -237,7 +241,7 @@ def a2_condition_check(ring: Ring, ideal_generators, h: int, limit: int = 256) -
     directly, so the verdict is definitive."""
     gens = [ring.canon(g) for g in ideal_generators]
     pi = PiSequence.classical(ring)
-    tpi = pi if h == 1 else h_transform(pi, h)
+    tpi = h_transform(pi, h)
     if _torsion_free_mod_t(ring):
         return {"verdict": "bounded", "n": 1, "reason": "quotient is torsion-free mod T(k)"}
     factors = ideal_invariants(ring, gens).torsion_factors

@@ -98,7 +98,8 @@ class FreeGradedModule:
         vector is built when it is asked for, so a caller that stops early
         builds no more.  C(d - g_i, t) is read from pi's memo table
         (PiSequence._c_memo), and c_binomial is called only for a binomial
-        not met before."""
+        not met before.  :meth:`row` applies this rule where the basis has
+        one element."""
         mul, pi, zero, memo = self._mul, self.context.pi, self._zero, self._binomials
         col_of = self._columns(d)
         n = len(col_of)
@@ -112,6 +113,27 @@ class FreeGradedModule:
                     b = c_binomial(pi, d - g, t)
                 vec[col_of[i]] = mul(c, b)
             yield vec
+
+    def row(self, generators, d: int) -> list:
+        """[v[0] for v in images(generators, d)] for a module with one
+        generator, at a degree d at or past it: the rule of :meth:`images`
+        on its one-element basis, with no vector or generator built.  A
+        column with e > d is skipped, an empty one gives zero, and the one
+        term (0, g, t, c) of any other gives c * C(d - g, t)."""
+        mul, pi, zero, memo = self._mul, self.context.pi, self._zero, self._binomials
+        out = []
+        for e, terms in generators:
+            if e > d:
+                continue
+            if not terms:
+                out.append(zero)
+                continue
+            [(_, g, t, c)] = terms
+            b = memo.get((d - g, t))
+            if b is None:
+                b = c_binomial(pi, d - g, t)
+            out.append(mul(c, b))
+        return out
 
 
 class ModuleMap:
@@ -298,7 +320,8 @@ def syzygy_generators(f: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
     of ker(f) up to degree_bound, degree by degree.
 
     Over a field or a PID (Z, Z_(p), Q, GF(p)), and with one target
-    generator, each degree-d slice of f is one row r in R^m, handed to
+    generator, each degree-d slice of f is one row r in R^m, read by
+    :meth:`FreeGradedModule.row` and handed to
     :func:`_degreewise_generators` as its row.  The images S of the
     generators found below lie in K = ker(r), as x^[j] times a syzygy is a
     syzygy, and a degree is skipped, with no kernel and no quotient, once
@@ -311,7 +334,7 @@ def syzygy_generators(f: ModuleMap, degree_bound: int) -> SubmoduleGenerators:
     target, terms = f.target, f._terms
 
     def row(d):
-        return [v[0] for v in target.images(terms, d)] if target.rank(d) else None
+        return target.row(terms, d) if target.rank(d) else None
 
     return _degreewise_generators(
         f.source, degree_bound, lambda d: kernel_basis(f.slice(d)), row if one_row else None

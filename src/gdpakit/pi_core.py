@@ -125,9 +125,13 @@ class PiSequence:
         # C(n, m) as c_binomial computes it, keyed (n, m).  Only pairs with
         # 0 <= m <= n enter, and no value is None, so a reader may take
         # .get((n, m)) is None as a miss and skip the range check.
-        # c_binomial writes it; FreeGradedModule.images also reads it.
+        # c_binomial writes it; FreeGradedModule.images and .row and the
+        # torsion rows (_relation_rows, _times_row) also read it.
         self._c_memo: dict[tuple, object] = {}
         self._a_memo: dict[int, object] = {}
+        # h_transform(self, h) keyed by h (pi^[1] = pi), so every caller
+        # shares one transform, and its memo tables, per (pi, h)
+        self._h_memo: dict[int, PiSequence] = {1: self}
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -318,11 +322,15 @@ def c_binomial(pi: PiSequence, n: int, m: int):
 
 
 def h_transform(pi: PiSequence, h: int) -> PiSequence:
-    """The h-transform: pi^[h]_n = prod over d | h with gcd(h/d, n) = 1 of pi_{dn}."""
+    """The h-transform: pi^[h]_n = prod over d | h with gcd(h/d, n) = 1 of pi_{dn}.
+
+    pi itself for h = 1.  Otherwise it is built once per (pi, h) and kept in
+    pi's table (PiSequence._h_memo): every later call returns that same
+    sequence, so its values and its a(n) are computed once per pi."""
     if h < 1:
         raise PreconditionError("h-transform requires h >= 1")
-    if h == 1:
-        return pi
+    if h in pi._h_memo:
+        return pi._h_memo[h]
     R = pi.ring
 
     def fn(n):
@@ -332,7 +340,7 @@ def h_transform(pi: PiSequence, h: int) -> PiSequence:
                 acc = R.mul(acc, pi.pi(d * n))
         return acc
 
-    out = PiSequence(
+    out = pi._h_memo[h] = PiSequence(
         R,
         "transform",
         fn,

@@ -3,11 +3,10 @@ counterexample."""
 
 import math
 import random
-import sys
 
 import pytest
 
-from gdpakit import coeff_rings, graded_modules
+from gdpakit import coeff_rings, coherence_lab, graded_modules
 from gdpakit.coeff_rings import GF, QQ, ZZ, PreconditionError, Zloc, Zmod
 from gdpakit.coherence_lab import (
     BivariateElement,
@@ -205,22 +204,31 @@ def test_bound_check_scan_stops_building_images_once_they_span(monkeypatch):
     # a degree whose row has one entry (m = 1) has kernel 0, which the empty
     # lattice spans, so it takes no kernel; in the others the old syzygies'
     # images are built one at a time and stop once they span the row's
-    # kernel, so fewer are built than the every-degree scan builds
+    # kernel, so fewer are built than the every-degree scan builds.  The
+    # scan's images run on the source of the map it is handed, with its own
+    # list of the syzygies found; the slices of that map, and
+    # materialize_ideal's scan, run on D
     kernel_basis, images = graded_modules.kernel_basis, graded_modules.FreeGradedModule.images
-    widths, offered, built = [], [], []
+    syzygy_generators = coherence_lab.syzygy_generators
+    widths, offered, built, maps = [], [], [], []
 
     def watched_kernel(A):
         widths.append(A.cols)
         return kernel_basis(A)
 
+    def watched_syzygies(f, bound):
+        maps.append(f)
+        return syzygy_generators(f, bound)
+
     def watched_images(F, generators, d):
-        if sys._getframe(1).f_code.co_name == "_row_kernel_images":
+        if maps and F is maps[-1].source and generators is not maps[-1]._terms:
             generators = list(generators)
             offered.append(len(generators))
             return (built.append(d) or v for v in images(F, generators, d))
         return images(F, generators, d)
 
     monkeypatch.setattr(graded_modules, "kernel_basis", watched_kernel)
+    monkeypatch.setattr(coherence_lab, "syzygy_generators", watched_syzygies)
     monkeypatch.setattr(graded_modules.FreeGradedModule, "images", watched_images)
     for spec in boundcheck_specs(12, 5):
         assert t1_bound_check(spec).passed

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -1569,33 +1568,61 @@ def test_images_and_rank_match_their_definitions(case):
         assert list(F.images(terms, d)) == want
 
 
+def test_row_is_the_one_entry_of_each_image():
+    # maps into one target generator, at degrees -3..4: row(terms, d) is
+    # the one entry of each degree-d image, value for value and type for
+    # type, at every d from the lowest source degree to 6 past the top one
+    rng = random.Random(35)
+    seen = {"nonzero target degree": 0, "empty column": 0, "column above d": 0}
+    for ctx in ORACLE_CONTEXTS * 12:
+        R = ctx.ring
+        g0 = rng.randint(-3, 4)
+        columns, degrees = [], []
+        for _ in range(rng.randint(1, 5)):
+            e, c = g0 + rng.randint(0, 6), rng.randint(-4, 4)
+            columns.append({0: ctx.x(e - g0, coeff=R.from_int(c))} if c else {})
+            degrees.append(e)
+        target = FreeGradedModule(ctx, [g0])
+        f = ModuleMap(FreeGradedModule(ctx, degrees), target, columns)
+        seen["nonzero target degree"] += g0 != 0
+        seen["empty column"] += any(not terms for _, terms in f._terms)
+        for d in range(min(degrees), max(degrees) + 7):
+            seen["column above d"] += any(e > d for e in degrees)
+            got = target.row(f._terms, d)
+            want = [v[0] for v in target.images(f._terms, d)]
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
+    assert all(seen.values()), seen
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_modules())
 def test_generator_terms_cache_matches_fresh_images(M):
     # the degree loop parses each generator's column once, and hands the
     # parsed terms of every generator found below d to images in degree d:
-    # they give the images of those columns parsed afresh
+    # they give the images of those columns parsed afresh.  The loop's calls
+    # run on the scan's ambient module with the loop's own list; the slices
+    # of f, which the scans also build through images, are given f._terms
     f = M.relations
     bound = M.max_presentation_degree() + 3
     images = FreeGradedModule.images
-    loop = ("_degreewise_generators", "_row_kernel_images")
-    asked = []
+    for scan, ambient in ((syzygy_generators, f.source), (minimal_image_generators, f.target)):
+        asked = []
 
-    def watched(F, generators, d):
-        if sys._getframe(1).f_code.co_name in loop:
-            generators = list(generators)
-            asked.append((generators, d))
-        return images(F, generators, d)
+        def watched(F, generators, d):
+            if F is ambient and generators is not f._terms:
+                generators = list(generators)
+                asked.append((generators, d))
+            return images(F, generators, d)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FreeGradedModule, "images", watched)
-        for scan in (syzygy_generators, minimal_image_generators):
-            asked.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FreeGradedModule, "images", watched)
             gens = scan(f, bound)
-            F = gens.ambient
-            for terms, d in asked:
-                below = [g for g in gens.generators if g[0] < d]
-                assert list(images(F, terms, d)) == fresh_images(F, below, d)
+        F = gens.ambient
+        assert F is ambient
+        for terms, d in asked:
+            below = [g for g in gens.generators if g[0] < d]
+            assert list(images(F, terms, d)) == fresh_images(F, below, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for divisible sequences, carries, pi-sequences and invariants."""
 
+import functools
 import json
 import math
 import random
@@ -329,6 +330,58 @@ def test_h_transform_law_and_composition_random():
                     assert a_invariant(lhs, n) == a_invariant(rhs, n)
 
 
+# bases built afresh on each call, so that a transform of one has empty
+# memo tables: Z, Z_(2), GF(3) and a custom pi with zeros
+TRANSFORM_BASES = [
+    lambda: PiSequence.classical(ZZ),
+    lambda: PiSequence.classical(Zloc(2)),
+    lambda: PiSequence.classical(GF(3)),
+    lambda: PiSequence.custom(QQ, {4: 0, 6: 3, 9: 0, 12: 5}, default=2),
+]
+
+
+def transform_by_definition(pi, h, n):
+    """pi^[h]_n = prod over d | h with gcd(h/d, n) = 1 of pi_{dn}; 0 at n = 1."""
+    R = pi.ring
+    if n == 1:
+        return R.zero()
+    return functools.reduce(
+        R.mul, [pi.pi(d * n) for d in divisors(h) if math.gcd(h // d, n) == 1], R.one())
+
+
+@pytest.mark.parametrize("base", TRANSFORM_BASES, ids=["Z", "Z_(2)", "GF(3)", "Q with zeros"])
+def test_h_transform_is_built_once_per_pi_and_h(base):
+    # pi keeps one transform per h, so a caller that asks again reads the
+    # memo tables an earlier caller filled; the values are those of a
+    # transform built afresh, and of the definition
+    pi = base()
+    assert h_transform(pi, 1) is pi
+    for h in (2, 3, 4, 6):
+        shared = h_transform(pi, h)
+        assert h_transform(pi, h) is shared and shared.meta == {"base": pi, "h": h}
+        for n in range(64, 0, -1):  # fill the memos high n first
+            a_invariant(shared, n)
+        fresh = h_transform(base(), h)
+        assert fresh is not shared
+        assert h_transform(pi, h) is shared
+        for n in range(1, 65):
+            assert shared.pi(n) == fresh.pi(n) == transform_by_definition(pi, h, n)
+            assert a_invariant(shared, n) == a_invariant(fresh, n)
+
+
+def test_h_transform_of_another_base_is_its_own():
+    # two bases with the same h: each transform reads its own base
+    for h in (2, 3, 6):
+        one, other = PiSequence.classical(ZZ), PiSequence.custom(ZZ, {2: 5, 3: 7})
+        t_one, t_other = h_transform(one, h), h_transform(other, h)
+        assert t_one is not t_other
+        assert t_one.meta["base"] is one and t_other.meta["base"] is other
+        for n in range(2, 25):
+            assert t_one.pi(n) == transform_by_definition(one, h, n)
+            assert t_other.pi(n) == transform_by_definition(other, h, n)
+        assert [t_one.pi(n) for n in range(2, 25)] != [t_other.pi(n) for n in range(2, 25)]
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
@@ -437,7 +490,8 @@ def test_gcd_morphic_rejects():
 
 def test_pi_json_round_trip():
     # every family, h-transforms included: a module over a transformed
-    # algebra is read back through the same JSON
+    # algebra is read back through the same JSON, which the memo tables and
+    # the transforms a sequence keeps do not change
     seqs = [
         PiSequence.classical(ZZ),
         PiSequence.all_ones(QQ),
@@ -447,10 +501,15 @@ def test_pi_json_round_trip():
         pi_from_gcd_morphic(fibonacci, up_to=12),
         h_transform(PiSequence.classical(Zloc(2)), 2),
         h_transform(PiSequence.cyclotomic_at(QQ, 2), 6),
+        *[h_transform(base(), 6) for base in TRANSFORM_BASES],
     ]
     for pi in seqs:
-        back = PiSequence.from_json(json.loads(json.dumps(pi.to_json())))
-        assert back.family == pi.family
+        want = pi.to_json()
+        for n in range(1, 13):
+            a_invariant(h_transform(pi, 2), n)
+        assert pi.to_json() == want
+        back = PiSequence.from_json(json.loads(json.dumps(want)))
+        assert back.family == pi.family and back.to_json() == want
         for n in range(1, 13):
             assert pi.ring.eq(back.pi(n), pi.pi(n))
 
